@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 use sim::{
-    BehaviorKind, BehaviorMix, ChurnConfig, ExchangeDiscipline, Protection, SchedulerKind,
-    SimConfig, SimReport, SimTime, Simulation,
+    BehaviorKind, BehaviorMix, ChurnConfig, ExchangeDiscipline, FlashCrowdConfig, Protection,
+    SchedulerKind, SimConfig, SimReport, SimTime, Simulation,
 };
 
 /// One sampled run shape: indexes into the fixed option sets plus the
@@ -133,6 +133,27 @@ fn every_paper_discipline_resumes_exactly() {
         let (straight, resumed) = straight_and_resumed(&config, 11);
         assert_eq!(straight, resumed, "discipline {:?}", config.discipline);
     }
+}
+
+/// A flash crowd releases an object into a category that is already as long
+/// as any in the catalog, so the release grows the catalog's shared object
+/// popularity table.  Restore regenerates the setup catalog and replays the
+/// release, and the restored run must go on drawing from the grown table
+/// exactly as the uninterrupted run does.
+#[test]
+fn resume_after_a_release_that_grows_the_popularity_table_is_exact() {
+    let mut config = SimConfig::quick_test();
+    config.num_peers = 20;
+    config.sim_duration_s = 2_000.0;
+    config.warmup_s = 500.0;
+    config.workload.objects_per_category = (3, 3);
+    config.flash_crowd = Some(FlashCrowdConfig::new(400.0, 4));
+    let straight = Simulation::new(config.clone(), 13).run();
+    let mut live = Simulation::new(config.clone(), 13);
+    live.run_until(SimTime::from_secs_f64(1_000.0));
+    let resumed = round_trip(&live, &config).run();
+    assert_eq!(straight.ring_cache_stats(), resumed.ring_cache_stats());
+    assert_eq!(straight, resumed);
 }
 
 /// Checkpoint + restore at **every event boundary**: before each event the

@@ -41,6 +41,9 @@ pub struct Catalog {
     /// For each category, the ids of its objects ordered by popularity rank.
     by_category: Vec<Vec<ObjectId>>,
     category_weights: PowerLawWeights,
+    /// Within-category object popularity, as long as the longest category:
+    /// a category of `n` objects samples its first `n` ranks.
+    object_weights: PowerLawWeights,
 }
 
 impl Catalog {
@@ -77,10 +80,17 @@ impl Catalog {
             config.num_categories as usize,
             config.category_popularity_factor,
         );
+        let longest = by_category
+            .iter()
+            .map(Vec::len)
+            .max()
+            .expect("a validated config has at least one category");
+        let object_weights = PowerLawWeights::new(longest, config.object_popularity_factor);
         Catalog {
             objects,
             by_category,
             category_weights,
+            object_weights,
         }
     }
 
@@ -134,6 +144,27 @@ impl Catalog {
         &self.category_weights
     }
 
+    /// Within-category object popularity weights (by rank within a
+    /// category), covering the longest category; the catalog's object
+    /// popularity factor is their [`PowerLawWeights::factor`].
+    #[must_use]
+    pub fn object_weights(&self) -> &PowerLawWeights {
+        &self.object_weights
+    }
+
+    /// Picks an object of `category` by within-category popularity, given a
+    /// uniform draw `u` in `[0, 1)` (see [`PowerLawWeights::sample_with`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the category id is out of range or the category is empty
+    /// (never true: categories are generated non-empty and only grow).
+    #[must_use]
+    pub fn sample_object(&self, category: CategoryId, u: f64) -> ObjectId {
+        let objects = self.objects_in_category(category);
+        objects[self.object_weights.sample_first(objects.len(), u)]
+    }
+
     /// Releases a new object into `category` mid-run (a flash-crowd drop).
     ///
     /// The object is appended as the category's least-popular rank — organic
@@ -154,6 +185,7 @@ impl Catalog {
             size_bytes,
         });
         ids.push(id);
+        self.object_weights.extend_to(ids.len());
         id
     }
 

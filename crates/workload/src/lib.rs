@@ -27,7 +27,7 @@
 //! let mut rng = DetRng::seed_from(1);
 //! let catalog = Catalog::generate(&config, &mut rng);
 //! let interests = PeerInterests::generate(&catalog, &config, &mut rng);
-//! let generator = RequestGenerator::new(&config);
+//! let generator = RequestGenerator::new();
 //!
 //! let object = generator
 //!     .next_request(&catalog, &interests, &mut rng, |_| false)

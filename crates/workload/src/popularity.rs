@@ -22,7 +22,10 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerLawWeights {
-    weights: Vec<f64>,
+    /// Unnormalised `rank^-f`, most popular first.
+    raw: Vec<f64>,
+    /// `totals[k] = raw[0] + … + raw[k]`, summed left to right.
+    totals: Vec<f64>,
     factor: f64,
 }
 
@@ -39,22 +42,42 @@ impl PowerLawWeights {
             factor.is_finite() && factor >= 0.0,
             "popularity factor must be finite and non-negative, got {factor}"
         );
-        let raw: Vec<f64> = (1..=n).map(|rank| (rank as f64).powf(-factor)).collect();
-        let total: f64 = raw.iter().sum();
-        let weights = raw.into_iter().map(|w| w / total).collect();
-        PowerLawWeights { weights, factor }
+        let mut weights = PowerLawWeights {
+            raw: Vec::with_capacity(n),
+            totals: Vec::with_capacity(n),
+            factor,
+        };
+        weights.extend_to(n);
+        weights
+    }
+
+    /// Grows the distribution to at least `n` ranks; a no-op if it already
+    /// has that many.
+    ///
+    /// The existing ranks' raw weights are kept, so the first `k` ranks of
+    /// the grown distribution still sample exactly like
+    /// `PowerLawWeights::new(k, factor)`; see [`PowerLawWeights::sample_first`].
+    pub fn extend_to(&mut self, n: usize) {
+        for rank in self.raw.len() + 1..=n {
+            let w = (rank as f64).powf(-self.factor);
+            // A sequential prefix sum: `totals[k]` is bit-identical to
+            // `raw[..=k].iter().sum()`, a left fold.
+            let total = self.totals.last().map_or(w, |t| t + w);
+            self.raw.push(w);
+            self.totals.push(total);
+        }
     }
 
     /// Number of ranks.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.weights.len()
+        self.raw.len()
     }
 
     /// Whether the distribution has no ranks (never true for a constructed value).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
+        self.raw.is_empty()
     }
 
     /// The power-law factor this distribution was built with.
@@ -70,13 +93,13 @@ impl PowerLawWeights {
     /// Panics if `rank` is out of bounds.
     #[must_use]
     pub fn weight(&self, rank: usize) -> f64 {
-        self.weights[rank]
+        self.raw[rank] / self.total(self.len())
     }
 
     /// All normalised weights, most popular first.
     #[must_use]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
+    pub fn weights(&self) -> Vec<f64> {
+        (0..self.len()).map(|rank| self.weight(rank)).collect()
     }
 
     /// Samples a rank given a uniform draw `u` in `[0, 1)`.
@@ -85,14 +108,43 @@ impl PowerLawWeights {
     /// deterministic random streams.
     #[must_use]
     pub fn sample_with(&self, u: f64) -> usize {
+        self.sample_first(self.len(), u)
+    }
+
+    /// Samples a rank of the distribution truncated to its first `n` ranks
+    /// and renormalised, given a uniform draw `u` in `[0, 1)`.
+    ///
+    /// The result is exactly that of `PowerLawWeights::new(n, factor)
+    /// .sample_with(u)`, without building it: one table of the longest
+    /// length serves every shorter one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero or exceeds [`PowerLawWeights::len`].
+    #[must_use]
+    pub fn sample_first(&self, n: usize, u: f64) -> usize {
+        let total = self.total(n);
         let mut target = u.clamp(0.0, 1.0 - f64::EPSILON);
-        for (rank, w) in self.weights.iter().enumerate() {
-            if target < *w {
+        for (rank, raw) in self.raw[..n].iter().enumerate() {
+            // The same division `weight` performs, so each step subtracts
+            // the exact normalised weight of an `n`-rank distribution.
+            let w = raw / total;
+            if target < w {
                 return rank;
             }
             target -= w;
         }
-        self.weights.len() - 1
+        n - 1
+    }
+
+    /// The sum of the raw weights of the first `n` ranks.
+    fn total(&self, n: usize) -> f64 {
+        assert!(
+            n > 0 && n <= self.len(),
+            "rank count {n} outside 1..={}",
+            self.len()
+        );
+        self.totals[n - 1]
     }
 }
 

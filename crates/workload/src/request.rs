@@ -3,16 +3,16 @@
 use des::DetRng;
 use serde::{Deserialize, Serialize};
 
-use crate::{Catalog, ObjectId, PeerInterests, PowerLawWeights, WorkloadConfig};
+use crate::{Catalog, ObjectId, PeerInterests};
 
 /// Generates download requests for peers.
 ///
 /// A request is generated by picking a category from the peer's local
 /// preference distribution and then an object within that category according
-/// to the within-category power-law popularity.  Candidate objects the caller
-/// rejects (already stored or already being downloaded — the paper's "cache
-/// hits") are skipped and the draw is retried, up to a bounded number of
-/// attempts.
+/// to the catalog's within-category power-law popularity.  Candidate objects
+/// the caller rejects (already stored or already being downloaded — the
+/// paper's "cache hits") are skipped and the draw is retried, up to a bounded
+/// number of attempts.
 ///
 /// # Example
 ///
@@ -24,24 +24,20 @@ use crate::{Catalog, ObjectId, PeerInterests, PowerLawWeights, WorkloadConfig};
 /// let mut rng = DetRng::seed_from(2);
 /// let catalog = Catalog::generate(&config, &mut rng);
 /// let interests = PeerInterests::generate(&catalog, &config, &mut rng);
-/// let generator = RequestGenerator::new(&config);
+/// let generator = RequestGenerator::new();
 /// let pick = generator.next_request(&catalog, &interests, &mut rng, |_| false);
 /// assert!(pick.is_some());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestGenerator {
-    object_popularity_factor: f64,
     max_attempts: usize,
 }
 
 impl RequestGenerator {
-    /// Creates a generator using the object popularity factor of `config`.
+    /// Creates a generator that makes up to 64 draw attempts per request.
     #[must_use]
-    pub fn new(config: &WorkloadConfig) -> Self {
-        RequestGenerator {
-            object_popularity_factor: config.object_popularity_factor,
-            max_attempts: 64,
-        }
+    pub fn new() -> Self {
+        RequestGenerator { max_attempts: 64 }
     }
 
     /// Overrides the number of redraws attempted before giving up when every
@@ -50,12 +46,6 @@ impl RequestGenerator {
     pub fn with_max_attempts(mut self, attempts: usize) -> Self {
         self.max_attempts = attempts.max(1);
         self
-    }
-
-    /// The object popularity factor in use.
-    #[must_use]
-    pub fn object_popularity_factor(&self) -> f64 {
-        self.object_popularity_factor
     }
 
     /// Draws the next object this peer should request.
@@ -76,13 +66,7 @@ impl RequestGenerator {
     {
         for _ in 0..self.max_attempts {
             let category = interests.pick_category(rng);
-            let objects = catalog.objects_in_category(category);
-            if objects.is_empty() {
-                continue;
-            }
-            let weights = PowerLawWeights::new(objects.len(), self.object_popularity_factor);
-            let rank = weights.sample_with(rng.gen_unit());
-            let candidate = objects[rank];
+            let candidate = catalog.sample_object(category, rng.gen_unit());
             if !reject(candidate) {
                 return Some(candidate);
             }
@@ -91,9 +75,16 @@ impl RequestGenerator {
     }
 }
 
+impl Default for RequestGenerator {
+    fn default() -> Self {
+        RequestGenerator::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WorkloadConfig;
     use std::collections::HashSet;
 
     fn setup(seed: u64) -> (Catalog, PeerInterests, RequestGenerator, DetRng) {
@@ -101,7 +92,7 @@ mod tests {
         let mut rng = DetRng::seed_from(seed);
         let catalog = Catalog::generate(&config, &mut rng);
         let interests = PeerInterests::generate(&catalog, &config, &mut rng);
-        let generator = RequestGenerator::new(&config);
+        let generator = RequestGenerator::new();
         (catalog, interests, generator, rng)
     }
 
@@ -150,7 +141,7 @@ mod tests {
         let mut rng = DetRng::seed_from(24);
         let catalog = Catalog::generate(&config, &mut rng);
         let interests = PeerInterests::generate(&catalog, &config, &mut rng);
-        let generator = RequestGenerator::new(&config);
+        let generator = RequestGenerator::new();
         let category = interests.categories()[0];
         let most_popular = catalog.objects_in_category(category)[0];
         let least_popular = *catalog.objects_in_category(category).last().unwrap();

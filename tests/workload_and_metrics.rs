@@ -25,7 +25,7 @@ fn request_stream_respects_interests_and_popularity_direction() {
     let mut rng = DetRng::seed_from(2);
     let catalog = Catalog::generate(&config, &mut rng);
     let interests = PeerInterests::generate(&catalog, &config, &mut rng);
-    let generator = RequestGenerator::new(&config);
+    let generator = RequestGenerator::new();
 
     let mut rank_sum = 0u64;
     let mut samples = 0u64;
