@@ -70,7 +70,7 @@ fn random_typed_graph(peers: u32, edges: usize, seed: u64) -> RequestGraph<PeerI
             ObjectId::new(object),
         );
     }
-    graph.take_dirty();
+    graph.take_dirty_edges();
     graph
 }
 

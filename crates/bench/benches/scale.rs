@@ -5,24 +5,18 @@
 //! flash crowd, and a heterogeneous capacity-class mix) so the cost of the
 //! departure/rejoin teardown machinery is tracked by the regression gate.
 //!
-//! Each tier runs the same seeded workload in up to three modes:
+//! Each tier runs the same seeded workload in up to two modes:
 //!
-//! * **provider-cold** — ring-cache invalidation at provider granularity
-//!   and a cold `Simulation::new` per seed (skipped at the 100k tier, where
-//!   the provider-granularity engine is pointlessly slow);
-//! * **entry-warm** — entry-level invalidation plus a shared [`SimSetup`]
+//! * **entry-warm** — the ring-candidate cache plus a shared [`SimSetup`]
 //!   across seeds (warm restarts);
 //! * **entry-warm-sharded** — entry-warm with `SimConfig::shards` set from
 //!   `--shards N` (only when N > 1).  The bench asserts the sharded report
 //!   is **bit-identical** to entry-warm on the shared seed — the nightly CI
 //!   workflow runs exactly this assertion at the 10k tier.
 //!
-//! `speedup` compares provider-cold to entry-warm (what cache granularity +
-//! warm restarts buy); `speedup_sharded` compares entry-warm to the sharded
-//! mode (what the scoped worker pool buys — meaningful only on multi-core
-//! hosts, so the JSON also records `host_parallelism`); `speedup_vs_pr3`
-//! compares entry-warm against an externally measured PR-3-engine run
-//! passed in via `--baseline <tier>=<secs>`.
+//! `speedup_sharded` compares entry-warm to the sharded mode (what the
+//! persistent worker pool buys — meaningful only on multi-core hosts, so the
+//! JSON also records `host_parallelism`).
 //!
 //! Usage (a bare `cargo bench` only smoke-compiles; the tiers are explicit):
 //!
@@ -53,7 +47,7 @@
 //! cached-search dependency footprints population-independent.
 //!
 //! **Checkpoint mode** (kill-and-resume drills): `--checkpoint-every <secs>
-//! --checkpoint-path <file>` runs one entry-granularity simulation of the
+//! --checkpoint-path <file>` runs one simulation of the
 //! selected tier (first seed, `--shards` honoured), writing its latest
 //! snapshot to `<file>` every interval — atomically, via a temp file and
 //! rename, so a `SIGKILL` mid-write still leaves a complete checkpoint —
@@ -69,8 +63,8 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use sim::{
-    CacheGranularity, CapacityClass, CatastropheConfig, ChurnConfig, ClassMix, FlashCrowdConfig,
-    PhaseProfile, SimConfig, SimReport, SimSetup, Simulation,
+    CapacityClass, CatastropheConfig, ChurnConfig, ClassMix, FlashCrowdConfig, PhaseProfile,
+    SimConfig, SimReport, SimSetup, Simulation,
 };
 
 /// One measured run: its report plus every timing component.
@@ -82,7 +76,7 @@ struct RunMeasurement {
     report: SimReport,
 }
 
-/// One mode (cache granularity × restart strategy × shards) over all seeds.
+/// One mode (sequential or sharded) over all seeds.
 struct ModeMeasurement {
     name: &'static str,
     runs: Vec<RunMeasurement>,
@@ -99,10 +93,6 @@ struct TierMeasurement {
     peers: usize,
     config: SimConfig,
     modes: Vec<ModeMeasurement>,
-    /// Externally measured wall clock of the PR-3 engine (provider-granularity
-    /// cache, O(peers) lookups, no search scratch) on the identical workload
-    /// and seed, passed in via `--baseline <tier>=<secs>`.
-    baseline_pr3_s: Option<f64>,
 }
 
 impl TierMeasurement {
@@ -110,36 +100,15 @@ impl TierMeasurement {
         self.modes.iter().find(|m| m.name == name)
     }
 
-    fn ratio(slow: &ModeMeasurement, fast: &ModeMeasurement) -> f64 {
-        let fast_wall = fast.wall().as_secs_f64();
-        if fast_wall > 0.0 {
-            slow.wall().as_secs_f64() / fast_wall
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Entry-warm over provider-cold (cache granularity + warm restarts).
-    fn speedup(&self) -> Option<f64> {
-        Some(Self::ratio(
-            self.mode("provider-cold")?,
-            self.mode("entry-warm")?,
-        ))
-    }
-
     /// Sharded entry-warm over sequential entry-warm.
     fn speedup_sharded(&self) -> Option<f64> {
-        Some(Self::ratio(
-            self.mode("entry-warm")?,
-            self.mode("entry-warm-sharded")?,
-        ))
-    }
-
-    /// Speedup of the entry-warm engine's first run over the PR-3 engine.
-    fn speedup_vs_pr3(&self) -> Option<f64> {
-        let first = &self.mode("entry-warm")?.runs[0];
-        let mine = (first.setup + first.run).as_secs_f64();
-        self.baseline_pr3_s.filter(|_| mine > 0.0).map(|b| b / mine)
+        let sequential = self.mode("entry-warm")?.wall().as_secs_f64();
+        let sharded = self.mode("entry-warm-sharded")?.wall().as_secs_f64();
+        Some(if sharded > 0.0 {
+            sequential / sharded
+        } else {
+            f64::INFINITY
+        })
     }
 }
 
@@ -247,11 +216,9 @@ fn run_tier(
     if population {
         population_config(&mut config, options);
     }
-    // The 100k tier runs one seed and skips the provider-cold mode: at 10⁵
-    // peers the provider-granularity engine adds tens of minutes without
-    // telling us anything the 10k tier did not.
-    let heavy = peers >= 100_000;
-    let seeds: Vec<u64> = if heavy {
+    // The 100k tier runs one seed: a second adds minutes without telling
+    // us anything the 10k tier does not.
+    let seeds: Vec<u64> = if peers >= 100_000 {
         vec![seeds[0]]
     } else {
         seeds.to_vec()
@@ -259,22 +226,8 @@ fn run_tier(
     eprintln!("== tier {label}: {peers} peers, {} seeds ==", seeds.len());
 
     let mut modes = Vec::new();
-    if !heavy {
-        let mut provider_config = config.clone();
-        provider_config.ring_cache_granularity = CacheGranularity::Provider;
-        modes.push(ModeMeasurement {
-            name: "provider-cold",
-            runs: seeds
-                .iter()
-                .map(|&seed| measure_run("provider-cold", &provider_config, None, seed))
-                .collect(),
-        });
-    }
-
-    let mut entry_config = config.clone();
-    entry_config.ring_cache_granularity = CacheGranularity::Entry;
     let started = Instant::now();
-    let shared_setup = SimSetup::generate(&entry_config, seeds[0]);
+    let shared_setup = SimSetup::generate(&config, seeds[0]);
     let shared_setup_time = started.elapsed();
     let entry_runs: Vec<RunMeasurement> = seeds
         .iter()
@@ -282,7 +235,7 @@ fn run_tier(
         .map(|(index, &seed)| {
             // The shared setup is generated once; only the first seed's row
             // carries its cost.
-            let mut run = measure_run("entry-warm", &entry_config, Some(&shared_setup), seed);
+            let mut run = measure_run("entry-warm", &config, Some(&shared_setup), seed);
             if index == 0 {
                 run.setup += shared_setup_time;
             }
@@ -295,7 +248,7 @@ fn run_tier(
     });
 
     if options.shards > 1 {
-        let mut sharded_config = entry_config.clone();
+        let mut sharded_config = config.clone();
         sharded_config.shards = options.shards;
         let runs: Vec<RunMeasurement> = seeds
             .iter()
@@ -319,28 +272,11 @@ fn run_tier(
         peers,
         config,
         modes,
-        baseline_pr3_s: None,
     };
 
     // Exactness guards: on the shared setup seed every mode simulates the
     // identical system, so all reports must agree bit for bit.
     let entry = &tier.mode("entry-warm").expect("always measured").runs[0];
-    if let Some(provider) = tier.mode("provider-cold") {
-        assert_eq!(
-            (
-                provider.runs[0].report.completed_downloads(),
-                provider.runs[0].report.total_sessions(),
-                provider.runs[0].report.total_rings()
-            ),
-            (
-                entry.report.completed_downloads(),
-                entry.report.total_sessions(),
-                entry.report.total_rings()
-            ),
-            "tier {label}: granularities diverged on the shared seed — the \
-             cache or warm restart is no longer exact"
-        );
-    }
     if let Some(sharded) = tier.mode("entry-warm-sharded") {
         assert_eq!(
             fingerprint(&sharded.runs[0].report),
@@ -364,9 +300,6 @@ fn run_tier(
         );
     }
 
-    if let Some(speedup) = tier.speedup() {
-        eprintln!("   speedup (entry-warm over provider-cold): {speedup:.2}x");
-    }
     if let Some(speedup) = tier.speedup_sharded() {
         eprintln!(
             "   speedup (shards={} over sequential): {speedup:.2}x",
@@ -394,7 +327,7 @@ fn fingerprint_json(label: &str, config: &SimConfig, seed: u64, report: &SimRepo
     )
 }
 
-/// Checkpoint/resume mode: one entry-granularity run of the selected tier
+/// Checkpoint/resume mode: one run of the selected tier
 /// on the first seed. `--checkpoint-every <secs> --checkpoint-path <file>`
 /// writes the latest snapshot every interval (atomic temp-file + rename);
 /// `--resume-from <file>` restores an existing snapshot and runs to the
@@ -415,7 +348,6 @@ fn run_checkpoint_mode(
     if population {
         population_config(&mut config, options);
     }
-    config.ring_cache_granularity = CacheGranularity::Entry;
     config.shards = options.shards;
     config.checkpoint_every_s = checkpoint.map(|(every, _)| every);
 
@@ -549,17 +481,8 @@ fn to_json(tiers: &[TierMeasurement], seeds: usize, shards: usize, calibration: 
             let _ = write!(out, "]}}");
         }
         let _ = write!(out, "]");
-        if let Some(speedup) = tier.speedup() {
-            let _ = write!(out, ",\"speedup\":{speedup:.3}");
-        }
         if let Some(speedup) = tier.speedup_sharded() {
             let _ = write!(out, ",\"speedup_sharded\":{speedup:.3}");
-        }
-        if let (Some(baseline), Some(vs)) = (tier.baseline_pr3_s, tier.speedup_vs_pr3()) {
-            let _ = write!(
-                out,
-                ",\"baseline_pr3_run_s\":{baseline:.3},\"speedup_vs_pr3\":{vs:.3}"
-            );
         }
         let _ = write!(out, "}}");
     }
@@ -579,7 +502,6 @@ fn main() {
         fanout: 8,
         shards: 1,
     };
-    let mut baselines: Vec<(String, f64)> = Vec::new();
     let mut checkpoint_every: Option<f64> = None;
     let mut checkpoint_path: Option<String> = None;
     let mut resume_from: Option<String> = None;
@@ -638,14 +560,6 @@ fn main() {
                 if let Ok(n) = v.parse::<usize>() {
                     if n >= 1 {
                         options.fanout = n;
-                    }
-                }
-                i += 1;
-            }
-            ("--baseline", Some(v)) => {
-                if let Some((tier, secs)) = v.split_once('=') {
-                    if let Ok(secs) = secs.parse::<f64>() {
-                        baselines.push((tier.to_string(), secs));
                     }
                 }
                 i += 1;
@@ -757,17 +671,7 @@ fn main() {
 
     let tiers: Vec<TierMeasurement> = selected
         .into_iter()
-        .map(|(label, peers, population)| {
-            let mut tier = run_tier(label, peers, population, &seed_list, options);
-            tier.baseline_pr3_s = baselines
-                .iter()
-                .find(|(t, _)| t == label)
-                .map(|(_, secs)| *secs);
-            if let Some(vs) = tier.speedup_vs_pr3() {
-                eprintln!("   speedup vs PR-3 engine: {vs:.2}x");
-            }
-            tier
-        })
+        .map(|(label, peers, population)| run_tier(label, peers, population, &seed_list, options))
         .collect();
 
     let json = to_json(&tiers, seed_list.len(), options.shards, calibration);

@@ -19,9 +19,9 @@
 //! units.  A CI runner that is uniformly 2× slower halves the event rate
 //! *and* the reference-loop rate, so the calibrated ratio is unchanged and
 //! the gate survives hardware drift — while a real per-event cost
-//! regression moves only the numerator and still trips it.  When either
-//! file predates calibration, the gate falls back to the legacy
-//! absolute-seconds comparison.
+//! regression moves only the numerator and still trips it.  A file without
+//! calibration or event counts cannot be compared: the gate exits 2 and
+//! names it.
 //!
 //! Phase values are averaged across each file's runs, so a 1-seed smoke is
 //! comparable against a 2-seed baseline.  Phases below `--min-phase-s` in
@@ -269,10 +269,10 @@ impl<'a> Parser<'a> {
 /// seconds, the mean event count, and the file's machine calibration.
 struct Side {
     phases: BTreeMap<String, f64>,
-    /// Mean `phases.events` across runs; `None` for pre-events baselines.
-    events: Option<f64>,
-    /// Top-level `calibration_ops_per_s`; `None` for pre-calibration files.
-    calibration: Option<f64>,
+    /// Mean `phases.events` across runs.
+    events: f64,
+    /// Top-level `calibration_ops_per_s`.
+    calibration: f64,
 }
 
 /// Per-phase mean seconds of one (tier, mode) across its runs, `run_s`
@@ -328,16 +328,23 @@ fn phase_means(root: &Json, tier: &str, mode: &str) -> Result<Side, String> {
             }
         }
     }
+    if events_n == 0 {
+        return Err(format!(
+            "tier '{tier}' mode '{mode}' records no event counts"
+        ));
+    }
+    let calibration = root
+        .get("calibration_ops_per_s")
+        .and_then(Json::as_f64)
+        .filter(|c| *c > 0.0)
+        .ok_or("no positive 'calibration_ops_per_s'")?;
     Ok(Side {
         phases: sums
             .into_iter()
             .map(|(name, (sum, n))| (name, sum / n as f64))
             .collect(),
-        events: (events_n > 0).then(|| events_sum / events_n as f64),
-        calibration: root
-            .get("calibration_ops_per_s")
-            .and_then(Json::as_f64)
-            .filter(|c| *c > 0.0),
+        events: events_sum / events_n as f64,
+        calibration,
     })
 }
 
@@ -590,8 +597,8 @@ fn main() -> ExitCode {
         }
     };
     let (base_side, now_side) = match (
-        phase_means(&baseline, &tier, &mode),
-        phase_means(&current, &tier, &mode),
+        phase_means(&baseline, &tier, &mode).map_err(|e| format!("{baseline_path}: {e}")),
+        phase_means(&current, &tier, &mode).map_err(|e| format!("{current_path}: {e}")),
     ) {
         (Ok(b), Ok(c)) => (b, c),
         (Err(e), _) | (_, Err(e)) => {
@@ -600,44 +607,22 @@ fn main() -> ExitCode {
         }
     };
 
-    // Calibrated mode needs the machine yardstick in BOTH files and event
-    // counts in both; anything older falls back to absolute seconds.
-    let calibrated = match (
-        base_side.calibration,
-        now_side.calibration,
-        base_side.events,
-        now_side.events,
-    ) {
-        (Some(bc), Some(nc), Some(be), Some(ne)) => Some((bc, nc, be, ne)),
-        _ => None,
-    };
-
     println!(
-        "bench_gate: tier {tier}, mode {mode}, tolerance {:.0}%, {}",
+        "bench_gate: tier {tier}, mode {mode}, tolerance {:.0}%, \
+         calibrated events/s (machine ratio {:.2}x)",
         tolerance * 100.0,
-        match calibrated {
-            Some((bc, nc, ..)) => format!("calibrated events/s (machine ratio {:.2}x)", nc / bc),
-            None => "absolute seconds (no calibration in one side)".to_string(),
-        }
+        now_side.calibration / base_side.calibration
     );
-    let unit = if calibrated.is_some() { "kev/s" } else { "s" };
     println!(
         "{:<20} {:>12} {:>12} {:>8}  verdict",
-        "phase",
-        format!("base {unit}"),
-        format!("cur {unit}"),
-        "ratio"
+        "phase", "base kev/s", "cur kev/s", "ratio"
     );
     use std::fmt::Write as _;
     let mut markdown = format!(
-        "## Bench gate: tier {tier}, mode {mode} ({})\n\n\
+        "## Bench gate: tier {tier}, mode {mode} (calibrated event rates)\n\n\
          tolerance {:.0}% against `{baseline_path}`\n\n\
-         | phase | base {unit} | current {unit} | ratio | verdict |\n\
+         | phase | base kev/s | current kev/s | ratio | verdict |\n\
          |---|---:|---:|---:|---|\n",
-        match calibrated {
-            Some(_) => "calibrated event rates",
-            None => "absolute seconds",
-        },
         tolerance * 100.0,
     );
     let mut regressions = 0usize;
@@ -656,23 +641,14 @@ fn main() -> ExitCode {
             );
             continue;
         }
-        // In both modes the floor guards tiny denominators so a 1 ms phase
-        // cannot fail the gate by becoming 2 ms.
-        let (base_val, now_val, ratio) = match calibrated {
-            Some((base_calib, now_calib, base_events, now_events)) => {
-                // Event rates, the current run rescaled into the baseline
-                // machine's units; regression = the calibrated rate fell.
-                let base_rate = base_events / base.max(min_phase_s) / 1000.0;
-                let now_rate =
-                    now_events / now.max(min_phase_s) / 1000.0 * (base_calib / now_calib);
-                (
-                    base_rate,
-                    now_rate,
-                    base_rate / now_rate.max(f64::MIN_POSITIVE),
-                )
-            }
-            None => (base, now, now / base.max(min_phase_s)),
-        };
+        // Event rates, the current run rescaled into the baseline machine's
+        // units; regression = the calibrated rate fell.  The floor guards
+        // tiny denominators so a 1 ms phase cannot fail the gate by becoming
+        // 2 ms.
+        let base_val = base_side.events / base.max(min_phase_s) / 1000.0;
+        let now_val = now_side.events / now.max(min_phase_s) / 1000.0
+            * (base_side.calibration / now_side.calibration);
+        let ratio = base_val / now_val.max(f64::MIN_POSITIVE);
         let regressed = ratio > 1.0 + tolerance;
         println!(
             "{name:<20} {base_val:>12.3} {now_val:>12.3} {ratio:>7.2}x  {}",

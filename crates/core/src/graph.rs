@@ -27,20 +27,11 @@ pub struct Request<P, O> {
 ///
 /// For incremental consumers (candidate caches keyed on search results), the
 /// graph tracks a monotonically increasing [`generation`](Self::generation)
-/// and a *dirty log* of mutations since it was last drained, in two views:
-///
-/// * the classic peer view ([`take_dirty`](Self::take_dirty)) — every peer
-///   incident to a changed edge, on either side;
-/// * the entry-level edge view ([`take_dirty_edges`](Self::take_dirty_edges))
-///   — `(provider, object)` pairs, one per changed edge.  Only the provider
-///   endpoint is reported: a ring search reads *incoming*-request queues
-///   exclusively, so the requester side of an edge can never affect a cached
-///   search result.
-///
-/// Draining either view clears the whole log (they are two projections of the
-/// same mutations; a consumer picks one).  Equality ignores all bookkeeping:
-/// two graphs with the same edges compare equal regardless of their mutation
-/// history.
+/// and a *dirty log* of mutations since it was last drained
+/// ([`take_dirty_edges`](Self::take_dirty_edges)): the
+/// `(provider, requester, object)` triple of every changed edge.  Equality
+/// ignores all bookkeeping: two graphs with the same edges compare equal
+/// regardless of their mutation history.
 ///
 /// # Example
 ///
@@ -52,7 +43,7 @@ pub struct Request<P, O> {
 /// assert!(g.has_request("alice", "bob", 7));
 /// assert_eq!(g.incoming("bob").count(), 1);
 /// assert_eq!(g.outgoing("alice").count(), 1);
-/// assert!(g.take_dirty().into_iter().eq(["alice", "bob"]));
+/// assert!(g.take_dirty_edges().into_iter().eq([("bob", "alice", 7)]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RequestGraph<P: Key, O: Key> {
@@ -63,8 +54,6 @@ pub struct RequestGraph<P: Key, O: Key> {
     len: usize,
     /// Bumped on every successful mutation.
     generation: u64,
-    /// Peers whose incident edge set changed since the last drain.
-    dirty: BTreeSet<P>,
     /// `(provider, requester, object)` of every edge changed since the last
     /// drain.
     dirty_edges: BTreeSet<(P, P, O)>,
@@ -88,7 +77,6 @@ impl<P: Key, O: Key> RequestGraph<P, O> {
             outgoing: BTreeMap::new(),
             len: 0,
             generation: 0,
-            dirty: BTreeSet::new(),
             dirty_edges: BTreeSet::new(),
         }
     }
@@ -97,81 +85,57 @@ impl<P: Key, O: Key> RequestGraph<P, O> {
     ///
     /// Consumers that cache derived data (e.g. ring-search candidates) can
     /// compare generations to detect that *something* changed; the
-    /// [dirty set](Self::take_dirty) says *which peers* changed.
+    /// [dirty log](Self::take_dirty_edges) says *which edges* changed.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Drains the dirty log and returns its peer view: every peer whose
-    /// incident edges changed since the last drain (both endpoints of every
-    /// added or removed edge).
-    ///
-    /// Incremental consumers call this once per query round and invalidate
-    /// whatever they derived from the returned peers' neighbourhoods.
-    pub fn take_dirty(&mut self) -> BTreeSet<P> {
-        self.dirty_edges.clear();
-        std::mem::take(&mut self.dirty)
-    }
-
-    /// Drains the dirty log and returns its entry-level edge view: the
-    /// `(provider, requester, object)` triple of every edge changed since
-    /// the last drain, sorted by provider.
+    /// Drains the dirty log: the `(provider, requester, object)` triple of
+    /// every edge changed since the last drain, sorted by provider.
     ///
     /// The triple leads with the provider endpoint because that is the side
     /// a ring search reads (incoming request queues); the requester and
     /// object let consumers decide *where in the provider's queue* the edge
     /// sat — e.g. whether it falls inside the fanout-bounded prefix a
-    /// depth-limited search actually examined.  Either drain call clears the
-    /// whole log.
+    /// depth-limited search actually examined.
     pub fn take_dirty_edges(&mut self) -> BTreeSet<(P, P, O)> {
-        self.dirty.clear();
         std::mem::take(&mut self.dirty_edges)
     }
 
     /// Whether any mutation happened since the last drain.
     #[must_use]
     pub fn has_dirty(&self) -> bool {
-        !self.dirty.is_empty() || !self.dirty_edges.is_empty()
+        !self.dirty_edges.is_empty()
     }
 
-    /// The undrained peer view of the dirty log, without draining it.
+    /// The undrained dirty log, without draining it.
     ///
     /// Checkpointing must capture the pending log exactly — a consumer that
     /// has not drained yet will drain after restore and must see the same
     /// invalidations.
-    #[must_use]
-    pub fn dirty_peers(&self) -> &BTreeSet<P> {
-        &self.dirty
-    }
-
-    /// The undrained edge view of the dirty log, without draining it.
     #[must_use]
     pub fn dirty_edge_log(&self) -> &BTreeSet<(P, P, O)> {
         &self.dirty_edges
     }
 
     /// Rebuilds a graph from checkpointed parts: its edges plus the exact
-    /// mutation-tracking state (`generation` and both undrained dirty
-    /// views).  The edge count is derived from `edges`.
+    /// mutation-tracking state (`generation` and the undrained dirty log).
+    /// The edge count is derived from `edges`.
     #[must_use]
     pub fn from_parts(
         edges: impl IntoIterator<Item = (P, P, O)>,
         generation: u64,
-        dirty: BTreeSet<P>,
         dirty_edges: BTreeSet<(P, P, O)>,
     ) -> Self {
         let mut graph: RequestGraph<P, O> = edges.into_iter().collect();
         graph.generation = generation;
-        graph.dirty = dirty;
         graph.dirty_edges = dirty_edges;
         graph
     }
 
     fn mark_edge_dirty(&mut self, requester: P, provider: P, object: O) {
         self.generation += 1;
-        self.dirty.insert(requester);
-        self.dirty.insert(provider);
         self.dirty_edges.insert((provider, requester, object));
     }
 
@@ -466,23 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_set_collects_both_endpoints_and_drains() {
-        let mut g: RequestGraph<u32, u32> = RequestGraph::new();
-        g.add_request(1, 2, 100);
-        g.add_request(3, 2, 101);
-        assert!(g.has_dirty());
-        assert_eq!(g.take_dirty(), BTreeSet::from([1, 2, 3]));
-        assert!(!g.has_dirty());
-        assert!(g.take_dirty().is_empty());
-        g.remove_object_requests(1, 100);
-        assert_eq!(g.take_dirty(), BTreeSet::from([1, 2]));
-        g.add_request(4, 2, 102);
-        g.take_dirty();
-        g.remove_peer(2);
-        assert_eq!(g.take_dirty(), BTreeSet::from([2, 3, 4]));
-    }
-
-    #[test]
     fn dirty_edges_report_provider_requester_and_object() {
         let mut g: RequestGraph<u32, u32> = RequestGraph::new();
         g.add_request(1, 2, 100);
@@ -497,19 +444,6 @@ mod tests {
         assert_eq!(g.take_dirty_edges(), BTreeSet::from([(2, 1, 100)]));
         g.remove_object_requests(3, 101);
         assert_eq!(g.take_dirty_edges(), BTreeSet::from([(2, 3, 101)]));
-    }
-
-    #[test]
-    fn draining_either_dirty_view_clears_the_whole_log() {
-        let mut g: RequestGraph<u32, u32> = RequestGraph::new();
-        g.add_request(1, 2, 100);
-        assert!(g.has_dirty());
-        let _ = g.take_dirty();
-        assert!(g.take_dirty_edges().is_empty(), "peer drain clears edges");
-        g.add_request(3, 2, 101);
-        let _ = g.take_dirty_edges();
-        assert!(g.take_dirty().is_empty(), "edge drain clears peers");
-        assert!(!g.has_dirty());
     }
 
     #[test]
@@ -533,7 +467,7 @@ mod tests {
         a.remove_request(1, 2, 101);
         let mut b: RequestGraph<u32, u32> = RequestGraph::new();
         b.add_request(1, 2, 100);
-        b.take_dirty();
+        b.take_dirty_edges();
         assert_eq!(a, b);
         assert_ne!(a.generation(), b.generation());
     }

@@ -3,7 +3,7 @@
 //! A workspace-specific determinism & concurrency static-analysis pass.
 //!
 //! The repo's load-bearing correctness property — simulation reports
-//! bit-identical across shard counts, cache granularities, and warm
+//! bit-identical across shard counts, cache settings, and warm
 //! restarts — is defended dynamically by the equivalence suites and the
 //! audit harness. This crate is the *static* guardrail: it catches the
 //! hazards that historically break that property (nondeterministic

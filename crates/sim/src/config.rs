@@ -7,8 +7,8 @@ use serde::{Deserialize, Serialize};
 use workload::WorkloadConfig;
 
 use crate::{
-    BehaviorMix, CacheGranularity, CatastropheConfig, ChurnConfig, ClassMix, FlashCrowdConfig,
-    Protection, SelectionStrategy,
+    BehaviorMix, CatastropheConfig, ChurnConfig, ClassMix, FlashCrowdConfig, Protection,
+    SelectionStrategy,
 };
 
 /// Full configuration of one simulation run.
@@ -32,9 +32,8 @@ pub struct SimConfig {
     /// Number of peers in the system.
     pub num_peers: usize,
     /// The weighted population of peer behaviors (honest sharers,
-    /// free-riders, and the Section III-B adversaries).  Replaces the old
-    /// binary `freerider_fraction` field; see
-    /// [`SimConfig::with_freerider_fraction`] for the migration shim.
+    /// free-riders, and the Section III-B adversaries).  A plain
+    /// sharer/free-rider split is [`BehaviorMix::with_freeriders`].
     pub behaviors: BehaviorMix,
     /// The Section III-B countermeasure active on the transfer path.
     pub protection: Protection,
@@ -77,16 +76,11 @@ pub struct SimConfig {
     /// exchange rather than exhaustively trying every proposal).
     pub ring_attempts_per_schedule: usize,
     /// Whether discovered ring candidates are memoised across scheduling
-    /// rounds (see [`crate::RingCandidateCache`]).  The cache is exact —
+    /// rounds (see [`crate::RingCandidateCache`], which invalidates entry by
+    /// entry against what each cached search read).  The cache is exact —
     /// runs produce identical reports with it on or off — so this knob
     /// exists for benchmarking and debugging, not for accuracy trade-offs.
     pub ring_candidate_cache: bool,
-    /// How precisely deltas invalidate cached ring candidates (see
-    /// [`crate::CacheGranularity`]).  Both granularities are exact; entry
-    /// level (the default) drops strictly fewer entries per delta and is the
-    /// difference between tractable and hopeless at 10⁴ peers.  Ignored when
-    /// [`ring_candidate_cache`](Self::ring_candidate_cache) is off.
-    pub ring_cache_granularity: CacheGranularity,
     /// Number of worker shards the scheduling hot path fans out to (1 =
     /// fully sequential, the default).  Within one event timestamp, the
     /// ring searches and serve-queue assemblies of a `TrySchedule` batch are
@@ -163,7 +157,6 @@ impl SimConfig {
             ring_search_fanout: 16,
             ring_attempts_per_schedule: 8,
             ring_candidate_cache: true,
-            ring_cache_granularity: CacheGranularity::Entry,
             shards: 1,
             shard_min_batch: 0,
             checkpoint_every_s: None,
@@ -203,7 +196,6 @@ impl SimConfig {
             ring_search_fanout: 8,
             ring_attempts_per_schedule: 8,
             ring_candidate_cache: true,
-            ring_cache_granularity: CacheGranularity::Entry,
             shards: 1,
             shard_min_batch: 0,
             checkpoint_every_s: None,
@@ -225,19 +217,6 @@ impl SimConfig {
     pub fn with_duration_scale(mut self, factor: f64) -> Self {
         self.sim_duration_s *= factor.max(0.0);
         self.warmup_s *= factor.max(0.0);
-        self
-    }
-
-    /// Migration shim for the removed `freerider_fraction` field: sets the
-    /// population to `fraction` free-riders, the rest honest.
-    #[deprecated(
-        since = "0.3.0",
-        note = "the binary free-rider fraction became `SimConfig::behaviors`; \
-                set it to `BehaviorMix::with_freeriders(fraction)` (or any richer mix) directly"
-    )]
-    #[must_use]
-    pub fn with_freerider_fraction(mut self, fraction: f64) -> Self {
-        self.behaviors = BehaviorMix::with_freeriders(fraction);
         self
     }
 
@@ -461,17 +440,8 @@ mod tests {
         for c in [SimConfig::paper_defaults(), SimConfig::quick_test()] {
             assert_eq!(c.ring_attempts_per_schedule, 8);
             assert!(c.ring_candidate_cache);
-            assert_eq!(c.ring_cache_granularity, CacheGranularity::Entry);
             assert_eq!(c.shards, 1, "sharding is strictly opt-in");
             assert_eq!(c.shard_min_batch, 0, "0 = the max(shards, 2) auto floor");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn freerider_fraction_shim_rewrites_the_mix() {
-        let c = SimConfig::quick_test().with_freerider_fraction(0.25);
-        assert_eq!(c.behaviors, BehaviorMix::with_freeriders(0.25));
-        assert!(c.validate().is_ok());
     }
 }

@@ -76,7 +76,7 @@ pub use scenario::{Aggregate, Axis, Scenario, ScenarioPoint, SweepGrid, SweepRow
 #[cfg(feature = "audit")]
 pub use simulation::audit;
 pub use simulation::{
-    CacheGranularity, CachedEntry, PhaseProfile, RingCacheStats, RingCandidateCache, SimSetup,
-    Simulation, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    CachedEntry, PhaseProfile, RingCacheStats, RingCandidateCache, SimSetup, Simulation,
+    SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use types::{PeerClass, SessionEnd, SessionKind};

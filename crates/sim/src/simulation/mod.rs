@@ -24,7 +24,7 @@ mod shard;
 mod snapshot;
 mod transfers;
 
-pub use ring_cache::{CacheGranularity, CachedEntry, RingCacheStats, RingCandidateCache};
+pub use ring_cache::{CachedEntry, RingCacheStats, RingCandidateCache};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
 use std::cell::Cell;
@@ -241,9 +241,9 @@ pub struct Simulation {
     ring_cache: RingCandidateCache,
     /// Shared ring-search working memory: BFS buffers plus the
     /// per-generation adjacency snapshot reused across providers
-    /// (see [`exchange::SearchScratch`]).  At entry granularity the
-    /// snapshot additionally survives graph mutations: the dirty-edge drain
-    /// advances it, forgetting only the queues that changed.
+    /// (see [`exchange::SearchScratch`]).  The snapshot survives graph
+    /// mutations: the dirty-edge drain advances it, forgetting only the
+    /// queues that changed.
     scratch: SearchScratch<PeerId, ObjectId>,
     /// The graph generation up to which the dirty log has been drained
     /// (the `from` side of the scratch's incremental advance).
@@ -386,7 +386,7 @@ impl Simulation {
         }
 
         let report = SimReport::new(num_peers);
-        let ring_cache = RingCandidateCache::with_granularity(config.ring_cache_granularity);
+        let ring_cache = RingCandidateCache::new();
         let mut holders = vec![std::collections::BTreeSet::new(); catalog.num_objects()];
         let mut honest_holders = vec![0u32; catalog.num_objects()];
         let mut advertisers = Vec::new();
@@ -986,46 +986,17 @@ mod tests {
     }
 
     #[test]
-    fn cache_granularities_produce_identical_reports() {
-        for granularity in [CacheGranularity::Provider, CacheGranularity::Entry] {
-            let mut config = SimConfig::quick_test();
-            config.discipline = ExchangePolicy::two_five_way();
-            config.ring_cache_granularity = granularity;
-            let report = Simulation::new(config, 21).run();
-            let mut baseline = SimConfig::quick_test();
-            baseline.discipline = ExchangePolicy::two_five_way();
-            baseline.ring_candidate_cache = false;
-            let uncached = Simulation::new(baseline, 21).run();
-            assert_eq!(
-                report.completed_downloads(),
-                uncached.completed_downloads(),
-                "{granularity:?}"
-            );
-            assert_eq!(report.total_sessions(), uncached.total_sessions());
-            assert_eq!(report.total_rings(), uncached.total_rings());
-        }
-    }
-
-    #[test]
-    fn entry_granularity_invalidates_no_more_than_provider_granularity() {
-        let mut entry = SimConfig::quick_test();
-        entry.ring_cache_granularity = CacheGranularity::Entry;
-        let mut provider = SimConfig::quick_test();
-        provider.ring_cache_granularity = CacheGranularity::Provider;
-        let entry_stats = Simulation::new(entry, 8).run().ring_cache_stats();
-        let provider_stats = Simulation::new(provider, 8).run().ring_cache_stats();
-        assert!(
-            entry_stats.invalidations <= provider_stats.invalidations,
-            "entry granularity must be lazier: {} vs {}",
-            entry_stats.invalidations,
-            provider_stats.invalidations
-        );
-        assert!(
-            entry_stats.hits >= provider_stats.hits,
-            "lazier invalidation cannot lose hits on an identical event stream: {} vs {}",
-            entry_stats.hits,
-            provider_stats.hits
-        );
+    fn cached_runs_produce_identical_reports() {
+        let mut config = SimConfig::quick_test();
+        config.discipline = ExchangePolicy::two_five_way();
+        let report = Simulation::new(config, 21).run();
+        let mut baseline = SimConfig::quick_test();
+        baseline.discipline = ExchangePolicy::two_five_way();
+        baseline.ring_candidate_cache = false;
+        let uncached = Simulation::new(baseline, 21).run();
+        assert_eq!(report.completed_downloads(), uncached.completed_downloads());
+        assert_eq!(report.total_sessions(), uncached.total_sessions());
+        assert_eq!(report.total_rings(), uncached.total_rings());
     }
 
     #[test]

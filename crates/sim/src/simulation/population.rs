@@ -181,7 +181,7 @@ impl Simulation {
     /// Tears `peer` out of every live structure: its transfers end
     /// ([`SessionEnd::PeerDeparted`], dissolving any rings they were part
     /// of), its request-graph edges are withdrawn one by one (keeping the
-    /// dirty log exact for the entry-granularity cache), its outstanding
+    /// dirty log exact for the ring-candidate cache), its outstanding
     /// wants are dropped, and its holdings leave the lookup index.  The peer
     /// keeps its storage — a churn rejoin brings the objects back.
     fn depart_peer(&mut self, peer: PeerId) {

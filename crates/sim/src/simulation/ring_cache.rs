@@ -8,7 +8,11 @@
 //!
 //! * **graph deltas** (request added/removed, peer departed) arrive through
 //!   [`RequestGraph`]'s dirty log via
-//!   [`apply_graph_deltas`](RingCandidateCache::apply_graph_deltas);
+//!   [`apply_graph_deltas`](RingCandidateCache::apply_graph_deltas), or via
+//!   the simulation's fanout-aware drain, which composes
+//!   [`invalidate_edge_readers`](RingCandidateCache::invalidate_edge_readers),
+//!   [`invalidate_root`](RingCandidateCache::invalidate_root) and
+//!   [`invalidate_holding`](RingCandidateCache::invalidate_holding) per edge;
 //! * **oracle deltas** (a peer gained or evicted an object) are reported by
 //!   the simulation through
 //!   [`invalidate_holding`](RingCandidateCache::invalidate_holding); a
@@ -17,61 +21,30 @@
 //! * **want deltas** at the root are caught by keying each entry on the exact
 //!   `wants` list it was computed for.
 //!
-//! # Invalidation granularity
+//! # Entry-level invalidation
 //!
-//! [`CacheGranularity`] selects how precisely deltas map onto dropped
-//! entries:
+//! Deltas are matched against what each cached search actually *read* of a
+//! peer *q*:
 //!
-//! * [`CacheGranularity::Provider`] (the original behaviour): a delta at
-//!   peer *q* drops **every** entry whose dependency set
-//!   ([`SearchTrace::deps`]) contains *q*, regardless of which aspect of *q*
-//!   changed.
-//! * [`CacheGranularity::Entry`] (the default): deltas are matched against
-//!   what each cached search actually *read* of *q*:
-//!   - an edge delta `(provider q, object o)` drops entries with *q* in
-//!     [`SearchTrace::edge_deps`] (the search read *q*'s incoming queue) or
-//!     with *q* in `deps` **and** *o* in the entry's wants (the `provides`
-//!     probe at *q* can read *q*'s incoming edges for a wanted object — the
-//!     middleman claim);
-//!   - a holdings delta `(q, o)` drops entries with *q* in `deps` **and**
-//!     *o* in the entry's wants — a peer completing or evicting an object
-//!     nobody's cached search wants kills nothing;
-//!   - requester-side edge endpoints drop nothing at all (a search never
-//!     reads outgoing queues).
+//! - an edge delta `(provider q, object o)` drops entries with *q* in
+//!   [`SearchTrace::edge_deps`] (the search read *q*'s incoming queue) or
+//!   with *q* in [`SearchTrace::deps`] **and** *o* in the entry's wants (the
+//!   `provides` probe at *q* can read *q*'s incoming edges for a wanted
+//!   object — the middleman claim);
+//! - a holdings delta `(q, o)` drops entries with *q* in `deps` **and** *o*
+//!   in the entry's wants — a peer completing or evicting an object nobody's
+//!   cached search wants kills nothing;
+//! - requester-side edge endpoints drop nothing at all (a search never reads
+//!   outgoing queues).
 //!
-//! Either way a cached hit is guaranteed to equal what a fresh
+//! A cached hit is guaranteed to equal what a fresh
 //! [`exchange::RingSearch`] would return — the cache is a pure memoisation,
-//! never an approximation; entry granularity is simply *strictly lazier*
-//! (it drops a subset of what provider granularity drops).
+//! never an approximation.
 
 use std::collections::{BTreeSet, HashMap};
 
 use exchange::{ExchangeRing, RequestGraph, SearchTrace};
-use serde::{Deserialize, Serialize};
 use workload::{ObjectId, PeerId};
-
-/// How precisely deltas map onto dropped cache entries (see the
-/// [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum CacheGranularity {
-    /// A delta at a peer drops every entry depending on that peer.
-    Provider,
-    /// Deltas are matched against the exact aspect — incoming queue vs
-    /// per-object holdings — each cached search read.
-    #[default]
-    Entry,
-}
-
-impl CacheGranularity {
-    /// The label used in configs and bench output.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            CacheGranularity::Provider => "provider",
-            CacheGranularity::Entry => "entry",
-        }
-    }
-}
 
 /// Hit/miss/invalidation counters of one cache over one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,7 +63,7 @@ struct Entry {
     wants: Vec<ObjectId>,
     /// The search result, in preference order.
     rings: Vec<ExchangeRing<PeerId, ObjectId>>,
-    /// The search's full dependency set (sorted); mirrored in `dependents`.
+    /// The search's full dependency set (sorted).
     deps: Vec<PeerId>,
     /// The subset of `deps` whose incoming queues the search read (sorted).
     edge_deps: Vec<PeerId>,
@@ -117,10 +90,7 @@ pub struct CachedEntry<'a> {
 /// See the [module docs](self) for the invalidation contract.
 #[derive(Debug, Default)]
 pub struct RingCandidateCache {
-    granularity: CacheGranularity,
     entries: HashMap<PeerId, Entry>,
-    /// Reverse index: peer -> roots whose cached search depends on it.
-    dependents: HashMap<PeerId, BTreeSet<PeerId>>,
     /// Reverse index over [`Entry::edge_deps`]: peer -> roots whose cached
     /// search read the peer's incoming queue.  An edge delta kills these
     /// outright, no per-entry filtering.
@@ -133,25 +103,10 @@ pub struct RingCandidateCache {
 }
 
 impl RingCandidateCache {
-    /// Creates an empty cache with the default (entry-level) granularity.
+    /// Creates an empty cache.
     #[must_use]
     pub fn new() -> Self {
         RingCandidateCache::default()
-    }
-
-    /// Creates an empty cache with the given invalidation granularity.
-    #[must_use]
-    pub fn with_granularity(granularity: CacheGranularity) -> Self {
-        RingCandidateCache {
-            granularity,
-            ..RingCandidateCache::default()
-        }
-    }
-
-    /// The invalidation granularity this cache runs at.
-    #[must_use]
-    pub fn granularity(&self) -> CacheGranularity {
-        self.granularity
     }
 
     /// Returns the cached candidate rings for `root`, if a live entry exists
@@ -189,12 +144,10 @@ impl RingCandidateCache {
 
     /// Stores a fresh search result for `root`, replacing any prior entry.
     ///
-    /// Index maintenance is granularity-specific: provider granularity
-    /// mirrors the *full* dependency set in its reverse index (the PR-2
-    /// design); entry granularity indexes only the (much smaller)
-    /// edge-dependency set and the wants — its per-object checks resolve
-    /// the remaining deps membership against the entry's own sorted `deps`
-    /// list, so storing an entry costs `O(edge_deps)` instead of `O(deps)`.
+    /// Only the (much smaller) edge-dependency set and the wants are
+    /// indexed; per-object checks resolve the remaining deps membership
+    /// against the entry's own sorted `deps` list, so storing an entry costs
+    /// `O(edge_deps)` instead of `O(deps)`.
     pub fn store(
         &mut self,
         root: PeerId,
@@ -202,20 +155,11 @@ impl RingCandidateCache {
         trace: SearchTrace<PeerId, ObjectId>,
     ) {
         self.remove_entry(root);
-        match self.granularity {
-            CacheGranularity::Provider => {
-                for dep in &trace.deps {
-                    self.dependents.entry(*dep).or_default().insert(root);
-                }
-            }
-            CacheGranularity::Entry => {
-                for dep in &trace.edge_deps {
-                    self.edge_dependents.entry(*dep).or_default().insert(root);
-                }
-                for object in &wants {
-                    self.want_index.entry(*object).or_default().insert(root);
-                }
-            }
+        for dep in &trace.edge_deps {
+            self.edge_dependents.entry(*dep).or_default().insert(root);
+        }
+        for object in &wants {
+            self.want_index.entry(*object).or_default().insert(root);
         }
         self.entries.insert(
             root,
@@ -228,8 +172,7 @@ impl RingCandidateCache {
         );
     }
 
-    /// Drops every entry whose search depended on `peer`, regardless of
-    /// granularity.
+    /// Drops every entry whose search depended on `peer`.
     ///
     /// Call this for deltas that affect every object of `peer` at once (a
     /// `sharing` toggle).  Per-object provision changes — the peer gained or
@@ -237,26 +180,17 @@ impl RingCandidateCache {
     /// [`invalidate_holding`](Self::invalidate_holding); graph-edge changes
     /// through [`apply_graph_deltas`](Self::apply_graph_deltas).
     pub fn invalidate_peer(&mut self, peer: PeerId) {
-        let affected: Vec<PeerId> = match self.granularity {
-            CacheGranularity::Provider => match self.dependents.remove(&peer) {
-                Some(roots) => roots.into_iter().collect(),
-                None => return,
-            },
-            // Entry granularity keeps no full-deps reverse index; whole-peer
-            // kills are rare (sharing never toggles mid-run), so a scan over
-            // the live entries is the right trade.
-            CacheGranularity::Entry => {
-                let mut roots: Vec<PeerId> = self
-                    .entries
-                    // exchange-lint: allow(D001, reason = "sorted before use below; removals then run in root order")
-                    .iter()
-                    .filter(|(_, entry)| entry.deps.binary_search(&peer).is_ok())
-                    .map(|(root, _)| *root)
-                    .collect();
-                roots.sort_unstable();
-                roots
-            }
-        };
+        // No full-deps reverse index is kept; whole-peer kills are rare
+        // (sharing never toggles mid-run), so a scan over the live entries is
+        // the right trade.
+        let mut affected: Vec<PeerId> = self
+            .entries
+            // exchange-lint: allow(D001, reason = "sorted before use below; removals then run in root order")
+            .iter()
+            .filter(|(_, entry)| entry.deps.binary_search(&peer).is_ok())
+            .map(|(root, _)| *root)
+            .collect();
+        affected.sort_unstable();
         for root in affected {
             if self.remove_entry(root) {
                 self.stats.invalidations += 1;
@@ -264,68 +198,28 @@ impl RingCandidateCache {
         }
     }
 
-    /// Reports that `peer` gained or lost the ability to serve `object`
-    /// (download completed, object evicted).
-    ///
-    /// At entry granularity this drops only the entries whose search probed
-    /// `peer` for `object`: `peer` is in the dependency set *and* `object`
-    /// is among the entry's wants (the `provides` oracle is only ever probed
-    /// for wanted objects).  At provider granularity it falls back to
-    /// [`invalidate_peer`](Self::invalidate_peer).
-    pub fn invalidate_holding(&mut self, peer: PeerId, object: ObjectId) {
-        if self.granularity == CacheGranularity::Provider {
-            self.invalidate_peer(peer);
-            return;
-        }
-        self.invalidate_claims(peer, object);
-    }
-
     /// Drains the graph's dirty log and invalidates every entry a changed
     /// edge could affect.  Cheap when nothing changed.
     ///
-    /// At provider granularity every peer incident to a changed edge kills
-    /// all its dependents; at entry granularity each changed edge
-    /// `(provider, object)` kills only the entries that read the provider's
-    /// incoming queue ([`SearchTrace::edge_deps`]) or probed the provider for
-    /// that very object (a middleman claim backed by the edge).
+    /// Each changed edge `(provider, object)` kills the entries that read the
+    /// provider's incoming queue ([`SearchTrace::edge_deps`]) or probed the
+    /// provider for that very object (a middleman claim backed by the edge).
+    /// This treats every edge as affecting the provider's full queue; the
+    /// simulation's own drain does better by knowing the fanout its searches
+    /// ran at — an edge landing beyond the fanout prefix of the provider's
+    /// queue can only affect the provider's *own* entry (the root scan is
+    /// unbounded) and the per-object claim probes.
     pub fn apply_graph_deltas(&mut self, graph: &mut RequestGraph<PeerId, ObjectId>) {
         if !graph.has_dirty() {
             return;
         }
-        match self.granularity {
-            CacheGranularity::Provider => {
-                for peer in graph.take_dirty() {
-                    self.invalidate_peer(peer);
-                }
-            }
-            CacheGranularity::Entry => {
-                let edges = graph.take_dirty_edges();
-                self.apply_edge_deltas(&edges);
-            }
-        }
-    }
-
-    /// Entry-granularity invalidation for a drained batch of changed edges
-    /// (`(provider, requester, object)` triples, as returned by
-    /// [`RequestGraph::take_dirty_edges`]), treating every edge as affecting
-    /// the provider's full queue.
-    ///
-    /// Callers that know the fanout their searches ran at can do better:
-    /// an edge landing beyond the fanout prefix of the provider's queue can
-    /// only affect the provider's *own* entry (the root scan is unbounded)
-    /// and the per-object claim probes — see
-    /// [`invalidate_edge_readers`](Self::invalidate_edge_readers),
-    /// [`invalidate_root`](Self::invalidate_root) and
-    /// [`invalidate_claims`](Self::invalidate_claims), which the simulation's
-    /// drain composes per edge.
-    pub fn apply_edge_deltas(&mut self, edges: &BTreeSet<(PeerId, PeerId, ObjectId)>) {
         let mut previous: Option<PeerId> = None;
-        for &(provider, _, object) in edges {
+        for (provider, _, object) in graph.take_dirty_edges() {
             if previous != Some(provider) {
                 self.invalidate_edge_readers(provider);
                 previous = Some(provider);
             }
-            self.invalidate_claims(provider, object);
+            self.invalidate_holding(provider, object);
         }
     }
 
@@ -351,15 +245,17 @@ impl RingCandidateCache {
         }
     }
 
-    /// Drops the entries whose search probed `provider` for `object` — the
-    /// footprint of one changed `(provider, object)` provision fact, be it a
-    /// holdings change or a middleman claim backed by an edge (claims scan
-    /// the whole queue, so this is independent of any fanout prefix).
+    /// Reports that `provider` gained or lost the ability to serve
+    /// `object` — a download completed, the object was evicted, or an edge
+    /// backing a middleman claim on it changed — and drops the entries whose
+    /// search probed `provider` for `object`.  Claims scan the whole queue,
+    /// so this is independent of any fanout prefix.
     ///
-    /// Candidates come from the small per-object want index; membership of
+    /// Candidates come from the small per-object want index (the `provides`
+    /// oracle is only ever probed for wanted objects); membership of
     /// `provider` in each candidate's dependency set resolves against the
     /// entry's own sorted `deps` list.
-    pub fn invalidate_claims(&mut self, provider: PeerId, object: ObjectId) {
+    pub fn invalidate_holding(&mut self, provider: PeerId, object: ObjectId) {
         let Some(wanting) = self.want_index.get(&object) else {
             return;
         };
@@ -380,38 +276,24 @@ impl RingCandidateCache {
     }
 
     /// Removes `root`'s entry and unregisters its dependency links from the
-    /// indexes its granularity maintains.  Returns whether an entry existed.
+    /// reverse indexes.  Returns whether an entry existed.
     fn remove_entry(&mut self, root: PeerId) -> bool {
         let Some(entry) = self.entries.remove(&root) else {
             return false;
         };
-        match self.granularity {
-            CacheGranularity::Provider => {
-                for dep in &entry.deps {
-                    if let Some(roots) = self.dependents.get_mut(dep) {
-                        roots.remove(&root);
-                        if roots.is_empty() {
-                            self.dependents.remove(dep);
-                        }
-                    }
+        for dep in &entry.edge_deps {
+            if let Some(roots) = self.edge_dependents.get_mut(dep) {
+                roots.remove(&root);
+                if roots.is_empty() {
+                    self.edge_dependents.remove(dep);
                 }
             }
-            CacheGranularity::Entry => {
-                for dep in &entry.edge_deps {
-                    if let Some(roots) = self.edge_dependents.get_mut(dep) {
-                        roots.remove(&root);
-                        if roots.is_empty() {
-                            self.edge_dependents.remove(dep);
-                        }
-                    }
-                }
-                for object in &entry.wants {
-                    if let Some(roots) = self.want_index.get_mut(object) {
-                        roots.remove(&root);
-                        if roots.is_empty() {
-                            self.want_index.remove(object);
-                        }
-                    }
+        }
+        for object in &entry.wants {
+            if let Some(roots) = self.want_index.get_mut(object) {
+                roots.remove(&root);
+                if roots.is_empty() {
+                    self.want_index.remove(object);
                 }
             }
         }
@@ -468,7 +350,6 @@ impl RingCandidateCache {
     /// Drops all entries (counters are kept).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.dependents.clear();
         self.edge_dependents.clear();
         self.want_index.clear();
     }
@@ -496,7 +377,7 @@ mod tests {
         let mut graph = RequestGraph::new();
         graph.add_request(peer(1), peer(0), object(10));
         graph.add_request(peer(2), peer(1), object(20));
-        graph.take_dirty();
+        graph.take_dirty_edges();
         graph
     }
 
@@ -587,35 +468,29 @@ mod tests {
     }
 
     #[test]
-    fn holding_delta_for_an_unwanted_object_is_ignored_at_entry_granularity() {
+    fn holding_delta_for_an_unwanted_object_is_ignored() {
         let graph = fixture();
-        let mut entry_cache = RingCandidateCache::with_granularity(CacheGranularity::Entry);
-        let mut provider_cache = RingCandidateCache::with_granularity(CacheGranularity::Provider);
+        let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
-        for cache in [&mut entry_cache, &mut provider_cache] {
-            cache.store(
-                peer(0),
-                wants.clone(),
-                search().find_traced(&graph, peer(0), &wants, owns_o30),
-            );
-        }
+        cache.store(
+            peer(0),
+            wants.clone(),
+            search().find_traced(&graph, peer(0), &wants, owns_o30),
+        );
         // Peer 2 completes object 77, which no cached root wants.
-        entry_cache.invalidate_holding(peer(2), object(77));
-        provider_cache.invalidate_holding(peer(2), object(77));
-        assert_eq!(entry_cache.len(), 1, "unwanted holding kills nothing");
-        assert_eq!(entry_cache.stats().invalidations, 0);
-        assert!(provider_cache.is_empty(), "provider granularity nukes");
-        assert_eq!(provider_cache.stats().invalidations, 1);
-        // A wanted holding kills the entry in both modes.
-        entry_cache.invalidate_holding(peer(2), object(30));
-        assert!(entry_cache.is_empty());
-        assert_eq!(entry_cache.stats().invalidations, 1);
+        cache.invalidate_holding(peer(2), object(77));
+        assert_eq!(cache.len(), 1, "unwanted holding kills nothing");
+        assert_eq!(cache.stats().invalidations, 0);
+        // A wanted holding kills the entry.
+        cache.invalidate_holding(peer(2), object(30));
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats().invalidations, 1);
     }
 
     #[test]
-    fn requester_side_edge_deltas_are_ignored_at_entry_granularity() {
+    fn requester_side_edge_deltas_are_ignored() {
         let mut graph = fixture();
-        let mut cache = RingCandidateCache::with_granularity(CacheGranularity::Entry);
+        let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
         let trace = search().find_traced(&graph, peer(0), &wants, owns_o30);
         let rings = trace.rings.clone();
@@ -637,9 +512,9 @@ mod tests {
         let mut graph = RequestGraph::new();
         graph.add_request(peer(1), peer(0), object(10));
         graph.add_request(peer(2), peer(1), object(20));
-        graph.take_dirty();
+        graph.take_dirty_edges();
         let shallow = RingSearch::new(SearchPolicy::new(3, RingPreference::ShorterFirst));
-        let mut cache = RingCandidateCache::with_granularity(CacheGranularity::Entry);
+        let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
         let trace = shallow.find_traced(&graph, peer(0), &wants, owns_o30);
         // Peer 2 sits at the depth bound: probed, but its queue never read.

@@ -170,60 +170,48 @@ impl Simulation {
     }
 
     /// Drains the request graph's dirty log into the ring-candidate cache
-    /// and the search scratch, at the configured granularity.
+    /// and the search scratch.
     ///
-    /// At entry granularity the `(provider, object)` edge view drives both
-    /// consumers: the cache drops only the entries whose search read a
-    /// changed aspect, and the scratch's adjacency snapshot *advances* —
-    /// forgetting only the queues that actually changed, so hub peers'
-    /// materialised queues stay warm across mutations.  At provider
-    /// granularity (the PR-2 baseline semantics) the peer view nukes
-    /// coarsely and the snapshot is left to reset wholesale on its next
-    /// generation check.
+    /// The `(provider, object)` edge log drives both consumers: the cache
+    /// drops only the entries whose search read a changed aspect, and the
+    /// scratch's adjacency snapshot *advances* — forgetting only the queues
+    /// that actually changed, so hub peers' materialised queues stay warm
+    /// across mutations.
     pub(super) fn drain_graph_deltas(&mut self) {
         if !self.graph.has_dirty() {
             return;
         }
-        match self.ring_cache.granularity() {
-            super::CacheGranularity::Provider => {
-                self.ring_cache.apply_graph_deltas(&mut self.graph);
-                self.drained_generation = self.graph.generation();
-            }
-            super::CacheGranularity::Entry => {
-                let edges = self.graph.take_dirty_edges();
-                let to = self.graph.generation();
-                // Edges back claims only for behaviors that advertise
-                // unstored objects; without middlemen in the population the
-                // whole probe-side pass is provably irrelevant.
-                let edges_back_claims = !self.advertisers.is_empty();
-                let mut scratch_updates: Vec<(PeerId, bool)> = Vec::new();
-                for &(provider, requester, object) in &edges {
-                    if scratch_updates.last().map(|(p, _)| *p) != Some(provider) {
-                        // First — therefore smallest — changed edge of this
-                        // provider's group: every queue entry sorting before
-                        // it is untouched by the whole batch, so the
-                        // fanout-bounded prefix interior expansions read
-                        // survives iff `fanout` untouched entries precede it.
-                        let prefix_changed =
-                            self.edge_in_search_prefix(provider, requester, object);
-                        if prefix_changed {
-                            self.ring_cache.invalidate_edge_readers(provider);
-                        } else {
-                            self.ring_cache.invalidate_root(provider);
-                        }
-                        scratch_updates.push((provider, prefix_changed));
-                    }
-                    if edges_back_claims {
-                        // Claim probes scan the whole queue; prefix position
-                        // is irrelevant to them.
-                        self.ring_cache.invalidate_claims(provider, object);
-                    }
+        let edges = self.graph.take_dirty_edges();
+        let to = self.graph.generation();
+        // Edges back claims only for behaviors that advertise unstored
+        // objects; without middlemen in the population the whole probe-side
+        // pass is provably irrelevant.
+        let edges_back_claims = !self.advertisers.is_empty();
+        let mut scratch_updates: Vec<(PeerId, bool)> = Vec::new();
+        for &(provider, requester, object) in &edges {
+            if scratch_updates.last().map(|(p, _)| *p) != Some(provider) {
+                // First — therefore smallest — changed edge of this
+                // provider's group: every queue entry sorting before it is
+                // untouched by the whole batch, so the fanout-bounded prefix
+                // interior expansions read survives iff `fanout` untouched
+                // entries precede it.
+                let prefix_changed = self.edge_in_search_prefix(provider, requester, object);
+                if prefix_changed {
+                    self.ring_cache.invalidate_edge_readers(provider);
+                } else {
+                    self.ring_cache.invalidate_root(provider);
                 }
-                self.scratch
-                    .advance(self.drained_generation, to, scratch_updates);
-                self.drained_generation = to;
+                scratch_updates.push((provider, prefix_changed));
+            }
+            if edges_back_claims {
+                // Claim probes scan the whole queue; prefix position is
+                // irrelevant to them.
+                self.ring_cache.invalidate_holding(provider, object);
             }
         }
+        self.scratch
+            .advance(self.drained_generation, to, scratch_updates);
+        self.drained_generation = to;
     }
 
     /// Whether fewer than `ring_search_fanout` entries of `provider`'s

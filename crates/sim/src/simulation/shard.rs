@@ -32,14 +32,14 @@
 //!    anything stale falls back to inline recomputation.  Worker completion
 //!    order is irrelevant: workers never touch shared mutable state.
 //!
-//! The result is bit-identical to the sequential engine at every cache
-//! granularity, behavior mix and protection — `tests/sharded_equivalence.rs`,
-//! `tests/shard_pool.rs` and the `audit` feature prove it — while the
-//! searches, the dominant cost, run on all shards, the planned searches are
-//! exactly the ones the sequential engine would run (sharded `ring_searches`
-//! counts consumed searches only, so it equals the sequential count), and
-//! the worker threads persist across batches instead of being respawned
-//! per batch.
+//! The result is bit-identical to the sequential engine with the cache on or
+//! off and under every behavior mix and protection —
+//! `tests/sharded_equivalence.rs`, `tests/shard_pool.rs` and the `audit`
+//! feature prove it — while the searches, the dominant cost, run on all
+//! shards, the planned searches are exactly the ones the sequential engine
+//! would run (sharded `ring_searches` counts consumed searches only, so it
+//! equals the sequential count), and the worker threads persist across
+//! batches instead of being respawned per batch.
 
 // The event loop's panic policy (exchange-lint rule H001): no `.unwrap()` —
 // every panicking access carries an `.expect()` stating the invariant that
@@ -317,17 +317,15 @@ impl Simulation {
     /// Returns `None` (fall back to fully sequential handling) for batches
     /// too small to amortise the barrier
     /// ([`SimConfig::shard_min_batch`](crate::SimConfig::shard_min_batch)).
-    /// Before planning, the graph dirty log is drained iff the first
-    /// scheduling attempt of the batch would drain it — between the two
-    /// possible drain points no cache operation can occur, so invalidation
-    /// totals are unchanged.  Slot eligibility and the candidate-cache
-    /// `peek` are evaluated *worker-side* against the moved-out state, so
-    /// workers only run searches the merge is predicted to consume.
+    /// Slot eligibility and the candidate-cache `peek` are evaluated
+    /// *worker-side* against the moved-out state, so workers only run
+    /// searches the merge is predicted to consume.  Planning never drains
+    /// the graph's dirty log: the drain stays where the sequential engine
+    /// runs it (the first scheduling attempt that reaches a ring search), so
+    /// invalidation counts match.  A peek can therefore see an entry the
+    /// pending drain will drop; the merge then misses and searches inline.
     pub(super) fn plan_batch(&mut self, batch: &[PeerId]) -> Option<BatchPlan> {
         let policy = self.config.discipline.search_policy();
-        if self.config.ring_candidate_cache && policy.is_some() {
-            self.drain_graph_deltas();
-        }
         // Distinct sharing providers, first-occurrence order.
         let mut seen: HashSet<PeerId> = HashSet::with_capacity(batch.len());
         let mut tasks: Vec<(PeerId, Vec<ObjectId>)> = Vec::with_capacity(batch.len());

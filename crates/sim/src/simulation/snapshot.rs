@@ -72,7 +72,7 @@ use crate::{
 };
 
 use super::events::Event;
-use super::ring_cache::{CacheGranularity, RingCacheStats};
+use super::ring_cache::RingCacheStats;
 use super::transfers::{ActiveRing, ActiveTransfer};
 use super::{RingId, SimSetup, Simulation, TransferId};
 
@@ -94,6 +94,11 @@ const TAG_SCHEDULER: u8 = 7;
 const TAG_POPULATION: u8 = 8;
 const TAG_RING_CACHE: u8 = 9;
 const TAG_REPORT: u8 = 10;
+
+/// The ring-cache section's leading tag.  Entry-level invalidation is the
+/// only cache design; the byte survives from the v1 layout, where `0` named
+/// a since-removed provider-level design and is now rejected.
+const RING_CACHE_TAG: u8 = 1;
 
 /// Why a checkpoint could not be written or a snapshot could not be restored.
 #[derive(Debug)]
@@ -288,11 +293,12 @@ fn behavior_kind_tag(kind: BehaviorKind) -> u8 {
     }
 }
 
-fn granularity_tag(granularity: CacheGranularity) -> u8 {
-    match granularity {
-        CacheGranularity::Provider => 0,
-        CacheGranularity::Entry => 1,
-    }
+/// Every endpoint of the dirty-edge log — the peer view the v1 layout stores
+/// ahead of the log itself.
+fn dirty_log_peers(log: &BTreeSet<(PeerId, PeerId, ObjectId)>) -> BTreeSet<PeerId> {
+    log.iter()
+        .flat_map(|&(provider, requester, _)| [provider, requester])
+        .collect()
 }
 
 // ---- decoding helpers ------------------------------------------------------
@@ -493,14 +499,6 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn granularity(&mut self) -> Result<CacheGranularity, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(CacheGranularity::Provider),
-            1 => Ok(CacheGranularity::Entry),
-            t => Err(corrupt(format!("unknown cache-granularity tag {t}"))),
-        }
-    }
-
     /// Asserts the payload was consumed exactly.
     fn done(&self) -> Result<(), SnapshotError> {
         if self.remaining() != 0 {
@@ -641,9 +639,10 @@ impl Simulation {
             put_object(&mut buf, request.object);
         }
         put_u64(&mut buf, self.graph.generation());
-        put_usize(&mut buf, self.graph.dirty_peers().len());
-        for peer in self.graph.dirty_peers() {
-            put_peer(&mut buf, *peer);
+        let endpoints = dirty_log_peers(self.graph.dirty_edge_log());
+        put_usize(&mut buf, endpoints.len());
+        for peer in endpoints {
+            put_peer(&mut buf, peer);
         }
         put_usize(&mut buf, self.graph.dirty_edge_log().len());
         for (provider, requester, object) in self.graph.dirty_edge_log() {
@@ -787,9 +786,9 @@ impl Simulation {
         }
         write_section(writer, TAG_POPULATION, &buf)?;
 
-        // Ring-candidate cache: granularity, counters, entries (sorted roots).
+        // Ring-candidate cache: tag, counters, entries (sorted roots).
         buf.clear();
-        put_u8(&mut buf, granularity_tag(self.ring_cache.granularity()));
+        put_u8(&mut buf, RING_CACHE_TAG);
         let stats = self.ring_cache.stats();
         put_u64(&mut buf, stats.hits);
         put_u64(&mut buf, stats.misses);
@@ -899,7 +898,7 @@ impl Simulation {
     /// Returns an error — never panics — when the reader fails, the input is
     /// not a snapshot, was written by a different format version, is
     /// truncated, or is internally inconsistent (including a `config` that
-    /// does not match the snapshot's population or cache granularity).
+    /// does not match the snapshot's population).
     pub fn restore<R: Read>(
         reader: &mut R,
         config: &SimConfig,
@@ -1049,9 +1048,9 @@ impl Simulation {
         }
         let generation = sec.u64()?;
         let dirty_len = sec.seq_len(4)?;
-        let mut dirty = BTreeSet::new();
+        let mut endpoints = Vec::with_capacity(dirty_len);
         for _ in 0..dirty_len {
-            dirty.insert(sec.peer(num_peers)?);
+            endpoints.push(sec.peer(num_peers)?);
         }
         let dirty_edges_len = sec.seq_len(12)?;
         let mut dirty_edges = BTreeSet::new();
@@ -1061,7 +1060,12 @@ impl Simulation {
             let object = sec.object(num_objects)?;
             dirty_edges.insert((provider, requester, object));
         }
-        sim.graph = RequestGraph::from_parts(edges, generation, dirty, dirty_edges);
+        if !dirty_log_peers(&dirty_edges).into_iter().eq(endpoints) {
+            return Err(corrupt(
+                "snapshot dirty-peer list does not match its dirty-edge log",
+            ));
+        }
+        sim.graph = RequestGraph::from_parts(edges, generation, dirty_edges);
         sim.drained_generation = sec.u64()?;
         sec.done()?;
 
@@ -1303,11 +1307,9 @@ impl Simulation {
         // Ring-candidate cache: replay the stores (which never touch the
         // counters), then reinstate the captured counters.
         let mut sec = read_section(&mut cur, TAG_RING_CACHE)?;
-        let granularity = sec.granularity()?;
-        if granularity != sim.ring_cache.granularity() {
-            return Err(corrupt(
-                "snapshot cache granularity does not match the config",
-            ));
+        let tag = sec.u8()?;
+        if tag != RING_CACHE_TAG {
+            return Err(corrupt(format!("unsupported ring-cache tag {tag}")));
         }
         let stats = RingCacheStats {
             hits: sec.u64()?,

@@ -10,8 +10,9 @@
 //! ```
 //!
 //! The remaining tests pin the error contract: truncated bytes, wrong
-//! magic, and future format versions must return [`SnapshotError`]s, never
-//! panic, and the golden fixture must restore into a simulation that
+//! magic, future format versions, an unknown ring-cache tag, and a
+//! dirty-peer list that disagrees with its dirty-edge log must return
+//! [`SnapshotError`]s, never panic, and the golden fixture must restore into a simulation that
 //! finishes with the exact same report as a fresh run.
 
 use std::path::PathBuf;
@@ -140,4 +141,73 @@ fn future_versions_error_gracefully() {
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
+}
+
+/// Byte length of the fixed header: magic, version, setup seed, peer count.
+const HEADER_LEN: usize = SNAPSHOT_MAGIC.len() + 4 + 8 + 8;
+
+/// Section tags of the v1 layout that the tests below edit.
+const TAG_GRAPH: u8 = 4;
+const TAG_RING_CACHE: u8 = 9;
+
+fn read_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
+}
+
+/// The offset of the `len: u64` field of section `tag` (its payload starts
+/// 8 bytes later).
+fn section_len_offset(bytes: &[u8], tag: u8) -> usize {
+    let mut at = HEADER_LEN;
+    while at < bytes.len() {
+        let len = usize::try_from(read_u64(bytes, at + 1)).expect("section fits in memory");
+        if bytes[at] == tag {
+            return at + 1;
+        }
+        at += 1 + 8 + len;
+    }
+    panic!("section {tag} not found");
+}
+
+#[test]
+fn unknown_ring_cache_tag_errors_gracefully() {
+    let config = golden_config();
+    let mut bytes = golden_bytes();
+    // The ring-cache payload opens with its one-byte cache tag; `0` named a
+    // cache design that no longer exists.
+    let payload = section_len_offset(&bytes, TAG_RING_CACHE) + 8;
+    assert_eq!(bytes[payload], 1, "the golden snapshot writes cache tag 1");
+    bytes[payload] = 0;
+    assert!(matches!(
+        Simulation::restore(&mut &bytes[..], &config),
+        Err(SnapshotError::Corrupt(_))
+    ));
+}
+
+#[test]
+fn dirty_peer_list_disagreeing_with_the_edge_log_errors_gracefully() {
+    let config = golden_config();
+    let mut bytes = golden_bytes();
+    // Graph payload: edge count, 12-byte edges, generation, then the
+    // dirty-peer list (count, 4-byte peer ids) the restore checks against
+    // the endpoints of the dirty-edge log that follows it.
+    let len_at = section_len_offset(&bytes, TAG_GRAPH);
+    let payload = len_at + 8;
+    let edges = usize::try_from(read_u64(&bytes, payload)).expect("edge count fits");
+    let count_at = payload + 8 + 12 * edges + 8;
+    let listed = read_u64(&bytes, count_at);
+    // Drop the first listed peer, or list peer 0 when the list is empty:
+    // either way the list no longer matches the edge log.
+    let (new_count, new_len) = if listed > 0 {
+        bytes.drain(count_at + 8..count_at + 12);
+        (listed - 1, read_u64(&bytes, len_at) - 4)
+    } else {
+        bytes.splice(count_at + 8..count_at + 8, 0u32.to_le_bytes());
+        (1, read_u64(&bytes, len_at) + 4)
+    };
+    bytes[count_at..count_at + 8].copy_from_slice(&new_count.to_le_bytes());
+    bytes[len_at..len_at + 8].copy_from_slice(&new_len.to_le_bytes());
+    assert!(matches!(
+        Simulation::restore(&mut &bytes[..], &config),
+        Err(SnapshotError::Corrupt(_))
+    ));
 }

@@ -10,8 +10,8 @@
 
 use p2p_exchange::exchange::ExchangePolicy;
 use p2p_exchange::sim::{
-    audit, BehaviorKind, BehaviorMix, CacheGranularity, CapacityClass, CatastropheConfig,
-    ChurnConfig, ClassMix, FlashCrowdConfig, Protection, SchedulerKind, SimConfig, Simulation,
+    audit, BehaviorKind, BehaviorMix, CapacityClass, CatastropheConfig, ChurnConfig, ClassMix,
+    FlashCrowdConfig, Protection, SchedulerKind, SimConfig, Simulation,
 };
 
 /// A small but busy configuration: enough contention for exchanges, rings,
@@ -78,12 +78,8 @@ fn audit_passes_under_every_protection_mode() {
 }
 
 #[test]
-fn audit_passes_at_both_cache_granularities_and_uncached() {
-    for granularity in [CacheGranularity::Provider, CacheGranularity::Entry] {
-        let mut config = audit_config();
-        config.ring_cache_granularity = granularity;
-        let _ = Simulation::new(config, 7).run_audited();
-    }
+fn audit_passes_cached_and_uncached() {
+    let _ = Simulation::new(audit_config(), 7).run_audited();
     let mut config = audit_config();
     config.ring_candidate_cache = false;
     let _ = Simulation::new(config, 7).run_audited();
@@ -201,12 +197,8 @@ fn audit_passes_under_churn_with_adversarial_mixes_and_protections() {
 }
 
 #[test]
-fn audit_passes_under_churn_at_every_granularity_and_scheduler() {
-    for granularity in [CacheGranularity::Provider, CacheGranularity::Entry] {
-        let mut config = churny_audit_config();
-        config.ring_cache_granularity = granularity;
-        let _ = Simulation::new(config, 8).run_audited();
-    }
+fn audit_passes_under_churn_cached_uncached_and_under_every_scheduler() {
+    let _ = Simulation::new(churny_audit_config(), 8).run_audited();
     let mut uncached = churny_audit_config();
     uncached.ring_candidate_cache = false;
     let _ = Simulation::new(uncached, 8).run_audited();

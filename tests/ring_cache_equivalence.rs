@@ -1,9 +1,7 @@
 //! The incremental ring-search engine must be a pure memoisation: a
 //! cache-backed query answers exactly what a fresh `RingSearch::find` would,
-//! across arbitrary graph and holdings deltas, at *both* invalidation
-//! granularities — and entry-level invalidation must additionally be
-//! strictly lazier than provider-level on the same delta trace.  A full
-//! simulation run produces an identical report with the cache on or off.
+//! across arbitrary graph and holdings deltas.  A full simulation run
+//! produces an identical report with the cache on or off.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -11,28 +9,25 @@ use p2p_exchange::exchange::{
     ExchangePolicy, RequestGraph, RingPreference, RingSearch, SearchPolicy,
 };
 use p2p_exchange::sim::{
-    CacheGranularity, PeerClass, RingCandidateCache, SchedulerKind, SessionKind, SimConfig,
-    SimReport, Simulation,
+    PeerClass, RingCandidateCache, SchedulerKind, SessionKind, SimConfig, SimReport, Simulation,
 };
 use p2p_exchange::workload::{ObjectId, PeerId};
 use proptest::prelude::*;
 
 // ---- property: cache-backed queries equal fresh searches --------------------
 
-/// One mutable world the deltas act on: the provision state (who shares, who
-/// stores what) backing the `provides` oracle, plus one request graph **per
-/// cache under test** — each cache drains its own graph's dirty log, so the
-/// graphs are mutated identically but tracked separately.
+/// One mutable world the deltas act on: the request graph plus the provision
+/// state (who shares, who stores what) backing the `provides` oracle.
 struct World {
-    graphs: Vec<RequestGraph<PeerId, ObjectId>>,
+    graph: RequestGraph<PeerId, ObjectId>,
     sharing: Vec<bool>,
     owned: BTreeMap<PeerId, BTreeSet<ObjectId>>,
 }
 
 impl World {
-    fn new(peers: usize, caches: usize) -> Self {
+    fn new(peers: usize) -> Self {
         World {
-            graphs: (0..caches).map(|_| RequestGraph::new()).collect(),
+            graph: RequestGraph::new(),
             sharing: vec![true; peers],
             owned: BTreeMap::new(),
         }
@@ -52,41 +47,33 @@ impl World {
 /// A delta drawn by the property: (op, peer a, (peer b, object)).
 type Delta = (u8, u8, (u8, u8));
 
-/// Applies one delta, reporting provision changes to every cache exactly the
-/// way the simulation does: graph changes flow through each graph's dirty
+/// Applies one delta, reporting provision changes to the cache exactly the
+/// way the simulation does: graph changes flow through the graph's dirty
 /// log, sharing toggles through the coarse `invalidate_peer`, and per-object
 /// holdings changes through `invalidate_holding`.
-fn apply_delta(world: &mut World, caches: &mut [RingCandidateCache], delta: Delta) {
+fn apply_delta(world: &mut World, cache: &mut RingCandidateCache, delta: Delta) {
     let (op, a, (b, o)) = delta;
     let (pa, pb) = (PeerId::new(u32::from(a)), PeerId::new(u32::from(b)));
     let object = ObjectId::new(u32::from(o));
     match op % 4 {
         0 => {
             if pa != pb {
-                for graph in &mut world.graphs {
-                    graph.add_request(pa, pb, object);
-                }
+                world.graph.add_request(pa, pb, object);
             }
         }
         1 => {
-            for graph in &mut world.graphs {
-                graph.remove_request(pa, pb, object);
-            }
+            world.graph.remove_request(pa, pb, object);
         }
         2 => {
             world.sharing[pa.as_usize()] = !world.sharing[pa.as_usize()];
-            for cache in caches {
-                cache.invalidate_peer(pa);
-            }
+            cache.invalidate_peer(pa);
         }
         _ => {
             let objs = world.owned.entry(pa).or_default();
             if !objs.insert(object) {
                 objs.remove(&object);
             }
-            for cache in caches {
-                cache.invalidate_holding(pa, object);
-            }
+            cache.invalidate_holding(pa, object);
         }
     }
 }
@@ -107,53 +94,27 @@ proptest! {
             .map(|p| vec![ObjectId::new(p % 6), ObjectId::new((p + 3) % 6)])
             .collect();
 
-        // Both granularities replay the identical delta and query stream.
-        let mut caches = [
-            RingCandidateCache::with_granularity(CacheGranularity::Provider),
-            RingCandidateCache::with_granularity(CacheGranularity::Entry),
-        ];
-        let mut world = World::new(PEERS, caches.len());
+        let mut cache = RingCandidateCache::new();
+        let mut world = World::new(PEERS);
         for delta in deltas {
-            apply_delta(&mut world, &mut caches, delta);
+            apply_delta(&mut world, &mut cache, delta);
             // Query every root after every delta, exactly like a scheduling
             // round: drain deltas, consult the cache, verify against a fresh
             // search, store on miss.
-            for (index, cache) in caches.iter_mut().enumerate() {
-                cache.apply_graph_deltas(&mut world.graphs[index]);
-            }
+            cache.apply_graph_deltas(&mut world.graph);
             for root in 0..PEERS as u32 {
                 let root = PeerId::new(root);
                 let want = &wants[root.as_usize()];
-                let trace = search.find_traced(&world.graphs[0], root, want, world.provides());
-                for cache in &mut caches {
-                    let cached = cache.lookup(root, want).map(<[_]>::to_vec);
-                    match cached {
-                        Some(rings) => prop_assert_eq!(rings, trace.rings.clone()),
-                        None => cache.store(root, want.clone(), trace.clone()),
-                    }
+                let trace = search.find_traced(&world.graph, root, want, world.provides());
+                let cached = cache.lookup(root, want).map(<[_]>::to_vec);
+                match cached {
+                    Some(rings) => prop_assert_eq!(rings, trace.rings.clone()),
+                    None => cache.store(root, want.clone(), trace),
                 }
             }
         }
-        let provider = caches[0].stats();
-        let entry = caches[1].stats();
         // The property is only meaningful if entries actually get reused.
-        prop_assert!(provider.hits > 0, "no cache hit in the whole sequence");
-        // Entry-level invalidation is *strictly lazier*: on the identical
-        // trace it drops no more entries, and therefore misses no more often,
-        // than provider granularity.
-        prop_assert!(
-            entry.invalidations <= provider.invalidations,
-            "entry granularity dropped more entries ({} vs {})",
-            entry.invalidations,
-            provider.invalidations
-        );
-        prop_assert!(
-            entry.misses <= provider.misses,
-            "entry granularity missed more often ({} vs {})",
-            entry.misses,
-            provider.misses
-        );
-        prop_assert!(entry.hits >= provider.hits);
+        prop_assert!(cache.stats().hits > 0, "no cache hit in the whole sequence");
     }
 }
 
@@ -192,7 +153,7 @@ fn run(mut config: SimConfig, cached: bool, seed: u64) -> SimReport {
 }
 
 #[test]
-fn cached_and_uncached_runs_produce_identical_reports_at_both_granularities() {
+fn cached_and_uncached_runs_produce_identical_reports() {
     for discipline in [
         ExchangePolicy::two_five_way(),
         ExchangePolicy::five_two_way(),
@@ -201,25 +162,19 @@ fn cached_and_uncached_runs_produce_identical_reports_at_both_granularities() {
         for seed in [7, 21] {
             let mut config = SimConfig::quick_test();
             config.discipline = discipline;
-            let mut uncached_config = config.clone();
-            uncached_config.ring_candidate_cache = false;
-            let without_cache = run(uncached_config, false, seed);
-            for granularity in [CacheGranularity::Provider, CacheGranularity::Entry] {
-                let mut cached_config = config.clone();
-                cached_config.ring_cache_granularity = granularity;
-                let with_cache = run(cached_config, true, seed);
-                assert_eq!(
-                    fingerprint(&with_cache),
-                    fingerprint(&without_cache),
-                    "cache must not change the run ({} seed {seed} {granularity:?})",
-                    discipline.label()
-                );
-                assert!(
-                    with_cache.ring_cache_stats().hits > 0,
-                    "the cached run must actually reuse entries ({} seed {seed} {granularity:?})",
-                    discipline.label()
-                );
-            }
+            let without_cache = run(config.clone(), false, seed);
+            let with_cache = run(config, true, seed);
+            assert_eq!(
+                fingerprint(&with_cache),
+                fingerprint(&without_cache),
+                "cache must not change the run ({} seed {seed})",
+                discipline.label()
+            );
+            assert!(
+                with_cache.ring_cache_stats().hits > 0,
+                "the cached run must actually reuse entries ({} seed {seed})",
+                discipline.label()
+            );
             assert_eq!(
                 without_cache.ring_cache_stats().hits,
                 0,
@@ -232,55 +187,23 @@ fn cached_and_uncached_runs_produce_identical_reports_at_both_granularities() {
 #[test]
 fn sharded_cached_runs_still_equal_uncached_runs() {
     // The three-way identity behind the sharded engine: a sharded cached run
-    // equals a sequential cached run equals an uncached run — at both
-    // granularities the shard planner has to predict hits for, with the
-    // merge replaying the lookups.
-    for granularity in [CacheGranularity::Provider, CacheGranularity::Entry] {
-        let mut config = SimConfig::quick_test();
-        config.discipline = ExchangePolicy::two_five_way();
-        config.ring_cache_granularity = granularity;
-        let mut uncached_config = config.clone();
-        uncached_config.ring_candidate_cache = false;
-        let without_cache = run(uncached_config, false, 31);
-        let mut sharded_config = config;
-        sharded_config.shards = 4;
-        let sharded_cached = run(sharded_config, true, 31);
-        assert_eq!(
-            fingerprint(&sharded_cached),
-            fingerprint(&without_cache),
-            "sharded cached run diverged from the uncached baseline ({granularity:?})"
-        );
-        assert!(
-            sharded_cached.ring_cache_stats().hits > 0,
-            "the sharded run must actually reuse entries ({granularity:?})"
-        );
-    }
-}
-
-#[test]
-fn entry_invalidation_is_lazier_across_whole_runs() {
-    // Same simulation, same seed: the entry-granularity run must drop fewer
-    // entries and hit at least as often as the provider-granularity run.
-    for seed in [3, 9] {
-        let mut provider_config = SimConfig::quick_test();
-        provider_config.ring_cache_granularity = CacheGranularity::Provider;
-        let mut entry_config = SimConfig::quick_test();
-        entry_config.ring_cache_granularity = CacheGranularity::Entry;
-        let provider = run(provider_config, true, seed).ring_cache_stats();
-        let entry = run(entry_config, true, seed).ring_cache_stats();
-        assert!(
-            entry.invalidations <= provider.invalidations,
-            "seed {seed}: entry {} vs provider {} invalidations",
-            entry.invalidations,
-            provider.invalidations
-        );
-        assert!(
-            entry.hits >= provider.hits,
-            "seed {seed}: entry {} vs provider {} hits",
-            entry.hits,
-            provider.hits
-        );
-    }
+    // equals a sequential cached run equals an uncached run — the shard
+    // planner has to predict hits, with the merge replaying the lookups.
+    let mut config = SimConfig::quick_test();
+    config.discipline = ExchangePolicy::two_five_way();
+    let without_cache = run(config.clone(), false, 31);
+    let mut sharded_config = config;
+    sharded_config.shards = 4;
+    let sharded_cached = run(sharded_config, true, 31);
+    assert_eq!(
+        fingerprint(&sharded_cached),
+        fingerprint(&without_cache),
+        "sharded cached run diverged from the uncached baseline"
+    );
+    assert!(
+        sharded_cached.ring_cache_stats().hits > 0,
+        "the sharded run must actually reuse entries"
+    );
 }
 
 #[test]
