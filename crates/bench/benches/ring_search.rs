@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the exchange ring search on synthetic request graphs,
 //! including the cached-vs-fresh comparison of the incremental engine.
 
+use std::collections::BTreeSet;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use des::DetRng;
 use exchange::{RequestGraph, RingPreference, RingSearch, SearchPolicy};
@@ -48,6 +50,56 @@ fn bench_ring_search(c: &mut Criterion) {
                 },
             );
         }
+    }
+    group.finish();
+}
+
+/// The `paper-sweep` search shape (200 peers, 6,000 requests, budget 6,000,
+/// fanout 16) under an ownership oracle backed by per-peer `BTreeSet`
+/// storage, the way the simulator's claims oracle looks objects up, instead
+/// of arithmetic on the ids.  Each iteration searches from ten roots.
+fn bench_stored_oracle(c: &mut Criterion) {
+    const PEERS: u32 = 200;
+    const STORED_PER_PEER: usize = 150;
+    let graph = random_graph(PEERS, 6_000, 7);
+    let mut rng = DetRng::seed_from(13);
+    let storage: Vec<BTreeSet<u32>> = (0..PEERS)
+        .map(|_| {
+            let mut objects = BTreeSet::new();
+            while objects.len() < STORED_PER_PEER {
+                objects.insert(rng.gen_range(0u32..1_000));
+            }
+            objects
+        })
+        .collect();
+    let wants: Vec<Vec<u32>> = (0..PEERS)
+        .map(|p| (0..6).map(|i| (p * 37 + i * 91) % 1_000).collect())
+        .collect();
+    let provides = |p: &u32, o: &u32| storage[*p as usize].contains(o);
+    let roots: Vec<u32> = (0..10).map(|i| i * 19 % PEERS).collect();
+
+    let mut group = c.benchmark_group("ring_search_stored");
+    group.sample_size(20);
+    for max_ring in [2usize, 5] {
+        let policy = SearchPolicy::new(max_ring, RingPreference::ShorterFirst);
+        let search = RingSearch::new(policy)
+            .with_expansion_budget(6_000)
+            .with_fanout(16);
+        group.bench_function(
+            BenchmarkId::new("peers200_edges6000", format!("max_ring{max_ring}")),
+            |b| {
+                b.iter(|| {
+                    roots
+                        .iter()
+                        .map(|&root| {
+                            search
+                                .find(&graph, root, &wants[root as usize], provides)
+                                .len()
+                        })
+                        .sum::<usize>()
+                });
+            },
+        );
     }
     group.finish();
 }
@@ -166,5 +218,10 @@ fn bench_cached_vs_fresh(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ring_search, bench_cached_vs_fresh);
+criterion_group!(
+    benches,
+    bench_ring_search,
+    bench_stored_oracle,
+    bench_cached_vs_fresh
+);
 criterion_main!(benches);

@@ -1,6 +1,5 @@
 //! Exchange rings: validated cycles of simultaneous transfers.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::Key;
@@ -73,45 +72,43 @@ impl<P: Key, O: Key> ExchangeRing<P, O> {
     /// # Errors
     ///
     /// Returns a [`RingError`] describing why the edges are not a valid ring.
-    pub fn new(edges: Vec<RingEdge<P, O>>) -> Result<Self, RingError> {
-        if edges.len() < 2 {
+    pub fn new(mut edges: Vec<RingEdge<P, O>>) -> Result<Self, RingError> {
+        // Rings are a handful of edges, so pairwise scans beat building sets
+        // and the edges are re-ordered in place.
+        let n = edges.len();
+        if n < 2 {
             return Err(RingError::TooSmall);
         }
-        let uploaders: BTreeSet<P> = edges.iter().map(|e| e.uploader).collect();
-        let downloaders: BTreeSet<P> = edges.iter().map(|e| e.downloader).collect();
-        if uploaders.len() != edges.len() {
-            let mut seen = BTreeSet::new();
-            for e in &edges {
-                if !seen.insert(e.uploader) {
-                    return Err(RingError::DuplicatePeer(format!("{:?}", e.uploader)));
-                }
+        for (i, e) in edges.iter().enumerate() {
+            if edges[..i].iter().any(|f| f.uploader == e.uploader) {
+                return Err(RingError::DuplicatePeer(format!("{:?}", e.uploader)));
             }
         }
-        if downloaders.len() != edges.len() || uploaders != downloaders {
-            return Err(RingError::NotACycle);
-        }
-
-        // Re-order edges into cycle order starting from the first edge and
-        // check that following downloader -> uploader chains visits everyone.
-        let mut ordered = Vec::with_capacity(edges.len());
-        let mut current = edges[0];
-        ordered.push(current);
-        for _ in 1..edges.len() {
-            let next = edges
-                .iter()
-                .find(|e| e.uploader == current.downloader)
-                .copied()
-                .ok_or(RingError::NotACycle)?;
-            if ordered.contains(&next) {
+        // The uploaders are distinct, so the downloaders are the same set of
+        // peers exactly when they are distinct and each one uploads.
+        for (i, e) in edges.iter().enumerate() {
+            if edges[..i].iter().any(|f| f.downloader == e.downloader)
+                || !edges.iter().any(|f| f.uploader == e.downloader)
+            {
                 return Err(RingError::NotACycle);
             }
-            ordered.push(next);
-            current = next;
         }
-        if ordered.last().expect("non-empty").downloader != ordered[0].uploader {
+
+        // Re-order edges into cycle order starting from the first edge: each
+        // next edge is the unplaced one whose uploader is the previous
+        // downloader.  If that uploader's edge is already placed, the chain
+        // closed early and the edges hold more than one cycle.
+        for i in 1..n {
+            let next = edges[i - 1].downloader;
+            let j = (i..n)
+                .find(|&j| edges[j].uploader == next)
+                .ok_or(RingError::NotACycle)?;
+            edges.swap(i, j);
+        }
+        if edges[n - 1].downloader != edges[0].uploader {
             return Err(RingError::NotACycle);
         }
-        Ok(ExchangeRing { edges: ordered })
+        Ok(ExchangeRing { edges })
     }
 
     /// Number of peers (equivalently, edges) in the ring.
@@ -229,13 +226,29 @@ mod tests {
             ExchangeRing::<u32, u32>::new(vec![]).unwrap_err(),
             RingError::TooSmall
         );
+        // A self-loop is no cycle of peers either, but size is checked first.
+        assert_eq!(
+            ExchangeRing::new(vec![edge(1, 1, 10)]).unwrap_err(),
+            RingError::TooSmall
+        );
     }
 
     #[test]
     fn duplicate_uploader_is_rejected() {
         let err =
             ExchangeRing::new(vec![edge(1, 2, 10), edge(1, 3, 11), edge(3, 1, 12)]).unwrap_err();
-        assert!(matches!(err, RingError::DuplicatePeer(_)) || err == RingError::NotACycle);
+        assert_eq!(err, RingError::DuplicatePeer("1".to_string()));
+        // The first uploader to repeat in edge order is named: 2 repeats at
+        // edge 2, before 5 repeats at edge 3.  The edges are no cycle either,
+        // but the duplicate is reported first.
+        let err = ExchangeRing::new(vec![
+            edge(5, 2, 10),
+            edge(2, 5, 11),
+            edge(2, 7, 12),
+            edge(5, 7, 13),
+        ])
+        .unwrap_err();
+        assert_eq!(err, RingError::DuplicatePeer("2".to_string()));
     }
 
     #[test]
@@ -249,12 +262,49 @@ mod tests {
         ])
         .unwrap_err();
         assert_eq!(err, RingError::NotACycle);
+        // Nor is a 3-cycle through the first edge interleaved with a 2-cycle.
+        let err = ExchangeRing::new(vec![
+            edge(1, 2, 10),
+            edge(4, 5, 11),
+            edge(2, 3, 12),
+            edge(5, 4, 13),
+            edge(3, 1, 14),
+        ])
+        .unwrap_err();
+        assert_eq!(err, RingError::NotACycle);
     }
 
     #[test]
     fn open_chain_is_rejected() {
+        // Uploaders {1, 2} differ from downloaders {2, 3}.
         let err = ExchangeRing::new(vec![edge(1, 2, 10), edge(2, 3, 11)]).unwrap_err();
         assert_eq!(err, RingError::NotACycle);
+    }
+
+    #[test]
+    fn dangling_edge_is_rejected() {
+        // Peer 3 uploads into the 1 <-> 2 cycle, so peer 1 downloads twice.
+        let err =
+            ExchangeRing::new(vec![edge(1, 2, 10), edge(2, 1, 11), edge(3, 1, 12)]).unwrap_err();
+        assert_eq!(err, RingError::NotACycle);
+    }
+
+    #[test]
+    fn shuffled_edges_come_back_in_cycle_order_from_the_first_edge() {
+        // The 6-cycle 1 -> 2 -> ... -> 6 -> 1, fed in several edge orders.
+        let cycle: Vec<RingEdge<u32, u32>> = (1..=6).map(|p| edge(p, p % 6 + 1, 10 * p)).collect();
+        for order in [
+            [0, 1, 2, 3, 4, 5],
+            [3, 5, 0, 2, 4, 1],
+            [5, 4, 3, 2, 1, 0],
+            [2, 0, 4, 1, 5, 3],
+        ] {
+            let shuffled: Vec<_> = order.iter().map(|&i| cycle[i]).collect();
+            let ring = ExchangeRing::new(shuffled.clone()).unwrap();
+            let start = order[0];
+            let expected: Vec<_> = (0..6).map(|k| cycle[(start + k) % 6]).collect();
+            assert_eq!(ring.edges(), expected.as_slice(), "order {order:?}");
+        }
     }
 
     #[test]

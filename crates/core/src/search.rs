@@ -1,7 +1,9 @@
 //! Ring search: discovering feasible n-way exchanges through a provider.
 
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{ExchangeRing, Key, RequestGraph, RingEdge, RingPreference, SearchPolicy};
 
@@ -28,18 +30,67 @@ pub struct SearchTrace<P: Key, O: Key> {
     pub edge_deps: Vec<P>,
 }
 
+/// An FxHash-style multiplicative hasher for the search's private maps.
+///
+/// Their keys are small `Copy` peer ids the search itself reads from the
+/// graph, so SipHash's flooding resistance buys nothing there; the maps are
+/// only ever probed, or iterated into a list that is sorted before use, so
+/// the hash function cannot affect any result.
+#[derive(Debug, Default, Clone, Copy)]
+struct FastHasher(u64);
+
+impl FastHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FastState = BuildHasherDefault<FastHasher>;
+
+/// What one search learned about a peer the first time it popped a node
+/// ending at that peer.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    /// The peer's closing want indices: `closers[start..end]`.
+    start: usize,
+    end: usize,
+    /// Whether some node ending at the peer was expanded, i.e. the search
+    /// read the peer's incoming queue.
+    expanded: bool,
+}
+
 /// Reusable scratch state shared across ring searches.
 ///
-/// Holds the BFS working buffers (path arena, materialisation buffer, ring
-/// dedup set) and an *expansion-prefix snapshot*: for every peer expanded
-/// below the first level, the first `fanout` entries of its incoming queue —
-/// exactly the slice the depth-bounded search reads.  Consecutive searches —
-/// typically one per provider within a scheduling round — neither reallocate
-/// their working memory nor re-walk the queue prefix of a peer an earlier
-/// provider's search already expanded: overlapping request trees share their
-/// expansion prefixes through the snapshot.  (The root's own queue is always
-/// scanned in full, directly from the graph — it is read once per search, so
-/// there is nothing to share.)
+/// Holds the per-search working state and an *expansion-prefix snapshot*
+/// shared across searches: for every peer expanded below the first level,
+/// the first `fanout` entries of its incoming queue — exactly the slice the
+/// depth-bounded search reads.  Consecutive searches — typically one per
+/// provider within a scheduling round — neither reallocate their working
+/// memory nor re-walk the queue prefix of a peer an earlier provider's search
+/// already expanded: overlapping request trees share their expansion
+/// prefixes through the snapshot.  (A root's own queue is always scanned in
+/// full, so it is snapshotted whole and separately from the capped prefixes:
+/// providers are searched over and over.)
 ///
 /// The snapshot is keyed on [`RequestGraph::generation`] and discarded
 /// wholesale as soon as the graph mutates, so a scratch-backed search is
@@ -67,14 +118,25 @@ pub struct SearchScratch<P: Key, O: Key> {
     fanout: usize,
     /// Full incoming queues of peers that served as search *roots* (their
     /// queue is always scanned whole).
-    roots: HashMap<P, Vec<(P, O)>>,
+    roots: HashMap<P, Vec<(P, O)>, FastState>,
     /// Capped queue prefixes of peers expanded below the first level.
-    adjacency: HashMap<P, Vec<(P, O)>>,
-    /// (peer, object requested of its parent, parent index, depth).
+    adjacency: HashMap<P, Vec<(P, O)>, FastState>,
+    /// Per search: the BFS nodes, each (peer, object requested of its
+    /// parent, parent index, depth).  The arena doubles as the FIFO queue.
     arena: Vec<(P, O, usize, usize)>,
+    /// Per search: the path of the node being popped, root side first.
     path: Vec<(P, O)>,
-    seen: HashSet<Vec<RingEdge<P, O>>>,
-    edge_deps: Vec<P>,
+    /// Per search: the index of the first occurrence of each distinct wanted
+    /// object, in `wants` order.  A repeated object would only repeat rings.
+    distinct_wants: Vec<usize>,
+    /// Per search: the closing-probe memo.  The first time a node ending at
+    /// a peer is popped, the peer is probed once for every distinct wanted
+    /// object, and the indices it can serve are appended to `closers`; every
+    /// later node ending at that peer reuses the entry.  Its keys are
+    /// exactly the distinct peers the search popped.
+    memo: HashMap<P, Probe, FastState>,
+    /// Per search: the memo's closing want indices, ascending per peer.
+    closers: Vec<usize>,
 }
 
 impl<P: Key, O: Key> SearchScratch<P, O> {
@@ -84,12 +146,13 @@ impl<P: Key, O: Key> SearchScratch<P, O> {
         SearchScratch {
             generation: None,
             fanout: 0,
-            roots: HashMap::new(),
-            adjacency: HashMap::new(),
+            roots: HashMap::default(),
+            adjacency: HashMap::default(),
             arena: Vec::new(),
             path: Vec::new(),
-            seen: HashSet::new(),
-            edge_deps: Vec::new(),
+            distinct_wants: Vec::new(),
+            memo: HashMap::default(),
+            closers: Vec::new(),
         }
     }
 
@@ -144,7 +207,7 @@ impl<P: Key, O: Key> SearchScratch<P, O> {
 
     /// Materialises (or reuses) the full incoming queue of a search root.
     fn full<'a>(
-        roots: &'a mut HashMap<P, Vec<(P, O)>>,
+        roots: &'a mut HashMap<P, Vec<(P, O)>, FastState>,
         graph: &RequestGraph<P, O>,
         peer: P,
     ) -> &'a [(P, O)] {
@@ -159,7 +222,7 @@ impl<P: Key, O: Key> SearchScratch<P, O> {
     /// Materialises (or reuses) the first `fanout` incoming-queue entries of
     /// `peer`.
     fn prefix<'a>(
-        adjacency: &'a mut HashMap<P, Vec<(P, O)>>,
+        adjacency: &'a mut HashMap<P, Vec<(P, O)>, FastState>,
         graph: &RequestGraph<P, O>,
         peer: P,
         fanout: usize,
@@ -260,6 +323,14 @@ impl RingSearch {
     ///
     /// The returned rings all contain `root`; each ring's edge list starts
     /// with the edge on which `root` uploads.
+    ///
+    /// **Contract:** `provides` must be a pure function of `(peer, object)`
+    /// for the duration of one search.  The search probes each distinct
+    /// pair at most once and reuses the answer for every path that ends at
+    /// the same peer, so an oracle whose answer changes mid-search would see
+    /// only its first answer.  (The same holds for
+    /// [`find_traced`](Self::find_traced) and
+    /// [`find_traced_in`](Self::find_traced_in).)
     pub fn find<P: Key, O: Key, F>(
         &self,
         graph: &RequestGraph<P, O>,
@@ -353,8 +424,9 @@ impl RingSearch {
             adjacency,
             arena,
             path,
-            seen,
-            edge_deps,
+            distinct_wants,
+            memo,
+            closers,
         } = scratch;
         // The queue snapshot survives across searches while the graph is
         // unchanged (or explicitly advanced) and the fanout fits; everything
@@ -366,8 +438,8 @@ impl RingSearch {
             *fanout = self.fanout;
         }
         arena.clear();
-        seen.clear();
-        edge_deps.clear();
+        memo.clear();
+        closers.clear();
         let mut budget = self.expansion_budget;
         // Breadth-first enumeration of simple paths root <- r1 <- r2 ...
         // following incoming request edges.  Breadth-first order guarantees
@@ -378,7 +450,8 @@ impl RingSearch {
         // owned path, and the arena doubles as the FIFO queue (nodes are
         // expanded in insertion order), so extending a path allocates nothing
         // and the full path is only materialised — by walking parent
-        // pointers into a reused buffer — for the one node being expanded.
+        // pointers into a reused buffer — for a popped node that closes a
+        // ring or is extended.
         const NO_PARENT: usize = usize::MAX;
         // The root's queue is scanned in full (the paper's pairwise detection
         // examines every pending request); providers are searched over and
@@ -389,17 +462,46 @@ impl RingSearch {
                 .iter()
                 .map(|&(requester, object)| (requester, object, NO_PARENT, 1usize)),
         );
-        if trace_deps {
-            edge_deps.push(root);
+        // Distinct arena nodes are distinct simple paths (every queue is a
+        // set of (requester, object) pairs), so only a repeated wanted
+        // object could repeat a ring: probe each distinct object once.
+        distinct_wants.clear();
+        if !arena.is_empty() {
+            distinct_wants.extend((0..wants.len()).filter(|&i| !wants[..i].contains(&wants[i])));
         }
         let mut head = 0;
 
-        while head < arena.len() {
-            if budget == 0 {
-                break;
-            }
+        while head < arena.len() && budget > 0 {
             budget -= 1;
             let (last_peer, _, _, depth) = arena[head];
+            let extend = depth < self.policy.max_depth();
+
+            // Which wanted objects can the last peer serve the root?  Probed
+            // once per distinct peer; the answer is shared by every path that
+            // ends at it.
+            let probe = match memo.entry(last_peer) {
+                Entry::Occupied(entry) => entry.into_mut(),
+                Entry::Vacant(entry) => {
+                    let start = closers.len();
+                    closers.extend(
+                        distinct_wants
+                            .iter()
+                            .copied()
+                            .filter(|&i| provides(&last_peer, &wants[i])),
+                    );
+                    entry.insert(Probe {
+                        start,
+                        end: closers.len(),
+                        expanded: false,
+                    })
+                }
+            };
+            probe.expanded |= extend;
+            let closing = &closers[probe.start..probe.end];
+            if closing.is_empty() && !extend {
+                head += 1;
+                continue;
+            }
 
             // Materialise the path root <- ... <- last_peer for this node.
             path.clear();
@@ -414,27 +516,15 @@ impl RingSearch {
             }
             path.reverse();
 
-            // Can the last peer on the path close a ring by serving something
-            // the root wants?
-            for object in wants {
-                if provides(&last_peer, object) {
-                    let ring = Self::ring_from_path(root, path, *object);
-                    if let Ok(ring) = ring {
-                        // Rings through `root` store their edges in cycle
-                        // order starting with root's upload, so the edge list
-                        // is already a canonical fingerprint.
-                        if seen.insert(ring.edges().to_vec()) {
-                            found.push((path.len() + 1, ring));
-                        }
-                    }
+            // Close a ring for every wanted object the last peer serves.
+            for &i in closing {
+                if let Ok(ring) = Self::ring_from_path(root, path, wants[i]) {
+                    found.push((path.len() + 1, ring));
                 }
             }
 
             // Extend the path.
-            if depth < self.policy.max_depth() {
-                if trace_deps {
-                    edge_deps.push(last_peer);
-                }
+            if extend {
                 let children = SearchScratch::prefix(adjacency, graph, last_peer, *fanout);
                 for &(peer, object) in children.iter().take(self.fanout) {
                     if peer == root || path.iter().any(|(p, _)| *p == peer) {
@@ -452,17 +542,28 @@ impl RingSearch {
         }
         // The full dependency set: the root (its incoming queue seeds the
         // search) plus every peer that entered the frontier, whether or not
-        // it was expanded before the budget ran out.  The edge-dependency
-        // subset holds only the peers whose queues were actually read.
+        // it was expanded before the budget ran out — the popped peers are
+        // the memo's keys, the rest is the unpopped arena tail.  The
+        // edge-dependency subset holds only the peers whose queues were
+        // actually read: the root and every expanded peer.
         let (deps, edge_deps) = if trace_deps {
-            let mut deps: Vec<P> = Vec::with_capacity(arena.len() + 1);
+            let tail = &arena[head..];
+            let mut deps: Vec<P> = Vec::with_capacity(memo.len() + tail.len() + 1);
             deps.push(root);
-            deps.extend(arena.iter().map(|(peer, _, _, _)| *peer));
+            // exchange-lint: allow(D001, reason = "the list is sorted before it leaves the search")
+            deps.extend(memo.keys().copied());
+            deps.extend(tail.iter().map(|(peer, _, _, _)| *peer));
             deps.sort_unstable();
             deps.dedup();
+            let mut edge_deps = vec![root];
+            edge_deps.extend(
+                // exchange-lint: allow(D001, reason = "the list is sorted before it leaves the search")
+                memo.iter()
+                    .filter(|(_, probe)| probe.expanded)
+                    .map(|(peer, _)| *peer),
+            );
             edge_deps.sort_unstable();
-            edge_deps.dedup();
-            (deps, edge_deps.clone())
+            (deps, edge_deps)
         } else {
             (Vec::new(), Vec::new())
         };

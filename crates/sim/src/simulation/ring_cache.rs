@@ -116,16 +116,15 @@ impl RingCandidateCache {
         root: PeerId,
         wants: &[ObjectId],
     ) -> Option<&[ExchangeRing<PeerId, ObjectId>]> {
-        let live = self
-            .entries
-            .get(&root)
-            .is_some_and(|entry| entry.wants == wants);
-        if live {
-            self.stats.hits += 1;
-            self.entries.get(&root).map(|entry| entry.rings.as_slice())
-        } else {
-            self.stats.misses += 1;
-            None
+        match self.entries.get(&root) {
+            Some(entry) if entry.wants == wants => {
+                self.stats.hits += 1;
+                Some(entry.rings.as_slice())
+            }
+            _ => {
+                self.stats.misses += 1;
+                None
+            }
         }
     }
 

@@ -6,9 +6,10 @@
 //! strategies, `prop_map`, the `collection::{vec, hash_set, hash_map}`
 //! combinators, `bool::ANY`, and the `proptest!` / `prop_assert*` macros.
 //!
-//! Unlike the real proptest there is no shrinking: each property runs a
-//! fixed number of deterministically seeded cases (seeded from the test
-//! name, so failures are reproducible run to run).
+//! Unlike the real proptest there is no shrinking: each property runs
+//! [`num_cases`] deterministically seeded cases (seeded from the test name,
+//! so failures are reproducible run to run).  Like the real crate, the
+//! `PROPTEST_CASES` environment variable overrides the case count.
 
 #![forbid(unsafe_code)]
 
@@ -16,8 +17,24 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::ops::{Range, RangeInclusive};
 
-/// Number of cases each `proptest!` property runs.
+/// Number of cases each `proptest!` property runs unless `PROPTEST_CASES`
+/// overrides it.
 pub const NUM_CASES: u32 = 64;
+
+/// Number of cases each `proptest!` property runs: the `PROPTEST_CASES`
+/// environment variable when it holds a positive integer, else
+/// [`NUM_CASES`].
+#[must_use]
+pub fn num_cases() -> u32 {
+    cases_from(std::env::var("PROPTEST_CASES").ok().as_deref())
+}
+
+fn cases_from(value: Option<&str>) -> u32 {
+    value
+        .and_then(|v| v.trim().parse::<u32>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(NUM_CASES)
+}
 
 /// Error carried out of a failing property body by the `prop_assert*` macros.
 #[derive(Debug)]
@@ -288,7 +305,7 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assume, proptest, Strategy};
 }
 
-/// Runs each listed property over [`NUM_CASES`] deterministically sampled
+/// Runs each listed property over [`num_cases`] deterministically sampled
 /// inputs.  Supports the `name in strategy` argument syntax of the real
 /// proptest macro (without shrinking or persisted regressions).
 #[macro_export]
@@ -298,7 +315,7 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 let mut __proptest_rng = $crate::TestRng::from_name(concat!(module_path!(), "::", stringify!($name)));
-                for __proptest_case in 0..$crate::NUM_CASES {
+                for __proptest_case in 0..$crate::num_cases() {
                     $(let $arg = $crate::Strategy::sample(&($strat), &mut __proptest_rng);)+
                     let __proptest_result: ::std::result::Result<(), $crate::TestCaseError> =
                         (|| { $body Ok(()) })();
@@ -370,6 +387,16 @@ mod tests {
         let mut a = super::TestRng::from_name("x");
         let mut b = super::TestRng::from_name("x");
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn case_count_override_parses_positive_integers_only() {
+        assert_eq!(super::cases_from(None), super::NUM_CASES);
+        assert_eq!(super::cases_from(Some("640")), 640);
+        assert_eq!(super::cases_from(Some(" 7 ")), 7);
+        for bad in ["", "0", "-3", "many"] {
+            assert_eq!(super::cases_from(Some(bad)), super::NUM_CASES, "{bad:?}");
+        }
     }
 
     proptest! {
