@@ -17,7 +17,11 @@
 
 use std::path::PathBuf;
 
-use sim::{SimConfig, SimTime, Simulation, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use sim::{
+    BehaviorKind, BehaviorMix, CapacityClass, CatastropheConfig, ChurnConfig, ClassMix,
+    FlashCrowdConfig, Protection, SchedulerKind, SimConfig, SimTime, Simulation, SnapshotError,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+};
 
 /// The fixed scenario the golden fixture freezes.  Every knob is pinned
 /// explicitly so drifting `quick_test` defaults do not silently change the
@@ -210,4 +214,199 @@ fn dirty_peer_list_disagreeing_with_the_edge_log_errors_gracefully() {
         Simulation::restore(&mut &bytes[..], &config),
         Err(SnapshotError::Corrupt(_))
     ));
+}
+
+/// One extra v1 fixture: a scenario that makes the encoder write state the
+/// quick-test golden never reaches (the history-keeping scheduler states,
+/// open validation windows, pending population events, catalog releases,
+/// heterogeneous capacity classes and the adversarial behaviors).
+struct Fixture {
+    /// File stem under `tests/golden/`.
+    name: &'static str,
+    config: fn() -> SimConfig,
+    seed: u64,
+    /// The fixture is the checkpoint taken after running to this time...
+    checkpoint_s: f64,
+    /// ...and then stepping this many more events, which can leave
+    /// same-instant events pending.
+    steps: usize,
+}
+
+/// A 16-peer, 900-second base the fixtures below specialise.  Objects are
+/// small, so downloads complete well before the checkpoints.
+fn fixture_base() -> SimConfig {
+    let mut config = SimConfig::quick_test();
+    config.num_peers = 16;
+    config.sim_duration_s = 900.0;
+    config.warmup_s = 30.0;
+    config.workload.object_size_bytes = 256 * 1024;
+    config.shards = 1;
+    config
+}
+
+/// eMule credit under windowed validation with churn, every adversary, all
+/// three capacity classes, a flash crowd already released and a catastrophe
+/// still pending at the checkpoint.
+fn emule_churn_config() -> SimConfig {
+    let mut config = fixture_base();
+    config.workload.object_size_bytes = 512 * 1024;
+    config.scheduler = SchedulerKind::EmuleCredit;
+    config.protection = Protection::Windowed { max_window: 4 };
+    config.behaviors = BehaviorMix::weighted([
+        (BehaviorKind::Honest, 0.4),
+        (BehaviorKind::FreeRider, 0.15),
+        (BehaviorKind::JunkSender, 0.15),
+        (BehaviorKind::ParticipationCheater, 0.15),
+        (BehaviorKind::Middleman, 0.15),
+    ]);
+    config.churn = Some(ChurnConfig::new(500.0, 120.0));
+    config.flash_crowd = Some(FlashCrowdConfig::new(200.0, 4));
+    config.catastrophe = Some(CatastropheConfig::new(700.0, 2));
+    config.classes = ClassMix::weighted([
+        (CapacityClass::Fast, 1.0),
+        (CapacityClass::Medium, 1.0),
+        (CapacityClass::Slow, 1.0),
+    ]);
+    config
+}
+
+/// Tit-for-tat under the mediator with churn and a flash crowd still
+/// pending at the checkpoint.
+fn tit_for_tat_config() -> SimConfig {
+    let mut config = fixture_base();
+    config.scheduler = SchedulerKind::TitForTat;
+    config.protection = Protection::Mediated;
+    config.behaviors = BehaviorMix::weighted([
+        (BehaviorKind::Honest, 0.5),
+        (BehaviorKind::FreeRider, 0.2),
+        (BehaviorKind::JunkSender, 0.15),
+        (BehaviorKind::Middleman, 0.15),
+    ]);
+    config.churn = Some(ChurnConfig::new(400.0, 150.0));
+    config.flash_crowd = Some(FlashCrowdConfig::new(700.0, 4));
+    config.classes = ClassMix::weighted([(CapacityClass::Fast, 1.0), (CapacityClass::Slow, 1.0)]);
+    config
+}
+
+/// Participation levels with cheaters announcing inflated levels.
+fn participation_config() -> SimConfig {
+    let mut config = fixture_base();
+    config.scheduler = SchedulerKind::ParticipationLevel;
+    config.behaviors = BehaviorMix::weighted([
+        (BehaviorKind::Honest, 0.5),
+        (BehaviorKind::FreeRider, 0.25),
+        (BehaviorKind::ParticipationCheater, 0.25),
+    ]);
+    config
+}
+
+/// The exchange-priority scheduler, checkpointed while peers are still
+/// arriving and a scheduling pass is queued for the current instant.
+fn mid_arrival_config() -> SimConfig {
+    let mut config = fixture_base();
+    config.scheduler = SchedulerKind::ExchangePriority;
+    config
+}
+
+const FIXTURES: &[Fixture] = &[
+    Fixture {
+        name: "emule_churn_v1",
+        config: emule_churn_config,
+        seed: 7,
+        checkpoint_s: 600.0,
+        steps: 0,
+    },
+    Fixture {
+        name: "tit_for_tat_v1",
+        config: tit_for_tat_config,
+        seed: 11,
+        checkpoint_s: 400.0,
+        steps: 0,
+    },
+    Fixture {
+        name: "participation_v1",
+        config: participation_config,
+        seed: 13,
+        checkpoint_s: 400.0,
+        steps: 0,
+    },
+    Fixture {
+        name: "mid_arrival_v1",
+        config: mid_arrival_config,
+        seed: 17,
+        checkpoint_s: 2.0,
+        steps: 1,
+    },
+];
+
+impl Fixture {
+    fn path(&self) -> PathBuf {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{}.snap", self.name))
+    }
+
+    /// The fixture's bytes, regenerated in-process.
+    fn fresh_bytes(&self) -> Vec<u8> {
+        let mut simulation = Simulation::new((self.config)(), self.seed);
+        simulation.run_until(SimTime::from_secs_f64(self.checkpoint_s));
+        for _ in 0..self.steps {
+            simulation.step();
+        }
+        let mut bytes = Vec::new();
+        simulation
+            .checkpoint(&mut bytes)
+            .expect("serializing into a Vec cannot fail");
+        bytes
+    }
+}
+
+#[test]
+fn variant_fixtures_are_stable_resume_exactly_and_round_trip() {
+    let update = std::env::var_os("UPDATE_SNAPSHOTS").is_some();
+    for fixture in FIXTURES {
+        let config = (fixture.config)();
+        let fresh = fixture.fresh_bytes();
+        let path = fixture.path();
+        if update {
+            std::fs::write(&path, &fresh).expect("write golden fixture");
+            eprintln!("regenerated {}", path.display());
+            continue;
+        }
+        let checked_in = std::fs::read(&path).unwrap_or_else(|e| {
+            panic!(
+                "cannot read golden fixture {} ({e}); regenerate with UPDATE_SNAPSHOTS=1",
+                path.display()
+            )
+        });
+        assert!(
+            checked_in == fresh,
+            "{}: snapshot byte layout changed — bump SNAPSHOT_VERSION and \
+             regenerate the fixtures with UPDATE_SNAPSHOTS=1",
+            fixture.name
+        );
+
+        let straight = Simulation::new(config.clone(), fixture.seed).run();
+        let restored = Simulation::restore(&mut &checked_in[..], &config)
+            .unwrap_or_else(|e| panic!("{}: fixture restores: {e}", fixture.name));
+        let mut again = Vec::new();
+        restored
+            .checkpoint(&mut again)
+            .expect("serializing into a Vec cannot fail");
+        assert!(
+            checked_in == again,
+            "{}: restore → checkpoint must round-trip bytes",
+            fixture.name
+        );
+        let resumed = restored.run();
+        assert_eq!(
+            straight.ring_cache_stats(),
+            resumed.ring_cache_stats(),
+            "{}",
+            fixture.name
+        );
+        assert!(
+            straight == resumed,
+            "{}: resumed run diverged from the straight run",
+            fixture.name
+        );
+    }
 }
