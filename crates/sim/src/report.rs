@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use metrics::{Cdf, ClassTally, OnlineStats, SampleSet};
 
-use crate::simulation::RingCacheStats;
+use crate::simulation::{record_codec, RingCacheStats};
 use crate::{BehaviorKind, CapacityClass, PeerClass, SessionEnd, SessionKind};
 
 /// Per-behavior measurements of one run: what each strategic population
@@ -442,77 +442,41 @@ impl SimReport {
     pub fn session_end_counts(&self) -> &BTreeMap<SessionEnd, u64> {
         &self.session_ends
     }
-
-    // ---- checkpointing (crate-internal) ------------------------------------
-
-    /// Clones every accumulator into an owned bundle for the snapshot
-    /// serializer.  `SimReport` lives outside the `simulation` module tree,
-    /// so the snapshot code cannot reach its private fields directly.
-    pub(crate) fn to_parts(&self) -> ReportParts {
-        ReportParts {
-            download_time_min: self.download_time_min.clone(),
-            capacity_download_min: self.capacity_download_min.clone(),
-            waiting_secs: self.waiting_secs.clone(),
-            session_bytes: self.session_bytes.clone(),
-            session_counts: self.session_counts.clone(),
-            session_ends: self.session_ends.clone(),
-            volume_per_peer_mb: self.volume_per_peer_mb.clone(),
-            behaviors: self.behaviors.clone(),
-            completed_downloads: self.completed_downloads,
-            rings_formed: self.rings_formed.clone(),
-            token_declines: self.token_declines,
-            rings_dissolved_at_activation: self.rings_dissolved_at_activation,
-            preemptions: self.preemptions,
-            ring_cache: self.ring_cache,
-            sim_seconds: self.sim_seconds,
-            peers: self.peers,
-        }
-    }
-
-    /// Rebuilds a report from a deserialized bundle.
-    pub(crate) fn from_parts(parts: ReportParts) -> Self {
-        SimReport {
-            download_time_min: parts.download_time_min,
-            capacity_download_min: parts.capacity_download_min,
-            waiting_secs: parts.waiting_secs,
-            session_bytes: parts.session_bytes,
-            session_counts: parts.session_counts,
-            session_ends: parts.session_ends,
-            volume_per_peer_mb: parts.volume_per_peer_mb,
-            behaviors: parts.behaviors,
-            completed_downloads: parts.completed_downloads,
-            rings_formed: parts.rings_formed,
-            token_declines: parts.token_declines,
-            rings_dissolved_at_activation: parts.rings_dissolved_at_activation,
-            preemptions: parts.preemptions,
-            ring_cache: parts.ring_cache,
-            sim_seconds: parts.sim_seconds,
-            peers: parts.peers,
-        }
-    }
 }
 
-/// The owned field bundle behind [`SimReport::to_parts`] /
-/// [`SimReport::from_parts`] — the snapshot module serializes these fields
-/// one by one.
-pub(crate) struct ReportParts {
-    pub(crate) download_time_min: ClassTally<PeerClass>,
-    pub(crate) capacity_download_min: BTreeMap<CapacityClass, SampleSet>,
-    pub(crate) waiting_secs: BTreeMap<SessionKind, SampleSet>,
-    pub(crate) session_bytes: BTreeMap<SessionKind, SampleSet>,
-    pub(crate) session_counts: BTreeMap<SessionKind, u64>,
-    pub(crate) session_ends: BTreeMap<SessionEnd, u64>,
-    pub(crate) volume_per_peer_mb: ClassTally<PeerClass>,
-    pub(crate) behaviors: BTreeMap<BehaviorKind, BehaviorStats>,
-    pub(crate) completed_downloads: u64,
-    pub(crate) rings_formed: BTreeMap<usize, u64>,
-    pub(crate) token_declines: u64,
-    pub(crate) rings_dissolved_at_activation: u64,
-    pub(crate) preemptions: u64,
-    pub(crate) ring_cache: RingCacheStats,
-    pub(crate) sim_seconds: f64,
-    pub(crate) peers: usize,
-}
+// The snapshot's report section (see `simulation::snapshot`): every
+// accumulator, in declaration order.
+
+record_codec!(BehaviorStats {
+    peers: usize,
+    uploaded_bytes: u64,
+    downloaded_bytes: u64,
+    junk_bytes: u64,
+    ciphertext_bytes: u64,
+    completed_downloads: u64,
+    ciphertext_downloads: u64,
+    cheat_detections: u64,
+    download_time_min: OnlineStats,
+});
+
+record_codec!(SimReport {
+    download_time_min: ClassTally<PeerClass>,
+    capacity_download_min: BTreeMap<CapacityClass, SampleSet>,
+    waiting_secs: BTreeMap<SessionKind, SampleSet>,
+    session_bytes: BTreeMap<SessionKind, SampleSet>,
+    session_counts: BTreeMap<SessionKind, u64>,
+    session_ends: BTreeMap<SessionEnd, u64>,
+    volume_per_peer_mb: ClassTally<PeerClass>,
+    behaviors: BTreeMap<BehaviorKind, BehaviorStats>,
+    completed_downloads: u64,
+    rings_formed: BTreeMap<usize, u64>,
+    token_declines: u64,
+    rings_dissolved_at_activation: u64,
+    preemptions: u64,
+    ring_cache: RingCacheStats,
+    sim_seconds: f64,
+    peers: usize,
+});
 
 #[cfg(test)]
 mod tests {

@@ -25,6 +25,7 @@ mod snapshot;
 mod transfers;
 
 pub use ring_cache::{CachedEntry, RingCacheStats, RingCandidateCache};
+pub(crate) use snapshot::{record_codec, Cursor, Decode, Encode};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
 use std::cell::Cell;

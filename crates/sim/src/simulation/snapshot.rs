@@ -28,8 +28,16 @@
 //! Everything is little-endian.  The file starts with a fixed header —
 //! magic `XCHGSNAP`, format version (`u32`), setup seed (`u64`), peer count
 //! (`u64`) — followed by tagged, length-prefixed sections (`tag: u8`,
-//! `len: u64`, payload) in a fixed order.  `f64` values travel as
-//! [`f64::to_bits`] so accumulators survive exactly.
+//! `len: u64`, payload) in a fixed order.  Inside the payloads, each type's
+//! layout lives in exactly one place: its [`Encode`] impl, with the
+//! validated [`Decode`] impl that reads it back right beside it.  `f64`s
+//! travel as [`f64::to_bits`] so accumulators survive exactly; sequences,
+//! maps and sets are a `u64` count and their items; an `Option` is a `0`/`1`
+//! tag byte before its value; a tuple or record is its fields in order; and
+//! a fieldless enum is one byte, its position in the enum's `const` tag
+//! table.  `checkpoint` and `restore` only list the ten sections and the
+//! checks across them, so a layout change edits one impl — and bumps
+//! [`SNAPSHOT_VERSION`].
 //!
 //! # Version policy
 //!
@@ -38,8 +46,8 @@
 //! reject snapshots from any other version with
 //! [`SnapshotError::UnsupportedVersion`] — there is no cross-version
 //! migration; checkpoints are an intra-version resume mechanism, not an
-//! archival format.  The golden fixture under `crates/sim/tests/golden/`
-//! pins the current layout; regenerate it with `UPDATE_SNAPSHOTS=1` when
+//! archival format.  The golden fixtures under `crates/sim/tests/golden/`
+//! pin the current layout; regenerate them with `UPDATE_SNAPSHOTS=1` when
 //! bumping the version.
 //!
 //! # Error policy
@@ -65,9 +73,8 @@ use metrics::{ClassTally, OnlineStats, SampleSet};
 use netsim::TransferSession;
 use workload::{CategoryId, ObjectId, PeerId, Storage};
 
-use crate::report::ReportParts;
 use crate::{
-    BehaviorKind, CapacityClass, PeerClass, SessionEnd, SessionKind, SimConfig, SimReport,
+    BehaviorKind, CapacityClass, PeerClass, PeerState, SessionEnd, SessionKind, SimConfig,
     WantState,
 };
 
@@ -153,168 +160,54 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-fn corrupt(msg: impl Into<String>) -> SnapshotError {
-    SnapshotError::Corrupt(msg.into())
+/// A [`SnapshotError::Corrupt`] with a `format!`-style message.
+macro_rules! corrupt {
+    ($($msg:tt)+) => {
+        SnapshotError::Corrupt(format!($($msg)+))
+    };
 }
 
-// ---- encoding helpers ------------------------------------------------------
+// ---- the codec -------------------------------------------------------------
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+/// The write half of a type's wire layout.
+pub(crate) trait Encode {
+    fn encode(&self, out: &mut Vec<u8>);
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The validated read half of a type's wire layout, written beside its
+/// [`Encode`] impl.
+pub(crate) trait Decode: Sized {
+    /// A lower bound on the encoded size of one value.  A container rejects
+    /// a count its remaining bytes cannot hold, so a corrupt length fails
+    /// with [`SnapshotError::Truncated`] before anything is allocated.
+    const MIN_LEN: usize = 1;
+
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError>;
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_usize(buf: &mut Vec<u8>, v: usize) {
-    put_u64(buf, v as u64);
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    put_u8(buf, u8::from(v));
-}
-
-fn put_time(buf: &mut Vec<u8>, t: SimTime) {
-    put_u64(buf, t.as_micros());
-}
-
-fn put_peer(buf: &mut Vec<u8>, p: PeerId) {
-    put_u32(buf, p.index());
-}
-
-fn put_object(buf: &mut Vec<u8>, o: ObjectId) {
-    put_u32(buf, o.index());
-}
-
-fn put_stats(buf: &mut Vec<u8>, stats: &OnlineStats) {
-    let (count, mean, m2, min, max, sum) = stats.raw_parts();
-    put_u64(buf, count);
-    put_f64(buf, mean);
-    put_f64(buf, m2);
-    put_f64(buf, min);
-    put_f64(buf, max);
-    put_f64(buf, sum);
-}
-
-fn put_samples(buf: &mut Vec<u8>, set: &SampleSet) {
-    put_usize(buf, set.samples().len());
-    for &s in set.samples() {
-        put_f64(buf, s);
-    }
-    put_usize(buf, set.capacity());
-    put_u64(buf, set.seen());
-}
-
-fn put_event(buf: &mut Vec<u8>, event: Event) {
-    match event {
-        Event::Arrive(p) => {
-            put_u8(buf, 0);
-            put_peer(buf, p);
-        }
-        Event::GenerateRequests(p) => {
-            put_u8(buf, 1);
-            put_peer(buf, p);
-        }
-        Event::TrySchedule(p) => {
-            put_u8(buf, 2);
-            put_peer(buf, p);
-        }
-        Event::BlockComplete(tid) => {
-            put_u8(buf, 3);
-            put_u64(buf, tid);
-        }
-        Event::StorageMaintenance(p) => {
-            put_u8(buf, 4);
-            put_peer(buf, p);
-        }
-        Event::Depart(p) => {
-            put_u8(buf, 5);
-            put_peer(buf, p);
-        }
-        Event::Rejoin(p) => {
-            put_u8(buf, 6);
-            put_peer(buf, p);
-        }
-        Event::Catastrophe => put_u8(buf, 7),
-        Event::FlashCrowd => put_u8(buf, 8),
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
     }
 }
-
-fn session_kind_tag(kind: SessionKind) -> (u8, Option<u64>) {
-    match kind {
-        SessionKind::NonExchange => (0, None),
-        SessionKind::Exchange { ring_size } => (1, Some(ring_size as u64)),
-    }
-}
-
-fn session_end_tag(end: SessionEnd) -> u8 {
-    match end {
-        SessionEnd::DownloadComplete => 0,
-        SessionEnd::RingDissolved => 1,
-        SessionEnd::Preempted => 2,
-        SessionEnd::SourceLostObject => 3,
-        SessionEnd::CheatDetected => 4,
-        SessionEnd::HorizonReached => 5,
-        SessionEnd::PeerDeparted => 6,
-    }
-}
-
-fn peer_class_tag(class: PeerClass) -> u8 {
-    match class {
-        PeerClass::Sharing => 0,
-        PeerClass::NonSharing => 1,
-    }
-}
-
-fn capacity_class_tag(class: CapacityClass) -> u8 {
-    match class {
-        CapacityClass::Fast => 0,
-        CapacityClass::Medium => 1,
-        CapacityClass::Slow => 2,
-    }
-}
-
-fn behavior_kind_tag(kind: BehaviorKind) -> u8 {
-    match kind {
-        BehaviorKind::Honest => 0,
-        BehaviorKind::FreeRider => 1,
-        BehaviorKind::JunkSender => 2,
-        BehaviorKind::ParticipationCheater => 3,
-        BehaviorKind::Middleman => 4,
-    }
-}
-
-/// Every endpoint of the dirty-edge log — the peer view the v1 layout stores
-/// ahead of the log itself.
-fn dirty_log_peers(log: &BTreeSet<(PeerId, PeerId, ObjectId)>) -> BTreeSet<PeerId> {
-    log.iter()
-        .flat_map(|&(provider, requester, _)| [provider, requester])
-        .collect()
-}
-
-// ---- decoding helpers ------------------------------------------------------
 
 /// A bounds-checked cursor over a fully-read snapshot buffer.  Every read
 /// returns `Err(Truncated)` instead of indexing past the end.
-struct Cursor<'a> {
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Exclusive bound for decoded peer ids, set once the header is read.
+    peers: usize,
+    /// Exclusive bound for decoded object ids, set once the catalog section
+    /// is read.
+    objects: usize,
+    /// Exclusive bound for transfer ids named by pending events, set once
+    /// the transfer section is read.
+    transfers: TransferId,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -329,240 +222,646 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+    pub(crate) fn decode<T: Decode>(&mut self) -> Result<T, SnapshotError> {
+        T::decode(self)
     }
 
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let bytes = self.take(4)?;
-        let arr: [u8; 4] = bytes.try_into().map_err(|_| SnapshotError::Truncated)?;
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let bytes = self.take(8)?;
-        let arr: [u8; 8] = bytes.try_into().map_err(|_| SnapshotError::Truncated)?;
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(corrupt(format!("invalid boolean byte {v}"))),
-        }
-    }
-
-    fn time(&mut self) -> Result<SimTime, SnapshotError> {
-        Ok(SimTime::from_micros(self.u64()?))
-    }
-
-    /// Reads a length prefix, rejecting counts that cannot possibly fit in
-    /// the remaining bytes (`min_elem` is a lower bound on the encoded size
-    /// of one element) so a corrupt length cannot trigger a huge allocation.
-    fn seq_len(&mut self, min_elem: usize) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| SnapshotError::Truncated)?;
-        if min_elem > 0 && n > self.remaining() / min_elem {
+    /// Reads the count of a sequence of `T`s, rejecting counts the remaining
+    /// bytes cannot possibly hold.
+    fn len_of<T: Decode>(&mut self) -> Result<usize, SnapshotError> {
+        let n: usize = self.decode()?;
+        if n > self.remaining() / T::MIN_LEN.max(1) {
             return Err(SnapshotError::Truncated);
         }
         Ok(n)
     }
 
-    /// Reads a peer id, validating it against the population size.
-    fn peer(&mut self, num_peers: usize) -> Result<PeerId, SnapshotError> {
-        let raw = self.u32()?;
-        if (raw as usize) >= num_peers {
-            return Err(corrupt(format!(
-                "peer id {raw} out of range ({num_peers} peers)"
-            )));
-        }
-        Ok(PeerId::new(raw))
-    }
-
-    /// Reads an object id, validating it against the catalog size.
-    fn object(&mut self, num_objects: usize) -> Result<ObjectId, SnapshotError> {
-        let raw = self.u32()?;
-        if (raw as usize) >= num_objects {
-            return Err(corrupt(format!(
-                "object id {raw} out of range ({num_objects} objects)"
-            )));
-        }
-        Ok(ObjectId::new(raw))
-    }
-
-    fn stats(&mut self) -> Result<OnlineStats, SnapshotError> {
-        let count = self.u64()?;
-        let mean = self.f64()?;
-        let m2 = self.f64()?;
-        let min = self.f64()?;
-        let max = self.f64()?;
-        let sum = self.f64()?;
-        Ok(OnlineStats::from_raw_parts(count, mean, m2, min, max, sum))
-    }
-
-    fn samples(&mut self) -> Result<SampleSet, SnapshotError> {
-        let n = self.seq_len(8)?;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            samples.push(self.f64()?);
-        }
-        let capacity = self.seq_len(0)?;
-        let seen = self.u64()?;
-        if capacity == 0 {
-            return Err(corrupt("sample-set capacity must be positive"));
-        }
-        if samples.len() > capacity {
-            return Err(corrupt("sample set holds more samples than its capacity"));
-        }
-        Ok(SampleSet::from_parts(samples, capacity, seen))
-    }
-
-    fn event(
+    /// Reads section `tag` with `read`, which must consume its payload
+    /// exactly.  The section inherits this cursor's id bounds.
+    fn section<T>(
         &mut self,
-        num_peers: usize,
-        num_transfers: TransferId,
-    ) -> Result<Event, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(Event::Arrive(self.peer(num_peers)?)),
-            1 => Ok(Event::GenerateRequests(self.peer(num_peers)?)),
-            2 => Ok(Event::TrySchedule(self.peer(num_peers)?)),
-            3 => {
-                let tid = self.u64()?;
-                if tid >= num_transfers {
-                    return Err(corrupt(format!("event references unknown transfer {tid}")));
-                }
-                Ok(Event::BlockComplete(tid))
-            }
-            4 => Ok(Event::StorageMaintenance(self.peer(num_peers)?)),
-            5 => Ok(Event::Depart(self.peer(num_peers)?)),
-            6 => Ok(Event::Rejoin(self.peer(num_peers)?)),
-            7 => Ok(Event::Catastrophe),
-            8 => Ok(Event::FlashCrowd),
-            t => Err(corrupt(format!("unknown event tag {t}"))),
+        tag: u8,
+        read: impl FnOnce(&mut Cursor<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        let found: u8 = self.decode()?;
+        if found != tag {
+            return Err(corrupt!("expected section tag {tag}, found {found}"));
         }
-    }
-
-    fn session_kind(&mut self) -> Result<SessionKind, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(SessionKind::NonExchange),
-            1 => {
-                let ring_size = self.seq_len(0)?;
-                Ok(SessionKind::Exchange { ring_size })
-            }
-            t => Err(corrupt(format!("unknown session-kind tag {t}"))),
-        }
-    }
-
-    fn session_end(&mut self) -> Result<SessionEnd, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(SessionEnd::DownloadComplete),
-            1 => Ok(SessionEnd::RingDissolved),
-            2 => Ok(SessionEnd::Preempted),
-            3 => Ok(SessionEnd::SourceLostObject),
-            4 => Ok(SessionEnd::CheatDetected),
-            5 => Ok(SessionEnd::HorizonReached),
-            6 => Ok(SessionEnd::PeerDeparted),
-            t => Err(corrupt(format!("unknown session-end tag {t}"))),
-        }
-    }
-
-    fn peer_class(&mut self) -> Result<PeerClass, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(PeerClass::Sharing),
-            1 => Ok(PeerClass::NonSharing),
-            t => Err(corrupt(format!("unknown peer-class tag {t}"))),
-        }
-    }
-
-    fn capacity_class(&mut self) -> Result<CapacityClass, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(CapacityClass::Fast),
-            1 => Ok(CapacityClass::Medium),
-            2 => Ok(CapacityClass::Slow),
-            t => Err(corrupt(format!("unknown capacity-class tag {t}"))),
-        }
-    }
-
-    fn behavior_kind(&mut self) -> Result<BehaviorKind, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(BehaviorKind::Honest),
-            1 => Ok(BehaviorKind::FreeRider),
-            2 => Ok(BehaviorKind::JunkSender),
-            3 => Ok(BehaviorKind::ParticipationCheater),
-            4 => Ok(BehaviorKind::Middleman),
-            t => Err(corrupt(format!("unknown behavior-kind tag {t}"))),
-        }
+        let len = self.decode()?;
+        let mut section = Cursor {
+            buf: self.take(len)?,
+            pos: 0,
+            ..*self
+        };
+        let value = read(&mut section)?;
+        section.done()?;
+        Ok(value)
     }
 
     /// Asserts the payload was consumed exactly.
     fn done(&self) -> Result<(), SnapshotError> {
-        if self.remaining() != 0 {
-            return Err(corrupt(format!(
-                "{} trailing bytes after a complete structure",
-                self.remaining()
-            )));
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(corrupt!("{n} trailing bytes after a complete structure")),
         }
-        Ok(())
     }
 }
 
-fn write_section<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> Result<(), SnapshotError> {
+/// Writes one tagged, length-prefixed section whose payload `write` encodes.
+fn write_section<W: Write>(
+    w: &mut W,
+    tag: u8,
+    write: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), SnapshotError> {
+    let mut payload = Vec::new();
+    write(&mut payload);
     w.write_all(&[tag])?;
     w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(payload)?;
+    Ok(w.write_all(&payload)?)
+}
+
+// ---- primitives ------------------------------------------------------------
+
+macro_rules! le_codec {
+    ($($ty:ty),+) => {$(
+        impl Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+        }
+
+        impl Decode for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+
+            fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+                let bytes = cur.take(std::mem::size_of::<$ty>())?;
+                Ok(<$ty>::from_le_bytes(bytes.try_into().map_err(|_| SnapshotError::Truncated)?))
+            }
+        }
+    )+};
+}
+
+le_codec!(u8, u32, u64);
+
+/// A type that travels with `$wire`'s layout: `$to` turns a borrowed value
+/// into something that encodes as `$wire` (often a borrowed view), and the
+/// fallible `$from` converts a decoded `$wire` back, validating it.
+macro_rules! via_codec {
+    ($ty:ty as $wire:ty, |$v:ident| $to:expr, |$w:pat, $cur:ident| $from:expr) => {
+        impl Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let $v = self;
+                $to.encode(out);
+            }
+        }
+
+        impl Decode for $ty {
+            const MIN_LEN: usize = <$wire as Decode>::MIN_LEN;
+
+            fn decode($cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+                let $w: $wire = $cur.decode()?;
+                $from
+            }
+        }
+    };
+}
+
+via_codec!(usize as u64, |v| *v as u64, |w, _cur| {
+    usize::try_from(w).map_err(|_| SnapshotError::Truncated)
+});
+via_codec!(f64 as u64, |v| v.to_bits(), |w, _cur| Ok(f64::from_bits(w)));
+via_codec!(SimTime as u64, |v| v.as_micros(), |w, _cur| {
+    Ok(SimTime::from_micros(w))
+});
+via_codec!(bool as u8, |v| u8::from(*v), |w, _cur| match w {
+    0 => Ok(false),
+    1 => Ok(true),
+    _ => Err(corrupt!("invalid boolean byte {w}")),
+});
+via_codec!(PeerId as u32, |v| v.index(), |w, cur| {
+    id_below(w, cur.peers, "peer").map(PeerId::new)
+});
+via_codec!(ObjectId as u32, |v| v.index(), |w, cur| {
+    id_below(w, cur.objects, "object").map(ObjectId::new)
+});
+
+/// Range-checks a decoded id against its population's size.
+fn id_below(raw: u32, bound: usize, what: &str) -> Result<u32, SnapshotError> {
+    if raw as usize >= bound {
+        return Err(corrupt!("{what} id {raw} out of range ({bound} {what}s)"));
+    }
+    Ok(raw)
+}
+
+// ---- containers ------------------------------------------------------------
+
+/// Writes `len` and then each item: the layout of every sequence, map and
+/// set.
+fn encode_seq<T: Encode>(out: &mut Vec<u8>, len: usize, items: impl IntoIterator<Item = T>) {
+    len.encode(out);
+    for item in items {
+        item.encode(out);
+    }
+}
+
+/// Reads a count and that many `T`s into `C`, rejecting an item `insert`
+/// refuses (a repeated key).
+fn decode_unique<T: Decode, C: Default>(
+    cur: &mut Cursor<'_>,
+    mut insert: impl FnMut(&mut C, T) -> bool,
+) -> Result<C, SnapshotError> {
+    let mut out = C::default();
+    for _ in 0..cur.len_of::<T>()? {
+        if !insert(&mut out, cur.decode()?) {
+            return Err(corrupt!("duplicate key"));
+        }
+    }
+    Ok(out)
+}
+
+// exchange-lint: allow(H001, reason = "`for [T]` names the slice type; nothing is indexed")
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(out, self.len(), self);
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    const MIN_LEN: usize = 8;
+
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        // Collecting grows the vector with the items actually decoded, never
+        // by the declared count alone.
+        (0..cur.len_of::<T>()?).map(|_| cur.decode()).collect()
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            None => 0u8.encode(out),
+            Some(value) => (1u8, value).encode(out),
+        }
+    }
+}
+
+impl<T: Decode> Decode for Option<T> {
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        match cur.decode::<u8>()? {
+            0 => Ok(None),
+            1 => Ok(Some(cur.decode()?)),
+            t => Err(corrupt!("invalid option tag {t}")),
+        }
+    }
+}
+
+impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(out, self.len(), self);
+    }
+}
+
+impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    const MIN_LEN: usize = 8;
+
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        decode_unique(cur, |map: &mut Self, (k, v)| map.insert(k, v).is_none())
+    }
+}
+
+impl<T: Encode> Encode for BTreeSet<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(out, self.len(), self);
+    }
+}
+
+impl<T: Decode + Ord> Decode for BTreeSet<T> {
+    const MIN_LEN: usize = 8;
+
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        decode_unique(cur, BTreeSet::insert)
+    }
+}
+
+/// Tuples are their fields in order.
+macro_rules! tuple_codec {
+    ($($name:ident: $ty:ident),+) => {
+        impl<$($ty: Encode),+> Encode for ($($ty,)+) {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let ($($name,)+) = self;
+                $($name.encode(out);)+
+            }
+        }
+
+        impl<$($ty: Decode),+> Decode for ($($ty,)+) {
+            const MIN_LEN: usize = 0 $(+ $ty::MIN_LEN)+;
+
+            fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+                Ok(($(cur.decode::<$ty>()?,)+))
+            }
+        }
+    };
+}
+
+tuple_codec!(a: A, b: B);
+tuple_codec!(a: A, b: B, c: C);
+tuple_codec!(a: A, b: B, c: C, d: D);
+tuple_codec!(a: A, b: B, c: C, d: D, e: E);
+tuple_codec!(a: A, b: B, c: C, d: D, e: E, f: F);
+
+/// A struct travels as its listed fields, in order.  Reading builds it with
+/// a struct literal, so a field missing from the list does not compile.
+macro_rules! record_codec {
+    ($ty:ty { $($field:ident: $fty:ty),+ $(,)? }) => {
+        impl $crate::simulation::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::simulation::Encode::encode(&self.$field, out);)+
+            }
+        }
+
+        impl $crate::simulation::Decode for $ty {
+            const MIN_LEN: usize = 0 $(+ <$fty as $crate::simulation::Decode>::MIN_LEN)+;
+
+            fn decode(
+                cur: &mut $crate::simulation::Cursor<'_>,
+            ) -> Result<Self, $crate::simulation::SnapshotError> {
+                Ok(Self {
+                    $($field: cur.decode::<$fty>()?,)+
+                })
+            }
+        }
+    };
+}
+pub(crate) use record_codec;
+
+// ---- enums -----------------------------------------------------------------
+
+/// A fieldless enum is one byte: the variant's position in `$table`.
+macro_rules! table_codec {
+    ($ty:ty, $table:ident) => {
+        impl Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let tag = $table
+                    .iter()
+                    .position(|v| v == self)
+                    .expect("every variant is listed in its tag table");
+                (tag as u8).encode(out);
+            }
+        }
+
+        impl Decode for $ty {
+            fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+                let tag: u8 = cur.decode()?;
+                $table
+                    .get(usize::from(tag))
+                    .copied()
+                    .ok_or_else(|| corrupt!("unknown {} tag {tag}", stringify!($ty)))
+            }
+        }
+    };
+}
+
+const SESSION_END_TAGS: [SessionEnd; 7] = [
+    SessionEnd::DownloadComplete,
+    SessionEnd::RingDissolved,
+    SessionEnd::Preempted,
+    SessionEnd::SourceLostObject,
+    SessionEnd::CheatDetected,
+    SessionEnd::HorizonReached,
+    SessionEnd::PeerDeparted,
+];
+const PEER_CLASS_TAGS: [PeerClass; 2] = [PeerClass::Sharing, PeerClass::NonSharing];
+const CAPACITY_CLASS_TAGS: [CapacityClass; 3] = [
+    CapacityClass::Fast,
+    CapacityClass::Medium,
+    CapacityClass::Slow,
+];
+const BEHAVIOR_KIND_TAGS: [BehaviorKind; 5] = [
+    BehaviorKind::Honest,
+    BehaviorKind::FreeRider,
+    BehaviorKind::JunkSender,
+    BehaviorKind::ParticipationCheater,
+    BehaviorKind::Middleman,
+];
+
+table_codec!(SessionEnd, SESSION_END_TAGS);
+table_codec!(PeerClass, PEER_CLASS_TAGS);
+table_codec!(CapacityClass, CAPACITY_CLASS_TAGS);
+table_codec!(BehaviorKind, BEHAVIOR_KIND_TAGS);
+
+impl Encode for SessionKind {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            SessionKind::NonExchange => 0u8.encode(out),
+            SessionKind::Exchange { ring_size } => (1u8, ring_size).encode(out),
+        }
+    }
+}
+
+impl Decode for SessionKind {
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        match cur.decode::<u8>()? {
+            0 => Ok(SessionKind::NonExchange),
+            1 => Ok(SessionKind::Exchange {
+                ring_size: cur.decode()?,
+            }),
+            t => Err(corrupt!("unknown session-kind tag {t}")),
+        }
+    }
+}
+
+impl Encode for Event {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            Event::Arrive(p) => (0u8, p).encode(out),
+            Event::GenerateRequests(p) => (1u8, p).encode(out),
+            Event::TrySchedule(p) => (2u8, p).encode(out),
+            Event::BlockComplete(tid) => (3u8, tid).encode(out),
+            Event::StorageMaintenance(p) => (4u8, p).encode(out),
+            Event::Depart(p) => (5u8, p).encode(out),
+            Event::Rejoin(p) => (6u8, p).encode(out),
+            Event::Catastrophe => 7u8.encode(out),
+            Event::FlashCrowd => 8u8.encode(out),
+        }
+    }
+}
+
+impl Decode for Event {
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        Ok(match cur.decode::<u8>()? {
+            0 => Event::Arrive(cur.decode()?),
+            1 => Event::GenerateRequests(cur.decode()?),
+            2 => Event::TrySchedule(cur.decode()?),
+            3 => match cur.decode()? {
+                tid if tid < cur.transfers => Event::BlockComplete(tid),
+                tid => return Err(corrupt!("event names unknown transfer {tid}")),
+            },
+            4 => Event::StorageMaintenance(cur.decode()?),
+            5 => Event::Depart(cur.decode()?),
+            6 => Event::Rejoin(cur.decode()?),
+            7 => Event::Catastrophe,
+            8 => Event::FlashCrowd,
+            t => return Err(corrupt!("unknown event tag {t}")),
+        })
+    }
+}
+
+impl Encode for SchedulerState<PeerId> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            SchedulerState::Stateless => 0u8.encode(out),
+            SchedulerState::EmuleCredit(rows) => (1u8, rows).encode(out),
+            SchedulerState::TitForTat(rows) => (2u8, rows).encode(out),
+            SchedulerState::ParticipationLevel { reported, honest } => {
+                (3u8, reported, honest).encode(out);
+            }
+        }
+    }
+}
+
+impl Decode for SchedulerState<PeerId> {
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        Ok(match cur.decode::<u8>()? {
+            0 => SchedulerState::Stateless,
+            1 => SchedulerState::EmuleCredit(cur.decode()?),
+            2 => SchedulerState::TitForTat(cur.decode()?),
+            3 => SchedulerState::ParticipationLevel {
+                reported: cur.decode()?,
+                honest: cur.decode()?,
+            },
+            t => return Err(corrupt!("unknown scheduler-state tag {t}")),
+        })
+    }
+}
+
+// ---- foreign and simulation types ------------------------------------------
+
+via_codec!(
+    OnlineStats as (u64, f64, f64, f64, f64, f64),
+    |v| v.raw_parts(),
+    |(count, mean, m2, min, max, sum), _cur| {
+        Ok(OnlineStats::from_raw_parts(count, mean, m2, min, max, sum))
+    }
+);
+
+via_codec!(
+    SampleSet as (Vec<f64>, usize, u64),
+    |v| (v.samples(), v.capacity(), v.seen()),
+    |(samples, capacity, seen), _cur| {
+        if capacity == 0 || samples.len() > capacity {
+            return Err(corrupt!("sample set exceeds its (positive) capacity"));
+        }
+        Ok(SampleSet::from_parts(samples, capacity, seen))
+    }
+);
+
+impl<K: Encode + Ord> Encode for ClassTally<K> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(out, self.len(), self.iter());
+    }
+}
+
+impl<K: Decode + Ord> Decode for ClassTally<K> {
+    const MIN_LEN: usize = 8;
+
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        let mut tally = ClassTally::new();
+        for (class, stats) in cur.decode::<BTreeMap<K, OnlineStats>>()? {
+            tally.insert_stats(class, stats);
+        }
+        Ok(tally)
+    }
+}
+
+via_codec!(
+    DetRng as (u64, u64, u64, u64, u64),
+    |v| {
+        let (seed, [a, b, c, d]) = (v.seed(), v.state());
+        (seed, a, b, c, d)
+    },
+    |(seed, a, b, c, d), _cur| Ok(DetRng::from_state(seed, [a, b, c, d]))
+);
+
+via_codec!(
+    WindowedExchange as (u64, u32, u32, u32, u32),
+    |w| {
+        let head = (w.block_bytes(), w.window(), w.max_window());
+        (head, w.validated_rounds(), w.invalid_blocks())
+    },
+    |(block, window, max_window, validated, invalid), _cur| {
+        if block == 0 || max_window == 0 || !(1..=max_window).contains(&window) {
+            return Err(corrupt!("invalid validation-window state"));
+        }
+        Ok(WindowedExchange::from_parts(
+            block, window, max_window, validated, invalid,
+        ))
+    }
+);
+
+record_codec!(RingEdge<PeerId, ObjectId> {
+    uploader: PeerId,
+    downloader: PeerId,
+    object: ObjectId,
+});
+
+via_codec!(
+    ExchangeRing<PeerId, ObjectId> as Vec<RingEdge<PeerId, ObjectId>>,
+    |v| v.edges(),
+    |edges, _cur| ExchangeRing::new(edges).map_err(|e| corrupt!("invalid cached ring: {e}"))
+);
+
+record_codec!(SearchTrace<PeerId, ObjectId> {
+    rings: Vec<ExchangeRing<PeerId, ObjectId>>,
+    deps: Vec<PeerId>,
+    edge_deps: Vec<PeerId>,
+});
+
+record_codec!(RingCacheStats {
+    hits: u64,
+    misses: u64,
+    invalidations: u64,
+});
+
+via_codec!(
+    TransferSession as (f64, u64, SimTime, u64),
+    |s| {
+        let rate = s.rate_bytes_per_sec();
+        (rate, s.block_bytes(), s.started_at(), s.bytes_transferred())
+    },
+    |(rate, block, started_at, bytes), _cur| {
+        if !rate.is_finite() || rate <= 0.0 || block == 0 {
+            return Err(corrupt!("transfer rate and block size must be positive"));
+        }
+        let mut session = TransferSession::new(rate, block, started_at);
+        session.record_block(bytes);
+        Ok(session)
+    }
+);
+
+record_codec!(ActiveTransfer {
+    uploader: PeerId,
+    downloader: PeerId,
+    object: ObjectId,
+    kind: SessionKind,
+    ring: Option<RingId>,
+    session: TransferSession,
+    validation: Option<WindowedExchange>,
+});
+
+record_codec!(ActiveRing {
+    transfers: Vec<TransferId>,
+});
+
+record_codec!(WantState {
+    issued_at: SimTime,
+    received_bytes: u64,
+    providers: Vec<PeerId>,
+    active_sessions: usize,
+});
+
+/// A peer's mutable state; everything else about it is regenerated with the
+/// setup.
+fn encode_peer(peer: &PeerState, out: &mut Vec<u8>) {
+    peer.online.encode(out);
+    encode_seq(out, peer.storage.len(), peer.storage.iter());
+    (peer.upload_slots.in_use(), peer.download_slots.in_use()).encode(out);
+    peer.wants.encode(out);
+    (peer.downloaded_bytes, peer.uploaded_bytes).encode(out);
+    (peer.junk_bytes, peer.ciphertext_bytes).encode(out);
+}
+
+/// Overwrites the run-mutated state of a freshly generated `peer`.
+fn decode_peer(peer: &mut PeerState, cur: &mut Cursor<'_>) -> Result<(), SnapshotError> {
+    peer.online = cur.decode()?;
+    peer.storage = Storage::new(peer.storage.capacity());
+    for object in cur.decode::<Vec<ObjectId>>()? {
+        peer.storage.insert(object);
+    }
+    for pool in [&mut peer.upload_slots, &mut peer.download_slots] {
+        for _ in 0..cur.decode::<usize>()? {
+            pool.reserve()
+                .map_err(|_| corrupt!("slot occupancy exceeds the pool capacity"))?;
+        }
+    }
+    peer.wants = cur.decode()?;
+    (peer.downloaded_bytes, peer.uploaded_bytes) = cur.decode()?;
+    (peer.junk_bytes, peer.ciphertext_bytes) = cur.decode()?;
     Ok(())
 }
 
-fn read_section<'a>(cur: &mut Cursor<'a>, expected: u8) -> Result<Cursor<'a>, SnapshotError> {
-    let tag = cur.u8()?;
-    if tag != expected {
-        return Err(corrupt(format!(
-            "expected section tag {expected}, found {tag}"
-        )));
-    }
-    let len = cur.u64()?;
-    let len = usize::try_from(len).map_err(|_| SnapshotError::Truncated)?;
-    Ok(Cursor::new(cur.take(len)?))
+type Edge = (PeerId, PeerId, ObjectId);
+
+/// Every endpoint of the dirty-edge log — the peer view the v1 layout stores
+/// ahead of the log itself.
+fn dirty_log_peers(log: &BTreeSet<Edge>) -> BTreeSet<PeerId> {
+    log.iter()
+        .flat_map(|&(provider, requester, _)| [provider, requester])
+        .collect()
 }
 
-fn put_rng(buf: &mut Vec<u8>, rng: &DetRng) {
-    put_u64(buf, rng.seed());
-    for word in rng.state() {
-        put_u64(buf, word);
-    }
-}
-
-fn read_rng(cur: &mut Cursor<'_>) -> Result<DetRng, SnapshotError> {
-    let seed = cur.u64()?;
-    let mut state = [0u64; 4];
-    for word in &mut state {
-        *word = cur.u64()?;
-    }
-    Ok(DetRng::from_state(seed, state))
-}
-
-fn put_tally(buf: &mut Vec<u8>, tally: &ClassTally<PeerClass>) {
-    put_usize(buf, tally.len());
-    for (class, stats) in tally.iter() {
-        put_u8(buf, peer_class_tag(*class));
-        put_stats(buf, stats);
+/// The request graph with its undrained dirty log: the edges, the mutation
+/// generation, the log's endpoints, then the log itself.
+impl Encode for RequestGraph<PeerId, ObjectId> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let edges = self.iter().map(|r| (r.requester, r.provider, r.object));
+        encode_seq(out, self.len(), edges);
+        let log = self.dirty_edge_log();
+        (self.generation(), dirty_log_peers(log), log).encode(out);
     }
 }
 
-fn read_tally(cur: &mut Cursor<'_>) -> Result<ClassTally<PeerClass>, SnapshotError> {
-    let n = cur.seq_len(1 + 48)?;
-    let mut tally = ClassTally::new();
-    for _ in 0..n {
-        let class = cur.peer_class()?;
-        let stats = cur.stats()?;
-        tally.insert_stats(class, stats);
+impl Decode for RequestGraph<PeerId, ObjectId> {
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        let (edges, generation): (Vec<Edge>, u64) = cur.decode()?;
+        let (endpoints, log): (Vec<PeerId>, BTreeSet<Edge>) = cur.decode()?;
+        if edges.iter().any(|(from, to, _)| from == to) {
+            return Err(corrupt!("the request graph lists a self-request"));
+        }
+        if !dirty_log_peers(&log).into_iter().eq(endpoints) {
+            return Err(corrupt!("dirty-peer list disagrees with the edge log"));
+        }
+        Ok(RequestGraph::from_parts(edges, generation, log))
     }
-    Ok(tally)
+}
+
+/// The DES engine: clock, horizon, delivered count, sequence counter and the
+/// pending events, none of which may predate the clock.
+impl Encode for Scheduler<Event> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.now(), self.horizon(), self.delivered()).encode(out);
+        (self.queue().next_seq(), self.queue().sorted_entries()).encode(out);
+    }
+}
+
+impl Decode for Scheduler<Event> {
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
+        let (now, horizon, delivered, next_seq) = cur.decode()?;
+        let entries: Vec<(SimTime, u64, Event)> = cur.decode()?;
+        for &(time, seq, _) in &entries {
+            if seq >= next_seq {
+                return Err(corrupt!("event sequence {seq} not below the counter"));
+            }
+            if time < now {
+                return Err(corrupt!("event at {time} precedes the clock at {now}"));
+            }
+        }
+        let queue = EventQueue::from_parts(entries, next_seq);
+        Ok(Scheduler::from_parts(now, horizon, delivered, queue))
+    }
+}
+
+/// A map's entries in ascending id order, the order the snapshot stores.
+fn sorted_by_id<V>(map: &HashMap<u64, V>) -> Vec<(u64, &V)> {
+    // exchange-lint: allow(D001, reason = "collected into a Vec that is sorted by id on the next line")
+    let mut entries: Vec<(u64, &V)> = map.iter().map(|(id, value)| (*id, value)).collect();
+    entries.sort_unstable_by_key(|&(id, _)| id);
+    entries
 }
 
 impl Simulation {
@@ -574,318 +873,43 @@ impl Simulation {
     /// Returns [`SnapshotError::Io`] when the writer fails; nothing else can
     /// go wrong on the write side.
     pub fn checkpoint<W: Write>(&self, writer: &mut W) -> Result<(), SnapshotError> {
-        writer.write_all(&SNAPSHOT_MAGIC)?;
-        writer.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-        writer.write_all(&self.setup_seed.to_le_bytes())?;
-        writer.write_all(&(self.peers.len() as u64).to_le_bytes())?;
-
-        // RNG streams.
-        let mut buf = Vec::new();
-        for rng in [
-            &self.rng_requests,
-            &self.rng_lookup,
-            &self.rng_storage,
-            &self.rng_churn,
-        ] {
-            put_rng(&mut buf, rng);
-        }
-        write_section(writer, TAG_RNGS, &buf)?;
-
+        let mut header = SNAPSHOT_MAGIC.to_vec();
+        (SNAPSHOT_VERSION, self.setup_seed, self.peers.len()).encode(&mut header);
+        writer.write_all(&header)?;
+        write_section(writer, TAG_RNGS, |out| {
+            (&self.rng_requests, &self.rng_lookup).encode(out);
+            (&self.rng_storage, &self.rng_churn).encode(out);
+        })?;
         // Catalog: only the flash-crowd releases beyond the setup catalog.
-        buf.clear();
-        put_usize(&mut buf, self.setup_objects);
-        let released: Vec<_> = self.catalog.iter().skip(self.setup_objects).collect();
-        put_usize(&mut buf, released.len());
-        for info in released {
-            put_u32(&mut buf, info.category.index());
-            put_u64(&mut buf, info.size_bytes);
-        }
-        write_section(writer, TAG_CATALOG, &buf)?;
-
-        // Per-peer mutable state.
-        buf.clear();
-        for peer in &self.peers {
-            put_bool(&mut buf, peer.online);
-            put_usize(&mut buf, peer.storage.iter().count());
-            for object in peer.storage.iter() {
-                put_object(&mut buf, object);
-            }
-            put_usize(&mut buf, peer.upload_slots.in_use());
-            put_usize(&mut buf, peer.download_slots.in_use());
-            put_usize(&mut buf, peer.wants.len());
-            for (object, want) in &peer.wants {
-                put_object(&mut buf, *object);
-                put_time(&mut buf, want.issued_at);
-                put_u64(&mut buf, want.received_bytes);
-                put_usize(&mut buf, want.providers.len());
-                for provider in &want.providers {
-                    put_peer(&mut buf, *provider);
-                }
-                put_usize(&mut buf, want.active_sessions);
-            }
-            put_u64(&mut buf, peer.downloaded_bytes);
-            put_u64(&mut buf, peer.uploaded_bytes);
-            put_u64(&mut buf, peer.junk_bytes);
-            put_u64(&mut buf, peer.ciphertext_bytes);
-        }
-        write_section(writer, TAG_PEERS, &buf)?;
-
-        // Request graph, including the undrained dirty log.
-        buf.clear();
-        put_usize(&mut buf, self.graph.len());
-        for request in self.graph.iter() {
-            put_peer(&mut buf, request.requester);
-            put_peer(&mut buf, request.provider);
-            put_object(&mut buf, request.object);
-        }
-        put_u64(&mut buf, self.graph.generation());
-        let endpoints = dirty_log_peers(self.graph.dirty_edge_log());
-        put_usize(&mut buf, endpoints.len());
-        for peer in endpoints {
-            put_peer(&mut buf, peer);
-        }
-        put_usize(&mut buf, self.graph.dirty_edge_log().len());
-        for (provider, requester, object) in self.graph.dirty_edge_log() {
-            put_peer(&mut buf, *provider);
-            put_peer(&mut buf, *requester);
-            put_object(&mut buf, *object);
-        }
-        put_u64(&mut buf, self.drained_generation);
-        write_section(writer, TAG_GRAPH, &buf)?;
-
-        // Transfers and rings, in id order.
-        buf.clear();
-        put_u64(&mut buf, self.next_transfer_id);
-        put_u64(&mut buf, self.next_ring_id);
-        put_u64(&mut buf, self.transfer_epoch);
-        put_u64(&mut buf, self.world_epoch);
-        // exchange-lint: allow(D001, reason = "drained into a sorted Vec on the next line; serialized in TransferId order")
-        let mut tids: Vec<TransferId> = self.transfers.keys().copied().collect();
-        tids.sort_unstable();
-        put_usize(&mut buf, tids.len());
-        for tid in tids {
-            // exchange-lint: allow(H001, reason = "tid drawn from transfers.keys() three lines up")
-            let transfer = &self.transfers[&tid];
-            put_u64(&mut buf, tid);
-            put_peer(&mut buf, transfer.uploader);
-            put_peer(&mut buf, transfer.downloader);
-            put_object(&mut buf, transfer.object);
-            let (kind_tag, ring_size) = session_kind_tag(transfer.kind);
-            put_u8(&mut buf, kind_tag);
-            if let Some(size) = ring_size {
-                put_u64(&mut buf, size);
-            }
-            match transfer.ring {
-                None => put_u8(&mut buf, 0),
-                Some(rid) => {
-                    put_u8(&mut buf, 1);
-                    put_u64(&mut buf, rid);
-                }
-            }
-            put_f64(&mut buf, transfer.session.rate_bytes_per_sec());
-            put_u64(&mut buf, transfer.session.block_bytes());
-            put_time(&mut buf, transfer.session.started_at());
-            put_u64(&mut buf, transfer.session.bytes_transferred());
-            match &transfer.validation {
-                None => put_u8(&mut buf, 0),
-                Some(exchange) => {
-                    put_u8(&mut buf, 1);
-                    put_u64(&mut buf, exchange.block_bytes());
-                    put_u32(&mut buf, exchange.window());
-                    put_u32(&mut buf, exchange.max_window());
-                    put_u32(&mut buf, exchange.validated_rounds());
-                    put_u32(&mut buf, exchange.invalid_blocks());
-                }
-            }
-        }
-        // exchange-lint: allow(D001, reason = "drained into a sorted Vec on the next line; serialized in RingId order")
-        let mut rids: Vec<RingId> = self.rings.keys().copied().collect();
-        rids.sort_unstable();
-        put_usize(&mut buf, rids.len());
-        for rid in rids {
-            // exchange-lint: allow(H001, reason = "rid drawn from rings.keys() three lines up")
-            let ring = &self.rings[&rid];
-            put_u64(&mut buf, rid);
-            put_usize(&mut buf, ring.transfers.len());
-            // exchange-lint: allow(D001, reason = "ring.transfers is an ordered Vec, not a map")
-            for tid in &ring.transfers {
-                put_u64(&mut buf, *tid);
-            }
-        }
-        write_section(writer, TAG_TRANSFERS, &buf)?;
-
-        // DES engine: clock, horizon, delivered counter, pending events.
-        buf.clear();
-        put_time(&mut buf, self.engine.now());
-        match self.engine.horizon() {
-            None => put_u8(&mut buf, 0),
-            Some(h) => {
-                put_u8(&mut buf, 1);
-                put_time(&mut buf, h);
-            }
-        }
-        put_u64(&mut buf, self.engine.delivered());
-        put_u64(&mut buf, self.engine.queue().next_seq());
-        let entries = self.engine.queue().sorted_entries();
-        put_usize(&mut buf, entries.len());
-        for (time, seq, event) in entries {
-            put_time(&mut buf, time);
-            put_u64(&mut buf, seq);
-            put_event(&mut buf, event);
-        }
-        write_section(writer, TAG_ENGINE, &buf)?;
-
-        // Upload-scheduler state (credit tables and the like).
-        buf.clear();
-        match self.scheduler.export_state() {
-            SchedulerState::Stateless => put_u8(&mut buf, 0),
-            SchedulerState::EmuleCredit(rows) => {
-                put_u8(&mut buf, 1);
-                put_usize(&mut buf, rows.len());
-                for (a, b, up, down) in rows {
-                    put_peer(&mut buf, a);
-                    put_peer(&mut buf, b);
-                    put_u64(&mut buf, up);
-                    put_u64(&mut buf, down);
-                }
-            }
-            SchedulerState::TitForTat(rows) => {
-                put_u8(&mut buf, 2);
-                put_usize(&mut buf, rows.len());
-                for (a, b, bytes) in rows {
-                    put_peer(&mut buf, a);
-                    put_peer(&mut buf, b);
-                    put_u64(&mut buf, bytes);
-                }
-            }
-            SchedulerState::ParticipationLevel { reported, honest } => {
-                put_u8(&mut buf, 3);
-                put_usize(&mut buf, reported.len());
-                for (peer, level) in reported {
-                    put_peer(&mut buf, peer);
-                    put_f64(&mut buf, level);
-                }
-                put_usize(&mut buf, honest.len());
-                for (peer, bytes) in honest {
-                    put_peer(&mut buf, peer);
-                    put_u64(&mut buf, bytes);
-                }
-            }
-        }
-        write_section(writer, TAG_SCHEDULER, &buf)?;
-
-        // Population bookkeeping: armed maintenance/generation flags.
-        buf.clear();
-        put_usize(&mut buf, self.maintenance_pending.len());
-        for &pending in &self.maintenance_pending {
-            put_bool(&mut buf, pending);
-        }
-        put_usize(&mut buf, self.generate_queued.len());
-        for &queued in &self.generate_queued {
-            put_u32(&mut buf, queued);
-        }
-        write_section(writer, TAG_POPULATION, &buf)?;
-
-        // Ring-candidate cache: tag, counters, entries (sorted roots).
-        buf.clear();
-        put_u8(&mut buf, RING_CACHE_TAG);
-        let stats = self.ring_cache.stats();
-        put_u64(&mut buf, stats.hits);
-        put_u64(&mut buf, stats.misses);
-        put_u64(&mut buf, stats.invalidations);
-        put_usize(&mut buf, self.ring_cache.len());
-        for entry in self.ring_cache.iter_entries() {
-            put_peer(&mut buf, entry.root);
-            put_usize(&mut buf, entry.wants.len());
-            for object in entry.wants {
-                put_object(&mut buf, *object);
-            }
-            put_usize(&mut buf, entry.rings.len());
-            // exchange-lint: allow(D001, reason = "entry.rings is the cache entry's ordered Vec, not a map")
-            for ring in entry.rings {
-                put_usize(&mut buf, ring.edges().len());
-                for edge in ring.edges() {
-                    put_peer(&mut buf, edge.uploader);
-                    put_peer(&mut buf, edge.downloader);
-                    put_object(&mut buf, edge.object);
-                }
-            }
-            put_usize(&mut buf, entry.deps.len());
-            for peer in entry.deps {
-                put_peer(&mut buf, *peer);
-            }
-            put_usize(&mut buf, entry.edge_deps.len());
-            for peer in entry.edge_deps {
-                put_peer(&mut buf, *peer);
-            }
-        }
-        write_section(writer, TAG_RING_CACHE, &buf)?;
-
-        // Report accumulators.
-        buf.clear();
-        let parts = self.report.to_parts();
-        put_tally(&mut buf, &parts.download_time_min);
-        put_usize(&mut buf, parts.capacity_download_min.len());
-        for (class, set) in &parts.capacity_download_min {
-            put_u8(&mut buf, capacity_class_tag(*class));
-            put_samples(&mut buf, set);
-        }
-        for map in [&parts.waiting_secs, &parts.session_bytes] {
-            put_usize(&mut buf, map.len());
-            for (kind, set) in map {
-                let (tag, ring_size) = session_kind_tag(*kind);
-                put_u8(&mut buf, tag);
-                if let Some(size) = ring_size {
-                    put_u64(&mut buf, size);
-                }
-                put_samples(&mut buf, set);
-            }
-        }
-        put_usize(&mut buf, parts.session_counts.len());
-        for (kind, count) in &parts.session_counts {
-            let (tag, ring_size) = session_kind_tag(*kind);
-            put_u8(&mut buf, tag);
-            if let Some(size) = ring_size {
-                put_u64(&mut buf, size);
-            }
-            put_u64(&mut buf, *count);
-        }
-        put_usize(&mut buf, parts.session_ends.len());
-        for (end, count) in &parts.session_ends {
-            put_u8(&mut buf, session_end_tag(*end));
-            put_u64(&mut buf, *count);
-        }
-        put_tally(&mut buf, &parts.volume_per_peer_mb);
-        put_usize(&mut buf, parts.behaviors.len());
-        for (kind, stats) in &parts.behaviors {
-            put_u8(&mut buf, behavior_kind_tag(*kind));
-            put_usize(&mut buf, stats.peers);
-            put_u64(&mut buf, stats.uploaded_bytes);
-            put_u64(&mut buf, stats.downloaded_bytes);
-            put_u64(&mut buf, stats.junk_bytes);
-            put_u64(&mut buf, stats.ciphertext_bytes);
-            put_u64(&mut buf, stats.completed_downloads);
-            put_u64(&mut buf, stats.ciphertext_downloads);
-            put_u64(&mut buf, stats.cheat_detections);
-            put_stats(&mut buf, &stats.download_time_min);
-        }
-        put_u64(&mut buf, parts.completed_downloads);
-        put_usize(&mut buf, parts.rings_formed.len());
-        for (size, count) in &parts.rings_formed {
-            put_usize(&mut buf, *size);
-            put_u64(&mut buf, *count);
-        }
-        put_u64(&mut buf, parts.token_declines);
-        put_u64(&mut buf, parts.rings_dissolved_at_activation);
-        put_u64(&mut buf, parts.preemptions);
-        put_u64(&mut buf, parts.ring_cache.hits);
-        put_u64(&mut buf, parts.ring_cache.misses);
-        put_u64(&mut buf, parts.ring_cache.invalidations);
-        put_f64(&mut buf, parts.sim_seconds);
-        put_usize(&mut buf, parts.peers);
-        write_section(writer, TAG_REPORT, &buf)?;
-
-        Ok(())
+        write_section(writer, TAG_CATALOG, |out| {
+            let released: Vec<(u32, u64)> = (self.catalog.iter().skip(self.setup_objects))
+                .map(|info| (info.category.index(), info.size_bytes))
+                .collect();
+            (self.setup_objects, released).encode(out);
+        })?;
+        write_section(writer, TAG_PEERS, |out| {
+            self.peers.iter().for_each(|p| encode_peer(p, out))
+        })?;
+        let graph = (&self.graph, self.drained_generation);
+        write_section(writer, TAG_GRAPH, |out| graph.encode(out))?;
+        write_section(writer, TAG_TRANSFERS, |out| {
+            (self.next_transfer_id, self.next_ring_id).encode(out);
+            (self.transfer_epoch, self.world_epoch).encode(out);
+            (sorted_by_id(&self.transfers), sorted_by_id(&self.rings)).encode(out);
+        })?;
+        write_section(writer, TAG_ENGINE, |out| self.engine.encode(out))?;
+        let scheduler = self.scheduler.export_state();
+        write_section(writer, TAG_SCHEDULER, |out| scheduler.encode(out))?;
+        let population = (&self.maintenance_pending, &self.generate_queued);
+        write_section(writer, TAG_POPULATION, |out| population.encode(out))?;
+        write_section(writer, TAG_RING_CACHE, |out| {
+            (RING_CACHE_TAG, self.ring_cache.stats()).encode(out);
+            // Each entry is laid out as a `(root, wants, SearchTrace)` triple.
+            let entries = (self.ring_cache.iter_entries())
+                .map(|e| (e.root, e.wants, (e.rings, e.deps, e.edge_deps)));
+            encode_seq(out, self.ring_cache.len(), entries);
+        })?;
+        write_section(writer, TAG_REPORT, |out| self.report.encode(out))
     }
 
     /// Rebuilds a simulation from a snapshot previously written by
@@ -905,116 +929,66 @@ impl Simulation {
     ) -> Result<Simulation, SnapshotError> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;
-        let mut cur = Cursor::new(&bytes);
+        let mut cur = Cursor {
+            buf: &bytes,
+            ..Cursor::default()
+        };
 
         // Header.
         let magic = cur.take(8).map_err(|_| SnapshotError::BadMagic)?;
         if magic != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = cur.u32()?;
+        let version: u32 = cur.decode()?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,
             });
         }
-        let setup_seed = cur.u64()?;
-        let num_peers = usize::try_from(cur.u64()?).map_err(|_| SnapshotError::Truncated)?;
+        let (setup_seed, num_peers): (u64, usize) = cur.decode()?;
         if num_peers != config.num_peers {
-            return Err(corrupt(format!(
+            return Err(corrupt!(
                 "snapshot holds {num_peers} peers but the config expects {}",
                 config.num_peers
-            )));
+            ));
         }
         config
             .validate()
-            .map_err(|e| corrupt(format!("invalid config for restore: {e}")))?;
+            .map_err(|e| corrupt!("invalid config for restore: {e}"))?;
+        cur.peers = num_peers;
 
         // Regenerate the pure setup, then overwrite everything a run mutates.
         let setup = SimSetup::generate(config, setup_seed);
         let mut sim = Simulation::from_setup(config.clone(), &setup, setup_seed);
 
-        // RNG streams.
-        let mut sec = read_section(&mut cur, TAG_RNGS)?;
-        sim.rng_requests = read_rng(&mut sec)?;
-        sim.rng_lookup = read_rng(&mut sec)?;
-        sim.rng_storage = read_rng(&mut sec)?;
-        sim.rng_churn = read_rng(&mut sec)?;
-        sec.done()?;
+        cur.section(TAG_RNGS, |sec| {
+            (sim.rng_requests, sim.rng_lookup) = sec.decode()?;
+            (sim.rng_storage, sim.rng_churn) = sec.decode()?;
+            Ok(())
+        })?;
 
         // Catalog: replay flash-crowd releases on the regenerated catalog.
-        let mut sec = read_section(&mut cur, TAG_CATALOG)?;
-        let setup_objects = sec.seq_len(0)?;
+        let (setup_objects, released): (usize, Vec<(u32, u64)>) =
+            cur.section(TAG_CATALOG, Cursor::decode)?;
         if setup_objects != sim.setup_objects {
-            return Err(corrupt(format!(
+            return Err(corrupt!(
                 "snapshot's setup catalog has {setup_objects} objects, regenerated setup has {}",
                 sim.setup_objects
-            )));
+            ));
         }
-        let released = sec.seq_len(12)?;
-        for _ in 0..released {
-            let category = sec.u32()?;
-            if (category as usize) >= sim.catalog.num_categories() {
-                return Err(corrupt(format!(
-                    "released object names unknown category {category}"
-                )));
+        for (category, size) in released {
+            if category as usize >= sim.catalog.num_categories() {
+                return Err(corrupt!("release names unknown category {category}"));
             }
-            let size = sec.u64()?;
             sim.catalog.release_object(CategoryId::new(category), size);
         }
-        sec.done()?;
         let num_objects = sim.catalog.num_objects();
+        cur.objects = num_objects;
 
-        // Per-peer mutable state.
-        let mut sec = read_section(&mut cur, TAG_PEERS)?;
-        for i in 0..num_peers {
-            // exchange-lint: allow(H001, reason = "i < num_peers == sim.peers.len(), checked in the header")
-            let peer = &mut sim.peers[i];
-            peer.online = sec.bool()?;
-            let stored = sec.seq_len(4)?;
-            let mut storage = Storage::new(peer.storage.capacity());
-            for _ in 0..stored {
-                storage.insert(sec.object(num_objects)?);
-            }
-            peer.storage = storage;
-            let upload_in_use = sec.seq_len(0)?;
-            let download_in_use = sec.seq_len(0)?;
-            for (pool, in_use) in [
-                (&mut peer.upload_slots, upload_in_use),
-                (&mut peer.download_slots, download_in_use),
-            ] {
-                for _ in 0..in_use {
-                    pool.reserve()
-                        .map_err(|_| corrupt("slot occupancy exceeds the pool capacity"))?;
-                }
-            }
-            let wants = sec.seq_len(4)?;
-            let mut want_map = BTreeMap::new();
-            for _ in 0..wants {
-                let object = sec.object(num_objects)?;
-                let issued_at = sec.time()?;
-                let received_bytes = sec.u64()?;
-                let providers_len = sec.seq_len(4)?;
-                let mut providers = Vec::with_capacity(providers_len);
-                for _ in 0..providers_len {
-                    providers.push(sec.peer(num_peers)?);
-                }
-                let active_sessions = sec.seq_len(0)?;
-                let mut want = WantState::new(issued_at, providers);
-                want.received_bytes = received_bytes;
-                want.active_sessions = active_sessions;
-                if want_map.insert(object, want).is_some() {
-                    return Err(corrupt("duplicate want entry"));
-                }
-            }
-            peer.wants = want_map;
-            peer.downloaded_bytes = sec.u64()?;
-            peer.uploaded_bytes = sec.u64()?;
-            peer.junk_bytes = sec.u64()?;
-            peer.ciphertext_bytes = sec.u64()?;
-        }
-        sec.done()?;
+        cur.section(TAG_PEERS, |sec| {
+            (sim.peers.iter_mut()).try_for_each(|peer| decode_peer(peer, sec))
+        })?;
 
         // Rebuild the holders index from the restored storage (sharing and
         // honesty are fixed per behavior, so this is a pure function of the
@@ -1036,122 +1010,36 @@ impl Simulation {
         sim.holders = holders;
         sim.honest_holders = honest_holders;
 
-        // Request graph and its undrained dirty log.
-        let mut sec = read_section(&mut cur, TAG_GRAPH)?;
-        let edges_len = sec.seq_len(12)?;
-        let mut edges = Vec::with_capacity(edges_len);
-        for _ in 0..edges_len {
-            let requester = sec.peer(num_peers)?;
-            let provider = sec.peer(num_peers)?;
-            let object = sec.object(num_objects)?;
-            edges.push((requester, provider, object));
-        }
-        let generation = sec.u64()?;
-        let dirty_len = sec.seq_len(4)?;
-        let mut endpoints = Vec::with_capacity(dirty_len);
-        for _ in 0..dirty_len {
-            endpoints.push(sec.peer(num_peers)?);
-        }
-        let dirty_edges_len = sec.seq_len(12)?;
-        let mut dirty_edges = BTreeSet::new();
-        for _ in 0..dirty_edges_len {
-            let provider = sec.peer(num_peers)?;
-            let requester = sec.peer(num_peers)?;
-            let object = sec.object(num_objects)?;
-            dirty_edges.insert((provider, requester, object));
-        }
-        if !dirty_log_peers(&dirty_edges).into_iter().eq(endpoints) {
-            return Err(corrupt(
-                "snapshot dirty-peer list does not match its dirty-edge log",
-            ));
-        }
-        sim.graph = RequestGraph::from_parts(edges, generation, dirty_edges);
-        sim.drained_generation = sec.u64()?;
-        sec.done()?;
+        (sim.graph, sim.drained_generation) = cur.section(TAG_GRAPH, Cursor::decode)?;
 
         // Transfers and rings; rebuild the reverse indexes as we go.
-        let mut sec = read_section(&mut cur, TAG_TRANSFERS)?;
-        sim.next_transfer_id = sec.u64()?;
-        sim.next_ring_id = sec.u64()?;
-        sim.transfer_epoch = sec.u64()?;
-        sim.world_epoch = sec.u64()?;
-        let transfers_len = sec.seq_len(8)?;
-        let mut transfers = HashMap::with_capacity(transfers_len);
+        let (transfers, rings) = cur.section(TAG_TRANSFERS, |sec| {
+            (sim.next_transfer_id, sim.next_ring_id) = sec.decode()?;
+            (sim.transfer_epoch, sim.world_epoch) = sec.decode()?;
+            let transfers: Vec<(TransferId, ActiveTransfer)> = sec.decode()?;
+            let rings: Vec<(RingId, ActiveRing)> = sec.decode()?;
+            Ok((transfers, rings))
+        })?;
+        let (next_transfer_id, next_ring_id) = (sim.next_transfer_id, sim.next_ring_id);
+        let mut transfer_map = HashMap::with_capacity(transfers.len());
         let mut uploads_by_peer: HashMap<PeerId, Vec<TransferId>> = HashMap::new();
         let mut downloads_by_want: HashMap<(PeerId, ObjectId), Vec<TransferId>> = HashMap::new();
-        for _ in 0..transfers_len {
-            let tid = sec.u64()?;
-            if tid >= sim.next_transfer_id {
-                return Err(corrupt(format!(
-                    "transfer id {tid} not below the id counter"
-                )));
+        for (tid, transfer) in transfers {
+            if tid >= next_transfer_id || transfer.ring.is_some_and(|rid| rid >= next_ring_id) {
+                return Err(corrupt!(
+                    "transfer {tid} or its ring is past its id counter"
+                ));
             }
-            let uploader = sec.peer(num_peers)?;
-            let downloader = sec.peer(num_peers)?;
-            let object = sec.object(num_objects)?;
-            let kind = sec.session_kind()?;
-            let ring = match sec.u8()? {
-                0 => None,
-                1 => {
-                    let rid = sec.u64()?;
-                    if rid >= sim.next_ring_id {
-                        return Err(corrupt(format!("ring id {rid} not below the id counter")));
-                    }
-                    Some(rid)
-                }
-                t => Err(corrupt(format!("invalid option tag {t}")))?,
-            };
-            let rate = sec.f64()?;
-            if !rate.is_finite() || rate <= 0.0 {
-                return Err(corrupt("transfer rate must be finite and positive"));
-            }
-            let block_bytes = sec.u64()?;
-            if block_bytes == 0 {
-                return Err(corrupt("transfer block size must be positive"));
-            }
-            let started_at = sec.time()?;
-            let bytes_transferred = sec.u64()?;
-            let mut session = TransferSession::new(rate, block_bytes, started_at);
-            if bytes_transferred > 0 {
-                session.record_block(bytes_transferred);
-            }
-            let validation = match sec.u8()? {
-                0 => None,
-                1 => {
-                    let block = sec.u64()?;
-                    let window = sec.u32()?;
-                    let max_window = sec.u32()?;
-                    let validated_rounds = sec.u32()?;
-                    let invalid_blocks = sec.u32()?;
-                    if block == 0 || max_window == 0 || !(1..=max_window).contains(&window) {
-                        return Err(corrupt("invalid validation-window state"));
-                    }
-                    Some(WindowedExchange::from_parts(
-                        block,
-                        window,
-                        max_window,
-                        validated_rounds,
-                        invalid_blocks,
-                    ))
-                }
-                t => Err(corrupt(format!("invalid option tag {t}")))?,
-            };
-            uploads_by_peer.entry(uploader).or_default().push(tid);
-            downloads_by_want
-                .entry((downloader, object))
+            uploads_by_peer
+                .entry(transfer.uploader)
                 .or_default()
                 .push(tid);
-            let transfer = ActiveTransfer {
-                uploader,
-                downloader,
-                object,
-                kind,
-                ring,
-                session,
-                validation,
-            };
-            if transfers.insert(tid, transfer).is_some() {
-                return Err(corrupt(format!("duplicate transfer id {tid}")));
+            downloads_by_want
+                .entry((transfer.downloader, transfer.object))
+                .or_default()
+                .push(tid);
+            if transfer_map.insert(tid, transfer).is_some() {
+                return Err(corrupt!("duplicate transfer id {tid}"));
             }
         }
         // Serialized in ascending id order already; sort defensively so a
@@ -1164,307 +1052,51 @@ impl Simulation {
         for tids in downloads_by_want.values_mut() {
             tids.sort_unstable();
         }
-        sim.transfers = transfers;
+        let mut ring_map = HashMap::with_capacity(rings.len());
+        for (rid, ring) in rings {
+            if rid >= next_ring_id {
+                return Err(corrupt!("ring id {rid} not below the id counter"));
+            }
+            if let Some(tid) = (ring.transfers.iter()).find(|tid| !transfer_map.contains_key(tid)) {
+                return Err(corrupt!("ring references unknown transfer {tid}"));
+            }
+            if ring_map.insert(rid, ring).is_some() {
+                return Err(corrupt!("duplicate ring id {rid}"));
+            }
+        }
+        sim.transfers = transfer_map;
         sim.uploads_by_peer = uploads_by_peer;
         sim.downloads_by_want = downloads_by_want;
-        let rings_len = sec.seq_len(8)?;
-        let mut rings = HashMap::with_capacity(rings_len);
-        for _ in 0..rings_len {
-            let rid = sec.u64()?;
-            if rid >= sim.next_ring_id {
-                return Err(corrupt(format!("ring id {rid} not below the id counter")));
-            }
-            let members = sec.seq_len(8)?;
-            let mut ring_transfers = Vec::with_capacity(members);
-            for _ in 0..members {
-                let tid = sec.u64()?;
-                if !sim.transfers.contains_key(&tid) {
-                    return Err(corrupt(format!("ring references unknown transfer {tid}")));
-                }
-                ring_transfers.push(tid);
-            }
-            if rings
-                .insert(
-                    rid,
-                    ActiveRing {
-                        transfers: ring_transfers,
-                    },
-                )
-                .is_some()
-            {
-                return Err(corrupt(format!("duplicate ring id {rid}")));
-            }
-        }
-        sim.rings = rings;
-        sec.done()?;
+        sim.rings = ring_map;
 
-        // DES engine.
-        let mut sec = read_section(&mut cur, TAG_ENGINE)?;
-        let now = sec.time()?;
-        let horizon = match sec.u8()? {
-            0 => None,
-            1 => Some(sec.time()?),
-            t => Err(corrupt(format!("invalid option tag {t}")))?,
-        };
-        let delivered = sec.u64()?;
-        let next_seq = sec.u64()?;
-        let entries_len = sec.seq_len(17)?;
-        let mut entries = Vec::with_capacity(entries_len);
-        for _ in 0..entries_len {
-            let time = sec.time()?;
-            let seq = sec.u64()?;
-            if seq >= next_seq {
-                return Err(corrupt(format!(
-                    "event sequence {seq} not below the counter"
-                )));
-            }
-            let event = sec.event(num_peers, sim.next_transfer_id)?;
-            entries.push((time, seq, event));
-        }
-        sim.engine = Scheduler::from_parts(
-            now,
-            horizon,
-            delivered,
-            EventQueue::from_parts(entries, next_seq),
-        );
-        sec.done()?;
+        cur.transfers = next_transfer_id;
+        sim.engine = cur.section(TAG_ENGINE, Cursor::decode)?;
 
-        // Upload-scheduler state.
-        let mut sec = read_section(&mut cur, TAG_SCHEDULER)?;
-        let state = match sec.u8()? {
-            0 => SchedulerState::Stateless,
-            1 => {
-                let n = sec.seq_len(24)?;
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let a = sec.peer(num_peers)?;
-                    let b = sec.peer(num_peers)?;
-                    let up = sec.u64()?;
-                    let down = sec.u64()?;
-                    rows.push((a, b, up, down));
-                }
-                SchedulerState::EmuleCredit(rows)
-            }
-            2 => {
-                let n = sec.seq_len(12)?;
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let a = sec.peer(num_peers)?;
-                    let b = sec.peer(num_peers)?;
-                    let bytes = sec.u64()?;
-                    rows.push((a, b, bytes));
-                }
-                SchedulerState::TitForTat(rows)
-            }
-            3 => {
-                let n = sec.seq_len(12)?;
-                let mut reported = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let peer = sec.peer(num_peers)?;
-                    let level = sec.f64()?;
-                    reported.push((peer, level));
-                }
-                let n = sec.seq_len(12)?;
-                let mut honest = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let peer = sec.peer(num_peers)?;
-                    let bytes = sec.u64()?;
-                    honest.push((peer, bytes));
-                }
-                SchedulerState::ParticipationLevel { reported, honest }
-            }
-            t => return Err(corrupt(format!("unknown scheduler-state tag {t}"))),
-        };
+        let state = cur.section(TAG_SCHEDULER, Cursor::decode)?;
         sim.scheduler.import_state(state);
-        sec.done()?;
 
-        // Population bookkeeping.
-        let mut sec = read_section(&mut cur, TAG_POPULATION)?;
-        let n = sec.seq_len(1)?;
-        if n != num_peers {
-            return Err(corrupt(
-                "maintenance-pending length does not match the population",
-            ));
-        }
-        let mut maintenance_pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            maintenance_pending.push(sec.bool()?);
+        let (maintenance_pending, generate_queued): (Vec<bool>, Vec<u32>) =
+            cur.section(TAG_POPULATION, Cursor::decode)?;
+        if maintenance_pending.len() != num_peers || generate_queued.len() != num_peers {
+            return Err(corrupt!("population bookkeeping has the wrong length"));
         }
         sim.maintenance_pending = maintenance_pending;
-        let n = sec.seq_len(4)?;
-        if n != num_peers {
-            return Err(corrupt(
-                "generate-queued length does not match the population",
-            ));
-        }
-        let mut generate_queued = Vec::with_capacity(n);
-        for _ in 0..n {
-            generate_queued.push(sec.u32()?);
-        }
         sim.generate_queued = generate_queued;
-        sec.done()?;
 
         // Ring-candidate cache: replay the stores (which never touch the
         // counters), then reinstate the captured counters.
-        let mut sec = read_section(&mut cur, TAG_RING_CACHE)?;
-        let tag = sec.u8()?;
+        type CacheEntry = (PeerId, Vec<ObjectId>, SearchTrace<PeerId, ObjectId>);
+        let (tag, stats, entries): (u8, RingCacheStats, Vec<CacheEntry>) =
+            cur.section(TAG_RING_CACHE, Cursor::decode)?;
         if tag != RING_CACHE_TAG {
-            return Err(corrupt(format!("unsupported ring-cache tag {tag}")));
+            return Err(corrupt!("unsupported ring-cache tag {tag}"));
         }
-        let stats = RingCacheStats {
-            hits: sec.u64()?,
-            misses: sec.u64()?,
-            invalidations: sec.u64()?,
-        };
-        let entries = sec.seq_len(4)?;
-        for _ in 0..entries {
-            let root = sec.peer(num_peers)?;
-            let wants_len = sec.seq_len(4)?;
-            let mut wants = Vec::with_capacity(wants_len);
-            for _ in 0..wants_len {
-                wants.push(sec.object(num_objects)?);
-            }
-            let rings_len = sec.seq_len(8)?;
-            let mut cached_rings = Vec::with_capacity(rings_len);
-            for _ in 0..rings_len {
-                let edge_count = sec.seq_len(12)?;
-                let mut ring_edges = Vec::with_capacity(edge_count);
-                for _ in 0..edge_count {
-                    let uploader = sec.peer(num_peers)?;
-                    let downloader = sec.peer(num_peers)?;
-                    let object = sec.object(num_objects)?;
-                    ring_edges.push(RingEdge {
-                        uploader,
-                        downloader,
-                        object,
-                    });
-                }
-                let ring = ExchangeRing::new(ring_edges)
-                    .map_err(|e| corrupt(format!("invalid cached ring: {e}")))?;
-                cached_rings.push(ring);
-            }
-            let deps_len = sec.seq_len(4)?;
-            let mut deps = Vec::with_capacity(deps_len);
-            for _ in 0..deps_len {
-                deps.push(sec.peer(num_peers)?);
-            }
-            let edge_deps_len = sec.seq_len(4)?;
-            let mut edge_deps = Vec::with_capacity(edge_deps_len);
-            for _ in 0..edge_deps_len {
-                edge_deps.push(sec.peer(num_peers)?);
-            }
-            sim.ring_cache.store(
-                root,
-                wants,
-                SearchTrace {
-                    rings: cached_rings,
-                    deps,
-                    edge_deps,
-                },
-            );
+        for (root, wants, trace) in entries {
+            sim.ring_cache.store(root, wants, trace);
         }
         sim.ring_cache.set_stats(stats);
-        sec.done()?;
 
-        // Report accumulators.
-        let mut sec = read_section(&mut cur, TAG_REPORT)?;
-        let download_time_min = read_tally(&mut sec)?;
-        let n = sec.seq_len(1)?;
-        let mut capacity_download_min = BTreeMap::new();
-        for _ in 0..n {
-            let class = sec.capacity_class()?;
-            capacity_download_min.insert(class, sec.samples()?);
-        }
-        let mut kind_sample_maps = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let n = sec.seq_len(1)?;
-            let mut map = BTreeMap::new();
-            for _ in 0..n {
-                let kind = sec.session_kind()?;
-                map.insert(kind, sec.samples()?);
-            }
-            kind_sample_maps.push(map);
-        }
-        let session_bytes = kind_sample_maps.pop().ok_or(SnapshotError::Truncated)?;
-        let waiting_secs = kind_sample_maps.pop().ok_or(SnapshotError::Truncated)?;
-        let n = sec.seq_len(1)?;
-        let mut session_counts = BTreeMap::new();
-        for _ in 0..n {
-            let kind = sec.session_kind()?;
-            session_counts.insert(kind, sec.u64()?);
-        }
-        let n = sec.seq_len(1)?;
-        let mut session_ends = BTreeMap::new();
-        for _ in 0..n {
-            let end = sec.session_end()?;
-            session_ends.insert(end, sec.u64()?);
-        }
-        let volume_per_peer_mb = read_tally(&mut sec)?;
-        let n = sec.seq_len(1)?;
-        let mut behaviors = BTreeMap::new();
-        for _ in 0..n {
-            let kind = sec.behavior_kind()?;
-            let peers = sec.seq_len(0)?;
-            let uploaded_bytes = sec.u64()?;
-            let downloaded_bytes = sec.u64()?;
-            let junk_bytes = sec.u64()?;
-            let ciphertext_bytes = sec.u64()?;
-            let completed_downloads = sec.u64()?;
-            let ciphertext_downloads = sec.u64()?;
-            let cheat_detections = sec.u64()?;
-            let download_time_min = sec.stats()?;
-            behaviors.insert(
-                kind,
-                crate::BehaviorStats {
-                    peers,
-                    uploaded_bytes,
-                    downloaded_bytes,
-                    junk_bytes,
-                    ciphertext_bytes,
-                    completed_downloads,
-                    ciphertext_downloads,
-                    cheat_detections,
-                    download_time_min,
-                },
-            );
-        }
-        let completed_downloads = sec.u64()?;
-        let n = sec.seq_len(16)?;
-        let mut rings_formed = BTreeMap::new();
-        for _ in 0..n {
-            let size = sec.seq_len(0)?;
-            rings_formed.insert(size, sec.u64()?);
-        }
-        let token_declines = sec.u64()?;
-        let rings_dissolved_at_activation = sec.u64()?;
-        let preemptions = sec.u64()?;
-        let report_cache_stats = RingCacheStats {
-            hits: sec.u64()?,
-            misses: sec.u64()?,
-            invalidations: sec.u64()?,
-        };
-        let sim_seconds = sec.f64()?;
-        let report_peers = sec.seq_len(0)?;
-        sim.report = SimReport::from_parts(ReportParts {
-            download_time_min,
-            capacity_download_min,
-            waiting_secs,
-            session_bytes,
-            session_counts,
-            session_ends,
-            volume_per_peer_mb,
-            behaviors,
-            completed_downloads,
-            rings_formed,
-            token_declines,
-            rings_dissolved_at_activation,
-            preemptions,
-            ring_cache: report_cache_stats,
-            sim_seconds,
-            peers: report_peers,
-        });
-        sec.done()?;
-
+        sim.report = cur.section(TAG_REPORT, Cursor::decode)?;
         cur.done()?;
         Ok(sim)
     }

@@ -15,7 +15,12 @@
 //! [`SnapshotError`]s, never panic, and the golden fixture must restore into a simulation that
 //! finishes with the exact same report as a fresh run.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::PathBuf;
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
 
 use sim::{
     BehaviorKind, BehaviorMix, CapacityClass, CatastropheConfig, ChurnConfig, ClassMix,
@@ -216,6 +221,48 @@ fn dirty_peer_list_disagreeing_with_the_edge_log_errors_gracefully() {
     ));
 }
 
+/// Section tag of the v1 engine section (clock, horizon, counters, pending
+/// events).
+const TAG_ENGINE: u8 = 6;
+
+#[test]
+fn self_request_edge_errors_gracefully() {
+    let config = golden_config();
+    let mut bytes = golden_bytes();
+    // Graph payload: edge count, then 12-byte (requester, provider, object)
+    // edges.  A peer never requests from itself, so copying the first
+    // edge's requester over its provider must not restore.
+    let payload = section_len_offset(&bytes, TAG_GRAPH) + 8;
+    assert!(read_u64(&bytes, payload) > 0, "the golden graph has edges");
+    let edge = payload + 8;
+    let requester: [u8; 4] = bytes[edge..edge + 4].try_into().expect("4-byte slice");
+    bytes[edge + 4..edge + 8].copy_from_slice(&requester);
+    assert!(matches!(
+        Simulation::restore(&mut &bytes[..], &config),
+        Err(SnapshotError::Corrupt(_))
+    ));
+}
+
+#[test]
+fn pending_event_before_the_clock_errors_gracefully() {
+    let config = golden_config();
+    let mut bytes = golden_bytes();
+    // Engine payload: clock, horizon (tag 1 + time), delivered count,
+    // sequence counter, entry count, then (time, seq, event) entries.
+    // Moving the first pending event to time zero would run the clock
+    // backwards, so it must not restore.
+    let payload = section_len_offset(&bytes, TAG_ENGINE) + 8;
+    assert!(read_u64(&bytes, payload) > 0, "the clock has advanced");
+    assert_eq!(bytes[payload + 8], 1, "the golden engine has a horizon");
+    let count_at = payload + 8 + 9 + 8 + 8;
+    assert!(read_u64(&bytes, count_at) > 0, "events are pending");
+    bytes[count_at + 8..count_at + 16].copy_from_slice(&0u64.to_le_bytes());
+    assert!(matches!(
+        Simulation::restore(&mut &bytes[..], &config),
+        Err(SnapshotError::Corrupt(_))
+    ));
+}
+
 /// One extra v1 fixture: a scenario that makes the encoder write state the
 /// quick-test golden never reaches (the history-keeping scheduler states,
 /// open validation windows, pending population events, catalog releases,
@@ -407,6 +454,138 @@ fn variant_fixtures_are_stable_resume_exactly_and_round_trip() {
             straight == resumed,
             "{}: resumed run diverged from the straight run",
             fixture.name
+        );
+    }
+}
+
+/// A system allocator that can report the largest single allocation the
+/// current thread requested while it was being watched.
+struct PeakAllocator;
+
+thread_local! {
+    /// `Some(peak)` while the current thread is watched.
+    static PEAK: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn note_allocation(size: usize) {
+    // A const-initialised `Cell` has no destructor, so this never allocates
+    // and never fails; `try_with` only guards thread teardown.
+    let _ = PEAK.try_with(|peak| {
+        if let Some(largest) = peak.get() {
+            peak.set(Some(largest.max(size)));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator; the extra bookkeeping only touches a thread-local `Cell`.
+unsafe impl GlobalAlloc for PeakAllocator {
+    // SAFETY: forwards to `System.alloc` with the caller's layout.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        System.alloc(layout)
+    }
+
+    // SAFETY: forwards to `System.alloc_zeroed` with the caller's layout.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    // SAFETY: forwards to `System.dealloc`; `ptr` came from `System`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    // SAFETY: forwards to `System.realloc`; `ptr` came from `System`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAllocator = PeakAllocator;
+
+/// Runs `f` and returns its result with the largest single allocation it
+/// requested on this thread.
+fn with_peak_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|peak| peak.set(Some(0)));
+    let result = f();
+    let largest = PEAK.with(|peak| peak.replace(None)).unwrap_or(0);
+    (result, largest)
+}
+
+/// Every checked-in fixture's bytes with the config it was recorded under,
+/// plus the largest single allocation restoring it intact makes.
+fn fixture_corpus() -> &'static [(Vec<u8>, SimConfig, usize)] {
+    static CORPUS: OnceLock<Vec<(Vec<u8>, SimConfig, usize)>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let golden = (golden_path(), golden_config());
+        let fixtures = FIXTURES.iter().map(|f| (f.path(), (f.config)()));
+        std::iter::once(golden)
+            .chain(fixtures)
+            .map(|(path, config)| {
+                let bytes = std::fs::read(&path).expect("golden fixtures are checked in");
+                let (restored, clean_peak) =
+                    with_peak_allocation(|| Simulation::restore(&mut &bytes[..], &config));
+                assert!(restored.is_ok(), "{} restores", path.display());
+                (bytes, config, clean_peak)
+            })
+            .collect()
+    })
+}
+
+/// Offsets of every section's `len` field plus every unaligned `u64` whose
+/// value is a plausible count: the fields a corrupt length lands in.
+fn length_field_offsets(bytes: &[u8]) -> Vec<usize> {
+    let mut offsets: Vec<usize> = (0..bytes.len().saturating_sub(7))
+        .filter(|&at| read_u64(bytes, at) < 4096)
+        .collect();
+    let mut at = HEADER_LEN;
+    while at + 9 <= bytes.len() {
+        offsets.push(at + 1);
+        let len = usize::try_from(read_u64(bytes, at + 1)).expect("section fits in memory");
+        at += 1 + 8 + len;
+    }
+    offsets
+}
+
+/// Values a corrupted length field takes: the extremes and counts just past
+/// what any fixture could hold.
+const HUGE_LENGTHS: [u64; 5] = [u64::MAX, u64::MAX / 2, 1 << 40, 1 << 32, 1 << 20];
+
+proptest! {
+    /// Restore never panics on a corrupted fixture, and a corrupt length
+    /// never sizes an allocation beyond the input: no single allocation
+    /// exceeds the larger of the input's length and the largest allocation
+    /// restoring the intact fixture makes (the regenerated setup).
+    #[test]
+    fn corrupted_fixtures_never_panic_or_over_allocate(
+        fixture in 0usize..64,
+        flips in proptest::collection::vec((0usize..1 << 20, 0u8..8), 0..4),
+        lengths in proptest::collection::vec((0usize..1 << 20, 0usize..HUGE_LENGTHS.len()), 0..3),
+    ) {
+        let corpus = fixture_corpus();
+        let (clean, config, clean_peak) = &corpus[fixture % corpus.len()];
+        let mut bytes = clean.clone();
+        for (at, bit) in flips {
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+        }
+        let offsets = length_field_offsets(clean);
+        for (pick, value) in lengths {
+            let at = offsets[pick % offsets.len()];
+            bytes[at..at + 8].copy_from_slice(&HUGE_LENGTHS[value].to_le_bytes());
+        }
+        let (restored, peak) =
+            with_peak_allocation(|| Simulation::restore(&mut &bytes[..], config));
+        drop(restored);
+        let bound = bytes.len().max(*clean_peak);
+        prop_assert!(
+            peak <= bound,
+            "a {peak}-byte allocation from a {}-byte input (bound {bound})",
+            bytes.len()
         );
     }
 }
