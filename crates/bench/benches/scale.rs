@@ -404,6 +404,7 @@ fn phase_json(profile: &PhaseProfile) -> String {
     format!(
         "{{\"events\":{},\"event_loop_s\":{:.3},\"generate_requests_s\":{:.3},\
          \"scheduling_s\":{:.3},\"ring_search_s\":{:.3},\"ring_searches\":{},\
+         \"serve_queue_s\":{:.3},\"cache_upkeep_s\":{:.3},\"token_pass_s\":{:.3},\
          \"shard_planning_s\":{:.3},\"planning_breakdown\":{{\
          \"true_miss_searches\":{},\"speculative_searches\":{},\
          \"plan_hit_rate\":{:.4}}},\"transfers_s\":{:.3},\"maintenance_s\":{:.3},\
@@ -414,6 +415,9 @@ fn phase_json(profile: &PhaseProfile) -> String {
         profile.scheduling.as_secs_f64(),
         profile.ring_search.as_secs_f64(),
         profile.ring_searches,
+        profile.serve_queue.as_secs_f64(),
+        profile.cache_upkeep.as_secs_f64(),
+        profile.token_pass.as_secs_f64(),
         profile.shard_planning.as_secs_f64(),
         profile.planned_consumed,
         speculative,

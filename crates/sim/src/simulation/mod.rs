@@ -140,9 +140,10 @@ impl SimSetup {
 }
 
 /// Wall-clock breakdown of one [profiled](Simulation::run_profiled) run by
-/// event phase.  `scheduling` includes `ring_search`; `event_loop` covers the
-/// whole dispatch loop (the phases plus engine overhead).  Setup time is
-/// not included — time [`Simulation::new`]/[`SimSetup::generate`] separately.
+/// event phase.  `scheduling` includes `ring_search`, `serve_queue`,
+/// `cache_upkeep` and `token_pass`; `event_loop` covers the whole dispatch
+/// loop (the phases plus engine overhead).  Setup time is not included —
+/// time [`Simulation::new`]/[`SimSetup::generate`] separately.
 ///
 /// Sharded runs ([`SimConfig::shards`] > 1) additionally report
 /// `shard_planning` — the wall clock of the parallel search/queue windows —
@@ -168,6 +169,15 @@ pub struct PhaseProfile {
     pub ring_search: Duration,
     /// Number of fresh ring searches run.
     pub ring_searches: u64,
+    /// Time spent building and patching non-exchange serve queues (a subset
+    /// of `scheduling`).
+    pub serve_queue: Duration,
+    /// Time spent keeping the ring-candidate cache current: draining graph
+    /// deltas into it, lookups and stores (a subset of `scheduling`).
+    pub cache_upkeep: Duration,
+    /// Time spent circulating ring tokens, i.e. confirming candidate rings
+    /// member by member (a subset of `scheduling`).
+    pub token_pass: Duration,
     /// Wall clock of the sharded batch-planning windows (zero when
     /// [`SimConfig::shards`] is 1).
     pub shard_planning: Duration,
@@ -300,8 +310,9 @@ pub struct Simulation {
     /// Live shard-worker thread count, shared with the pool's workers; the
     /// audit harness asserts it returns to zero once the simulation drops.
     shard_census: Arc<AtomicUsize>,
-    /// Set by [`run_profiled`](Self::run_profiled): fresh ring searches time
-    /// themselves into `ring_search_nanos`.
+    /// Set by [`run_profiled`](Self::run_profiled): fresh ring searches and
+    /// the scheduling sub-phases time themselves into their `*_nanos`
+    /// counters (see [`profile_timer`](Self::profile_timer)).
     profile_searches: bool,
     /// Test-only fault injection for the time-travel audit tests: when the
     /// engine's delivered-event count reaches this value,
@@ -319,6 +330,14 @@ pub struct Simulation {
     ring_search_nanos: Cell<u64>,
     /// Number of fresh ring searches run (profiled runs only).
     ring_searches: Cell<u64>,
+    /// Nanoseconds spent building and patching serve queues (profiled runs
+    /// only).
+    serve_queue_nanos: Cell<u64>,
+    /// Nanoseconds spent in ring-cache drains, lookups and stores (profiled
+    /// runs only).
+    cache_upkeep_nanos: Cell<u64>,
+    /// Nanoseconds spent circulating ring tokens (profiled runs only).
+    token_pass_nanos: Cell<u64>,
     /// Searches shard workers ran ahead of the merge (profiled runs only).
     planned_searches: Cell<u64>,
     /// Planned searches the merge consumed (profiled runs only).
@@ -453,6 +472,9 @@ impl Simulation {
             audit_dump_path: None,
             ring_search_nanos: Cell::new(0),
             ring_searches: Cell::new(0),
+            serve_queue_nanos: Cell::new(0),
+            cache_upkeep_nanos: Cell::new(0),
+            token_pass_nanos: Cell::new(0),
             planned_searches: Cell::new(0),
             planned_consumed: Cell::new(0),
         }
@@ -692,9 +714,27 @@ impl Simulation {
         }
         profile.ring_search = Duration::from_nanos(self.ring_search_nanos.get());
         profile.ring_searches = self.ring_searches.get();
+        profile.serve_queue = Duration::from_nanos(self.serve_queue_nanos.get());
+        profile.cache_upkeep = Duration::from_nanos(self.cache_upkeep_nanos.get());
+        profile.token_pass = Duration::from_nanos(self.token_pass_nanos.get());
         profile.planned_searches = self.planned_searches.get();
         profile.planned_consumed = self.planned_consumed.get();
         (self.finalize(), profile)
+    }
+
+    /// Starts a scheduling sub-phase timer on profiled runs; `None`
+    /// otherwise, so unprofiled runs never read the clock.
+    fn profile_timer(&self) -> Option<Instant> {
+        // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
+        self.profile_searches.then(Instant::now)
+    }
+
+    /// Adds the time since `timer` started to `nanos` (a no-op for the
+    /// `None` of an unprofiled run).
+    fn add_elapsed(nanos: &Cell<u64>, timer: Option<Instant>) {
+        if let Some(start) = timer {
+            nanos.set(nanos.get() + start.elapsed().as_nanos() as u64);
+        }
     }
 
     fn finalize(mut self) -> SimReport {
@@ -1012,6 +1052,19 @@ mod tests {
         assert!(profile.event_loop >= profile.scheduling);
         assert!(profile.scheduling >= profile.ring_search);
         assert!(profile.ring_searches > 0);
+    }
+
+    #[test]
+    fn scheduling_sub_phases_are_disjoint_parts_of_scheduling() {
+        let mut config = SimConfig::quick_test();
+        config.discipline = ExchangePolicy::two_five_way();
+        let (_, profile) = Simulation::new(config, 31).run_profiled();
+        let parts =
+            profile.ring_search + profile.serve_queue + profile.cache_upkeep + profile.token_pass;
+        assert!(profile.scheduling >= parts, "{profile:?}");
+        assert!(profile.serve_queue > Duration::ZERO);
+        assert!(profile.cache_upkeep > Duration::ZERO);
+        assert!(profile.token_pass > Duration::ZERO);
     }
 
     /// What one scheduler call was, for the participation-report regression

@@ -115,13 +115,19 @@ impl Simulation {
         // feasible exchange rather than exhaustively probing every proposal.
         let attempts = self.config.ring_attempts_per_schedule;
         let candidates: Vec<ExchangeRing<PeerId, ObjectId>> = if self.config.ring_candidate_cache {
+            let timer = self.profile_timer();
             self.drain_graph_deltas();
-            if let Some(rings) = self.ring_cache.lookup(provider, &wants) {
-                rings.iter().take(attempts).cloned().collect()
+            let cached = (self.ring_cache.lookup(provider, &wants))
+                .map(|rings| rings.iter().take(attempts).cloned().collect());
+            Self::add_elapsed(&self.cache_upkeep_nanos, timer);
+            if let Some(candidates) = cached {
+                candidates
             } else {
                 let trace = self.planned_or_fresh_trace(policy, provider, &wants, plan);
+                let timer = self.profile_timer();
                 let candidates = trace.rings.iter().take(attempts).cloned().collect();
                 self.ring_cache.store(provider, wants, trace);
+                Self::add_elapsed(&self.cache_upkeep_nanos, timer);
                 candidates
             }
         } else {
@@ -254,8 +260,7 @@ impl Simulation {
         // The scratch is taken out of `self` for the duration of the search
         // so the `claims` oracle can borrow the rest of the simulation.
         let mut scratch = std::mem::take(&mut self.scratch);
-        // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
-        let start = self.profile_searches.then(std::time::Instant::now);
+        let timer = self.profile_timer();
         let trace = RingSearch::new(policy)
             .with_expansion_budget(self.config.ring_search_budget)
             .with_fanout(self.config.ring_search_fanout)
@@ -266,9 +271,8 @@ impl Simulation {
                 wants,
                 |peer, object| self.claims(*peer, *object),
             );
-        if let Some(start) = start {
-            self.ring_search_nanos
-                .set(self.ring_search_nanos.get() + start.elapsed().as_nanos() as u64);
+        if timer.is_some() {
+            Self::add_elapsed(&self.ring_search_nanos, timer);
             self.ring_searches.set(self.ring_searches.get() + 1);
         }
         self.scratch = scratch;
@@ -316,7 +320,9 @@ impl Simulation {
     /// Validates `ring` with a token pass and, if confirmed, activates it.
     fn activate_ring(&mut self, initiator: PeerId, ring: &ExchangeRing<PeerId, ObjectId>) -> bool {
         let token = RingToken::new(initiator);
+        let timer = self.profile_timer();
         let outcome = token.circulate(ring, |peer, edge| self.can_confirm_ring_member(*peer, edge));
+        Self::add_elapsed(&self.token_pass_nanos, timer);
         if let TokenOutcome::Declined { .. } = outcome {
             if self.measuring() {
                 self.report.record_token_decline();
@@ -430,6 +436,7 @@ impl Simulation {
     /// queue survive the earlier events of its batch, which can start
     /// transfers but, within one timestamp, never complete them.
     fn serve_non_exchange(&mut self, provider: PeerId, cached: &mut Option<ServeQueue>) -> bool {
+        let timer = self.profile_timer();
         let reusable = matches!(cached, Some(sq) if sq.generation == self.graph.generation()
             && sq.world_epoch == self.world_epoch
             && sq.transfer_end_epoch == self.transfer_end_epoch);
@@ -438,6 +445,7 @@ impl Simulation {
             Some(sq) if reusable => self.patch_serve_queue(provider, sq),
             _ => *cached = Some(self.batch_snapshot().build_serve_queue(provider)),
         }
+        Self::add_elapsed(&self.serve_queue_nanos, timer);
         let sq = cached.as_mut().expect("serve queue was just built");
         if sq.queue.is_empty() {
             return false;
