@@ -70,7 +70,7 @@ mod tree;
 pub use graph::{Request, RequestGraph};
 pub use policy::{ExchangePolicy, RingPreference, SearchPolicy};
 pub use ring::{ExchangeRing, RingEdge, RingError};
-pub use search::{find_rings, RingSearch, SearchScratch, SearchTrace};
+pub use search::{find_rings, FastHasher, FastState, RingSearch, SearchScratch, SearchTrace};
 pub use summary::BloomRingIndex;
 pub use token::{RingToken, TokenOutcome};
 pub use tree::{RequestTree, TreeNode};

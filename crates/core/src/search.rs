@@ -30,14 +30,17 @@ pub struct SearchTrace<P: Key, O: Key> {
     pub edge_deps: Vec<P>,
 }
 
-/// An FxHash-style multiplicative hasher for the search's private maps.
+/// An FxHash-style multiplicative hasher for maps keyed by small `Copy` ids.
 ///
-/// Their keys are small `Copy` peer ids the search itself reads from the
-/// graph, so SipHash's flooding resistance buys nothing there; the maps are
+/// The workspace's one id hasher: the search's private maps and the
+/// simulation's id-keyed bookkeeping (transfers, rings, upload and download
+/// indexes, the ring-candidate cache) all use it through [`FastState`].  The
+/// keys are peer, object, transfer and ring ids the program assigns itself,
+/// so SipHash's flooding resistance buys nothing there.  Every such map is
 /// only ever probed, or iterated into a list that is sorted before use, so
 /// the hash function cannot affect any result.
 #[derive(Debug, Default, Clone, Copy)]
-struct FastHasher(u64);
+pub struct FastHasher(u64);
 
 impl FastHasher {
     const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -60,12 +63,18 @@ impl Hasher for FastHasher {
         self.add(u64::from(n));
     }
 
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
     fn finish(&self) -> u64 {
         self.0
     }
 }
 
-type FastState = BuildHasherDefault<FastHasher>;
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`FastHasher`]: write id-keyed maps as
+/// `HashMap<K, V, FastState>`.
+pub type FastState = BuildHasherDefault<FastHasher>;
 
 /// What one search learned about a peer the first time it popped a node
 /// ending at that peer.

@@ -64,6 +64,11 @@ fn d001_fires_and_suppresses() {
 }
 
 #[test]
+fn d001_flags_maps_with_a_custom_hasher() {
+    check("d001_custom_hasher.rs", "crates/sim/src/fixture.rs");
+}
+
+#[test]
 fn d001_scoped_to_sim_state_crates() {
     // The same iterations in the bench crate are not findings (the only
     // residue is the now-stale allow, reported as W001).

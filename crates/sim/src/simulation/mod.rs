@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use credit::UploadScheduler;
 use des::{DetRng, Scheduler, SimDuration, SimTime};
-use exchange::{RequestGraph, SearchScratch};
+use exchange::{FastState, RequestGraph, SearchScratch};
 use netsim::SlotPool;
 use workload::{Catalog, ObjectId, PeerId, PeerInterests, RequestGenerator, Storage};
 
@@ -231,10 +231,14 @@ pub struct Simulation {
     behaviors: Vec<Box<dyn PeerBehavior>>,
     graph: RequestGraph<PeerId, ObjectId>,
     request_gen: RequestGenerator,
-    transfers: HashMap<TransferId, ActiveTransfer>,
-    rings: HashMap<RingId, ActiveRing>,
-    uploads_by_peer: HashMap<PeerId, Vec<TransferId>>,
-    downloads_by_want: HashMap<(PeerId, ObjectId), Vec<TransferId>>,
+    /// Open transfer sessions.  Boxed, so the table stores pointers: it
+    /// grows with the session count, and while it resizes the old and new
+    /// tables coexist, which with inline sessions made the last resize the
+    /// high-water mark of a 10k-peer run's memory.
+    transfers: HashMap<TransferId, Box<ActiveTransfer>, FastState>,
+    rings: HashMap<RingId, ActiveRing, FastState>,
+    uploads_by_peer: HashMap<PeerId, Vec<TransferId>, FastState>,
+    downloads_by_want: HashMap<(PeerId, ObjectId), Vec<TransferId>, FastState>,
     next_transfer_id: TransferId,
     next_ring_id: RingId,
     engine: Scheduler<Event>,
@@ -442,10 +446,10 @@ impl Simulation {
             peers,
             behaviors,
             graph: RequestGraph::new(),
-            transfers: HashMap::new(),
-            rings: HashMap::new(),
-            uploads_by_peer: HashMap::new(),
-            downloads_by_want: HashMap::new(),
+            transfers: HashMap::default(),
+            rings: HashMap::default(),
+            uploads_by_peer: HashMap::default(),
+            downloads_by_want: HashMap::default(),
             next_transfer_id: 0,
             next_ring_id: 0,
             engine,

@@ -46,7 +46,7 @@ use std::thread;
 use std::time::Instant;
 
 use des::SimTime;
-use exchange::{RequestGraph, RingSearch, SearchScratch, SearchTrace};
+use exchange::{FastState, RequestGraph, RingSearch, SearchScratch, SearchTrace};
 use workload::{ObjectId, PeerId};
 
 use crate::PeerState;
@@ -89,9 +89,8 @@ pub(super) struct BatchJob {
     pub(super) graph: RequestGraph<PeerId, ObjectId>,
     pub(super) peers: Vec<PeerState>,
     pub(super) advertises: Vec<bool>,
-    pub(super) transfers: HashMap<TransferId, ActiveTransfer>,
-    pub(super) downloads_by_want: HashMap<(PeerId, ObjectId), Vec<TransferId>>,
-    pub(super) uploads_by_peer: HashMap<PeerId, Vec<TransferId>>,
+    pub(super) transfers: HashMap<TransferId, Box<ActiveTransfer>, FastState>,
+    pub(super) uploads_by_peer: HashMap<PeerId, Vec<TransferId>, FastState>,
     /// The ring-candidate cache, read-only here: workers `peek` it to skip
     /// searches a merge-side lookup will answer from cache.  Stats are only
     /// ever advanced by the merge thread's real lookups.
@@ -119,7 +118,7 @@ impl BatchJob {
             peers: &self.peers,
             advertises: &self.advertises,
             transfers: &self.transfers,
-            downloads_by_want: &self.downloads_by_want,
+            uploads_by_peer: &self.uploads_by_peer,
             now: self.now,
             needs_reciprocal: self.needs_reciprocal,
             transfer_epoch: self.transfer_epoch,

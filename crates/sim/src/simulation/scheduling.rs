@@ -33,6 +33,11 @@ use super::Simulation;
 /// In the scheduling loop only the transfer epochs can actually move
 /// between iterations; the graph stamps are insurance that keeps a future
 /// graph-mutating scheduling step from silently replaying a stale queue.
+///
+/// Neither building nor patching probes a hashed index per entry: the
+/// "already served by this provider" test — the condition that rejects
+/// most entries — runs against the `(downloader, object)` pairs of the
+/// provider's own uploads, collected once per build or patch.
 pub(super) struct ServeQueue {
     pub(super) queue: Vec<QueuedRequest<PeerId>>,
     pub(super) objects: Vec<ObjectId>,
@@ -487,34 +492,27 @@ impl Simulation {
     /// storage, claims, sharing flags or the clock (the graph/world stamps
     /// already matched, and a batch shares one timestamp), so of
     /// [`BatchSnapshot::build_serve_queue`]'s per-entry conditions only two
-    /// can have changed — and both only towards exclusion: the requester's
-    /// download slots may have filled, and the `(requester, object)` pair
-    /// may now be served by this provider.  Filtering on those two live
-    /// probes therefore reproduces the rebuild, at O(queue) with no graph
-    /// walk, no want lookups and no reciprocity scans.
+    /// can have changed — and both only towards exclusion: the
+    /// `(requester, object)` pair may now be served by this provider, and
+    /// the requester's download slots may have filled.  Filtering on those
+    /// two reproduces the rebuild, at O(queue) with no graph walk, no want
+    /// lookups and no reciprocity scans: the first is a scan of the
+    /// provider's few current uploads
+    /// ([`BatchSnapshot::serving`](super::shard::BatchSnapshot::serving)),
+    /// the second one slot-pool read.
     ///
     /// [`BatchSnapshot::build_serve_queue`]: super::shard::BatchSnapshot::build_serve_queue
     fn patch_serve_queue(&self, provider: PeerId, sq: &mut ServeQueue) {
+        let serving = self.batch_snapshot().serving(provider);
         let mut kept_queue = Vec::with_capacity(sq.queue.len());
         let mut kept_objects = Vec::with_capacity(sq.objects.len());
         let entries = std::mem::take(&mut sq.queue)
             .into_iter()
             .zip(std::mem::take(&mut sq.objects));
         for (entry, object) in entries {
-            if !self.peer(entry.requester).download_slots.has_free() {
-                continue;
-            }
-            let already_serving = self
-                .downloads_by_want
-                .get(&(entry.requester, object))
-                .is_some_and(|tids| {
-                    tids.iter().any(|tid| {
-                        self.transfers
-                            .get(tid)
-                            .is_some_and(|t| t.uploader == provider)
-                    })
-                });
-            if already_serving {
+            if serving.contains(&(entry.requester, object))
+                || !self.peer(entry.requester).download_slots.has_free()
+            {
                 continue;
             }
             kept_queue.push(entry);

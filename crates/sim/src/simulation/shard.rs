@@ -53,7 +53,7 @@ use std::time::Instant;
 
 use credit::QueuedRequest;
 use des::SimTime;
-use exchange::{RequestGraph, RingSearch, SearchScratch, SearchTrace};
+use exchange::{FastState, RequestGraph, RingSearch, SearchScratch, SearchTrace};
 use workload::{ObjectId, PeerId};
 
 use crate::PeerState;
@@ -101,8 +101,8 @@ pub(super) struct BatchSnapshot<'a> {
     pub(super) graph: &'a RequestGraph<PeerId, ObjectId>,
     pub(super) peers: &'a [PeerState],
     pub(super) advertises: &'a [bool],
-    pub(super) transfers: &'a HashMap<TransferId, ActiveTransfer>,
-    pub(super) downloads_by_want: &'a HashMap<(PeerId, ObjectId), Vec<TransferId>>,
+    pub(super) transfers: &'a HashMap<TransferId, Box<ActiveTransfer>, FastState>,
+    pub(super) uploads_by_peer: &'a HashMap<PeerId, Vec<TransferId>, FastState>,
     pub(super) now: SimTime,
     pub(super) needs_reciprocal: bool,
     pub(super) transfer_epoch: u64,
@@ -131,6 +131,18 @@ impl BatchSnapshot<'_> {
         })
     }
 
+    /// The `(downloader, object)` pairs `provider` is uploading right now:
+    /// at most one per upload slot, so a serve queue tests each entry's
+    /// already-served condition against this short list instead of probing
+    /// the download index.
+    pub(super) fn serving(&self, provider: PeerId) -> Vec<(PeerId, ObjectId)> {
+        let uploads = self.uploads_by_peer.get(&provider).into_iter().flatten();
+        uploads
+            .filter_map(|tid| self.transfers.get(tid))
+            .map(|t| (t.downloader, t.object))
+            .collect()
+    }
+
     /// Assembles the eligible non-exchange queue at `provider` from scratch.
     ///
     /// This is *the* serve-queue builder — the sequential path calls it too
@@ -147,9 +159,15 @@ impl BatchSnapshot<'_> {
         } else {
             Vec::new()
         };
+        // The provider already serving the pair is by far the most common
+        // reason an entry is ineligible, and the cheapest to test.
+        let serving = self.serving(provider);
         let mut queue: Vec<QueuedRequest<PeerId>> = Vec::new();
         let mut objects: Vec<ObjectId> = Vec::new();
         for req in self.graph.incoming(provider) {
+            if serving.contains(&(req.requester, req.object)) {
+                continue;
+            }
             let requester_state = &self.peers[req.requester.as_usize()];
             let Some(want) = requester_state.wants.get(&req.object) else {
                 continue;
@@ -164,19 +182,6 @@ impl BatchSnapshot<'_> {
                 continue;
             }
             if !requester_state.download_slots.has_free() {
-                continue;
-            }
-            let already_serving = self
-                .downloads_by_want
-                .get(&(req.requester, req.object))
-                .is_some_and(|tids| {
-                    tids.iter().any(|tid| {
-                        self.transfers
-                            .get(tid)
-                            .is_some_and(|t| t.uploader == provider)
-                    })
-                });
-            if already_serving {
                 continue;
             }
             let reciprocal = self.needs_reciprocal
@@ -284,7 +289,7 @@ impl Simulation {
             peers: &self.peers,
             advertises: &self.advertises,
             transfers: &self.transfers,
-            downloads_by_want: &self.downloads_by_want,
+            uploads_by_peer: &self.uploads_by_peer,
             now: self.now(),
             needs_reciprocal: self.scheduler.needs_reciprocal(),
             transfer_epoch: self.transfer_epoch,
@@ -369,7 +374,6 @@ impl Simulation {
             peers: mem::take(&mut self.peers),
             advertises: mem::take(&mut self.advertises),
             transfers: mem::take(&mut self.transfers),
-            downloads_by_want: mem::take(&mut self.downloads_by_want),
             uploads_by_peer: mem::take(&mut self.uploads_by_peer),
             ring_cache: mem::take(&mut self.ring_cache),
         };
@@ -384,7 +388,6 @@ impl Simulation {
         self.peers = job.peers;
         self.advertises = job.advertises;
         self.transfers = job.transfers;
-        self.downloads_by_want = job.downloads_by_want;
         self.uploads_by_peer = job.uploads_by_peer;
         self.ring_cache = job.ring_cache;
 

@@ -68,7 +68,7 @@ use std::io::{Read, Write};
 use credit::SchedulerState;
 use des::{DetRng, EventQueue, Scheduler, SimTime};
 use exchange::cheat::WindowedExchange;
-use exchange::{ExchangeRing, RequestGraph, RingEdge, SearchTrace};
+use exchange::{ExchangeRing, FastState, RequestGraph, RingEdge, SearchTrace};
 use metrics::{ClassTally, OnlineStats, SampleSet};
 use netsim::TransferSession;
 use workload::{CategoryId, ObjectId, PeerId, Storage};
@@ -857,7 +857,7 @@ impl Decode for Scheduler<Event> {
 }
 
 /// A map's entries in ascending id order, the order the snapshot stores.
-fn sorted_by_id<V>(map: &HashMap<u64, V>) -> Vec<(u64, &V)> {
+fn sorted_by_id<V>(map: &HashMap<u64, V, FastState>) -> Vec<(u64, &V)> {
     // exchange-lint: allow(D001, reason = "collected into a Vec that is sorted by id on the next line")
     let mut entries: Vec<(u64, &V)> = map.iter().map(|(id, value)| (*id, value)).collect();
     entries.sort_unstable_by_key(|&(id, _)| id);
@@ -895,7 +895,11 @@ impl Simulation {
         write_section(writer, TAG_TRANSFERS, |out| {
             (self.next_transfer_id, self.next_ring_id).encode(out);
             (self.transfer_epoch, self.world_epoch).encode(out);
-            (sorted_by_id(&self.transfers), sorted_by_id(&self.rings)).encode(out);
+            let transfers = sorted_by_id(&self.transfers).into_iter();
+            let transfers: Vec<(TransferId, &ActiveTransfer)> = transfers
+                .map(|(tid, transfer)| (tid, &**transfer))
+                .collect();
+            (transfers, sorted_by_id(&self.rings)).encode(out);
         })?;
         write_section(writer, TAG_ENGINE, |out| self.engine.encode(out))?;
         let scheduler = self.scheduler.export_state();
@@ -1021,9 +1025,11 @@ impl Simulation {
             Ok((transfers, rings))
         })?;
         let (next_transfer_id, next_ring_id) = (sim.next_transfer_id, sim.next_ring_id);
-        let mut transfer_map = HashMap::with_capacity(transfers.len());
-        let mut uploads_by_peer: HashMap<PeerId, Vec<TransferId>> = HashMap::new();
-        let mut downloads_by_want: HashMap<(PeerId, ObjectId), Vec<TransferId>> = HashMap::new();
+        let mut transfer_map =
+            HashMap::with_capacity_and_hasher(transfers.len(), FastState::default());
+        let mut uploads_by_peer: HashMap<PeerId, Vec<TransferId>, FastState> = HashMap::default();
+        let mut downloads_by_want: HashMap<(PeerId, ObjectId), Vec<TransferId>, FastState> =
+            HashMap::default();
         for (tid, transfer) in transfers {
             if tid >= next_transfer_id || transfer.ring.is_some_and(|rid| rid >= next_ring_id) {
                 return Err(corrupt!(
@@ -1038,7 +1044,7 @@ impl Simulation {
                 .entry((transfer.downloader, transfer.object))
                 .or_default()
                 .push(tid);
-            if transfer_map.insert(tid, transfer).is_some() {
+            if transfer_map.insert(tid, Box::new(transfer)).is_some() {
                 return Err(corrupt!("duplicate transfer id {tid}"));
             }
         }
@@ -1052,7 +1058,7 @@ impl Simulation {
         for tids in downloads_by_want.values_mut() {
             tids.sort_unstable();
         }
-        let mut ring_map = HashMap::with_capacity(rings.len());
+        let mut ring_map = HashMap::with_capacity_and_hasher(rings.len(), FastState::default());
         for (rid, ring) in rings {
             if rid >= next_ring_id {
                 return Err(corrupt!("ring id {rid} not below the id counter"));

@@ -85,7 +85,7 @@ impl Simulation {
         self.transfer_epoch += 1;
         self.transfers.insert(
             tid,
-            ActiveTransfer {
+            Box::new(ActiveTransfer {
                 uploader,
                 downloader,
                 object,
@@ -93,7 +93,7 @@ impl Simulation {
                 ring,
                 session,
                 validation,
-            },
+            }),
         );
         self.uploads_by_peer.entry(uploader).or_default().push(tid);
         self.downloads_by_want
@@ -160,7 +160,7 @@ impl Simulation {
     }
 
     pub(super) fn handle_block_complete(&mut self, tid: TransferId) {
-        let Some(transfer) = self.transfers.get(&tid).cloned() else {
+        let Some(transfer) = self.transfers.get(&tid).map(|t| ActiveTransfer::clone(t)) else {
             return; // the session ended before this block event fired
         };
         let size = self.catalog.size_bytes(transfer.object);
