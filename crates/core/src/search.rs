@@ -72,8 +72,8 @@ impl Hasher for FastHasher {
     }
 }
 
-/// The [`BuildHasher`](std::hash::BuildHasher) of [`FastHasher`]: write id-keyed maps as
-/// `HashMap<K, V, FastState>`.
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`FastHasher`]: write
+/// id-keyed maps as `HashMap<K, V, FastState>`.
 pub type FastState = BuildHasherDefault<FastHasher>;
 
 /// What one search learned about a peer the first time it popped a node

@@ -115,8 +115,8 @@ fn remove_entry(
 }
 
 /// Appends `link` to `list`, first dropping the list's stale links when it
-/// is full, so a list only grows while at least half of it is live.
-/// `links` counts the links across all lists.
+/// is full, so a list only grows when every link in it is live.  `links`
+/// counts the links across all lists.
 fn push_link(
     entries: &HashMap<PeerId, Entry, FastState>,
     links: &mut usize,
