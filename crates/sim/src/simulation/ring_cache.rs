@@ -49,9 +49,8 @@
 //! names a root together with the stamp of the entry it was made for.
 //! Storing pushes links; removing an entry touches no list, its links just
 //! stop matching the root's current stamp.  Stale links are dropped when a
-//! scan passes them: an edge delta takes the peer's whole list, a holdings
-//! delta keeps only the live links it scans, and a list that fills up is
-//! compacted to its live links before it may grow.  Lists nobody scans
+//! scan passes them: an edge delta takes the peer's whole list, and a
+//! holdings delta keeps only the live links it scans.  Lists no delta scans
 //! (objects no cached root wants any more) are caught by a sweep of both
 //! indexes once the stale links exceed twice the live ones, so stale links
 //! stay bounded by the live ones.  Which entries die, and therefore every
@@ -114,27 +113,9 @@ fn remove_entry(
     true
 }
 
-/// Appends `link` to `list`, first dropping the list's stale links when it
-/// is full, so a list only grows when every link in it is live.  `links`
-/// counts the links across all lists.
-fn push_link(
-    entries: &HashMap<PeerId, Entry, FastState>,
-    links: &mut usize,
-    list: &mut Vec<Link>,
-    link: Link,
-) {
-    if list.len() == list.capacity() {
-        let before = list.len();
-        list.retain(|&link| is_live(entries, link));
-        *links -= before - list.len();
-    }
-    list.push(link);
-    *links += 1;
-}
-
 /// Stale links the indexes may hold beyond twice the live ones before a
-/// store sweeps them.  Takes and compactions reclaim most stale links for
-/// free; the slack keeps a nearly empty cache from sweeping on every store.
+/// store sweeps them.  Delta scans reclaim most stale links for free; the
+/// slack keeps a nearly empty cache from sweeping on every store.
 const SWEEP_SLACK: usize = 4096;
 
 /// A borrowed view of one live cache entry (see
@@ -256,20 +237,19 @@ impl RingCandidateCache {
     fn link(&mut self, root: PeerId) {
         let entry = &self.entries[&root];
         let link = (root, entry.stamp);
-        if let Some(last) = entry.edge_deps.last() {
-            if last.as_usize() >= self.edge_dependents.len() {
+        if let Some(top) = entry.edge_deps.iter().max() {
+            if top.as_usize() >= self.edge_dependents.len() {
                 self.edge_dependents
-                    .resize_with(last.as_usize() + 1, Vec::new);
+                    .resize_with(top.as_usize() + 1, Vec::new);
             }
         }
         for dep in &entry.edge_deps {
-            let list = &mut self.edge_dependents[dep.as_usize()];
-            push_link(&self.entries, &mut self.links, list, link);
+            self.edge_dependents[dep.as_usize()].push(link);
         }
         for object in &entry.wants {
-            let list = self.want_index.entry(*object).or_default();
-            push_link(&self.entries, &mut self.links, list, link);
+            self.want_index.entry(*object).or_default().push(link);
         }
+        self.links += entry.edge_deps.len() + entry.wants.len();
     }
 
     /// Drops every stale link from both indexes and frees the lists left
@@ -520,15 +500,6 @@ mod tests {
         *p == peer(2) && *o == object(30)
     }
 
-    /// Reports a changed request edge `(provider, object)` the way the
-    /// simulation's drain does when the edge lands inside the searched queue
-    /// prefix: readers of the provider's queue die, and so do entries that
-    /// probed the provider for the object (a middleman claim).
-    fn edge_delta(cache: &mut RingCandidateCache, provider: PeerId, object: ObjectId) {
-        cache.invalidate_edge_readers(provider);
-        cache.invalidate_holding(provider, object);
-    }
-
     #[test]
     fn lookup_misses_then_hits_after_store() {
         let graph = fixture();
@@ -556,13 +527,14 @@ mod tests {
 
     #[test]
     fn graph_delta_on_a_dep_invalidates() {
-        let graph = fixture();
+        let mut graph = fixture();
         let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
         let trace = search().find_traced(&graph, peer(0), &wants, owns_o30);
         cache.store(peer(0), wants.clone(), trace);
-        // A new request at frontier peer 2 changes its queue -> dropped.
-        edge_delta(&mut cache, peer(2), object(40));
+        // A new request at frontier peer 2 dirties it -> entry dropped.
+        graph.add_request(peer(3), peer(2), object(40));
+        cache.apply_graph_deltas(&mut graph);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidations, 1);
         assert!(cache.lookup(peer(0), &wants).is_none());
@@ -570,20 +542,21 @@ mod tests {
 
     #[test]
     fn graph_delta_outside_the_deps_keeps_the_entry() {
-        let graph = fixture();
+        let mut graph = fixture();
         let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
         let trace = search().find_traced(&graph, peer(0), &wants, owns_o30);
         let rings = trace.rings.clone();
         cache.store(peer(0), wants.clone(), trace);
         // An edge between peers the search never visited is irrelevant.
-        edge_delta(&mut cache, peer(9), object(90));
+        graph.add_request(peer(8), peer(9), object(90));
+        cache.apply_graph_deltas(&mut graph);
         assert_eq!(cache.lookup(peer(0), &wants), Some(rings.as_slice()));
     }
 
     #[test]
     fn invalidate_peer_drops_every_dependent_root() {
-        let graph = fixture();
+        let mut graph = fixture();
         // Peer 1 also has its own entry: 2 asked 1, and 2 owns what 1 wants.
         let mut cache = RingCandidateCache::new();
         let wants0 = vec![object(30)];
@@ -604,7 +577,8 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidations, 2);
         // Stale reverse-index links must not resurrect anything.
-        edge_delta(&mut cache, peer(1), object(50));
+        graph.add_request(peer(4), peer(1), object(50));
+        cache.apply_graph_deltas(&mut graph);
         assert_eq!(cache.stats().invalidations, 2);
     }
 
@@ -630,7 +604,7 @@ mod tests {
 
     #[test]
     fn requester_side_edge_deltas_are_ignored() {
-        let graph = fixture();
+        let mut graph = fixture();
         let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
         let trace = search().find_traced(&graph, peer(0), &wants, owns_o30);
@@ -638,9 +612,9 @@ mod tests {
         cache.store(peer(0), wants.clone(), trace);
         // Peer 2 (a dep) issues a request towards an unrelated provider for
         // an unwanted object: only 2's outgoing queue and 9's incoming queue
-        // change, neither of which the cached search read.  The drain
-        // reports the provider end only.
-        edge_delta(&mut cache, peer(9), object(90));
+        // change, neither of which the cached search read.
+        graph.add_request(peer(2), peer(9), object(90));
+        cache.apply_graph_deltas(&mut graph);
         assert_eq!(cache.lookup(peer(0), &wants), Some(rings.as_slice()));
         assert_eq!(cache.stats().invalidations, 0);
     }
@@ -662,9 +636,9 @@ mod tests {
         assert!(trace.deps.contains(&peer(2)));
         assert!(!trace.edge_deps.contains(&peer(2)));
         cache.store(peer(0), wants.clone(), trace);
-        // An edge at peer 2 for the wanted object 30 must invalidate: its
-        // readers are none, but the claim probe is.
-        edge_delta(&mut cache, peer(2), object(30));
+        // An edge at peer 2 for the wanted object 30 must invalidate...
+        graph.add_request(peer(5), peer(2), object(30));
+        cache.apply_graph_deltas(&mut graph);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidations, 1);
     }

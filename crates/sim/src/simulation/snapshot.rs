@@ -191,6 +191,12 @@ impl<T: Encode + ?Sized> Encode for &T {
     }
 }
 
+impl<T: Encode + ?Sized> Encode for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
 /// A bounds-checked cursor over a fully-read snapshot buffer.  Every read
 /// returns `Err(Truncated)` instead of indexing past the end.
 #[derive(Clone, Copy, Default)]
@@ -895,11 +901,7 @@ impl Simulation {
         write_section(writer, TAG_TRANSFERS, |out| {
             (self.next_transfer_id, self.next_ring_id).encode(out);
             (self.transfer_epoch, self.world_epoch).encode(out);
-            let transfers = sorted_by_id(&self.transfers).into_iter();
-            let transfers: Vec<(TransferId, &ActiveTransfer)> = transfers
-                .map(|(tid, transfer)| (tid, &**transfer))
-                .collect();
-            (transfers, sorted_by_id(&self.rings)).encode(out);
+            (sorted_by_id(&self.transfers), sorted_by_id(&self.rings)).encode(out);
         })?;
         write_section(writer, TAG_ENGINE, |out| self.engine.encode(out))?;
         let scheduler = self.scheduler.export_state();
@@ -1097,7 +1099,16 @@ impl Simulation {
         if tag != RING_CACHE_TAG {
             return Err(corrupt!("unsupported ring-cache tag {tag}"));
         }
+        // A search leaves `deps` and `edge_deps` strictly ascending, and the
+        // cache's invalidations binary-search `deps`: anything else is
+        // corrupt input.
         for (root, wants, trace) in entries {
+            let ascending = |peers: &[PeerId]| peers.is_sorted_by(|a, b| a < b);
+            if !ascending(&trace.deps) || !ascending(&trace.edge_deps) {
+                return Err(corrupt!(
+                    "cached search of root {root} has dependencies out of order"
+                ));
+            }
             sim.ring_cache.store(root, wants, trace);
         }
         sim.ring_cache.set_stats(stats);

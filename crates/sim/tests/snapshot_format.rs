@@ -10,8 +10,9 @@
 //! ```
 //!
 //! The remaining tests pin the error contract: truncated bytes, wrong
-//! magic, future format versions, an unknown ring-cache tag, and a
-//! dirty-peer list that disagrees with its dirty-edge log must return
+//! magic, future format versions, an unknown ring-cache tag, a cached
+//! search whose dependency lists are out of order, and a dirty-peer list
+//! that disagrees with its dirty-edge log must return
 //! [`SnapshotError`]s, never panic, and the golden fixture must restore into a simulation that
 //! finishes with the exact same report as a fresh run.
 
@@ -241,6 +242,56 @@ fn self_request_edge_errors_gracefully() {
         Simulation::restore(&mut &bytes[..], &config),
         Err(SnapshotError::Corrupt(_))
     ));
+}
+
+/// Byte offsets of each cached entry's `(deps, edge_deps)` lists in the
+/// ring-cache section: each offset points at the list's count.
+fn cached_dependency_lists(bytes: &[u8]) -> Vec<(usize, usize)> {
+    // Cache payload: cache tag, three u64 counters, entry count, then
+    // `(root, wants, rings, deps, edge_deps)` entries.
+    let payload = section_len_offset(bytes, TAG_RING_CACHE) + 8;
+    let count = |at: usize| usize::try_from(read_u64(bytes, at)).expect("count fits");
+    let skip_ids = |at: usize| at + 8 + 4 * count(at);
+    let mut at = payload + 1 + 24 + 8;
+    (0..count(at - 8))
+        .map(|_| {
+            at = skip_ids(at + 4);
+            let rings = count(at);
+            at += 8;
+            for _ in 0..rings {
+                at += 8 + 12 * count(at);
+            }
+            let deps = at;
+            let edge_deps = skip_ids(deps);
+            at = skip_ids(edge_deps);
+            (deps, edge_deps)
+        })
+        .collect()
+}
+
+#[test]
+fn unordered_cached_dependencies_error_gracefully() {
+    let config = golden_config();
+    let golden = golden_bytes();
+    // The cache indexes rely on each cached search's `deps` and `edge_deps`
+    // being strictly ascending, so swapping a list's first two peers must
+    // not restore.
+    let lists = cached_dependency_lists(&golden);
+    let picks: [fn((usize, usize)) -> usize; 2] = [|(deps, _)| deps, |(_, edge_deps)| edge_deps];
+    for pick in picks {
+        let at = lists
+            .iter()
+            .copied()
+            .map(pick)
+            .find(|&at| read_u64(&golden, at) >= 2)
+            .expect("the golden cache has an entry with two such dependencies");
+        let mut bytes = golden.clone();
+        bytes[at + 8..at + 16].rotate_left(4);
+        assert!(matches!(
+            Simulation::restore(&mut &bytes[..], &config),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
 }
 
 #[test]
