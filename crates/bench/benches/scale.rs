@@ -403,6 +403,7 @@ fn phase_json(profile: &PhaseProfile) -> String {
     };
     format!(
         "{{\"events\":{},\"event_loop_s\":{:.3},\"generate_requests_s\":{:.3},\
+         \"request_draw_s\":{:.3},\"provider_lookup_s\":{:.3},\"request_register_s\":{:.3},\
          \"scheduling_s\":{:.3},\"ring_search_s\":{:.3},\"ring_searches\":{},\
          \"serve_queue_s\":{:.3},\"cache_upkeep_s\":{:.3},\"token_pass_s\":{:.3},\
          \"shard_planning_s\":{:.3},\"planning_breakdown\":{{\
@@ -412,6 +413,9 @@ fn phase_json(profile: &PhaseProfile) -> String {
         profile.events,
         profile.event_loop.as_secs_f64(),
         profile.generate_requests.as_secs_f64(),
+        profile.request_draw.as_secs_f64(),
+        profile.provider_lookup.as_secs_f64(),
+        profile.request_register.as_secs_f64(),
         profile.scheduling.as_secs_f64(),
         profile.ring_search.as_secs_f64(),
         profile.ring_searches,

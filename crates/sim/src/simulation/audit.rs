@@ -14,6 +14,11 @@
 //!   distinct peers;
 //! * byte conservation — total bytes uploaded equal total bytes downloaded,
 //!   and no peer's junk/ciphertext tallies exceed its downloads;
+//! * holders index — `holders[o]` is exactly the set of sharing, online
+//!   peers storing `o`, and `honest_holders[o]` counts the honest ones;
+//! * search oracle — for every online sharing root with wants, the
+//!   holder-marked oracle a ring search probes agrees with the per-pair
+//!   claims oracle on every peer and every distinct wanted object;
 //! * cache exactness — every live [`super::RingCandidateCache`] entry equals
 //!   a fresh [`exchange::RingSearch::find_traced`] run against the current
 //!   graph and claims oracle, dependency sets included;
@@ -33,7 +38,7 @@
 //! again replays the identical failing event first, reproducing the failure
 //! in isolation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use exchange::RingSearch;
@@ -42,6 +47,7 @@ use workload::PeerId;
 use crate::SimReport;
 
 use super::events::Event;
+use super::shard::{search_oracle, HolderMarks};
 use super::Simulation;
 
 impl Simulation {
@@ -181,6 +187,8 @@ impl Simulation {
         self.audit_ring_cache()?;
         self.audit_maintenance_wheel()?;
         self.audit_population()?;
+        self.audit_holders_index()?;
+        self.audit_search_oracle()?;
         Ok(())
     }
 
@@ -222,6 +230,85 @@ impl Simulation {
                         "departed peer {id:?} still referenced by cache entry at {:?}",
                         entry.root
                     ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The holders index equals its definition: `holders[o]` is the set of
+    /// sharing, online peers storing `o`, and `honest_holders[o]` counts
+    /// those that share honestly.  Every ring search marks its closing
+    /// candidates from this index, so a drifted entry would change results.
+    fn audit_holders_index(&self) -> Result<(), String> {
+        let objects = self.holders.len();
+        if self.honest_holders.len() != objects {
+            return Err(format!(
+                "holders index covers {objects} objects, honest counts {}",
+                self.honest_holders.len()
+            ));
+        }
+        let mut expected = vec![BTreeSet::new(); objects];
+        let mut honest = vec![0u32; objects];
+        for peer in self.peers.iter().filter(|p| p.sharing && p.online) {
+            let shares_honestly = self.behavior(peer.id).shares_honestly();
+            for object in peer.storage.iter() {
+                let Some(holders) = expected.get_mut(object.as_usize()) else {
+                    return Err(format!(
+                        "peer {:?} stores {object:?}, outside the holders index",
+                        peer.id
+                    ));
+                };
+                holders.insert(peer.id);
+                if shares_honestly {
+                    honest[object.as_usize()] += 1;
+                }
+            }
+        }
+        for (object, (indexed, expected)) in self.holders.iter().zip(&expected).enumerate() {
+            if indexed != expected {
+                return Err(format!(
+                    "holders of object {object}: indexed {indexed:?}, stored by {expected:?}"
+                ));
+            }
+            if self.honest_holders[object] != honest[object] {
+                return Err(format!(
+                    "object {object}: {} honest holders counted, {} stored",
+                    self.honest_holders[object], honest[object]
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// For every online sharing peer with wants, the oracle its ring search
+    /// would probe ([`search_oracle`]) agrees with [`Simulation::claims`]
+    /// for every peer and every distinct wanted object.
+    fn audit_search_oracle(&self) -> Result<(), String> {
+        let mut marks = HolderMarks::default();
+        for root in self.peers.iter().filter(|p| p.sharing && p.online) {
+            let wants = root.wanted_objects();
+            if wants.is_empty() {
+                continue;
+            }
+            let provides = search_oracle(
+                &mut marks,
+                &self.holders,
+                &self.peers,
+                &self.graph,
+                &self.advertises,
+                &wants,
+            );
+            for peer in &self.peers {
+                for object in &wants {
+                    let claimed = self.claims(peer.id, *object);
+                    if provides(&peer.id, object) != claimed {
+                        return Err(format!(
+                            "search oracle of root {:?} answers {} for {:?} and {object:?}, \
+                             claims answers {claimed}",
+                            root.id, !claimed, peer.id
+                        ));
+                    }
                 }
             }
         }

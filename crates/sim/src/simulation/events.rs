@@ -91,9 +91,16 @@ impl Simulation {
         let attempt_budget = max_pending * 4;
         while self.peer(peer).can_issue_request(max_pending) && attempts < attempt_budget {
             attempts += 1;
+            // The three sub-phases run back to back: each one's stop is
+            // the next one's start, one clock read per boundary.
+            let timer = self.profile_timer();
             let candidate = self.next_request_for(peer);
+            let timer = Self::add_elapsed(&self.request_draw_nanos, timer);
             let Some(object) = candidate else { break };
-            self.issue_request(peer, object);
+            let providers = self.lookup_providers(peer, object);
+            let timer = Self::add_elapsed(&self.provider_lookup_nanos, timer);
+            self.register_request(peer, object, providers);
+            Self::add_elapsed(&self.request_register_nanos, timer);
         }
         // Retry on demand: wants for which no provider was found, or spare
         // budget freed by abandoned lookups, get another chance — but a peer
@@ -187,13 +194,21 @@ impl Simulation {
     }
 
     /// Looks up providers for `object` and registers requests with them.
+    pub(super) fn issue_request(&mut self, requester: PeerId, object: ObjectId) {
+        let providers = self.lookup_providers(requester, object);
+        self.register_request(requester, object, providers);
+    }
+
+    /// The providers `requester` sends its request for `object` to: a
+    /// sample of at most `lookup_max_providers` of the peers advertising
+    /// it, empty when nobody does.
     ///
     /// The lookup sees *advertised* holdings: every sharing peer that stores
     /// the object (honest or junk-serving — a requester cannot tell), plus
     /// any middleman that advertises it without storing it.  Middlemen only
     /// advertise objects some honest holder could source, so relayed content
     /// never materialises out of thin air.
-    pub(super) fn issue_request(&mut self, requester: PeerId, object: ObjectId) {
+    fn lookup_providers(&mut self, requester: PeerId, object: ObjectId) -> Vec<PeerId> {
         // The lookup index keeps the sharing holders of every object in
         // peer-id order (exactly the order the old full-population scan
         // produced), plus the honest-holder count middleman advertisements
@@ -216,15 +231,19 @@ impl Simulation {
             }));
         }
         if all_providers.is_empty() {
-            return; // nothing to request from right now
+            return Vec::new(); // nothing to request from right now
         }
-        let chosen: Vec<PeerId> = self
-            .rng_lookup
+        self.rng_lookup
             .sample(&all_providers, self.config.lookup_max_providers)
             .into_iter()
             .copied()
-            .collect();
+            .collect()
+    }
 
+    /// Registers `requester`'s request for `object` with each of `chosen`
+    /// that has room in its incoming queue, then records the want and
+    /// wakes the schedulers it concerns.  A no-op when no provider accepts.
+    fn register_request(&mut self, requester: PeerId, object: ObjectId, chosen: Vec<PeerId>) {
         let now = self.now();
         let mut registered = Vec::new();
         for provider in chosen {

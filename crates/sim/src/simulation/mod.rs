@@ -141,9 +141,11 @@ impl SimSetup {
 
 /// Wall-clock breakdown of one [profiled](Simulation::run_profiled) run by
 /// event phase.  `scheduling` includes `ring_search`, `serve_queue`,
-/// `cache_upkeep` and `token_pass`; `event_loop` covers the whole dispatch
-/// loop (the phases plus engine overhead).  Setup time is not included —
-/// time [`Simulation::new`]/[`SimSetup::generate`] separately.
+/// `cache_upkeep` and `token_pass`; `generate_requests` includes
+/// `request_draw`, `provider_lookup` and `request_register`; `event_loop`
+/// covers the whole dispatch loop (the phases plus engine overhead).  Setup
+/// time is not included — time [`Simulation::new`]/[`SimSetup::generate`]
+/// separately.
 ///
 /// Sharded runs ([`SimConfig::shards`] > 1) additionally report
 /// `shard_planning` — the wall clock of the parallel search/queue windows —
@@ -161,6 +163,16 @@ pub struct PhaseProfile {
     pub event_loop: Duration,
     /// Time spent generating and registering requests (including arrivals).
     pub generate_requests: Duration,
+    /// Time spent drawing which object to request next (a subset of
+    /// `generate_requests`).
+    pub request_draw: Duration,
+    /// Time spent collecting a drawn object's advertised providers and
+    /// sampling the ones to ask (a subset of `generate_requests`).
+    pub provider_lookup: Duration,
+    /// Time spent registering requests: graph inserts, scheduler hooks,
+    /// the want entry and the `TrySchedule` wake-ups (a subset of
+    /// `generate_requests`).
+    pub request_register: Duration,
     /// Time spent filling upload slots (ring discovery + activation + the
     /// non-exchange fallback).
     pub scheduling: Duration,
@@ -260,13 +272,22 @@ pub struct Simulation {
     /// mutations: the dirty-edge drain advances it, forgetting only the
     /// queues that changed.
     scratch: SearchScratch<PeerId, ObjectId>,
+    /// Which wanted objects of the current search's root each peer holds,
+    /// marked from [`holders`](Self::holders) before every fresh search so
+    /// the search's probes skip per-peer storage lookups (see
+    /// [`shard::search_oracle`]).  Scratch state beside
+    /// [`scratch`](Self::scratch): sized on the first search, never
+    /// serialized.
+    marks: shard::HolderMarks,
     /// The graph generation up to which the dirty log has been drained
     /// (the `from` side of the scratch's incremental advance).
     drained_generation: u64,
-    /// Sharing peers currently storing each object, indexed by object id and
-    /// iterated in peer-id order — the lookup index that replaces the old
-    /// O(peers) provider scan per issued request.  Maintained at every
-    /// storage change (download completed, eviction).
+    /// Sharing, online peers currently storing each object, indexed by
+    /// object id and iterated in peer-id order — the lookup index that
+    /// replaces the old O(peers) provider scan per issued request, and the
+    /// source of every ring search's holder marks.  Maintained at every
+    /// storage or presence change (download completed, eviction, departure,
+    /// rejoin, flash-crowd seeding); the audit checks it after every event.
     holders: Vec<std::collections::BTreeSet<PeerId>>,
     /// How many of [`holders`](Self::holders) per object also share
     /// honestly (a middleman advertisement is only as good as an honest
@@ -315,8 +336,9 @@ pub struct Simulation {
     /// audit harness asserts it returns to zero once the simulation drops.
     shard_census: Arc<AtomicUsize>,
     /// Set by [`run_profiled`](Self::run_profiled): fresh ring searches and
-    /// the scheduling sub-phases time themselves into their `*_nanos`
-    /// counters (see [`profile_timer`](Self::profile_timer)).
+    /// the scheduling and request-generation sub-phases time themselves
+    /// into their `*_nanos` counters (see
+    /// [`profile_timer`](Self::profile_timer)).
     profile_searches: bool,
     /// Test-only fault injection for the time-travel audit tests: when the
     /// engine's delivered-event count reaches this value,
@@ -342,6 +364,13 @@ pub struct Simulation {
     cache_upkeep_nanos: Cell<u64>,
     /// Nanoseconds spent circulating ring tokens (profiled runs only).
     token_pass_nanos: Cell<u64>,
+    /// Nanoseconds spent drawing request objects (profiled runs only).
+    request_draw_nanos: Cell<u64>,
+    /// Nanoseconds spent looking up and sampling providers (profiled runs
+    /// only).
+    provider_lookup_nanos: Cell<u64>,
+    /// Nanoseconds spent registering requests (profiled runs only).
+    request_register_nanos: Cell<u64>,
     /// Searches shard workers ran ahead of the merge (profiled runs only).
     planned_searches: Cell<u64>,
     /// Planned searches the merge consumed (profiled runs only).
@@ -456,6 +485,7 @@ impl Simulation {
             report,
             ring_cache,
             scratch: SearchScratch::new(),
+            marks: shard::HolderMarks::default(),
             drained_generation: 0,
             holders,
             honest_holders,
@@ -479,6 +509,9 @@ impl Simulation {
             serve_queue_nanos: Cell::new(0),
             cache_upkeep_nanos: Cell::new(0),
             token_pass_nanos: Cell::new(0),
+            request_draw_nanos: Cell::new(0),
+            provider_lookup_nanos: Cell::new(0),
+            request_register_nanos: Cell::new(0),
             planned_searches: Cell::new(0),
             planned_consumed: Cell::new(0),
         }
@@ -721,24 +754,30 @@ impl Simulation {
         profile.serve_queue = Duration::from_nanos(self.serve_queue_nanos.get());
         profile.cache_upkeep = Duration::from_nanos(self.cache_upkeep_nanos.get());
         profile.token_pass = Duration::from_nanos(self.token_pass_nanos.get());
+        profile.request_draw = Duration::from_nanos(self.request_draw_nanos.get());
+        profile.provider_lookup = Duration::from_nanos(self.provider_lookup_nanos.get());
+        profile.request_register = Duration::from_nanos(self.request_register_nanos.get());
         profile.planned_searches = self.planned_searches.get();
         profile.planned_consumed = self.planned_consumed.get();
         (self.finalize(), profile)
     }
 
-    /// Starts a scheduling sub-phase timer on profiled runs; `None`
-    /// otherwise, so unprofiled runs never read the clock.
+    /// Starts a sub-phase timer on profiled runs; `None` otherwise, so
+    /// unprofiled runs never read the clock.
     fn profile_timer(&self) -> Option<Instant> {
         // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
         self.profile_searches.then(Instant::now)
     }
 
-    /// Adds the time since `timer` started to `nanos` (a no-op for the
-    /// `None` of an unprofiled run).
-    fn add_elapsed(nanos: &Cell<u64>, timer: Option<Instant>) {
-        if let Some(start) = timer {
-            nanos.set(nanos.get() + start.elapsed().as_nanos() as u64);
-        }
+    /// Adds the time since `timer` started to `nanos` and returns the
+    /// instant it stopped, so back-to-back sub-phases can chain one clock
+    /// read each (a no-op returning `None` for an unprofiled run).
+    fn add_elapsed(nanos: &Cell<u64>, timer: Option<Instant>) -> Option<Instant> {
+        let start = timer?;
+        // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
+        let now = Instant::now();
+        nanos.set(nanos.get() + now.duration_since(start).as_nanos() as u64);
+        Some(now)
     }
 
     fn finalize(mut self) -> SimReport {
@@ -1069,6 +1108,18 @@ mod tests {
         assert!(profile.serve_queue > Duration::ZERO);
         assert!(profile.cache_upkeep > Duration::ZERO);
         assert!(profile.token_pass > Duration::ZERO);
+    }
+
+    #[test]
+    fn request_sub_phases_are_disjoint_parts_of_generate_requests() {
+        let mut config = SimConfig::quick_test();
+        config.discipline = ExchangePolicy::two_five_way();
+        let (_, profile) = Simulation::new(config, 31).run_profiled();
+        let parts = profile.request_draw + profile.provider_lookup + profile.request_register;
+        assert!(profile.generate_requests >= parts, "{profile:?}");
+        assert!(profile.request_draw > Duration::ZERO);
+        assert!(profile.provider_lookup > Duration::ZERO);
+        assert!(profile.request_register > Duration::ZERO);
     }
 
     /// What one scheduler call was, for the participation-report regression

@@ -22,10 +22,10 @@
 //!    instead of deadlocking), unwraps the now-unique `Arc`, and moves the
 //!    state back into the simulation.
 //!
-//! Workers keep their [`SearchScratch`] alive across batches, so the warm
-//! adjacency snapshots that make repeated searches cheap survive from batch
-//! to batch — under `thread::scope` they had to be shuttled through the
-//! simulation object instead.
+//! Workers keep their [`SearchScratch`] and [`HolderMarks`] alive across
+//! batches, so the warm adjacency snapshots that make repeated searches
+//! cheap survive from batch to batch — under `thread::scope` they had to be
+//! shuttled through the simulation object instead.
 //!
 //! What a worker plans is strictly the work the merge is predicted to
 //! consume: a traced ring search only for a slot-eligible provider whose
@@ -39,7 +39,7 @@
 // makes it unreachable.  Clippy enforces the same contract at module level.
 #![deny(clippy::unwrap_used, clippy::get_unwrap)]
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -53,7 +53,7 @@ use crate::PeerState;
 
 use super::ring_cache::RingCandidateCache;
 use super::scheduling::ServeQueue;
-use super::shard::BatchSnapshot;
+use super::shard::{BatchSnapshot, HolderMarks};
 use super::transfers::ActiveTransfer;
 use super::TransferId;
 
@@ -89,6 +89,8 @@ pub(super) struct BatchJob {
     pub(super) graph: RequestGraph<PeerId, ObjectId>,
     pub(super) peers: Vec<PeerState>,
     pub(super) advertises: Vec<bool>,
+    /// The holders index the search oracle marks its wanted objects from.
+    pub(super) holders: Vec<BTreeSet<PeerId>>,
     pub(super) transfers: HashMap<TransferId, Box<ActiveTransfer>, FastState>,
     pub(super) uploads_by_peer: HashMap<PeerId, Vec<TransferId>, FastState>,
     /// The ring-candidate cache, read-only here: workers `peek` it to skip
@@ -117,6 +119,7 @@ impl BatchJob {
             graph: &self.graph,
             peers: &self.peers,
             advertises: &self.advertises,
+            holders: &self.holders,
             transfers: &self.transfers,
             uploads_by_peer: &self.uploads_by_peer,
             now: self.now,
@@ -150,6 +153,7 @@ impl BatchJob {
     fn plan_provider(
         &self,
         scratch: &mut SearchScratch<PeerId, ObjectId>,
+        marks: &mut HolderMarks,
         provider: PeerId,
         wants: &[ObjectId],
     ) -> PlannedSlot {
@@ -165,7 +169,9 @@ impl BatchJob {
             (Some(search), true) => {
                 // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
                 let started = self.profiling.then(Instant::now);
-                let trace = self.snapshot().search(search, scratch, provider, wants);
+                let trace = self
+                    .snapshot()
+                    .search(search, scratch, marks, provider, wants);
                 if let Some(started) = started {
                     nanos = started.elapsed().as_nanos() as u64;
                 }
@@ -223,16 +229,17 @@ impl ShardPool {
                         }
                     }
                     let _guard = CensusGuard(census);
-                    // The scratch lives as long as the worker: adjacency
-                    // snapshots stay warm across batches.
+                    // The scratch and the holder marks live as long as the
+                    // worker: adjacency snapshots stay warm across batches.
                     let mut scratch = SearchScratch::new();
+                    let mut marks = HolderMarks::default();
                     while let Ok(job) = job_rx.recv() {
                         let mut out = Vec::new();
                         for (slot, (provider, wants)) in job.tasks.iter().enumerate() {
                             if slot % shards == index {
                                 out.push((
                                     *provider,
-                                    job.plan_provider(&mut scratch, *provider, wants),
+                                    job.plan_provider(&mut scratch, &mut marks, *provider, wants),
                                 ));
                             }
                         }

@@ -12,7 +12,7 @@ use workload::{ObjectId, PeerId};
 
 use crate::{SessionEnd, SessionKind};
 
-use super::shard::PlannedProvider;
+use super::shard::{search_oracle, PlannedProvider};
 use super::Simulation;
 
 /// The non-exchange request queue assembled for one provider, reused across
@@ -252,7 +252,10 @@ impl Simulation {
     ///
     /// A peer in the request tree can close a ring if it shares and *claims*
     /// an object the provider wants — its advertised holdings, which for a
-    /// middleman exceed its real storage ([`Simulation::claims`]).
+    /// middleman exceed its real storage ([`Simulation::claims`]).  The
+    /// search asks through [`search_oracle`](super::shard::search_oracle):
+    /// the holders of the provider's wants are marked once from the holders
+    /// index, so each probe is a mark lookup instead of a storage lookup.
     /// (Following the paper, the provider examines its pending requests
     /// against what the peers in its request tree advertise; it is not
     /// limited to the providers its own lookups sampled.)
@@ -262,25 +265,23 @@ impl Simulation {
         provider: PeerId,
         wants: &[ObjectId],
     ) -> exchange::SearchTrace<PeerId, ObjectId> {
-        // The scratch is taken out of `self` for the duration of the search
-        // so the `claims` oracle can borrow the rest of the simulation.
-        let mut scratch = std::mem::take(&mut self.scratch);
         let timer = self.profile_timer();
+        let provides = search_oracle(
+            &mut self.marks,
+            &self.holders,
+            &self.peers,
+            &self.graph,
+            &self.advertises,
+            wants,
+        );
         let trace = RingSearch::new(policy)
             .with_expansion_budget(self.config.ring_search_budget)
             .with_fanout(self.config.ring_search_fanout)
-            .find_traced_in(
-                &mut scratch,
-                &self.graph,
-                provider,
-                wants,
-                |peer, object| self.claims(*peer, *object),
-            );
+            .find_traced_in(&mut self.scratch, &self.graph, provider, wants, provides);
         if timer.is_some() {
             Self::add_elapsed(&self.ring_search_nanos, timer);
             self.ring_searches.set(self.ring_searches.get() + 1);
         }
-        self.scratch = scratch;
         trace
     }
 

@@ -16,11 +16,11 @@
 //!    workers read is *moved* into an owned
 //!    [`BatchJob`](super::pool::BatchJob) for the duration of the barrier, so
 //!    no `unsafe` and no scoped lifetimes are involved.  Each worker, with
-//!    its own long-lived [`SearchScratch`], plans only work the merge is
-//!    predicted to consume: a traced ring search for *slot-eligible*
-//!    providers whose `RingCandidateCache::peek` predicts a miss, and the
-//!    assembled non-exchange serve queue only where a free upload slot makes
-//!    it reachable.
+//!    its own long-lived [`SearchScratch`] and [`HolderMarks`], plans only
+//!    work the merge is predicted to consume: a traced ring search for
+//!    *slot-eligible* providers whose `RingCandidateCache::peek` predicts a
+//!    miss, and the assembled non-exchange serve queue only where a free
+//!    upload slot makes it reachable.
 //! 3. **Merge** — a single thread replays the events **in their original
 //!    queue order** (the event queue's deterministic FIFO sequence), running
 //!    the exact sequential control flow — cache lookups and stores included,
@@ -46,7 +46,7 @@
 // makes it unreachable.  Clippy enforces the same contract at module level.
 #![deny(clippy::unwrap_used, clippy::get_unwrap)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::mem;
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,9 +69,10 @@ use super::{PhaseProfile, Simulation, TransferId};
 /// (`advertises[peer]`) additionally claims any object someone has an
 /// accepted request for at it.
 ///
-/// This is the one claims oracle of the simulation: [`Simulation::claims`]
-/// and the shard workers both call it, so sequential and sharded searches
-/// can never diverge on what a peer advertises.
+/// This is the per-pair claims oracle of the simulation: [`Simulation::claims`]
+/// calls it, and so does every ring search (through [`search_oracle`]) for
+/// the middleman relay term, so sequential and sharded searches can never
+/// diverge on what a peer advertises.
 pub(super) fn claims_with(
     peers: &[PeerState],
     graph: &RequestGraph<PeerId, ObjectId>,
@@ -91,6 +92,110 @@ pub(super) fn claims_with(
     advertises[peer.as_usize()] && graph.incoming(peer).any(|r| r.object == object)
 }
 
+/// The claims oracle of one ring search rooted at a peer wanting `wants`,
+/// equal to [`claims_with`] for every peer and every wanted object.
+///
+/// A search probes thousands of peers per root and almost every probe
+/// answers "no", while the wanted objects have only a few dozen holders
+/// between them.  So the holders of the distinct wants are marked in
+/// `marks` once, from the `holders` index — the sharing, online peers
+/// storing each object — and the storage half of [`claims_with`] becomes
+/// a mark lookup.  Only a middleman (`advertises[peer]`) still goes
+/// through [`claims_with`], for its relay claims.  Both the sequential
+/// search and the shard workers build their oracle here.
+pub(super) fn search_oracle<'a>(
+    marks: &'a mut HolderMarks,
+    holders: &[BTreeSet<PeerId>],
+    peers: &'a [PeerState],
+    graph: &'a RequestGraph<PeerId, ObjectId>,
+    advertises: &'a [bool],
+    wants: &[ObjectId],
+) -> impl Fn(&PeerId, &ObjectId) -> bool + 'a {
+    marks.mark(peers.len(), holders, wants);
+    let marks = &*marks;
+    move |peer, object| {
+        marks.holds(*peer, *object)
+            || (advertises[peer.as_usize()]
+                && claims_with(peers, graph, advertises, *peer, *object))
+    }
+}
+
+/// Which of one search's wanted objects each peer holds, marked from the
+/// `holders` index (see [`search_oracle`]).
+///
+/// Per peer it keeps a `(stamp, head)` pair: the peer was marked by the
+/// current search iff its stamp equals the table's, and `head` then
+/// indexes the first of its `(object, next)` links.  An unmarked peer is
+/// rejected in O(1); a marked one walks only the wanted objects it holds.
+/// The per-peer array is sized on the first search and, once warm, a
+/// search allocates nothing.  When the stamp counter is exhausted the
+/// table clears itself, so a stale stamp can never match a reissued one.
+/// Like [`SearchScratch`] this is scratch state: never serialized, and a
+/// cold table answers exactly like a warm one.
+#[derive(Debug, Default)]
+pub(super) struct HolderMarks {
+    stamp: u32,
+    heads: Vec<(u32, u32)>,
+    links: Vec<(ObjectId, u32)>,
+}
+
+/// The end of a peer's link list.
+const NO_LINK: u32 = u32::MAX;
+
+impl HolderMarks {
+    /// A table whose stamp counter is forced to `stamp`, so tests can run
+    /// the clear-on-exhaustion path without four billion searches.
+    #[cfg(test)]
+    fn with_stamp(mut self, stamp: u32) -> Self {
+        self.stamp = stamp;
+        self
+    }
+
+    /// Starts a new search: marks the holders of every distinct object in
+    /// `wants` among `num_peers` peers.
+    fn mark(&mut self, num_peers: usize, holders: &[BTreeSet<PeerId>], wants: &[ObjectId]) {
+        if self.stamp == u32::MAX {
+            self.heads.fill((0, NO_LINK));
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        if self.heads.len() < num_peers {
+            self.heads.resize(num_peers, (0, NO_LINK));
+        }
+        self.links.clear();
+        for (i, &object) in wants.iter().enumerate() {
+            if wants.iter().take(i).any(|&seen| seen == object) {
+                continue;
+            }
+            for peer in &holders[object.as_usize()] {
+                let (stamp, head) = &mut self.heads[peer.as_usize()];
+                let next = if *stamp == self.stamp { *head } else { NO_LINK };
+                *stamp = self.stamp;
+                *head = u32::try_from(self.links.len())
+                    .expect("a search marks fewer than u32::MAX holder links");
+                self.links.push((object, next));
+            }
+        }
+    }
+
+    /// Whether the current search marked `peer` as a holder of `object`.
+    fn holds(&self, peer: PeerId, object: ObjectId) -> bool {
+        let Some(&(stamp, mut link)) = self.heads.get(peer.as_usize()) else {
+            return false;
+        };
+        if stamp != self.stamp {
+            return false;
+        }
+        while let Some(&(held, next)) = self.links.get(link as usize) {
+            if held == object {
+                return true;
+            }
+            link = next;
+        }
+        false
+    }
+}
+
 /// The immutable slice of simulation state a shard worker reads — borrowed
 /// either from the live simulation (the sequential serve-queue rebuild) or
 /// from the [`BatchJob`] the state was moved into for a batch barrier.  The
@@ -101,6 +206,7 @@ pub(super) struct BatchSnapshot<'a> {
     pub(super) graph: &'a RequestGraph<PeerId, ObjectId>,
     pub(super) peers: &'a [PeerState],
     pub(super) advertises: &'a [bool],
+    pub(super) holders: &'a [BTreeSet<PeerId>],
     pub(super) transfers: &'a HashMap<TransferId, Box<ActiveTransfer>, FastState>,
     pub(super) uploads_by_peer: &'a HashMap<PeerId, Vec<TransferId>, FastState>,
     pub(super) now: SimTime,
@@ -112,23 +218,26 @@ pub(super) struct BatchSnapshot<'a> {
 }
 
 impl BatchSnapshot<'_> {
-    fn claims(&self, peer: PeerId, object: ObjectId) -> bool {
-        claims_with(self.peers, self.graph, self.advertises, peer, object)
-    }
-
-    /// Runs one traced ring search rooted at `provider` inside `scratch`.
-    /// Identical to the sequential engine's fresh search: same policy
-    /// object, same claims oracle, same graph.
+    /// Runs one traced ring search rooted at `provider` inside `scratch`
+    /// and `marks`.  Identical to the sequential engine's fresh search:
+    /// same policy object, same [`search_oracle`], same graph.
     pub(super) fn search(
         &self,
         search: &RingSearch,
         scratch: &mut SearchScratch<PeerId, ObjectId>,
+        marks: &mut HolderMarks,
         provider: PeerId,
         wants: &[ObjectId],
     ) -> SearchTrace<PeerId, ObjectId> {
-        search.find_traced_in(scratch, self.graph, provider, wants, |peer, object| {
-            self.claims(*peer, *object)
-        })
+        let provides = search_oracle(
+            marks,
+            self.holders,
+            self.peers,
+            self.graph,
+            self.advertises,
+            wants,
+        );
+        search.find_traced_in(scratch, self.graph, provider, wants, provides)
     }
 
     /// The `(downloader, object)` pairs `provider` is uploading right now:
@@ -288,6 +397,7 @@ impl Simulation {
             graph: &self.graph,
             peers: &self.peers,
             advertises: &self.advertises,
+            holders: &self.holders,
             transfers: &self.transfers,
             uploads_by_peer: &self.uploads_by_peer,
             now: self.now(),
@@ -373,6 +483,7 @@ impl Simulation {
             graph: mem::take(&mut self.graph),
             peers: mem::take(&mut self.peers),
             advertises: mem::take(&mut self.advertises),
+            holders: mem::take(&mut self.holders),
             transfers: mem::take(&mut self.transfers),
             uploads_by_peer: mem::take(&mut self.uploads_by_peer),
             ring_cache: mem::take(&mut self.ring_cache),
@@ -387,6 +498,7 @@ impl Simulation {
         self.graph = job.graph;
         self.peers = job.peers;
         self.advertises = job.advertises;
+        self.holders = job.holders;
         self.transfers = job.transfers;
         self.uploads_by_peer = job.uploads_by_peer;
         self.ring_cache = job.ring_cache;
@@ -476,6 +588,70 @@ impl Simulation {
         }
         if let Some(profile) = profile {
             profile.event_loop = loop_start.elapsed();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeSet, HashSet};
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use workload::{ObjectId, PeerId};
+
+    use super::HolderMarks;
+
+    /// Peers in the property's population; holder lists draw from the
+    /// first `PEERS` ids and the probes also ask a few ids past the end.
+    /// Sparse enough that a search leaves many peers unmarked, so entries
+    /// stamped by earlier searches stay live and a reissued stamp would
+    /// collide with them.
+    const PEERS: u32 = 120;
+
+    proptest! {
+        /// One table reused across a sequence of searches answers exactly
+        /// like a naive `(peer, object)` set built from the same holder
+        /// lists, for every peer and every wanted object — with repeated
+        /// wants, more than 64 distinct wants, peers holding several wants,
+        /// and (when `force` is set) a stamp counter forced near
+        /// `u32::MAX` after the first few searches, so the table clears
+        /// itself on exhaustion while the low stamps those searches left
+        /// behind are still live.
+        #[test]
+        fn holder_marks_agree_with_a_naive_holder_set(
+            holders in vec(vec(0..PEERS, 0..6), 1..200),
+            searches in vec(vec(0usize..1_000, 0..150), 1..12),
+            force in proptest::bool::ANY,
+            force_at in (1usize..4, 0u32..3),
+        ) {
+            let holders: Vec<BTreeSet<PeerId>> = holders
+                .iter()
+                .map(|peers| peers.iter().map(|&p| PeerId::new(p)).collect())
+                .collect();
+            let mut marks = HolderMarks::default();
+            for (index, wants) in searches.iter().enumerate() {
+                if force && index == force_at.0 {
+                    marks = marks.with_stamp(u32::MAX - force_at.1);
+                }
+                let wants: Vec<ObjectId> = wants
+                    .iter()
+                    .map(|&o| ObjectId::new((o % holders.len()) as u32))
+                    .collect();
+                let naive: HashSet<(PeerId, ObjectId)> = wants
+                    .iter()
+                    .flat_map(|&o| holders[o.as_usize()].iter().map(move |&p| (p, o)))
+                    .collect();
+                marks.mark(PEERS as usize, &holders, &wants);
+                for peer in (0..PEERS + 4).map(PeerId::new) {
+                    for &object in &wants {
+                        prop_assert_eq!(
+                            marks.holds(peer, object),
+                            naive.contains(&(peer, object))
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -19,9 +19,10 @@
 //! behavior assignment and pristine peers, then overwrites everything a run
 //! mutates.  Derived indexes that are a pure function of serialized state
 //! (the holders index, the per-transfer reverse maps, the maintenance wheel,
-//! the search scratches) are rebuilt rather than stored — the search
-//! scratches are pure memoization with a warm-equals-cold guarantee, so a
-//! resumed run starting cold stays bit-identical.
+//! the search scratches and the search's holder marks) are rebuilt rather
+//! than stored — the search scratches and holder marks are pure
+//! memoization with a warm-equals-cold guarantee, so a resumed run starting
+//! cold stays bit-identical.
 //!
 //! # Wire format
 //!
