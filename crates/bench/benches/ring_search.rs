@@ -1,11 +1,12 @@
 //! Micro-benchmarks of the exchange ring search on synthetic request graphs,
-//! including the cached-vs-fresh comparison of the incremental engine.
+//! including the cached-vs-fresh comparison of the incremental engine and
+//! the traced search at the 10k-peer scale.
 
 use std::collections::BTreeSet;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use des::DetRng;
-use exchange::{RequestGraph, RingPreference, RingSearch, SearchPolicy};
+use exchange::{RequestGraph, RingPreference, RingSearch, SearchPolicy, SearchScratch};
 use sim::RingCandidateCache;
 use workload::{ObjectId, PeerId};
 
@@ -218,10 +219,47 @@ fn bench_cached_vs_fresh(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `scale-10k` search shape (10k peers, budget 512, fanout 8) on the
+/// traced path: one warm scratch runs `find_traced_in` from rotating roots,
+/// so every search also assembles its dependency sets.  Holdings are
+/// sparse — about one (peer, object) pair in 97 provides — so most searches
+/// find no ring, as in the simulation.  Each iteration searches from 100
+/// roots.
+fn bench_traced_search(c: &mut Criterion) {
+    const PEERS: u32 = 10_000;
+    const ROOTS_PER_ITER: usize = 100;
+    let graph = random_typed_graph(PEERS, 60_000, 7);
+    let wants: Vec<ObjectId> = (0..6).map(|i| ObjectId::new(i * 167 % 1_000)).collect();
+    let provides = |p: &PeerId, o: &ObjectId| (p.as_usize() * 31 + o.as_usize()) % 97 == 0;
+    let search = RingSearch::new(SearchPolicy::new(5, RingPreference::ShorterFirst))
+        .with_expansion_budget(512)
+        .with_fanout(8);
+    let mut scratch = SearchScratch::new();
+    let mut root = 0u32;
+
+    let mut group = c.benchmark_group("ring_search_traced");
+    group.sample_size(20);
+    group.bench_function("peers10k_budget512_fanout8", |b| {
+        b.iter(|| {
+            let mut deps = 0usize;
+            for _ in 0..ROOTS_PER_ITER {
+                root = (root + 7_919) % PEERS;
+                deps += search
+                    .find_traced_in(&mut scratch, &graph, PeerId::new(root), &wants, provides)
+                    .deps
+                    .len();
+            }
+            deps
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ring_search,
     bench_stored_oracle,
-    bench_cached_vs_fresh
+    bench_cached_vs_fresh,
+    bench_traced_search
 );
 criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! Ring search: discovering feasible n-way exchanges through a provider.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -32,7 +31,7 @@ pub struct SearchTrace<P: Key, O: Key> {
 
 /// An FxHash-style multiplicative hasher for maps keyed by small `Copy` ids.
 ///
-/// The workspace's one id hasher: the search's private maps and the
+/// The workspace's one id hasher: the search's adjacency snapshot and the
 /// simulation's id-keyed bookkeeping (transfers, rings, upload and download
 /// indexes, the ring-candidate cache) all use it through [`FastState`].  The
 /// keys are peer, object, transfer and ring ids the program assigns itself,
@@ -79,13 +78,57 @@ pub type FastState = BuildHasherDefault<FastHasher>;
 /// What one search learned about a peer the first time it popped a node
 /// ending at that peer.
 #[derive(Debug, Clone, Copy)]
-struct Probe {
+struct Probe<P> {
+    /// The probed peer.
+    peer: P,
     /// The peer's closing want indices: `closers[start..end]`.
     start: usize,
     end: usize,
     /// Whether some node ending at the peer was expanded, i.e. the search
     /// read the peer's incoming queue.
     expanded: bool,
+}
+
+/// The smallest length a peer-indexed table grows to, so a small graph's
+/// table is allocated once rather than regrown as larger ids turn up.
+const MIN_TABLE: usize = 64;
+
+/// The table index of a peer: its `u32` image (see [`SearchScratch`]).
+fn slot<P: Into<u32>>(peer: P) -> usize {
+    peer.into() as usize
+}
+
+/// A peer-indexed bitset that emits its members in ascending order.
+#[derive(Debug, Default)]
+struct PeerBits {
+    words: Vec<u64>,
+}
+
+impl PeerBits {
+    /// Adds `peer` and records it in `ids` so its bit maps back to it.
+    fn insert<P: Copy + Into<u32>>(&mut self, ids: &mut Vec<P>, peer: P) {
+        let index = slot(peer);
+        if index >= ids.len() {
+            ids.resize((index + 1).max(MIN_TABLE), peer);
+        }
+        ids[index] = peer;
+        let word = index / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (index % 64);
+    }
+
+    /// Appends every member to `out` in ascending order and empties the set.
+    fn drain_into<P: Copy>(&mut self, ids: &[P], out: &mut Vec<P>) {
+        for (word_index, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(ids[word_index * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// Reusable scratch state shared across ring searches.
@@ -109,6 +152,20 @@ struct Probe {
 /// [`advance`](Self::advance) the snapshot across mutations, forgetting only
 /// the queues that changed.
 ///
+/// # Peer ids
+///
+/// The per-search state is indexed by peer rather than hashed: a peer's
+/// table index is its `P: Into<u32>` image.  **Contract:** that conversion
+/// must be injective and preserve order (`a < b` iff `a.into() < b.into()`),
+/// which holds for the unsigned integer types and the `workload` id
+/// newtypes.  The traced searches emit their dependency sets in index
+/// order, so an order-breaking conversion would break
+/// [`SearchTrace`]'s sorted contract.  Every table is sized lazily to the
+/// largest index a search touches, so ids should be dense: with 32-bit ids
+/// the tables cost about 12 bytes per index up to the largest one seen
+/// (about 120 KiB at 10k peers).  They are scratch state, never
+/// serialized.
+///
 /// # Shard safety
 ///
 /// A scratch holds no shared state — it is plain owned data, `Send` whenever
@@ -119,7 +176,7 @@ struct Probe {
 /// a scratch warmed on one thread can safely migrate to another between
 /// batches (the simulator's sharded scheduler does exactly this).
 #[derive(Debug)]
-pub struct SearchScratch<P: Key, O: Key> {
+pub struct SearchScratch<P: Key + Into<u32>, O: Key> {
     /// Graph generation the snapshot was taken at.
     generation: Option<u64>,
     /// The fanout the interior prefixes were materialised at; a search with
@@ -138,17 +195,30 @@ pub struct SearchScratch<P: Key, O: Key> {
     /// Per search: the index of the first occurrence of each distinct wanted
     /// object, in `wants` order.  A repeated object would only repeat rings.
     distinct_wants: Vec<usize>,
-    /// Per search: the closing-probe memo.  The first time a node ending at
-    /// a peer is popped, the peer is probed once for every distinct wanted
-    /// object, and the indices it can serve are appended to `closers`; every
-    /// later node ending at that peer reuses the entry.  Its keys are
-    /// exactly the distinct peers the search popped.
-    memo: HashMap<P, Probe, FastState>,
+    /// The closing-probe memo's current stamp: a peer was probed by the
+    /// current search iff its `memo_slots` stamp equals it.
+    stamp: u32,
+    /// The closing-probe memo, per peer index: `(stamp, index into
+    /// probes)`.  The first time a node ending at a peer is popped, the peer
+    /// is probed once for every distinct wanted object, and the indices it
+    /// can serve are appended to `closers`; every later node ending at that
+    /// peer reuses the probe.
+    memo_slots: Vec<(u32, u32)>,
+    /// Per search: the memo's probes in pop order, one per distinct popped
+    /// peer.
+    probes: Vec<Probe<P>>,
     /// Per search: the memo's closing want indices, ascending per peer.
     closers: Vec<usize>,
+    /// Traced searches: the `deps` and `edge_deps` members, empty between
+    /// searches.
+    deps_bits: PeerBits,
+    edge_bits: PeerBits,
+    /// Per peer index: the peer whose bit it is (only entries whose bit is
+    /// set are ever read).
+    ids: Vec<P>,
 }
 
-impl<P: Key, O: Key> SearchScratch<P, O> {
+impl<P: Key + Into<u32>, O: Key> SearchScratch<P, O> {
     /// Creates an empty scratch.
     #[must_use]
     pub fn new() -> Self {
@@ -160,9 +230,22 @@ impl<P: Key, O: Key> SearchScratch<P, O> {
             arena: Vec::new(),
             path: Vec::new(),
             distinct_wants: Vec::new(),
-            memo: HashMap::default(),
+            stamp: 0,
+            memo_slots: Vec::new(),
+            probes: Vec::new(),
             closers: Vec::new(),
+            deps_bits: PeerBits::default(),
+            edge_bits: PeerBits::default(),
+            ids: Vec::new(),
         }
+    }
+
+    /// A scratch whose memo stamp counter is forced to `stamp`, so tests can
+    /// run the clear-on-exhaustion path without four billion searches.
+    #[cfg(test)]
+    fn with_stamp(mut self, stamp: u32) -> Self {
+        self.stamp = stamp;
+        self
     }
 
     /// Number of peers the current snapshot holds queues for (diagnostic;
@@ -246,7 +329,7 @@ impl<P: Key, O: Key> SearchScratch<P, O> {
     }
 }
 
-impl<P: Key, O: Key> Default for SearchScratch<P, O> {
+impl<P: Key + Into<u32>, O: Key> Default for SearchScratch<P, O> {
     fn default() -> Self {
         SearchScratch::new()
     }
@@ -340,7 +423,11 @@ impl RingSearch {
     /// only its first answer.  (The same holds for
     /// [`find_traced`](Self::find_traced) and
     /// [`find_traced_in`](Self::find_traced_in).)
-    pub fn find<P: Key, O: Key, F>(
+    ///
+    /// **Contract:** `P`'s `u32` conversion must be injective and preserve
+    /// order; it indexes the search's per-peer tables (see
+    /// [`SearchScratch`]).  The same holds for every search entry point.
+    pub fn find<P: Key + Into<u32>, O: Key, F>(
         &self,
         graph: &RequestGraph<P, O>,
         root: P,
@@ -364,7 +451,7 @@ impl RingSearch {
     /// Like [`find`](Self::find), but also reports the set of peers the
     /// search depended on (see [`SearchTrace::deps`]), so callers can cache
     /// the result and invalidate it precisely.
-    pub fn find_traced<P: Key, O: Key, F>(
+    pub fn find_traced<P: Key + Into<u32>, O: Key, F>(
         &self,
         graph: &RequestGraph<P, O>,
         root: P,
@@ -388,7 +475,11 @@ impl RingSearch {
     /// [`SearchScratch`], sharing buffers and the per-generation adjacency
     /// snapshot with the other searches of the same round.  The result is
     /// identical to a fresh search.
-    pub fn find_traced_in<P: Key, O: Key, F>(
+    ///
+    /// **Contract:** as for [`find`](Self::find), `P`'s `u32` conversion
+    /// must be injective and preserve order: `deps` and `edge_deps` are
+    /// emitted in its order.
+    pub fn find_traced_in<P: Key + Into<u32>, O: Key, F>(
         &self,
         scratch: &mut SearchScratch<P, O>,
         graph: &RequestGraph<P, O>,
@@ -405,7 +496,7 @@ impl RingSearch {
     /// Shared search body.  The dependency sets are only assembled when
     /// `trace_deps` is set — plain [`find`](Self::find) callers skip that
     /// cost entirely (`deps`/`edge_deps` come back empty).
-    fn search<P: Key, O: Key, F>(
+    fn search<P: Key + Into<u32>, O: Key, F>(
         &self,
         scratch: &mut SearchScratch<P, O>,
         graph: &RequestGraph<P, O>,
@@ -434,8 +525,13 @@ impl RingSearch {
             arena,
             path,
             distinct_wants,
-            memo,
+            stamp,
+            memo_slots,
+            probes,
             closers,
+            deps_bits,
+            edge_bits,
+            ids,
         } = scratch;
         // The queue snapshot survives across searches while the graph is
         // unchanged (or explicitly advanced) and the fanout fits; everything
@@ -447,8 +543,16 @@ impl RingSearch {
             *fanout = self.fanout;
         }
         arena.clear();
-        memo.clear();
+        probes.clear();
         closers.clear();
+        // A fresh stamp forgets every earlier search's memo entries; once the
+        // counter is exhausted the table is cleared, so a stale stamp can
+        // never match a reissued one.
+        if *stamp == u32::MAX {
+            memo_slots.fill((0, 0));
+            *stamp = 0;
+        }
+        *stamp += 1;
         let mut budget = self.expansion_budget;
         // Breadth-first enumeration of simple paths root <- r1 <- r2 ...
         // following incoming request edges.  Breadth-first order guarantees
@@ -488,22 +592,31 @@ impl RingSearch {
             // Which wanted objects can the last peer serve the root?  Probed
             // once per distinct peer; the answer is shared by every path that
             // ends at it.
-            let probe = match memo.entry(last_peer) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => {
-                    let start = closers.len();
-                    closers.extend(
-                        distinct_wants
-                            .iter()
-                            .copied()
-                            .filter(|&i| provides(&last_peer, &wants[i])),
-                    );
-                    entry.insert(Probe {
-                        start,
-                        end: closers.len(),
-                        expanded: false,
-                    })
-                }
+            let index = slot(last_peer);
+            if index >= memo_slots.len() {
+                memo_slots.resize((index + 1).max(MIN_TABLE), (0, 0));
+            }
+            let (seen, probe_index) = memo_slots[index];
+            let probe = if seen == *stamp {
+                &mut probes[probe_index as usize]
+            } else {
+                // At most one probe per distinct peer, and peers map
+                // injectively into `u32`, so the index always fits.
+                memo_slots[index] = (*stamp, probes.len() as u32);
+                let start = closers.len();
+                closers.extend(
+                    distinct_wants
+                        .iter()
+                        .copied()
+                        .filter(|&i| provides(&last_peer, &wants[i])),
+                );
+                probes.push(Probe {
+                    peer: last_peer,
+                    start,
+                    end: closers.len(),
+                    expanded: false,
+                });
+                probes.last_mut().expect("a probe was just pushed")
             };
             probe.expanded |= extend;
             let closing = &closers[probe.start..probe.end];
@@ -552,26 +665,36 @@ impl RingSearch {
         // The full dependency set: the root (its incoming queue seeds the
         // search) plus every peer that entered the frontier, whether or not
         // it was expanded before the budget ran out — the popped peers are
-        // the memo's keys, the rest is the unpopped arena tail.  The
+        // the memo's probes, the rest is the unpopped arena tail.  The
         // edge-dependency subset holds only the peers whose queues were
-        // actually read: the root and every expanded peer.
+        // actually read: the root and every expanded peer.  Both are
+        // collected as peer-indexed bits and read off in ascending order,
+        // which also drops the duplicates.
         let (deps, edge_deps) = if trace_deps {
             let tail = &arena[head..];
-            let mut deps: Vec<P> = Vec::with_capacity(memo.len() + tail.len() + 1);
-            deps.push(root);
-            // exchange-lint: allow(D001, reason = "the list is sorted before it leaves the search")
-            deps.extend(memo.keys().copied());
-            deps.extend(tail.iter().map(|(peer, _, _, _)| *peer));
-            deps.sort_unstable();
-            deps.dedup();
-            let mut edge_deps = vec![root];
-            edge_deps.extend(
-                // exchange-lint: allow(D001, reason = "the list is sorted before it leaves the search")
-                memo.iter()
-                    .filter(|(_, probe)| probe.expanded)
-                    .map(|(peer, _)| *peer),
+            deps_bits.insert(ids, root);
+            edge_bits.insert(ids, root);
+            for probe in probes.iter() {
+                deps_bits.insert(ids, probe.peer);
+                if probe.expanded {
+                    edge_bits.insert(ids, probe.peer);
+                }
+            }
+            for &(peer, _, _, _) in tail {
+                deps_bits.insert(ids, peer);
+            }
+            let mut deps = Vec::with_capacity(probes.len() + tail.len() + 1);
+            deps_bits.drain_into(ids, &mut deps);
+            let mut edge_deps = Vec::with_capacity(probes.len() + 1);
+            edge_bits.drain_into(ids, &mut edge_deps);
+            debug_assert!(
+                deps.windows(2).all(|w| w[0] < w[1]),
+                "P's u32 conversion must preserve order"
             );
-            edge_deps.sort_unstable();
+            debug_assert!(
+                edge_deps.windows(2).all(|w| w[0] < w[1]),
+                "P's u32 conversion must preserve order"
+            );
             (deps, edge_deps)
         } else {
             (Vec::new(), Vec::new())
@@ -616,7 +739,7 @@ impl RingSearch {
 }
 
 /// Convenience wrapper around [`RingSearch::find`] with the default budget.
-pub fn find_rings<P: Key, O: Key, F>(
+pub fn find_rings<P: Key + Into<u32>, O: Key, F>(
     graph: &RequestGraph<P, O>,
     root: P,
     wants: &[O],
@@ -1010,6 +1133,7 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeSet;
 
         fn arb_graph() -> impl Strategy<Value = RequestGraph<u8, u8>> {
             proptest::collection::vec((0u8..10, 0u8..10, 0u8..20), 0..60).prop_map(|edges| {
@@ -1020,7 +1144,53 @@ mod tests {
             })
         }
 
+        /// Peers of the sparse-id property: `SPARSE_PEERS` ids spread out
+        /// as `61·p + 5`, so they span many words of the search's bitsets
+        /// and each search leaves most memo slots untouched.
+        const SPARSE_PEERS: u32 = 24;
+
+        fn sparse(peer: u32) -> u32 {
+            61 * peer + 5
+        }
+
         proptest! {
+            /// One scratch reused across a sequence of traced searches on
+            /// sparse ids returns exactly what a fresh-scratch
+            /// `find_traced` does — and keeps doing so when (with `force`
+            /// set) its memo stamp counter is forced near `u32::MAX` after
+            /// the first few searches, so the memo clears itself on
+            /// exhaustion while the low stamps those searches left behind
+            /// are still live.
+            #[test]
+            fn reused_scratch_equals_fresh_searches_across_stamp_exhaustion(
+                edges in proptest::collection::vec((0..SPARSE_PEERS, 0..SPARSE_PEERS, 0u32..30), 0..80),
+                owned in proptest::collection::vec((0..SPARSE_PEERS, 0u32..30), 0..60),
+                searches in proptest::collection::vec((0..SPARSE_PEERS, proptest::collection::vec(0u32..30, 0..5)), 4..12),
+                max_ring in 2usize..6,
+                force in proptest::bool::ANY,
+                force_at in (1usize..4, 0u32..3),
+            ) {
+                let graph: RequestGraph<u32, u32> = edges
+                    .into_iter()
+                    .filter(|(r, p, _)| r != p)
+                    .map(|(r, p, o)| (sparse(r), sparse(p), o))
+                    .collect();
+                let owned: BTreeSet<(u32, u32)> =
+                    owned.into_iter().map(|(p, o)| (sparse(p), o)).collect();
+                let provides = |p: &u32, o: &u32| owned.contains(&(*p, *o));
+                let search = RingSearch::new(shorter_first(max_ring)).with_fanout(4);
+                let mut scratch = SearchScratch::new();
+                for (index, (root, wants)) in searches.iter().enumerate() {
+                    if force && index == force_at.0 {
+                        scratch = scratch.with_stamp(u32::MAX - force_at.1);
+                    }
+                    let root = sparse(*root);
+                    let warm = search.find_traced_in(&mut scratch, &graph, root, wants, provides);
+                    let fresh = search.find_traced(&graph, root, wants, provides);
+                    prop_assert_eq!(warm, fresh);
+                }
+            }
+
             #[test]
             fn rings_satisfy_structural_invariants(
                 graph in arb_graph(),

@@ -337,3 +337,118 @@ fn long_and_repeated_want_lists_match_the_reference() {
         assert_eq!(traced, expected);
     }
 }
+
+/// The order-preserving relabelling of the wide-id case: peers `0..PEERS`
+/// become `13, 110, …, 886`, which fall in different 64-bit words of the
+/// search's peer-indexed tables.
+fn wide(peer: u8) -> u32 {
+    97 * u32::from(peer) + 13
+}
+
+/// The inverse of [`wide`].
+fn narrow(peer: u32) -> u8 {
+    u8::try_from((peer - 13) / 97).expect("a relabelled peer")
+}
+
+/// `trace` with every peer relabelled by [`wide`].
+fn widen(trace: &SearchTrace<u8, u8>) -> SearchTrace<u32, u8> {
+    let rings = trace
+        .rings
+        .iter()
+        .map(|ring| {
+            let edges = ring
+                .edges()
+                .iter()
+                .map(|e| RingEdge {
+                    uploader: wide(e.uploader),
+                    downloader: wide(e.downloader),
+                    object: e.object,
+                })
+                .collect();
+            ExchangeRing::new(edges).expect("relabelling keeps a ring a ring")
+        })
+        .collect();
+    SearchTrace {
+        rings,
+        deps: trace.deps.iter().copied().map(wide).collect(),
+        edge_deps: trace.edge_deps.iter().copied().map(wide).collect(),
+    }
+}
+
+proptest! {
+    /// The same random graphs, ownership and mutation scripts as
+    /// `optimised_search_equals_the_reference`, run on peers relabelled by
+    /// [`wide`]: the optimised search — fresh, and through a warm scratch
+    /// advanced across the mutations — must return the reference trace,
+    /// relabelled.
+    #[test]
+    fn optimised_search_on_wide_ids_equals_the_relabelled_reference(
+        edges in proptest::collection::vec((0u8..PEERS, 0u8..PEERS, 0u8..OBJECTS), 0..70),
+        owned in proptest::collection::vec((0u8..PEERS, 0u8..OBJECTS), 0..200),
+        max_ring in 2usize..7,
+        knobs in (0usize..BUDGETS.len(), 0usize..FANOUTS.len(), proptest::bool::ANY),
+        seed in 0u64..u64::MAX,
+    ) {
+        let (budget, fanout, longer) = (BUDGETS[knobs.0], FANOUTS[knobs.1], knobs.2);
+        let preference = if longer {
+            RingPreference::LongerFirst
+        } else {
+            RingPreference::ShorterFirst
+        };
+        let policy = SearchPolicy::new(max_ring, preference);
+        let search = RingSearch::new(policy)
+            .with_expansion_budget(budget)
+            .with_fanout(fanout);
+        let mut graph: RequestGraph<u8, u8> =
+            edges.into_iter().filter(|(r, p, _)| r != p).collect();
+        let mut wide_graph: RequestGraph<u32, u8> = graph
+            .iter()
+            .map(|r| (wide(r.requester), wide(r.provider), r.object))
+            .collect();
+        let mut owned: BTreeSet<(u8, u8)> = owned.into_iter().collect();
+        let mut rng = Rng(seed);
+        let mut scratch = SearchScratch::new();
+        wide_graph.take_dirty_edges();
+        let mut drained = wide_graph.generation();
+        for _ in 0..4 {
+            for _ in 0..4 {
+                let root = rng.peer();
+                let wants = rng.wants(&graph, root);
+                let plain_owned = |p: &u8, o: &u8| owned.contains(&(*p, *o));
+                let expected = widen(&reference_search(
+                    &graph, root, &wants, plain_owned, policy, budget, fanout,
+                ));
+                let wide_owned = |p: &u32, o: &u8| owned.contains(&(narrow(*p), *o));
+                let warm =
+                    search.find_traced_in(&mut scratch, &wide_graph, wide(root), &wants, wide_owned);
+                prop_assert_eq!(&warm, &expected);
+                let traced = search.find_traced(&wide_graph, wide(root), &wants, wide_owned);
+                prop_assert_eq!(&traced, &expected);
+            }
+            for _ in 0..1 + rng.below(6) {
+                let (r, p, o) = (rng.peer(), rng.peer(), rng.object());
+                if r != p && !graph.remove_request(r, p, o) {
+                    graph.add_request(r, p, o);
+                }
+                if r != p && !wide_graph.remove_request(wide(r), wide(p), o) {
+                    wide_graph.add_request(wide(r), wide(p), o);
+                }
+                let pair = (rng.peer(), rng.object());
+                if !owned.remove(&pair) {
+                    owned.insert(pair);
+                }
+            }
+            let to = wide_graph.generation();
+            let mut updates: Vec<(u32, bool)> = Vec::new();
+            for (provider, requester, object) in wide_graph.take_dirty_edges() {
+                if updates.last().map(|(p, _)| *p) != Some(provider) {
+                    let changed =
+                        prefix_changed(&graph, narrow(provider), narrow(requester), object, fanout);
+                    updates.push((provider, changed));
+                }
+            }
+            scratch.advance(drained, to, updates);
+            drained = to;
+        }
+    }
+}
