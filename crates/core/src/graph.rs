@@ -223,32 +223,6 @@ impl<P: Key, O: Key> RequestGraph<P, O> {
         targets.len()
     }
 
-    /// Removes every request issued by or directed to `peer` (e.g. the peer
-    /// went offline).  Returns how many requests were removed.
-    pub fn remove_peer(&mut self, peer: P) -> usize {
-        let mut removed = 0;
-        if let Some(incoming) = self.incoming.remove(&peer) {
-            for (requester, object) in incoming {
-                if let Some(out) = self.outgoing.get_mut(&requester) {
-                    out.remove(&(peer, object));
-                }
-                self.mark_edge_dirty(requester, peer, object);
-                removed += 1;
-            }
-        }
-        if let Some(outgoing) = self.outgoing.remove(&peer) {
-            for (provider, object) in outgoing {
-                if let Some(inc) = self.incoming.get_mut(&provider) {
-                    inc.remove(&(peer, object));
-                }
-                self.mark_edge_dirty(peer, provider, object);
-                removed += 1;
-            }
-        }
-        self.len -= removed;
-        removed
-    }
-
     /// Whether the exact request is registered.
     #[must_use]
     pub fn has_request(&self, requester: P, provider: P, object: O) -> bool {
@@ -379,19 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_peer_clears_both_directions() {
-        let mut g: RequestGraph<u32, u32> = RequestGraph::new();
-        g.add_request(1, 2, 100); // 1 -> 2
-        g.add_request(2, 3, 200); // 2 -> 3
-        g.add_request(3, 1, 300); // 3 -> 1
-        assert_eq!(g.remove_peer(2), 2);
-        assert_eq!(g.len(), 1);
-        assert!(g.has_request(3, 1, 300));
-        assert!(!g.has_request(1, 2, 100));
-        assert!(!g.has_request(2, 3, 200));
-    }
-
-    #[test]
     fn peers_lists_all_endpoints() {
         let g: RequestGraph<u32, u32> = [(1, 2, 10), (3, 2, 11)].into_iter().collect();
         let peers = g.peers();
@@ -444,19 +405,6 @@ mod tests {
         assert_eq!(g.take_dirty_edges(), BTreeSet::from([(2, 1, 100)]));
         g.remove_object_requests(3, 101);
         assert_eq!(g.take_dirty_edges(), BTreeSet::from([(2, 3, 101)]));
-    }
-
-    #[test]
-    fn remove_peer_marks_dirty_edges_on_both_sides() {
-        let mut g: RequestGraph<u32, u32> = RequestGraph::new();
-        g.add_request(1, 2, 100); // 2 is provider
-        g.add_request(2, 3, 200); // 2 is requester
-        g.take_dirty_edges();
-        g.remove_peer(2);
-        assert_eq!(
-            g.take_dirty_edges(),
-            BTreeSet::from([(2, 1, 100), (3, 2, 200)])
-        );
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //!
 //! * [`RequestGraph`] — the directed graph of outstanding requests (an edge
 //!   `R → P` labelled `o` means "R has asked P for object o").
-//! * [`RequestTree`] — the depth-limited tree a provider assembles from its
-//!   incoming-request queue (and the trees piggy-backed on those requests).
 //! * [`RingSearch`] / [`find_rings`] — discovery of feasible exchange rings
 //!   through the provider, honouring a [`SearchPolicy`] (maximum ring size,
 //!   shorter-first or longer-first preference).
@@ -23,8 +21,6 @@
 //! * [`ExchangePolicy`] — the four disciplines evaluated in the paper
 //!   (no exchange, pairwise only, prefer-longer `N-2-way`, prefer-shorter
 //!   `2-N-way`).
-//! * [`BloomRingIndex`] — the Bloom-filter request-tree summaries sketched in
-//!   the paper's discussion section.
 //! * [`cheat`] — models of the cheating/middleman attacks of Section III-B
 //!   and the block-validation / mediator countermeasures.
 //! * [`mixed`] — the non-ring, mixed object-and-capacity exchange of
@@ -63,17 +59,13 @@ pub mod mixed;
 mod policy;
 mod ring;
 mod search;
-mod summary;
 mod token;
-mod tree;
 
 pub use graph::{Request, RequestGraph};
 pub use policy::{ExchangePolicy, RingPreference, SearchPolicy};
 pub use ring::{ExchangeRing, RingEdge, RingError};
 pub use search::{find_rings, FastHasher, FastState, RingSearch, SearchScratch, SearchTrace};
-pub use summary::BloomRingIndex;
 pub use token::{RingToken, TokenOutcome};
-pub use tree::{RequestTree, TreeNode};
 
 use std::fmt::Debug;
 use std::hash::Hash;

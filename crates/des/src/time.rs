@@ -52,10 +52,12 @@ impl SimTime {
     }
 
     /// Creates an instant from (possibly fractional) seconds since the start.
+    /// An instant past the clock's range (about 584,000 years), `+∞`
+    /// included, saturates to [`SimTime::MAX`], which no horizon reaches.
     ///
     /// # Panics
     ///
-    /// Panics if `secs` is negative, NaN, or too large to represent.
+    /// Panics if `secs` is negative or NaN.
     #[must_use]
     pub fn from_secs_f64(secs: f64) -> Self {
         SimTime(secs_to_micros(secs))
@@ -106,11 +108,13 @@ impl SimDuration {
         SimDuration(micros)
     }
 
-    /// Creates a duration from (possibly fractional) seconds.
+    /// Creates a duration from (possibly fractional) seconds.  A duration
+    /// past the clock's range, `+∞` included, saturates to
+    /// [`SimDuration::MAX`].
     ///
     /// # Panics
     ///
-    /// Panics if `secs` is negative, NaN, or too large to represent.
+    /// Panics if `secs` is negative or NaN.
     #[must_use]
     pub fn from_secs_f64(secs: f64) -> Self {
         SimDuration(secs_to_micros(secs))
@@ -157,28 +161,25 @@ impl SimDuration {
 
 fn secs_to_micros(secs: f64) -> u64 {
     assert!(
-        secs.is_finite() && secs >= 0.0,
-        "simulated seconds must be finite and non-negative, got {secs}"
+        secs >= 0.0,
+        "simulated seconds must be non-negative, got {secs}"
     );
-    let micros = secs * MICROS_PER_SEC as f64;
-    assert!(
-        micros <= u64::MAX as f64,
-        "simulated time {secs}s overflows the clock"
-    );
-    micros.round() as u64
+    // A float-to-integer `as` cast saturates: anything past the clock's
+    // range becomes `u64::MAX`.
+    (secs * MICROS_PER_SEC as f64).round() as u64
 }
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -310,6 +311,17 @@ mod tests {
     fn display_formats_seconds() {
         assert_eq!(SimTime::from_secs_f64(1.5).to_string(), "1.500s");
         assert_eq!(SimDuration::from_secs(2).to_string(), "2.000s");
+    }
+
+    #[test]
+    fn times_past_the_clock_saturate() {
+        for secs in [1e13 * 2.0, 1e300, f64::MAX, f64::INFINITY] {
+            assert_eq!(SimTime::from_secs_f64(secs), SimTime::MAX);
+            assert_eq!(SimDuration::from_secs_f64(secs), SimDuration::MAX);
+        }
+        let mut t = SimTime::from_secs_f64(600.0) + SimDuration::MAX;
+        t += SimDuration::from_secs(1);
+        assert_eq!(t, SimTime::MAX);
     }
 
     #[test]

@@ -11,6 +11,12 @@ use crate::{
     SelectionStrategy,
 };
 
+/// The simulation clock's resolution, in seconds.  Intervals and means that
+/// set how often an event recurs must be at least this long: a shorter one
+/// rounds to zero, and an event that re-arms itself zero microseconds later
+/// keeps the clock from ever reaching the horizon.
+pub(crate) const CLOCK_RESOLUTION_S: f64 = 1e-6;
+
 /// Full configuration of one simulation run.
 ///
 /// [`SimConfig::paper_defaults`] reproduces Table II of the paper;
@@ -236,6 +242,15 @@ impl SimConfig {
         }
         self.workload.validate()?;
         self.link.validate()?;
+        if let ExchangePolicy::PreferLonger { max_ring }
+        | ExchangePolicy::PreferShorter { max_ring } = self.discipline
+        {
+            if max_ring < 2 {
+                return Err(format!(
+                    "discipline max_ring must be at least 2 (a pairwise exchange), got {max_ring}"
+                ));
+            }
+        }
         if self.max_pending_objects == 0 {
             return Err("max_pending_objects must be positive".into());
         }
@@ -284,8 +299,10 @@ impl SimConfig {
             ),
             ("request_retry_interval_s", self.request_retry_interval_s),
         ] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("{name} must be positive, got {v}"));
+            if !(v.is_finite() && v >= CLOCK_RESOLUTION_S) {
+                return Err(format!(
+                    "{name} must be at least the clock's 1 µs resolution, got {v}"
+                ));
             }
         }
         if let Some(churn) = &self.churn {
@@ -411,6 +428,30 @@ mod tests {
         let mut c = SimConfig::quick_test();
         c.classes = ClassMix::weighted([]);
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn ring_bounds_below_two_and_sub_microsecond_intervals_are_rejected() {
+        for max_ring in [0, 1] {
+            let mut c = SimConfig::quick_test();
+            c.discipline = ExchangePolicy::PreferLonger { max_ring };
+            assert!(c.validate().is_err());
+            c.discipline = ExchangePolicy::PreferShorter { max_ring };
+            assert!(c.validate().is_err());
+        }
+        let tiny = 4e-7; // rounds to zero microseconds
+        let mut c = SimConfig::quick_test();
+        c.request_retry_interval_s = tiny;
+        assert!(c.validate().is_err());
+        let mut c = SimConfig::quick_test();
+        c.storage_maintenance_interval_s = tiny;
+        assert!(c.validate().is_err());
+        let mut c = SimConfig::quick_test();
+        c.churn = Some(ChurnConfig::new(100.0, tiny));
+        assert!(c.validate().is_err());
+        c.churn = Some(ChurnConfig::new(CLOCK_RESOLUTION_S, CLOCK_RESOLUTION_S));
+        c.discipline = ExchangePolicy::PreferShorter { max_ring: 2 };
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -17,6 +17,8 @@ use std::fmt;
 use des::DetRng;
 use serde::{Deserialize, Serialize};
 
+use crate::config::CLOCK_RESOLUTION_S;
+
 /// Session churn: every peer alternates online sessions and offline
 /// downtimes, both drawn from per-event exponential distributions off a
 /// dedicated RNG stream (existing streams are untouched, so enabling churn
@@ -60,8 +62,10 @@ impl ChurnConfig {
             ("churn.mean_session_s", self.mean_session_s),
             ("churn.mean_downtime_s", self.mean_downtime_s),
         ] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("{name} must be positive, got {v}"));
+            if !(v.is_finite() && v >= CLOCK_RESOLUTION_S) {
+                return Err(format!(
+                    "{name} must be at least the clock's 1 µs resolution, got {v}"
+                ));
             }
         }
         Ok(())

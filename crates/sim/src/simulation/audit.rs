@@ -20,8 +20,9 @@
 //!   holder-marked oracle a ring search probes agrees with the per-pair
 //!   claims oracle on every peer and every distinct wanted object;
 //! * cache exactness — every live [`super::RingCandidateCache`] entry equals
-//!   a fresh [`exchange::RingSearch::find_traced`] run against the current
-//!   graph and claims oracle, dependency sets included;
+//!   a fresh [`exchange::RingSearch::find_traced_in`] run (in an audit-owned
+//!   scratch) against the current graph and claims oracle, dependency sets
+//!   included;
 //! * report accounting ([`check_report`]) — per-behavior totals sum to the
 //!   global totals.
 //!
@@ -41,7 +42,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use exchange::RingSearch;
+use exchange::{RingSearch, SearchScratch};
 use workload::PeerId;
 
 use crate::SimReport;
@@ -502,10 +503,19 @@ impl Simulation {
         let search = RingSearch::new(policy)
             .with_expansion_budget(self.config.ring_search_budget)
             .with_fanout(self.config.ring_search_fanout);
+        // One scratch for this call: the graph is fixed while the audit
+        // runs, and warm results equal fresh ones.  It is deliberately not
+        // the simulation's own scratch, so the check stays independent of
+        // the state it checks.
+        let mut scratch = SearchScratch::new();
         for entry in self.ring_cache.iter_entries() {
-            let fresh = search.find_traced(&self.graph, entry.root, entry.wants, |peer, object| {
-                self.claims(*peer, *object)
-            });
+            let fresh = search.find_traced_in(
+                &mut scratch,
+                &self.graph,
+                entry.root,
+                entry.wants,
+                |peer, object| self.claims(*peer, *object),
+            );
             if fresh.rings != entry.rings {
                 return Err(format!(
                     "stale cached rings at {:?} (wants {:?}): cached {} vs fresh {}",

@@ -88,7 +88,11 @@ impl Simulation {
         }
         let max_pending = self.config.max_pending_objects;
         let mut attempts = 0usize;
-        let attempt_budget = max_pending * 4;
+        // A peer never wants more objects than the catalog holds, so a
+        // larger `max_pending_objects` only buys draws that cannot succeed.
+        let attempt_budget = max_pending
+            .min(self.catalog.num_objects())
+            .saturating_mul(4);
         while self.peer(peer).can_issue_request(max_pending) && attempts < attempt_budget {
             attempts += 1;
             // The three sub-phases run back to back: each one's stop is

@@ -63,9 +63,14 @@ impl PeerInterests {
             .collect();
         for _ in 0..count {
             let ws: Vec<f64> = remaining.iter().map(|(_, w)| *w).collect();
-            let pick = rng
-                .choose_weighted_index(&ws)
-                .expect("remaining category weights are positive");
+            // Under a huge popularity factor every remaining weight can
+            // underflow to zero; the draw's limit is then the most popular
+            // remaining category.
+            let pick = rng.choose_weighted_index(&ws).unwrap_or_else(|| {
+                (0..remaining.len())
+                    .min_by_key(|&k| remaining[k].0)
+                    .expect("count never exceeds the catalog's categories")
+            });
             let (cat_index, _) = remaining.swap_remove(pick);
             categories.push(CategoryId::new(cat_index as u32));
         }

@@ -7,7 +7,6 @@
 //! integration tests can use a single dependency:
 //!
 //! * [`des`] — discrete-event simulation engine
-//! * [`bloom`] — Bloom filters and request-tree summaries
 //! * [`metrics`] — statistics collection
 //! * [`workload`] — content catalog and popularity model
 //! * [`netsim`] — access-link capacity and transfer model
@@ -28,7 +27,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use bloom;
 pub use credit;
 pub use des;
 pub use exchange;

@@ -1,12 +1,10 @@
 //! Integration tests of the exchange mechanism itself across crates:
-//! ring search against the request graph, Bloom summaries vs exact trees,
-//! the token protocol, and the Section III-B countermeasures.
+//! ring search against the request graph, the token protocol, and the
+//! Section III-B countermeasures.
 
-use p2p_exchange::bloom::BloomParams;
 use p2p_exchange::des::DetRng;
 use p2p_exchange::exchange::{
-    find_rings, BloomRingIndex, ExchangeRing, RequestGraph, RequestTree, RingPreference, RingToken,
-    SearchPolicy,
+    find_rings, ExchangeRing, RequestGraph, RingPreference, RingToken, SearchPolicy,
 };
 
 /// Builds a reproducible random request graph over `peers` peers.
@@ -49,30 +47,6 @@ fn every_ring_found_is_internally_consistent_with_the_graph() {
                     }
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn bloom_summary_never_misses_a_peer_the_exact_tree_contains() {
-    let graph = random_graph(60, 600, 2);
-    for root in 0..60u32 {
-        let tree = RequestTree::build(&graph, root, 4);
-        let index =
-            BloomRingIndex::build_with_params(&graph, root, 4, BloomParams::optimal(512, 0.01));
-        for node in tree.nodes() {
-            assert!(
-                index.may_contain(&node.peer),
-                "peer {} at depth {} missing from the Bloom summary of root {root}",
-                node.peer,
-                node.depth
-            );
-            let hint = index
-                .ring_size_hint(&node.peer)
-                .expect("summarised peer must have a ring-size hint");
-            // A false positive at a shallower level may under-estimate, but
-            // the hint can never be larger than what the exact tree implies.
-            assert!(hint <= node.depth + 1 + 1);
         }
     }
 }
