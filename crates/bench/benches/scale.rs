@@ -44,7 +44,9 @@
 //! downloads completing and storage evicting continuously; `--budget` /
 //! `--fanout` (defaults 512 / 8) bound the ring search the way a
 //! production deployment at this scale must, keeping per-search cost and
-//! cached-search dependency footprints population-independent.
+//! cached-search dependency footprints population-independent.  A
+//! malformed or out-of-range flag value exits 2 naming the flag
+//! ([`bench_support::ScaleArgs`]).
 //!
 //! **Checkpoint mode** (kill-and-resume drills): `--checkpoint-every <secs>
 //! --checkpoint-path <file>` runs one simulation of the
@@ -62,6 +64,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use bench_support::{ScaleArgs, TierOptions};
 use sim::{
     CapacityClass, CatastropheConfig, ChurnConfig, ClassMix, FlashCrowdConfig, PhaseProfile,
     SimConfig, SimReport, SimSetup, Simulation,
@@ -110,16 +113,6 @@ impl TierMeasurement {
             f64::INFINITY
         })
     }
-}
-
-/// Tunable workload shape of a tier (defaults live in `main`).
-#[derive(Debug, Clone, Copy)]
-struct TierOptions {
-    object_mb: u64,
-    duration_s: f64,
-    budget: usize,
-    fanout: usize,
-    shards: usize,
 }
 
 /// The simulated system at `peers` peers: Table II parameters with a horizon
@@ -349,7 +342,6 @@ fn run_checkpoint_mode(
         population_config(&mut config, options);
     }
     config.shards = options.shards;
-    config.checkpoint_every_s = checkpoint.map(|(every, _)| every);
 
     let simulation = match resume_from {
         Some(path) => {
@@ -499,100 +491,19 @@ fn to_json(tiers: &[TierMeasurement], seeds: usize, shards: usize, calibration: 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tier_arg: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut seeds: u64 = 2;
-    let mut options = TierOptions {
-        object_mb: 1,
-        duration_s: 1_800.0,
-        budget: 512,
-        fanout: 8,
-        shards: 1,
-    };
-    let mut checkpoint_every: Option<f64> = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut resume_from: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match (args[i].as_str(), args.get(i + 1)) {
-            ("--tier", Some(v)) => {
-                tier_arg = Some(v.clone());
-                i += 1;
-            }
-            ("--out", Some(v)) => {
-                out = Some(v.clone());
-                i += 1;
-            }
-            ("--seeds", Some(v)) => {
-                if let Ok(n) = v.parse::<u64>() {
-                    if n >= 1 {
-                        seeds = n;
-                    }
-                }
-                i += 1;
-            }
-            ("--shards", Some(v)) => {
-                if let Ok(n) = v.parse::<usize>() {
-                    if n >= 1 {
-                        options.shards = n;
-                    }
-                }
-                i += 1;
-            }
-            ("--object-mb", Some(v)) => {
-                if let Ok(n) = v.parse::<u64>() {
-                    if n >= 1 {
-                        options.object_mb = n;
-                    }
-                }
-                i += 1;
-            }
-            ("--duration", Some(v)) => {
-                if let Ok(s) = v.parse::<f64>() {
-                    if s > 0.0 {
-                        options.duration_s = s;
-                    }
-                }
-                i += 1;
-            }
-            ("--budget", Some(v)) => {
-                if let Ok(n) = v.parse::<usize>() {
-                    if n >= 1 {
-                        options.budget = n;
-                    }
-                }
-                i += 1;
-            }
-            ("--fanout", Some(v)) => {
-                if let Ok(n) = v.parse::<usize>() {
-                    if n >= 1 {
-                        options.fanout = n;
-                    }
-                }
-                i += 1;
-            }
-            ("--checkpoint-every", Some(v)) => {
-                if let Ok(s) = v.parse::<f64>() {
-                    if s > 0.0 && s.is_finite() {
-                        checkpoint_every = Some(s);
-                    }
-                }
-                i += 1;
-            }
-            ("--checkpoint-path", Some(v)) => {
-                checkpoint_path = Some(v.clone());
-                i += 1;
-            }
-            ("--resume-from", Some(v)) => {
-                resume_from = Some(v.clone());
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    let Some(tier_arg) = tier_arg else {
+    let ScaleArgs {
+        tier,
+        out,
+        seeds,
+        options,
+        checkpoint_every,
+        checkpoint_path,
+        resume_from,
+    } = ScaleArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("scale bench: {e}");
+        std::process::exit(2);
+    });
+    let Some(tier_arg) = tier else {
         // `cargo bench` with no arguments (or `--no-run`) must stay cheap:
         // the tiers run minutes each and are requested explicitly.
         eprintln!(

@@ -164,6 +164,114 @@ impl FigureOptions {
     }
 }
 
+/// Tunable workload shape of a `scale` bench tier.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TierOptions {
+    /// Object size in MiB.
+    pub object_mb: u64,
+    /// Simulated horizon, in seconds.
+    pub duration_s: f64,
+    /// Ring-search expansion budget.
+    pub budget: usize,
+    /// Ring-search fanout.
+    pub fanout: usize,
+    /// Scheduling shards (`1` = sequential only).
+    pub shards: usize,
+}
+
+impl Default for TierOptions {
+    fn default() -> Self {
+        TierOptions {
+            object_mb: 1,
+            duration_s: 1_800.0,
+            budget: 512,
+            fanout: 8,
+            shards: 1,
+        }
+    }
+}
+
+/// The `scale` bench's command line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScaleArgs {
+    /// The tier to run (`None`: do nothing).
+    pub tier: Option<String>,
+    /// Where to write the JSON result (`None`: stdout).
+    pub out: Option<String>,
+    /// How many seeds each tier runs (`1..=seeds`).
+    pub seeds: u64,
+    /// The workload shape.
+    pub options: TierOptions,
+    /// Checkpoint interval in simulated seconds (checkpoint mode).
+    pub checkpoint_every: Option<f64>,
+    /// Where checkpoint mode writes its snapshot.
+    pub checkpoint_path: Option<String>,
+    /// A snapshot to resume from (checkpoint mode).
+    pub resume_from: Option<String>,
+}
+
+impl ScaleArgs {
+    /// Parses the `scale` bench's flags.  Unknown arguments are ignored,
+    /// because `cargo bench` appends its own (`--bench`).
+    ///
+    /// # Errors
+    ///
+    /// Names the flag when a known flag has no value, or a value that does
+    /// not parse or is out of range: counts must be at least 1, and the
+    /// duration and checkpoint interval positive and finite.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        fn at_least_one<T: std::str::FromStr + PartialOrd + From<u8>>(
+            flag: &str,
+            value: &str,
+        ) -> Result<T, String> {
+            value
+                .parse::<T>()
+                .ok()
+                .filter(|n| *n >= T::from(1))
+                .ok_or_else(|| format!("{flag} takes an integer of at least 1, got '{value}'"))
+        }
+        fn positive_secs(flag: &str, value: &str) -> Result<f64, String> {
+            value
+                .parse::<f64>()
+                .ok()
+                .filter(|s| s.is_finite() && *s > 0.0)
+                .ok_or_else(|| format!("{flag} takes a positive number of seconds, got '{value}'"))
+        }
+
+        let mut parsed = ScaleArgs {
+            tier: None,
+            out: None,
+            seeds: 2,
+            options: TierOptions::default(),
+            checkpoint_every: None,
+            checkpoint_path: None,
+            resume_from: None,
+        };
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            let options = &mut parsed.options;
+            match flag.as_str() {
+                "--tier" => parsed.tier = Some(value()?),
+                "--out" => parsed.out = Some(value()?),
+                "--seeds" => parsed.seeds = at_least_one(&flag, &value()?)?,
+                "--shards" => options.shards = at_least_one(&flag, &value()?)?,
+                "--object-mb" => options.object_mb = at_least_one(&flag, &value()?)?,
+                "--duration" => options.duration_s = positive_secs(&flag, &value()?)?,
+                "--budget" => options.budget = at_least_one(&flag, &value()?)?,
+                "--fanout" => options.fanout = at_least_one(&flag, &value()?)?,
+                "--checkpoint-every" => {
+                    parsed.checkpoint_every = Some(positive_secs(&flag, &value()?)?);
+                }
+                "--checkpoint-path" => parsed.checkpoint_path = Some(value()?),
+                "--resume-from" => parsed.resume_from = Some(value()?),
+                _ => {}
+            }
+        }
+        Ok(parsed)
+    }
+}
+
 /// A machine-speed yardstick for the bench-regression gate: iterations per
 /// second of a fixed integer-arithmetic reference loop on this host.
 ///
@@ -300,6 +408,88 @@ mod tests {
         assert!((config.sim_duration_s - 0.1 * 48.0 * 3600.0).abs() < 1e-6);
         assert_eq!(config.workload.object_size_bytes, 5 * 1024 * 1024);
         assert!(config.validate().is_ok());
+    }
+
+    fn scale_args(args: &[&str]) -> Result<ScaleArgs, String> {
+        ScaleArgs::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn scale_args_default_and_ignore_unknown_arguments() {
+        let parsed = scale_args(&["--tier", "1k", "extra", "--bench"]).unwrap();
+        assert_eq!(parsed.tier.as_deref(), Some("1k"));
+        assert_eq!(parsed.seeds, 2);
+        assert_eq!(parsed.options, TierOptions::default());
+        assert_eq!(parsed.checkpoint_every, None);
+        assert_eq!(scale_args(&[]).unwrap().tier, None);
+    }
+
+    #[test]
+    fn scale_args_parse_every_flag() {
+        let parsed = scale_args(&[
+            "--tier",
+            "churn-10k",
+            "--out",
+            "o.json",
+            "--seeds",
+            "3",
+            "--shards",
+            "4",
+            "--object-mb",
+            "2",
+            "--duration",
+            "900.5",
+            "--budget",
+            "64",
+            "--fanout",
+            "5",
+            "--checkpoint-every",
+            "60",
+            "--checkpoint-path",
+            "c.ckpt",
+            "--resume-from",
+            "r.ckpt",
+        ])
+        .unwrap();
+        assert_eq!(
+            parsed,
+            ScaleArgs {
+                tier: Some("churn-10k".into()),
+                out: Some("o.json".into()),
+                seeds: 3,
+                options: TierOptions {
+                    object_mb: 2,
+                    duration_s: 900.5,
+                    budget: 64,
+                    fanout: 5,
+                    shards: 4,
+                },
+                checkpoint_every: Some(60.0),
+                checkpoint_path: Some("c.ckpt".into()),
+                resume_from: Some("r.ckpt".into()),
+            }
+        );
+    }
+
+    #[test]
+    fn scale_args_reject_bad_values_naming_the_flag() {
+        let counts = ["--seeds", "--shards", "--object-mb", "--budget", "--fanout"];
+        for flag in counts {
+            for bad in ["0", "-1", "x", "1.5", ""] {
+                let err = scale_args(&["--tier", "1k", flag, bad]).unwrap_err();
+                assert!(err.contains(flag), "{flag} {bad:?}: {err}");
+            }
+        }
+        for flag in ["--duration", "--checkpoint-every"] {
+            for bad in ["0", "-60", "NaN", "inf", "x"] {
+                let err = scale_args(&["--tier", "1k", flag, bad]).unwrap_err();
+                assert!(err.contains(flag), "{flag} {bad:?}: {err}");
+            }
+        }
+        for flag in ["--tier", "--seeds", "--checkpoint-path"] {
+            let err = scale_args(&[flag]).unwrap_err();
+            assert!(err.contains(flag), "{flag}: {err}");
+        }
     }
 
     #[test]

@@ -28,25 +28,19 @@ use crate::{IncentiveMechanism, QueuedRequest};
 #[derive(Debug, Clone, PartialEq)]
 pub struct TitForTat<P: Key> {
     received_from: HashMap<(P, P), u64>,
-    optimistic_weight: f64,
 }
 
+/// Score per second of waiting (the optimistic-unchoke bonus), against
+/// 1,000 per megabyte reciprocated.
+const OPTIMISTIC_WEIGHT: f64 = 1.0;
+
 impl<P: Key> TitForTat<P> {
-    /// Creates the mechanism with the default optimistic-unchoke weight.
+    /// Creates the mechanism with no recorded transfers.
     #[must_use]
     pub fn new() -> Self {
         TitForTat {
             received_from: HashMap::new(),
-            optimistic_weight: 1.0,
         }
-    }
-
-    /// Overrides how strongly waiting time counts relative to reciprocation
-    /// (bytes are scored in megabytes).
-    #[must_use]
-    pub fn with_optimistic_weight(mut self, weight: f64) -> Self {
-        self.optimistic_weight = weight.max(0.0);
-        self
     }
 
     /// Bytes `requester` has uploaded to `provider` so far.
@@ -73,8 +67,6 @@ impl<P: Key> TitForTat<P> {
     }
 
     /// Replaces the reciprocation table with previously exported rows.
-    /// The optimistic-unchoke weight is configuration, not history, and is
-    /// untouched.
     pub fn import_received(&mut self, rows: Vec<(P, P, u64)>) {
         self.received_from = rows.into_iter().map(|(p, r, b)| ((p, r), b)).collect();
     }
@@ -89,7 +81,7 @@ impl<P: Key> Default for TitForTat<P> {
 impl<P: Key> IncentiveMechanism<P> for TitForTat<P> {
     fn score(&self, provider: P, request: &QueuedRequest<P>) -> f64 {
         let reciprocation_mb = self.received(provider, request.requester) as f64 / 1_048_576.0;
-        reciprocation_mb * 1_000.0 + self.optimistic_weight * request.waiting_secs
+        reciprocation_mb * 1_000.0 + OPTIMISTIC_WEIGHT * request.waiting_secs
     }
 
     fn record_transfer(&mut self, uploader: P, downloader: P, bytes: u64) {
@@ -136,12 +128,5 @@ mod tests {
             0,
             "credit with peer 0 does not transfer to peer 2"
         );
-    }
-
-    #[test]
-    fn zero_optimistic_weight_ignores_waiting() {
-        let tft: TitForTat<u32> = TitForTat::new().with_optimistic_weight(0.0);
-        let stranger = QueuedRequest::new(9u32, 1e9);
-        assert_eq!(tft.score(0, &stranger), 0.0);
     }
 }

@@ -117,12 +117,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// The raw accumulator state `(count, mean, m2, min, max, sum)`, for
     /// checkpointing.  The empty sentinel (`min = +inf`, `max = -inf`) is
     /// part of the state and round-trips through

@@ -407,24 +407,7 @@ impl BehaviorMix {
     /// a duplicate kind, a non-finite or negative weight, or an all-zero
     /// total weight.
     pub fn validate(&self) -> Result<(), String> {
-        if self.entries.is_empty() {
-            return Err("a behavior mix needs at least one entry".into());
-        }
-        for (kind, weight) in &self.entries {
-            if !weight.is_finite() || *weight < 0.0 {
-                return Err(format!(
-                    "behavior weight for {kind} must be finite and non-negative, got {weight}"
-                ));
-            }
-            if self.entries.iter().filter(|(k, _)| k == kind).count() > 1 {
-                return Err(format!("behavior {kind} appears more than once in the mix"));
-            }
-        }
-        let total: f64 = self.entries.iter().map(|(_, w)| w).sum();
-        if total <= 0.0 {
-            return Err("behavior weights must not all be zero".into());
-        }
-        Ok(())
+        crate::mix::validate("behavior", &self.entries)
     }
 
     /// The per-behavior head counts for a population of `num_peers`, via
@@ -432,32 +415,7 @@ impl BehaviorMix {
     /// The counts always sum to `num_peers`.
     #[must_use]
     pub fn counts(&self, num_peers: usize) -> Vec<(BehaviorKind, usize)> {
-        let total: f64 = self.entries.iter().map(|(_, w)| w).sum();
-        let mut counts: Vec<(BehaviorKind, usize)> = Vec::with_capacity(self.entries.len());
-        let mut fractions: Vec<(usize, f64)> = Vec::with_capacity(self.entries.len());
-        let mut assigned = 0usize;
-        for (index, (kind, weight)) in self.entries.iter().enumerate() {
-            let ideal = weight / total * num_peers as f64;
-            let floor = ideal.floor() as usize;
-            assigned += floor;
-            counts.push((*kind, floor));
-            fractions.push((index, ideal - floor as f64));
-        }
-        // Hand the leftover heads to the largest fractional parts; ties go to
-        // the earlier entry, which reproduces round() for the legacy
-        // two-entry free-rider mix.
-        fractions.sort_by(|(ia, fa), (ib, fb)| {
-            fb.partial_cmp(fa)
-                .expect("behavior fractions are finite")
-                .then(ia.cmp(ib))
-        });
-        for (index, _) in fractions
-            .into_iter()
-            .take(num_peers.saturating_sub(assigned))
-        {
-            counts[index].1 += 1;
-        }
-        counts
+        crate::mix::counts(&self.entries, num_peers)
     }
 
     /// Deterministically assigns one behavior per peer: expand the counts in

@@ -6,10 +6,7 @@ use netsim::LinkConfig;
 use serde::{Deserialize, Serialize};
 use workload::WorkloadConfig;
 
-use crate::{
-    BehaviorMix, CatastropheConfig, ChurnConfig, ClassMix, FlashCrowdConfig, Protection,
-    SelectionStrategy,
-};
+use crate::{BehaviorMix, CatastropheConfig, ChurnConfig, ClassMix, FlashCrowdConfig, Protection};
 
 /// The simulation clock's resolution, in seconds.  Intervals and means that
 /// set how often an event recurs must be at least this long: a shorter one
@@ -99,19 +96,6 @@ pub struct SimConfig {
     /// count — the knob trades threads for wall-clock, never accuracy (see
     /// `tests/sharded_equivalence.rs` and `tests/shard_pool.rs`).
     pub shards: usize,
-    /// Minimum number of distinct plannable providers a same-timestamp
-    /// `TrySchedule` batch needs before it fans out to the worker pool;
-    /// smaller batches are handled inline.  `0` (the default) means
-    /// `max(shards, 2)`, the pre-knob behavior.  Purely a
-    /// latency/throughput trade — planned and inline handling are
-    /// bit-identical, so this never affects results.
-    pub shard_min_batch: usize,
-    /// Interval between on-disk checkpoints of the full simulation state,
-    /// in virtual seconds (`None` = no checkpointing, the default).  Resuming
-    /// from any checkpoint is **bit-identical** to the uninterrupted run,
-    /// including [`crate::RingCacheStats`] (see
-    /// [`crate::Simulation::checkpoint`] and `tests/checkpoint_equivalence.rs`).
-    pub checkpoint_every_s: Option<f64>,
     /// Virtual length of the run, in seconds.
     pub sim_duration_s: f64,
     /// Warm-up period excluded from all reported statistics, in seconds.
@@ -136,9 +120,6 @@ pub struct SimConfig {
     /// uploads).  Defaults to the homogeneous all-`Medium` mix, which is
     /// bit-identical to the pre-class engine.
     pub classes: ClassMix,
-    /// How peers pick the next object to request within their interests.
-    /// Defaults to the paper's popularity-weighted draw.
-    pub chunk_selection: SelectionStrategy,
 }
 
 impl SimConfig {
@@ -164,8 +145,6 @@ impl SimConfig {
             ring_attempts_per_schedule: 8,
             ring_candidate_cache: true,
             shards: 1,
-            shard_min_batch: 0,
-            checkpoint_every_s: None,
             sim_duration_s: 48.0 * 3600.0,
             warmup_s: 8.0 * 3600.0,
             storage_maintenance_interval_s: 600.0,
@@ -174,7 +153,6 @@ impl SimConfig {
             catastrophe: None,
             flash_crowd: None,
             classes: ClassMix::uniform(),
-            chunk_selection: SelectionStrategy::Popularity,
         }
     }
 
@@ -203,8 +181,6 @@ impl SimConfig {
             ring_attempts_per_schedule: 8,
             ring_candidate_cache: true,
             shards: 1,
-            shard_min_batch: 0,
-            checkpoint_every_s: None,
             sim_duration_s: 3_000.0,
             warmup_s: 0.0,
             storage_maintenance_interval_s: 300.0,
@@ -213,7 +189,6 @@ impl SimConfig {
             catastrophe: None,
             flash_crowd: None,
             classes: ClassMix::uniform(),
-            chunk_selection: SelectionStrategy::Popularity,
         }
     }
 
@@ -277,11 +252,6 @@ impl SimConfig {
         }
         if !(self.sim_duration_s.is_finite() && self.sim_duration_s > 0.0) {
             return Err("sim_duration_s must be positive".into());
-        }
-        if let Some(every) = self.checkpoint_every_s {
-            if !(every.is_finite() && every > 0.0) {
-                return Err(format!("checkpoint_every_s must be positive, got {every}"));
-            }
         }
         if !(self.warmup_s.is_finite() && self.warmup_s >= 0.0) {
             return Err("warmup_s must be non-negative".into());
@@ -461,7 +431,6 @@ mod tests {
             assert!(c.catastrophe.is_none());
             assert!(c.flash_crowd.is_none());
             assert_eq!(c.classes, ClassMix::uniform());
-            assert_eq!(c.chunk_selection, SelectionStrategy::Popularity);
         }
         let mut c = SimConfig::quick_test();
         c.churn = Some(ChurnConfig::new(600.0, 120.0));
@@ -472,7 +441,6 @@ mod tests {
             (crate::CapacityClass::Medium, 0.4),
             (crate::CapacityClass::Slow, 0.3),
         ]);
-        c.chunk_selection = SelectionStrategy::RarestFirst;
         assert!(c.validate().is_ok());
     }
 
@@ -482,7 +450,6 @@ mod tests {
             assert_eq!(c.ring_attempts_per_schedule, 8);
             assert!(c.ring_candidate_cache);
             assert_eq!(c.shards, 1, "sharding is strictly opt-in");
-            assert_eq!(c.shard_min_batch, 0, "0 = the max(shards, 2) auto floor");
         }
     }
 }

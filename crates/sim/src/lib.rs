@@ -51,6 +51,7 @@
 mod behavior;
 mod config;
 pub mod experiment;
+mod mix;
 mod peer;
 mod population;
 mod report;
@@ -68,9 +69,7 @@ pub use credit::{SchedulerKind, UploadScheduler};
 pub use des::{SimDuration, SimTime};
 pub use exchange::ExchangePolicy as ExchangeDiscipline;
 pub use peer::{PeerState, WantState};
-pub use population::{
-    CapacityClass, CatastropheConfig, ChurnConfig, ClassMix, FlashCrowdConfig, SelectionStrategy,
-};
+pub use population::{CapacityClass, CatastropheConfig, ChurnConfig, ClassMix, FlashCrowdConfig};
 pub use report::{BehaviorStats, SimReport};
 pub use scenario::{Aggregate, Axis, Scenario, ScenarioPoint, SweepGrid, SweepRow};
 #[cfg(feature = "audit")]

@@ -1,12 +1,11 @@
 //! Population dynamics: session churn, scripted catastrophes, flash-crowd
-//! object releases, heterogeneous capacity classes and chunk-selection
-//! strategies.
+//! object releases and heterogeneous capacity classes.
 //!
 //! The paper's evaluation assumes the scenario axes a real exchange network
 //! has — peers joining and leaving, sudden demand spikes, unequal link
 //! capacities — while the simulator's population used to be fixed for the
 //! whole run.  This module holds the *plain-data* side of the subsystem
-//! (configs, classes, mixes, strategies); the event-loop glue lives in
+//! (configs, classes, mixes); the event-loop glue lives in
 //! `simulation/population.rs`.
 //!
 //! All knobs default to "off" / homogeneous, and with the defaults the
@@ -302,24 +301,7 @@ impl ClassMix {
     /// a duplicate class, a non-finite or negative weight, or an all-zero
     /// total weight.
     pub fn validate(&self) -> Result<(), String> {
-        if self.entries.is_empty() {
-            return Err("a class mix needs at least one entry".into());
-        }
-        for (class, weight) in &self.entries {
-            if !weight.is_finite() || *weight < 0.0 {
-                return Err(format!(
-                    "class weight for {class} must be finite and non-negative, got {weight}"
-                ));
-            }
-            if self.entries.iter().filter(|(c, _)| c == class).count() > 1 {
-                return Err(format!("class {class} appears more than once in the mix"));
-            }
-        }
-        let total: f64 = self.entries.iter().map(|(_, w)| w).sum();
-        if total <= 0.0 {
-            return Err("class weights must not all be zero".into());
-        }
-        Ok(())
+        crate::mix::validate("class", &self.entries)
     }
 
     /// The per-class head counts for a population of `num_peers`, via
@@ -327,29 +309,7 @@ impl ClassMix {
     /// The counts always sum to `num_peers`.
     #[must_use]
     pub fn counts(&self, num_peers: usize) -> Vec<(CapacityClass, usize)> {
-        let total: f64 = self.entries.iter().map(|(_, w)| w).sum();
-        let mut counts: Vec<(CapacityClass, usize)> = Vec::with_capacity(self.entries.len());
-        let mut fractions: Vec<(usize, f64)> = Vec::with_capacity(self.entries.len());
-        let mut assigned = 0usize;
-        for (index, (class, weight)) in self.entries.iter().enumerate() {
-            let ideal = weight / total * num_peers as f64;
-            let floor = ideal.floor() as usize;
-            assigned += floor;
-            counts.push((*class, floor));
-            fractions.push((index, ideal - floor as f64));
-        }
-        fractions.sort_by(|(ia, fa), (ib, fb)| {
-            fb.partial_cmp(fa)
-                .expect("class fractions are finite")
-                .then(ia.cmp(ib))
-        });
-        for (index, _) in fractions
-            .into_iter()
-            .take(num_peers.saturating_sub(assigned))
-        {
-            counts[index].1 += 1;
-        }
-        counts
+        crate::mix::counts(&self.entries, num_peers)
     }
 
     /// Deterministically assigns one class per peer: expand the counts in
@@ -389,56 +349,6 @@ impl Default for ClassMix {
 impl fmt::Display for ClassMix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.label())
-    }
-}
-
-/// Which object a peer asks for next, within its interest categories
-/// (coppa's chunk-selection `Strategy`, adapted to whole objects).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum SelectionStrategy {
-    /// The paper's workload: a power-law popularity draw within a
-    /// popularity-weighted category (the default; byte-identical to the
-    /// pre-strategy engine).
-    #[default]
-    Popularity,
-    /// Prefer the eligible object held by the *fewest* sharing peers
-    /// (BitTorrent's rarest-first; ties to the lower object id).
-    RarestFirst,
-    /// Prefer the eligible object held by the *most* sharing peers
-    /// (ties to the lower object id).
-    MostCommonFirst,
-    /// A uniform draw over the eligible objects of a uniformly drawn
-    /// interest category.
-    Uniform,
-}
-
-impl SelectionStrategy {
-    /// Every strategy, in reporting order.
-    #[must_use]
-    pub fn all() -> [SelectionStrategy; 4] {
-        [
-            SelectionStrategy::Popularity,
-            SelectionStrategy::RarestFirst,
-            SelectionStrategy::MostCommonFirst,
-            SelectionStrategy::Uniform,
-        ]
-    }
-
-    /// The label used in configs and sweep axes.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            SelectionStrategy::Popularity => "popularity",
-            SelectionStrategy::RarestFirst => "rarest-first",
-            SelectionStrategy::MostCommonFirst => "most-common-first",
-            SelectionStrategy::Uniform => "uniform",
-        }
-    }
-}
-
-impl fmt::Display for SelectionStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
     }
 }
 
@@ -542,15 +452,6 @@ mod tests {
         assert_eq!(CapacityClass::Slow.rate_multiplier(), 0.5);
         let labels: Vec<&str> = CapacityClass::all().iter().map(|c| c.label()).collect();
         assert_eq!(labels, vec!["fast", "medium", "slow"]);
-    }
-
-    #[test]
-    fn selection_strategy_labels_are_distinct() {
-        let labels: Vec<&str> = SelectionStrategy::all().iter().map(|s| s.label()).collect();
-        let mut dedup = labels.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), labels.len());
     }
 
     #[test]

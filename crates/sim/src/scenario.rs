@@ -8,9 +8,7 @@
 //!
 //! Every figure of the paper is one such scenario (see [`crate::experiment`]).
 
-use std::fs;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
@@ -248,9 +246,7 @@ pub struct Scenario {
     seeds: Vec<u64>,
     setup_seed: Option<u64>,
     threads: Option<usize>,
-    thread_budget: Option<usize>,
     warm_restarts: bool,
-    checkpoint_dir: Option<PathBuf>,
 }
 
 /// Shared JSON-lines sink state for [`Scenario::run_streamed`]: workers
@@ -259,17 +255,6 @@ pub struct Scenario {
 struct RowStream<'a> {
     sink: &'a mut (dyn Write + Send),
     error: Option<io::Error>,
-}
-
-/// Writes one complete snapshot of `sim` to `path` atomically: the bytes go
-/// to `tmp` first and are renamed into place only once fully written, so a
-/// run killed mid-checkpoint always leaves the previous complete checkpoint
-/// (or nothing) at `path`, never a truncated one.
-fn write_checkpoint_file(sim: &Simulation, tmp: &Path, path: &Path) -> io::Result<()> {
-    let mut file = fs::File::create(tmp)?;
-    sim.checkpoint(&mut file).map_err(io::Error::other)?;
-    drop(file);
-    fs::rename(tmp, path)
 }
 
 impl Scenario {
@@ -283,9 +268,7 @@ impl Scenario {
             seeds: vec![0],
             setup_seed: None,
             threads: None,
-            thread_budget: None,
             warm_restarts: false,
-            checkpoint_dir: None,
         }
     }
 
@@ -352,50 +335,25 @@ impl Scenario {
         self
     }
 
-    /// Caps the number of sweep worker threads directly (default: see
-    /// [`thread_budget`](Self::thread_budget)).
+    /// Caps the number of sweep worker threads directly.  By default the
+    /// sweep uses the available parallelism divided by the grid's widest
+    /// [`SimConfig::shards`], so sweep workers × scheduling shards stays
+    /// near the core count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
-    /// Runs every simulation of the grid with `shards` scheduling shards
-    /// (see [`SimConfig::shards`]); results are bit-identical to `shards =
-    /// 1`.  Sweep-level and shard-level parallelism compose through the
-    /// [thread budget](Self::thread_budget): the default worker count is
-    /// divided by the widest shard width in the grid, so `budget ≈ workers ×
-    /// shards` regardless of how the two knobs are mixed.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.base.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the total thread budget the sweep may occupy — sweep workers ×
-    /// per-run scheduling shards (default: available parallelism).  Ignored
-    /// when [`threads`](Self::threads) caps the worker count explicitly.
-    #[must_use]
-    pub fn thread_budget(mut self, total: usize) -> Self {
-        self.thread_budget = Some(total.max(1));
-        self
-    }
-
     /// The sweep worker count `run` will use for `points`: the explicit
-    /// [`threads`](Self::threads) cap, or the [thread
-    /// budget](Self::thread_budget) (default: available parallelism) divided
+    /// [`threads`](Self::threads) cap, or the available parallelism divided
     /// by the grid's widest shard width.
     fn workers_for(&self, points: &[ScenarioPoint], jobs: usize) -> usize {
-        let workers = match self.threads {
-            Some(threads) => threads,
-            None => {
-                let budget = self.thread_budget.unwrap_or_else(|| {
-                    thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-                });
-                let shard_width = points.iter().map(|p| p.config.shards).max().unwrap_or(1);
-                budget / shard_width.max(1)
-            }
-        };
+        let workers = self.threads.unwrap_or_else(|| {
+            let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+            let shard_width = points.iter().map(|p| p.config.shards).max().unwrap_or(1);
+            cores / shard_width.max(1)
+        });
         workers.clamp(1, jobs.max(1))
     }
 
@@ -413,21 +371,6 @@ impl Scenario {
     #[must_use]
     pub fn warm_restarts(mut self, on: bool) -> Self {
         self.warm_restarts = on;
-        self
-    }
-
-    /// Directory where runs drop periodic on-disk checkpoints.
-    ///
-    /// Effective only for grid points whose resolved config sets
-    /// [`SimConfig::checkpoint_every_s`]; such runs then write their latest
-    /// snapshot to `point<P>-seed<S>.ckpt` in `dir` every interval
-    /// (atomically, via a temp file and rename, so a run killed mid-write
-    /// always leaves the previous complete checkpoint behind).  A checkpoint
-    /// can be resumed with [`Simulation::restore`].  Without this knob,
-    /// `checkpoint_every_s` is ignored by scenarios.
-    #[must_use]
-    pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
         self
     }
 
@@ -562,30 +505,12 @@ impl Scenario {
                         break;
                     };
                     let config = points[point_index].config.clone();
-                    let checkpoints = config
-                        .checkpoint_every_s
-                        .zip(self.checkpoint_dir.as_deref());
-                    let run = |sim: Simulation| match checkpoints {
-                        Some((every, dir)) => {
-                            let path = dir.join(format!("point{point_index}-seed{seed}.ckpt"));
-                            let tmp = dir.join(format!("point{point_index}-seed{seed}.ckpt.tmp"));
-                            sim.run_checkpointed(every, |at, sim| {
-                                write_checkpoint_file(sim, &tmp, &path).unwrap_or_else(|e| {
-                                    panic!(
-                                        "failed to write checkpoint at t={at} to {}: {e}",
-                                        path.display()
-                                    )
-                                });
-                            })
-                        }
-                        None => sim.run(),
-                    };
                     let report = if self.warm_restarts {
                         let setup = setups[point_index]
                             .get_or_init(|| SimSetup::generate(&config, setup_seed));
-                        run(Simulation::from_setup(config, setup, seed))
+                        Simulation::from_setup(config, setup, seed).run()
                     } else {
-                        run(Simulation::new(config, seed))
+                        Simulation::new(config, seed).run()
                     };
                     if let Some(stream) = stream {
                         let mut guard = stream.lock().expect("stream sink poisoned");
@@ -978,32 +903,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_checkpoints_are_resumable_to_the_same_report() {
-        let dir = std::env::temp_dir().join(format!("xchg-scenario-ckpt-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("temp checkpoint dir");
-
-        let mut config = tiny_base();
-        config.checkpoint_every_s = Some(250.0);
-        let grid = Scenario::from(config.clone())
-            .seeds([3])
-            .checkpoint_dir(&dir)
-            .run();
-        let full = &grid.rows()[0].report;
-
-        // The latest checkpoint survives on disk (no stray temp file) and
-        // resuming it replays the remainder into the identical report.
-        let path = dir.join("point0-seed3.ckpt");
-        let bytes = fs::read(&path).expect("checkpoint written");
-        assert!(!dir.join("point0-seed3.ckpt.tmp").exists());
-        let resumed = Simulation::restore(&mut &bytes[..], &config)
-            .expect("scenario checkpoints restore")
-            .run();
-        assert_eq!(row_json(0, 3, full), row_json(0, 3, &resumed));
-
-        fs::remove_dir_all(&dir).expect("temp checkpoint dir cleanup");
-    }
-
-    #[test]
     fn warm_restarts_are_deterministic_across_thread_counts() {
         let build = |threads: usize| {
             Scenario::from(tiny_base())
@@ -1029,10 +928,11 @@ mod tests {
     #[test]
     fn sharded_sweeps_match_sequential_sweeps() {
         let build = |shards: usize| {
-            Scenario::from(tiny_base())
+            let mut base = tiny_base();
+            base.shards = shards;
+            Scenario::from(base)
                 .disciplines([ExchangePolicy::two_five_way()])
                 .seeds(0..2)
-                .shards(shards)
                 .run()
         };
         let sequential = build(1);
@@ -1050,17 +950,23 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_derates_workers_by_shard_width() {
-        let scenario = Scenario::from(tiny_base()).shards(4).thread_budget(8);
+    fn default_workers_derate_by_shard_width() {
+        let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let mut base = tiny_base();
+        base.shards = 4;
+        let scenario = Scenario::from(base.clone());
         let points = scenario.points();
-        // 8 total threads over 4-shard runs -> 2 sweep workers.
-        assert_eq!(scenario.workers_for(&points, 16), 2);
-        // An explicit thread cap wins over the budget.
-        let capped = Scenario::from(tiny_base()).shards(4).threads(5);
+        // The cores over 4-shard runs, but never fewer than one worker or
+        // more workers than jobs.
+        assert_eq!(scenario.workers_for(&points, 1_000), (cores / 4).max(1));
+        assert_eq!(scenario.workers_for(&points, 1), 1);
+        // An explicit thread cap wins over the derating.
+        let capped = Scenario::from(base.clone()).threads(5);
         let points = capped.points();
         assert_eq!(capped.workers_for(&points, 16), 5);
-        // A budget narrower than one run still gets one worker.
-        let narrow = Scenario::from(tiny_base()).shards(16).thread_budget(4);
+        // Runs wider than the machine still get one worker.
+        base.shards = 2 * cores;
+        let narrow = Scenario::from(base);
         let points = narrow.points();
         assert_eq!(narrow.workers_for(&points, 16), 1);
     }

@@ -136,65 +136,17 @@ impl Simulation {
             .schedule_in(delay, Event::GenerateRequests(peer));
     }
 
-    /// Draws `peer`'s next request according to the configured
-    /// [`crate::SelectionStrategy`].
-    ///
-    /// `Popularity` is the paper's default two-level draw (category by local
-    /// preference, object by within-category power law) — bit-identical to
-    /// the pre-strategy code path.  The alternative strategies pick a
-    /// category uniformly among the peer's interests and then choose within
-    /// it by current holder count (rarest-first / most-common-first, ties to
-    /// the lower object id) or uniformly at random.
+    /// Draws `peer`'s next request: the paper's two-level draw (category by
+    /// local preference, object by within-category power law), skipping
+    /// objects the peer already holds or wants.
     fn next_request_for(&mut self, peer: PeerId) -> Option<ObjectId> {
-        use crate::SelectionStrategy;
-        let strategy = self.config.chunk_selection;
-        if strategy == SelectionStrategy::Popularity {
-            let state = &self.peers[peer.as_usize()];
-            return self.request_gen.next_request(
-                &self.catalog,
-                &state.interests,
-                &mut self.rng_requests,
-                |o| state.has_or_wants(o),
-            );
-        }
         let state = &self.peers[peer.as_usize()];
-        let categories = state.interests.categories();
-        // Bounded retry across category draws, mirroring the popularity
-        // path's attempt budget.
-        for _ in 0..16 {
-            let category = *self.rng_requests.choose(categories)?;
-            let candidates: Vec<ObjectId> = self
-                .catalog
-                .objects_in_category(category)
-                .iter()
-                .copied()
-                .filter(|o| !state.has_or_wants(*o))
-                .collect();
-            if candidates.is_empty() {
-                continue;
-            }
-            let holders = &self.holders;
-            let pick = match strategy {
-                SelectionStrategy::Uniform => self
-                    .rng_requests
-                    .choose(&candidates)
-                    .copied()
-                    .expect("candidates is non-empty"),
-                SelectionStrategy::RarestFirst => candidates
-                    .iter()
-                    .copied()
-                    .min_by_key(|o| (holders[o.as_usize()].len(), *o))
-                    .expect("candidates is non-empty"),
-                SelectionStrategy::MostCommonFirst => candidates
-                    .iter()
-                    .copied()
-                    .max_by_key(|o| (holders[o.as_usize()].len(), std::cmp::Reverse(*o)))
-                    .expect("candidates is non-empty"),
-                SelectionStrategy::Popularity => return None, // handled above
-            };
-            return Some(pick);
-        }
-        None
+        self.request_gen.next_request(
+            &self.catalog,
+            &state.interests,
+            &mut self.rng_requests,
+            |o| state.has_or_wants(o),
+        )
     }
 
     /// Looks up providers for `object` and registers requests with them.

@@ -569,7 +569,8 @@ impl Simulation {
     /// Runs the simulation to its horizon and returns the collected report.
     ///
     /// With [`SimConfig::shards`] > 1 the scheduling hot path runs sharded
-    /// (see [`shard`]); the report is bit-identical either way.
+    /// (see the `simulation::shard` module); the report is bit-identical
+    /// either way.
     #[must_use]
     pub fn run(mut self) -> SimReport {
         if self.config.shards > 1 {
@@ -638,8 +639,7 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if `every_s` is not positive and finite (callers validate via
-    /// [`SimConfig::checkpoint_every_s`]).
+    /// Panics if `every_s` is not positive and finite.
     #[must_use]
     pub fn run_checkpointed<F>(mut self, every_s: f64, mut on_checkpoint: F) -> SimReport
     where

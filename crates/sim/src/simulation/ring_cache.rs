@@ -136,7 +136,9 @@ pub struct CachedEntry<'a> {
 
 /// Memoises [`exchange::RingSearch::find_traced`] results per provider.
 ///
-/// See the [module docs](self) for the invalidation contract.
+/// An entry is dropped as soon as a graph or holdings delta could change
+/// what its search read, so a cached hit always equals a fresh search; the
+/// `simulation::ring_cache` module docs spell out the contract.
 #[derive(Debug, Default)]
 pub struct RingCandidateCache {
     entries: HashMap<PeerId, Entry, FastState>,

@@ -430,8 +430,8 @@ impl Simulation {
     /// pool (created lazily on the first batch that reaches it).
     ///
     /// Returns `None` (fall back to fully sequential handling) for batches
-    /// too small to amortise the barrier
-    /// ([`SimConfig::shard_min_batch`](crate::SimConfig::shard_min_batch)).
+    /// too small to amortise the barrier: fewer than `max(shards, 2)`
+    /// distinct plannable providers.
     /// Slot eligibility and the candidate-cache `peek` are evaluated
     /// *worker-side* against the moved-out state, so workers only run
     /// searches the merge is predicted to consume.  Planning never drains
@@ -451,11 +451,7 @@ impl Simulation {
             }
             tasks.push((provider, self.peer(provider).wanted_objects()));
         }
-        let min_batch = match self.config.shard_min_batch {
-            0 => self.config.shards.max(2),
-            floor => floor.max(2),
-        };
-        if tasks.len() < min_batch {
+        if tasks.len() < self.config.shards.max(2) {
             return None;
         }
 

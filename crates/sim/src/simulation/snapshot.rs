@@ -872,8 +872,8 @@ fn sorted_by_id<V>(map: &HashMap<u64, V, FastState>) -> Vec<(u64, &V)> {
 }
 
 impl Simulation {
-    /// Serializes the complete run state into `writer` (see the
-    /// [module docs](self) for the format).
+    /// Serializes the complete run state into `writer` (the
+    /// `simulation::snapshot` module docs describe the format).
     ///
     /// # Errors
     ///

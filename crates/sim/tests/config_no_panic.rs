@@ -15,7 +15,7 @@ use exchange::ExchangePolicy;
 use proptest::prelude::*;
 use sim::{
     BehaviorKind, BehaviorMix, CapacityClass, CatastropheConfig, ChurnConfig, ClassMix,
-    FlashCrowdConfig, Protection, SelectionStrategy, SimConfig, Simulation,
+    FlashCrowdConfig, Protection, SimConfig, Simulation,
 };
 
 const EDGE_REALS: [f64; 11] = [
@@ -144,7 +144,6 @@ fn any_config(seed: u64) -> SimConfig {
     c.ring_attempts_per_schedule = d.count(1, 8);
     c.ring_candidate_cache = d.rng.gen_bool(0.5);
     c.shards = usize::try_from(d.int(1, 1, &[0, 2])).expect("small");
-    c.shard_min_batch = d.count(0, 4);
     // Capped at 600 s; NaN, negatives and zero pass through.
     let horizon = d.real(30.0, 600.0);
     c.sim_duration_s = if horizon > 600.0 { 600.0 } else { horizon };
@@ -153,7 +152,6 @@ fn any_config(seed: u64) -> SimConfig {
     } else {
         d.real(0.0, c.sim_duration_s.max(1.0))
     };
-    c.checkpoint_every_s = d.rng.gen_bool(0.2).then(|| d.real(10.0, 600.0));
     c.storage_maintenance_interval_s = d.real(10.0, 600.0);
     c.request_retry_interval_s = d.real(10.0, 600.0);
     c.churn = d
@@ -168,7 +166,6 @@ fn any_config(seed: u64) -> SimConfig {
         FlashCrowdConfig::new(d.real(0.0, 600.0), d.count(1, 12)).with_seed_holders(d.count(1, 3))
     });
     c.classes = ClassMix::weighted(d.mix(CapacityClass::all().to_vec()));
-    c.chunk_selection = SelectionStrategy::all()[d.rng.gen_range(0..4usize)];
     c
 }
 

@@ -29,23 +29,16 @@ use crate::{Catalog, ObjectId, PeerInterests};
 /// assert!(pick.is_some());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RequestGenerator {
-    max_attempts: usize,
-}
+pub struct RequestGenerator;
+
+/// Draws made per request before giving up when every candidate is rejected.
+const MAX_ATTEMPTS: usize = 64;
 
 impl RequestGenerator {
     /// Creates a generator that makes up to 64 draw attempts per request.
     #[must_use]
     pub fn new() -> Self {
-        RequestGenerator { max_attempts: 64 }
-    }
-
-    /// Overrides the number of redraws attempted before giving up when every
-    /// candidate is rejected.
-    #[must_use]
-    pub fn with_max_attempts(mut self, attempts: usize) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
+        RequestGenerator
     }
 
     /// Draws the next object this peer should request.
@@ -64,7 +57,7 @@ impl RequestGenerator {
     where
         F: FnMut(ObjectId) -> bool,
     {
-        for _ in 0..self.max_attempts {
+        for _ in 0..MAX_ATTEMPTS {
             let category = interests.pick_category(rng);
             let candidate = catalog.sample_object(category, rng.gen_unit());
             if !reject(candidate) {
@@ -164,14 +157,14 @@ mod tests {
     }
 
     #[test]
-    fn attempt_budget_is_configurable() {
+    fn attempt_budget_is_64_draws() {
         let (catalog, interests, generator, mut rng) = setup(25);
-        let generator = generator.with_max_attempts(1);
         let mut calls = 0;
-        let _ = generator.next_request(&catalog, &interests, &mut rng, |_| {
+        let pick = generator.next_request(&catalog, &interests, &mut rng, |_| {
             calls += 1;
             true
         });
-        assert_eq!(calls, 1);
+        assert_eq!(pick, None);
+        assert_eq!(calls, 64);
     }
 }
