@@ -46,7 +46,9 @@ fn bench_ring_search(c: &mut Criterion) {
                 |b, graph| {
                     b.iter(|| {
                         // Ownership oracle: a third of peers "own" any given object.
-                        search.find(graph, 0, &wants, |p, o| (p + o) % 3 == 0)
+                        let mut scratch = SearchScratch::new();
+                        search
+                            .find_traced_in(&mut scratch, graph, 0, &wants, |p, o| (p + o) % 3 == 0)
                     });
                 },
             );
@@ -93,8 +95,16 @@ fn bench_stored_oracle(c: &mut Criterion) {
                     roots
                         .iter()
                         .map(|&root| {
+                            let want = &wants[root as usize];
                             search
-                                .find(&graph, root, &wants[root as usize], provides)
+                                .find_traced_in(
+                                    &mut SearchScratch::new(),
+                                    &graph,
+                                    root,
+                                    want,
+                                    provides,
+                                )
+                                .rings
                                 .len()
                         })
                         .sum::<usize>()
@@ -180,8 +190,10 @@ fn bench_cached_vs_fresh(c: &mut Criterion) {
                 }
                 let provider = PeerId::new((round as u32 * 7) % PEERS);
                 for _ in 0..QUERIES_PER_ROUND {
+                    let want = &wants[provider.as_usize()];
                     total += search
-                        .find(&graph, provider, &wants[provider.as_usize()], provides)
+                        .find_traced_in(&mut SearchScratch::new(), &graph, provider, want, provides)
+                        .rings
                         .len();
                 }
             }
@@ -207,7 +219,9 @@ fn bench_cached_vs_fresh(c: &mut Criterion) {
                     if let Some(rings) = cache.lookup(provider, want) {
                         total += rings.len();
                     } else {
-                        let trace = search.find_traced(&graph, provider, want, provides);
+                        let mut scratch = SearchScratch::new();
+                        let trace =
+                            search.find_traced_in(&mut scratch, &graph, provider, want, provides);
                         total += trace.rings.len();
                         cache.store(provider, want.clone(), trace);
                     }

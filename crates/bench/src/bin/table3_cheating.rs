@@ -1,8 +1,8 @@
 //! Table III (new): how much each Section III-B cheater gains under every
 //! upload scheduler × protection combination, via the behavior-mix API.
 //!
-//! Besides the printed table, `--csv <path>` / `--json <path>` dump the full
-//! sweep grid through `SweepGrid::write_csv` / `write_json` for plotting.
+//! Besides the printed table, `--json <path>` dumps the full sweep grid
+//! through `SweepGrid::write_json` for plotting; a failed write exits 1.
 
 use bench_support::{print_figure_header, FigureOptions};
 use exchange::ExchangePolicy;
@@ -77,22 +77,24 @@ fn main() {
     println!("out-earn passive free-riders; windowed validation bounds the junk sender's");
     println!("take per detection, and mediation zeroes the middleman's usable bytes.");
 
-    write_dumps(&grid);
+    write_json_dumps(&grid);
 }
 
-/// Handles `--csv <path>` and `--json <path>` (ignored by `FigureOptions`).
-fn write_dumps(grid: &SweepGrid) {
+/// Handles `--json <path>` (ignored by `FigureOptions`), exiting 1 if a
+/// write fails.
+fn write_json_dumps(grid: &SweepGrid) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     for pair in args.windows(2) {
         let (flag, path) = (&pair[0], &pair[1]);
-        let result = match flag.as_str() {
-            "--csv" => std::fs::File::create(path).and_then(|mut f| grid.write_csv(&mut f)),
-            "--json" => std::fs::File::create(path).and_then(|mut f| grid.write_json(&mut f)),
-            _ => continue,
-        };
-        match result {
+        if flag != "--json" {
+            continue;
+        }
+        match std::fs::File::create(path).and_then(|mut f| grid.write_json(&mut f)) {
             Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
+            Err(e) => {
+                eprintln!("failed to write {path}: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }

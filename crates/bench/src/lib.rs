@@ -16,6 +16,9 @@
 //!   completion order, flushed per line — a run killed partway leaves a
 //!   parsable prefix that `bench_gate --stream` can consume.
 //!
+//! A missing, malformed or out-of-range value makes a binary exit with
+//! status 2 and a message naming the flag; unknown arguments are ignored.
+//!
 //! The binaries print the same rows/series the paper reports, using
 //! [`metrics::Table`].
 
@@ -57,70 +60,55 @@ impl Default for FigureOptions {
 }
 
 impl FigureOptions {
-    /// Parses `--scale`, `--peers`, `--seed`, `--seeds` and `--object-mb`
-    /// from an argument iterator (unknown arguments are ignored so that
-    /// `cargo bench`-style extra arguments do not break the binaries).
-    #[must_use]
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Parses `--scale`, `--peers`, `--seed`, `--seeds`, `--object-mb` and
+    /// `--stream` from an argument iterator.  Unknown arguments are ignored,
+    /// because `cargo bench` appends its own (`--bench`).
+    ///
+    /// # Errors
+    ///
+    /// Names the flag when a known flag has no value, or a value that does
+    /// not parse or is out of range: the scale must be positive and finite,
+    /// there must be at least 2 peers, 1 seed and 1 MiB per object, the
+    /// object size must fit a `u64` byte count, and `seed + seeds` must fit
+    /// a `u64`.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut options = FigureOptions::default();
-        let args: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i < args.len() {
-            let value = args.get(i + 1);
-            match (args[i].as_str(), value) {
-                ("--scale", Some(v)) => {
-                    if let Ok(f) = v.parse::<f64>() {
-                        if f > 0.0 {
-                            options.scale = f;
-                        }
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--scale" => options.scale = positive(&flag, &value()?)?,
+                "--peers" => options.peers = at_least(&flag, &value()?, 2)?,
+                "--seed" => options.seed = at_least(&flag, &value()?, 0)?,
+                "--seeds" => options.seeds = at_least(&flag, &value()?, 1)?,
+                "--object-mb" => {
+                    let value = value()?;
+                    options.object_mb = at_least(&flag, &value, 1)?;
+                    if options.object_mb.checked_mul(1024 * 1024).is_none() {
+                        return Err(format!("{flag} {value} overflows a u64 byte count"));
                     }
-                    i += 1;
                 }
-                ("--peers", Some(v)) => {
-                    if let Ok(n) = v.parse::<usize>() {
-                        if n >= 2 {
-                            options.peers = n;
-                        }
-                    }
-                    i += 1;
-                }
-                ("--seed", Some(v)) => {
-                    if let Ok(s) = v.parse::<u64>() {
-                        options.seed = s;
-                    }
-                    i += 1;
-                }
-                ("--seeds", Some(v)) => {
-                    if let Ok(n) = v.parse::<u64>() {
-                        if n >= 1 {
-                            options.seeds = n;
-                        }
-                    }
-                    i += 1;
-                }
-                ("--object-mb", Some(v)) => {
-                    if let Ok(m) = v.parse::<u64>() {
-                        if m > 0 {
-                            options.object_mb = m;
-                        }
-                    }
-                    i += 1;
-                }
-                ("--stream", Some(v)) => {
-                    options.stream = Some(v.clone());
-                    i += 1;
-                }
+                "--stream" => options.stream = Some(value()?),
                 _ => {}
             }
-            i += 1;
         }
-        options
+        if options.seed.checked_add(options.seeds).is_none() {
+            return Err(format!(
+                "--seed {} with --seeds {} overflows the u64 seed range",
+                options.seed, options.seeds
+            ));
+        }
+        Ok(options)
     }
 
-    /// Parses the options from the process environment.
+    /// Parses the options from the process environment, exiting with
+    /// status 2 and a message naming the flag when they do not parse.
     #[must_use]
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
     /// The base configuration every figure starts from: the paper's Table II
@@ -162,6 +150,29 @@ impl FigureOptions {
             None => scenario.run(),
         }
     }
+}
+
+/// Parses a flag's integer value, requiring it to be at least `min`.
+fn at_least<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
+    flag: &str,
+    value: &str,
+    min: T,
+) -> Result<T, String> {
+    match value.parse::<T>() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!(
+            "{flag} takes an integer of at least {min}, got '{value}'"
+        )),
+    }
+}
+
+/// Parses a flag's value as a positive, finite number.
+fn positive(flag: &str, value: &str) -> Result<f64, String> {
+    value
+        .parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite() && *v > 0.0)
+        .ok_or_else(|| format!("{flag} takes a positive number, got '{value}'"))
 }
 
 /// Tunable workload shape of a `scale` bench tier.
@@ -220,24 +231,6 @@ impl ScaleArgs {
     /// not parse or is out of range: counts must be at least 1, and the
     /// duration and checkpoint interval positive and finite.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        fn at_least_one<T: std::str::FromStr + PartialOrd + From<u8>>(
-            flag: &str,
-            value: &str,
-        ) -> Result<T, String> {
-            value
-                .parse::<T>()
-                .ok()
-                .filter(|n| *n >= T::from(1))
-                .ok_or_else(|| format!("{flag} takes an integer of at least 1, got '{value}'"))
-        }
-        fn positive_secs(flag: &str, value: &str) -> Result<f64, String> {
-            value
-                .parse::<f64>()
-                .ok()
-                .filter(|s| s.is_finite() && *s > 0.0)
-                .ok_or_else(|| format!("{flag} takes a positive number of seconds, got '{value}'"))
-        }
-
         let mut parsed = ScaleArgs {
             tier: None,
             out: None,
@@ -254,14 +247,14 @@ impl ScaleArgs {
             match flag.as_str() {
                 "--tier" => parsed.tier = Some(value()?),
                 "--out" => parsed.out = Some(value()?),
-                "--seeds" => parsed.seeds = at_least_one(&flag, &value()?)?,
-                "--shards" => options.shards = at_least_one(&flag, &value()?)?,
-                "--object-mb" => options.object_mb = at_least_one(&flag, &value()?)?,
-                "--duration" => options.duration_s = positive_secs(&flag, &value()?)?,
-                "--budget" => options.budget = at_least_one(&flag, &value()?)?,
-                "--fanout" => options.fanout = at_least_one(&flag, &value()?)?,
+                "--seeds" => parsed.seeds = at_least(&flag, &value()?, 1)?,
+                "--shards" => options.shards = at_least(&flag, &value()?, 1)?,
+                "--object-mb" => options.object_mb = at_least(&flag, &value()?, 1)?,
+                "--duration" => options.duration_s = positive(&flag, &value()?)?,
+                "--budget" => options.budget = at_least(&flag, &value()?, 1)?,
+                "--fanout" => options.fanout = at_least(&flag, &value()?, 1)?,
                 "--checkpoint-every" => {
-                    parsed.checkpoint_every = Some(positive_secs(&flag, &value()?)?);
+                    parsed.checkpoint_every = Some(positive(&flag, &value()?)?);
                 }
                 "--checkpoint-path" => parsed.checkpoint_path = Some(value()?),
                 "--resume-from" => parsed.resume_from = Some(value()?),
@@ -357,13 +350,13 @@ pub fn print_figure_header(title: &str, options: &FigureOptions, config: &SimCon
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> FigureOptions {
+    fn parse(args: &[&str]) -> Result<FigureOptions, String> {
         FigureOptions::parse(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn defaults_when_no_args() {
-        let options = parse(&[]);
+        let options = parse(&[]).unwrap();
         assert_eq!(options, FigureOptions::default());
         assert_eq!(options.seed_range(), 1..4);
     }
@@ -381,28 +374,69 @@ mod tests {
             "5",
             "--object-mb",
             "5",
-        ]);
+            "--stream",
+            "rows.jsonl",
+        ])
+        .unwrap();
         assert_eq!(options.scale, 0.5);
         assert_eq!(options.peers, 100);
         assert_eq!(options.seed, 7);
         assert_eq!(options.seeds, 5);
         assert_eq!(options.object_mb, 5);
         assert_eq!(options.seed_range(), 7..12);
+        assert_eq!(options.stream.as_deref(), Some("rows.jsonl"));
     }
 
     #[test]
-    fn ignores_unknown_and_invalid_flags() {
-        let options = parse(&[
-            "--bench", "--scale", "abc", "--peers", "1", "--seeds", "0", "extra",
-        ]);
-        assert_eq!(options.scale, FigureOptions::default().scale);
-        assert_eq!(options.peers, FigureOptions::default().peers);
-        assert_eq!(options.seeds, FigureOptions::default().seeds);
+    fn ignores_unknown_flags() {
+        let options = parse(&["--bench", "--peers", "50", "extra"]).unwrap();
+        assert_eq!(options.peers, 50);
+        assert_eq!(
+            FigureOptions {
+                peers: 200,
+                ..options
+            },
+            FigureOptions::default()
+        );
+    }
+
+    #[test]
+    fn rejects_invalid_values_naming_the_flag() {
+        let cases: [(&str, &[&str]); 5] = [
+            ("--scale", &["abc", "0", "-1", "NaN", "inf", ""]),
+            ("--peers", &["1", "0", "-3", "x", "2.5"]),
+            ("--seed", &["-1", "x", "1.5", "18446744073709551616"]),
+            ("--seeds", &["0", "-1", "x"]),
+            ("--object-mb", &["0", "x", "17592186044416"]),
+        ];
+        for (flag, bads) in cases {
+            for bad in bads {
+                let err = parse(&["--bench", flag, bad]).unwrap_err();
+                assert!(err.contains(flag), "{flag} {bad:?}: {err}");
+            }
+        }
+        for flag in ["--scale", "--seed", "--stream"] {
+            let err = parse(&[flag]).unwrap_err();
+            assert!(err.contains(flag), "{flag}: {err}");
+        }
+        // The seed range must fit a u64: the last seed is `seed + seeds - 1`.
+        let max = u64::MAX.to_string();
+        let err = parse(&["--seed", &max, "--seeds", "2"]).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
+        let err = parse(&["--seed", &max, "--seeds", "1"]).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
+        let last = (u64::MAX - 3).to_string();
+        assert_eq!(
+            parse(&["--seed", &last, "--seeds", "3"])
+                .unwrap()
+                .seed_range(),
+            u64::MAX - 3..u64::MAX
+        );
     }
 
     #[test]
     fn base_config_applies_scale_peers_and_object_size() {
-        let options = parse(&["--scale", "0.1", "--peers", "50", "--object-mb", "5"]);
+        let options = parse(&["--scale", "0.1", "--peers", "50", "--object-mb", "5"]).unwrap();
         let config = options.base_config();
         assert_eq!(config.num_peers, 50);
         assert!((config.sim_duration_s - 0.1 * 48.0 * 3600.0).abs() < 1e-6);

@@ -11,9 +11,9 @@
 //!
 //! * [`RequestGraph`] — the directed graph of outstanding requests (an edge
 //!   `R → P` labelled `o` means "R has asked P for object o").
-//! * [`RingSearch`] / [`find_rings`] — discovery of feasible exchange rings
-//!   through the provider, honouring a [`SearchPolicy`] (maximum ring size,
-//!   shorter-first or longer-first preference).
+//! * [`RingSearch`] — discovery of feasible exchange rings through the
+//!   provider, honouring a [`SearchPolicy`] (maximum ring size, shorter-first
+//!   or longer-first preference), in a reusable [`SearchScratch`].
 //! * [`ExchangeRing`] — a validated ring of `(uploader, downloader, object)`
 //!   edges.
 //! * [`RingToken`] — the token circulation step that confirms every proposed
@@ -33,7 +33,7 @@
 //! # Example: finding a 3-way ring
 //!
 //! ```
-//! use exchange::{find_rings, RequestGraph, RingPreference, SearchPolicy};
+//! use exchange::{RequestGraph, RingPreference, RingSearch, SearchPolicy, SearchScratch};
 //!
 //! // Peer 1 asked peer 0 for object 10; peer 2 asked peer 1 for object 20.
 //! let mut graph: RequestGraph<u32, u32> = RequestGraph::new();
@@ -44,10 +44,11 @@
 //! let wants = [30u32];
 //! let provides = |peer: &u32, object: &u32| *peer == 2 && *object == 30;
 //!
-//! let policy = SearchPolicy::new(5, RingPreference::ShorterFirst);
-//! let rings = find_rings(&graph, 0, &wants, provides, policy);
-//! assert_eq!(rings.len(), 1);
-//! assert_eq!(rings[0].len(), 3); // a 3-way ring: 0 → 1 → 2 → 0
+//! let search = RingSearch::new(SearchPolicy::new(5, RingPreference::ShorterFirst));
+//! let mut scratch = SearchScratch::new();
+//! let trace = search.find_traced_in(&mut scratch, &graph, 0, &wants, provides);
+//! assert_eq!(trace.rings.len(), 1);
+//! assert_eq!(trace.rings[0].len(), 3); // a 3-way ring: 0 → 1 → 2 → 0
 //! ```
 
 #![warn(missing_docs)]
@@ -64,7 +65,7 @@ mod token;
 pub use graph::{Request, RequestGraph};
 pub use policy::{ExchangePolicy, RingPreference, SearchPolicy};
 pub use ring::{ExchangeRing, RingEdge, RingError};
-pub use search::{find_rings, FastHasher, FastState, RingSearch, SearchScratch, SearchTrace};
+pub use search::{FastHasher, FastState, RingSearch, SearchScratch, SearchTrace};
 pub use token::{RingToken, TokenOutcome};
 
 use std::fmt::Debug;

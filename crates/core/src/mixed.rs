@@ -71,20 +71,6 @@ impl<P: Key, O: Key> MixedExchangePlan<P, O> {
             .map(|f| f.rate)
             .sum()
     }
-
-    /// The peers that receive data under the plan.
-    #[must_use]
-    pub fn served_peers(&self) -> Vec<P> {
-        let mut rates: BTreeMap<P, f64> = BTreeMap::new();
-        for f in &self.flows {
-            *rates.entry(f.to).or_insert(0.0) += f.rate;
-        }
-        rates
-            .into_iter()
-            .filter(|(_, r)| *r > 0.0)
-            .map(|(p, _)| p)
-            .collect()
-    }
 }
 
 /// The download rate each peer would get from the best *pure* pairwise object
@@ -257,8 +243,6 @@ mod tests {
         assert_eq!(plan.upload_rate_of(&"A"), 10.0);
         // C and D send y to B at 5 each: B downloads at 10, twice the pure rate.
         assert_eq!(plan.download_rate_of(&"B"), 10.0);
-        // Everyone with a want is served.
-        assert_eq!(plan.served_peers(), vec!["A", "B", "C", "D"]);
     }
 
     #[test]

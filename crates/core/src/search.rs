@@ -6,8 +6,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{ExchangeRing, Key, RequestGraph, RingEdge, RingPreference, SearchPolicy};
 
-/// The result of a [traced](RingSearch::find_traced) ring search: the rings
-/// plus the exact set of peers whose state the search read.
+/// The result of a [ring search](RingSearch::find_traced_in): the rings plus
+/// the exact set of peers whose state the search read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchTrace<P: Key, O: Key> {
     /// The feasible rings, in the policy's preference order.
@@ -145,8 +145,8 @@ impl PeerBits {
 /// providers are searched over and over.)
 ///
 /// The snapshot is keyed on [`RequestGraph::generation`] and discarded
-/// wholesale as soon as the graph mutates, so a scratch-backed search is
-/// always bit-identical to a fresh [`RingSearch::find_traced`].  A caller
+/// wholesale as soon as the graph mutates, so a search in a warm scratch is
+/// always bit-identical to one in a fresh scratch.  A caller
 /// that forwards the graph's [dirty-edge
 /// log](crate::RequestGraph::take_dirty_edges) can do better and
 /// [`advance`](Self::advance) the snapshot across mutations, forgetting only
@@ -158,7 +158,7 @@ impl PeerBits {
 /// table index is its `P: Into<u32>` image.  **Contract:** that conversion
 /// must be injective and preserve order (`a < b` iff `a.into() < b.into()`),
 /// which holds for the unsigned integer types and the `workload` id
-/// newtypes.  The traced searches emit their dependency sets in index
+/// newtypes.  A search emits its dependency sets in index
 /// order, so an order-breaking conversion would break
 /// [`SearchTrace`]'s sorted contract.  Every table is sized lazily to the
 /// largest index a search touches, so ids should be dense: with 32-bit ids
@@ -350,14 +350,16 @@ impl<P: Key + Into<u32>, O: Key> Default for SearchScratch<P, O> {
 /// # Example
 ///
 /// ```
-/// use exchange::{RequestGraph, RingSearch, SearchPolicy, RingPreference};
+/// use exchange::{RequestGraph, RingPreference, RingSearch, SearchPolicy, SearchScratch};
 ///
 /// let graph: RequestGraph<u32, u32> = [(1, 0, 10), (0, 1, 11)].into_iter().collect();
 /// let search = RingSearch::new(SearchPolicy::new(5, RingPreference::ShorterFirst));
 /// // Peer 0 wants object 11 and knows peer 1 has it (it already asked peer 1).
-/// let rings = search.find(&graph, 0, &[11], |p, o| *p == 1 && *o == 11);
-/// assert_eq!(rings.len(), 1);
-/// assert!(rings[0].is_pairwise());
+/// let provides = |p: &u32, o: &u32| *p == 1 && *o == 11;
+/// let mut scratch = SearchScratch::new();
+/// let trace = search.find_traced_in(&mut scratch, &graph, 0, &[11], provides);
+/// assert_eq!(trace.rings.len(), 1);
+/// assert!(trace.rings[0].is_pairwise());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingSearch {
@@ -406,7 +408,10 @@ impl RingSearch {
         self.policy
     }
 
-    /// Finds feasible rings through `root`.
+    /// Finds feasible rings through `root`, running inside a caller-owned
+    /// [`SearchScratch`] that shares buffers and the per-generation adjacency
+    /// snapshot with the other searches of the same round.  The result is
+    /// identical to a search in a fresh scratch (`SearchScratch::new()`).
     ///
     /// * `wants` — the objects `root` currently wants to download.
     /// * `provides` — oracle telling whether a given peer can serve a given
@@ -414,71 +419,20 @@ impl RingSearch {
     ///   `root` learned about it during lookup).
     ///
     /// The returned rings all contain `root`; each ring's edge list starts
-    /// with the edge on which `root` uploads.
+    /// with the edge on which `root` uploads.  The trace also reports the
+    /// set of peers the search depended on (see [`SearchTrace::deps`]), so
+    /// callers can cache the result and invalidate it precisely.
     ///
     /// **Contract:** `provides` must be a pure function of `(peer, object)`
     /// for the duration of one search.  The search probes each distinct
     /// pair at most once and reuses the answer for every path that ends at
     /// the same peer, so an oracle whose answer changes mid-search would see
-    /// only its first answer.  (The same holds for
-    /// [`find_traced`](Self::find_traced) and
-    /// [`find_traced_in`](Self::find_traced_in).)
+    /// only its first answer.
     ///
     /// **Contract:** `P`'s `u32` conversion must be injective and preserve
     /// order; it indexes the search's per-peer tables (see
-    /// [`SearchScratch`]).  The same holds for every search entry point.
-    pub fn find<P: Key + Into<u32>, O: Key, F>(
-        &self,
-        graph: &RequestGraph<P, O>,
-        root: P,
-        wants: &[O],
-        provides: F,
-    ) -> Vec<ExchangeRing<P, O>>
-    where
-        F: Fn(&P, &O) -> bool,
-    {
-        self.search(
-            &mut SearchScratch::new(),
-            graph,
-            root,
-            wants,
-            provides,
-            false,
-        )
-        .rings
-    }
-
-    /// Like [`find`](Self::find), but also reports the set of peers the
-    /// search depended on (see [`SearchTrace::deps`]), so callers can cache
-    /// the result and invalidate it precisely.
-    pub fn find_traced<P: Key + Into<u32>, O: Key, F>(
-        &self,
-        graph: &RequestGraph<P, O>,
-        root: P,
-        wants: &[O],
-        provides: F,
-    ) -> SearchTrace<P, O>
-    where
-        F: Fn(&P, &O) -> bool,
-    {
-        self.search(
-            &mut SearchScratch::new(),
-            graph,
-            root,
-            wants,
-            provides,
-            true,
-        )
-    }
-
-    /// Like [`find_traced`](Self::find_traced), but runs inside a caller-owned
-    /// [`SearchScratch`], sharing buffers and the per-generation adjacency
-    /// snapshot with the other searches of the same round.  The result is
-    /// identical to a fresh search.
-    ///
-    /// **Contract:** as for [`find`](Self::find), `P`'s `u32` conversion
-    /// must be injective and preserve order: `deps` and `edge_deps` are
-    /// emitted in its order.
+    /// [`SearchScratch`]), and `deps` and `edge_deps` are emitted in its
+    /// order.
     pub fn find_traced_in<P: Key + Into<u32>, O: Key, F>(
         &self,
         scratch: &mut SearchScratch<P, O>,
@@ -490,31 +444,12 @@ impl RingSearch {
     where
         F: Fn(&P, &O) -> bool,
     {
-        self.search(scratch, graph, root, wants, provides, true)
-    }
-
-    /// Shared search body.  The dependency sets are only assembled when
-    /// `trace_deps` is set — plain [`find`](Self::find) callers skip that
-    /// cost entirely (`deps`/`edge_deps` come back empty).
-    fn search<P: Key + Into<u32>, O: Key, F>(
-        &self,
-        scratch: &mut SearchScratch<P, O>,
-        graph: &RequestGraph<P, O>,
-        root: P,
-        wants: &[O],
-        provides: F,
-        trace_deps: bool,
-    ) -> SearchTrace<P, O>
-    where
-        F: Fn(&P, &O) -> bool,
-    {
         let mut found: Vec<(usize, ExchangeRing<P, O>)> = Vec::new();
         if wants.is_empty() {
-            let deps = if trace_deps { vec![root] } else { Vec::new() };
             return SearchTrace {
                 rings: Vec::new(),
-                edge_deps: deps.clone(),
-                deps,
+                deps: vec![root],
+                edge_deps: vec![root],
             };
         }
         let SearchScratch {
@@ -670,35 +605,30 @@ impl RingSearch {
         // actually read: the root and every expanded peer.  Both are
         // collected as peer-indexed bits and read off in ascending order,
         // which also drops the duplicates.
-        let (deps, edge_deps) = if trace_deps {
-            let tail = &arena[head..];
-            deps_bits.insert(ids, root);
-            edge_bits.insert(ids, root);
-            for probe in probes.iter() {
-                deps_bits.insert(ids, probe.peer);
-                if probe.expanded {
-                    edge_bits.insert(ids, probe.peer);
-                }
+        let tail = &arena[head..];
+        deps_bits.insert(ids, root);
+        edge_bits.insert(ids, root);
+        for probe in probes.iter() {
+            deps_bits.insert(ids, probe.peer);
+            if probe.expanded {
+                edge_bits.insert(ids, probe.peer);
             }
-            for &(peer, _, _, _) in tail {
-                deps_bits.insert(ids, peer);
-            }
-            let mut deps = Vec::with_capacity(probes.len() + tail.len() + 1);
-            deps_bits.drain_into(ids, &mut deps);
-            let mut edge_deps = Vec::with_capacity(probes.len() + 1);
-            edge_bits.drain_into(ids, &mut edge_deps);
-            debug_assert!(
-                deps.windows(2).all(|w| w[0] < w[1]),
-                "P's u32 conversion must preserve order"
-            );
-            debug_assert!(
-                edge_deps.windows(2).all(|w| w[0] < w[1]),
-                "P's u32 conversion must preserve order"
-            );
-            (deps, edge_deps)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        }
+        for &(peer, _, _, _) in tail {
+            deps_bits.insert(ids, peer);
+        }
+        let mut deps = Vec::with_capacity(probes.len() + tail.len() + 1);
+        deps_bits.drain_into(ids, &mut deps);
+        let mut edge_deps = Vec::with_capacity(probes.len() + 1);
+        edge_bits.drain_into(ids, &mut edge_deps);
+        debug_assert!(
+            deps.windows(2).all(|w| w[0] < w[1]),
+            "P's u32 conversion must preserve order"
+        );
+        debug_assert!(
+            edge_deps.windows(2).all(|w| w[0] < w[1]),
+            "P's u32 conversion must preserve order"
+        );
         SearchTrace {
             rings: found.into_iter().map(|(_, ring)| ring).collect(),
             deps,
@@ -738,20 +668,6 @@ impl RingSearch {
     }
 }
 
-/// Convenience wrapper around [`RingSearch::find`] with the default budget.
-pub fn find_rings<P: Key + Into<u32>, O: Key, F>(
-    graph: &RequestGraph<P, O>,
-    root: P,
-    wants: &[O],
-    provides: F,
-    policy: SearchPolicy,
-) -> Vec<ExchangeRing<P, O>>
-where
-    F: Fn(&P, &O) -> bool,
-{
-    RingSearch::new(policy).find(graph, root, wants, provides)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,18 +678,29 @@ mod tests {
         |peer, object| map.get(peer).is_some_and(|objs| objs.contains(object))
     }
 
-    fn shorter_first(max: usize) -> SearchPolicy {
-        SearchPolicy::new(max, RingPreference::ShorterFirst)
+    /// Runs `search` in a fresh scratch.
+    fn fresh_search<P: Key + Into<u32>, O: Key>(
+        search: RingSearch,
+        graph: &RequestGraph<P, O>,
+        root: P,
+        wants: &[O],
+        provides: impl Fn(&P, &O) -> bool,
+    ) -> SearchTrace<P, O> {
+        search.find_traced_in(&mut SearchScratch::new(), graph, root, wants, provides)
     }
 
-    fn longer_first(max: usize) -> SearchPolicy {
-        SearchPolicy::new(max, RingPreference::LongerFirst)
+    fn shorter_first(max: usize) -> RingSearch {
+        RingSearch::new(SearchPolicy::new(max, RingPreference::ShorterFirst))
+    }
+
+    fn longer_first(max: usize) -> RingSearch {
+        RingSearch::new(SearchPolicy::new(max, RingPreference::LongerFirst))
     }
 
     #[test]
     fn no_wants_means_no_rings() {
         let graph: RequestGraph<u32, u32> = [(1, 0, 10)].into_iter().collect();
-        let rings = find_rings(&graph, 0, &[], |_, _| true, shorter_first(5));
+        let rings = fresh_search(shorter_first(5), &graph, 0, &[], |_, _| true).rings;
         assert!(rings.is_empty());
     }
 
@@ -782,7 +709,7 @@ mod tests {
         // Peer 1 asked 0 for object 10; peer 0 wants object 99 which peer 1 owns.
         let graph: RequestGraph<u32, u32> = [(1, 0, 10)].into_iter().collect();
         let ownership: HashMap<u32, Vec<u32>> = [(1, vec![99])].into_iter().collect();
-        let rings = find_rings(&graph, 0, &[99], owns(&ownership), shorter_first(5));
+        let rings = fresh_search(shorter_first(5), &graph, 0, &[99], owns(&ownership)).rings;
         assert_eq!(rings.len(), 1);
         let ring = &rings[0];
         assert!(ring.is_pairwise());
@@ -795,7 +722,7 @@ mod tests {
         // 1 asked 0 for o10; 2 asked 1 for o20; 0 wants o30 owned by 2.
         let graph: RequestGraph<u32, u32> = [(1, 0, 10), (2, 1, 20)].into_iter().collect();
         let ownership: HashMap<u32, Vec<u32>> = [(2, vec![30])].into_iter().collect();
-        let rings = find_rings(&graph, 0, &[30], owns(&ownership), shorter_first(5));
+        let rings = fresh_search(shorter_first(5), &graph, 0, &[30], owns(&ownership)).rings;
         assert_eq!(rings.len(), 1);
         let ring = &rings[0];
         assert_eq!(ring.len(), 3);
@@ -813,9 +740,13 @@ mod tests {
             .collect();
         let ownership: HashMap<u32, Vec<u32>> = [(4, vec![99])].into_iter().collect();
         // A ring through peer 4 needs 5 peers; bounding at 4 finds nothing.
-        assert!(find_rings(&graph, 0, &[99], owns(&ownership), shorter_first(4)).is_empty());
+        assert!(
+            fresh_search(shorter_first(4), &graph, 0, &[99], owns(&ownership))
+                .rings
+                .is_empty()
+        );
         // Raising the bound to 5 finds it.
-        let rings = find_rings(&graph, 0, &[99], owns(&ownership), shorter_first(5));
+        let rings = fresh_search(shorter_first(5), &graph, 0, &[99], owns(&ownership)).rings;
         assert_eq!(rings.len(), 1);
         assert_eq!(rings[0].len(), 5);
     }
@@ -827,12 +758,12 @@ mod tests {
         let ownership: HashMap<u32, Vec<u32>> =
             [(1, vec![99]), (2, vec![99])].into_iter().collect();
 
-        let shorter = find_rings(&graph, 0, &[99], owns(&ownership), shorter_first(5));
+        let shorter = fresh_search(shorter_first(5), &graph, 0, &[99], owns(&ownership)).rings;
         assert_eq!(shorter.len(), 2);
         assert_eq!(shorter[0].len(), 2);
         assert_eq!(shorter[1].len(), 3);
 
-        let longer = find_rings(&graph, 0, &[99], owns(&ownership), longer_first(5));
+        let longer = fresh_search(longer_first(5), &graph, 0, &[99], owns(&ownership)).rings;
         assert_eq!(longer[0].len(), 3);
         assert_eq!(longer[1].len(), 2);
     }
@@ -841,7 +772,7 @@ mod tests {
     fn multiple_wanted_objects_yield_multiple_rings() {
         let graph: RequestGraph<u32, u32> = [(1, 0, 10)].into_iter().collect();
         let ownership: HashMap<u32, Vec<u32>> = [(1, vec![98, 99])].into_iter().collect();
-        let rings = find_rings(&graph, 0, &[98, 99], owns(&ownership), shorter_first(5));
+        let rings = fresh_search(shorter_first(5), &graph, 0, &[98, 99], owns(&ownership)).rings;
         assert_eq!(rings.len(), 2);
         assert!(rings.iter().all(ExchangeRing::is_pairwise));
     }
@@ -854,7 +785,7 @@ mod tests {
             .collect();
         let ownership: HashMap<u32, Vec<u32>> =
             [(3, vec![99]), (4, vec![99])].into_iter().collect();
-        let rings = find_rings(&graph, 0, &[99], owns(&ownership), shorter_first(5));
+        let rings = fresh_search(shorter_first(5), &graph, 0, &[99], owns(&ownership)).rings;
         assert_eq!(rings.len(), 2);
         assert!(rings.iter().all(|r| r.len() == 3));
         let closers: Vec<u32> = rings
@@ -870,7 +801,7 @@ mod tests {
         let graph: RequestGraph<u32, u32> =
             [(1, 0, 10), (2, 1, 20), (1, 2, 21)].into_iter().collect();
         let ownership: HashMap<u32, Vec<u32>> = [(2, vec![99])].into_iter().collect();
-        let rings = find_rings(&graph, 0, &[99], owns(&ownership), shorter_first(6));
+        let rings = fresh_search(shorter_first(6), &graph, 0, &[99], owns(&ownership)).rings;
         assert_eq!(rings.len(), 1);
         assert_eq!(rings[0].len(), 3);
     }
@@ -882,7 +813,7 @@ mod tests {
             [(1, 0, 10), (0, 1, 11), (2, 0, 12)].into_iter().collect();
         let ownership: HashMap<u32, Vec<u32>> =
             [(1, vec![11]), (2, vec![11])].into_iter().collect();
-        let rings = find_rings(&graph, 0, &[11], owns(&ownership), shorter_first(5));
+        let rings = fresh_search(shorter_first(5), &graph, 0, &[11], owns(&ownership)).rings;
         for ring in &rings {
             let members = ring.members();
             let zero_count = members.iter().filter(|p| **p == 0).count();
@@ -899,8 +830,8 @@ mod tests {
             graph.add_request(i, 0, i);
         }
         let ownership: HashMap<u32, Vec<u32>> = (1..=100).map(|i| (i, vec![999])).collect();
-        let search = RingSearch::new(shorter_first(2)).with_expansion_budget(10);
-        let rings = search.find(&graph, 0, &[999], owns(&ownership));
+        let search = shorter_first(2).with_expansion_budget(10);
+        let rings = fresh_search(search, &graph, 0, &[999], owns(&ownership)).rings;
         assert!(rings.len() <= 10);
         assert!(!rings.is_empty());
     }
@@ -914,8 +845,8 @@ mod tests {
             graph.add_request(i, 0, i);
         }
         let ownership: HashMap<u32, Vec<u32>> = (1..=50).map(|i| (i, vec![999])).collect();
-        let search = RingSearch::new(shorter_first(2)).with_fanout(5);
-        let rings = search.find(&graph, 0, &[999], owns(&ownership));
+        let search = shorter_first(2).with_fanout(5);
+        let rings = fresh_search(search, &graph, 0, &[999], owns(&ownership)).rings;
         assert_eq!(rings.len(), 50);
     }
 
@@ -929,10 +860,10 @@ mod tests {
             graph.add_request(i, 1, i);
         }
         let ownership: HashMap<u32, Vec<u32>> = (2..=21).map(|i| (i, vec![999])).collect();
-        let search = RingSearch::new(shorter_first(3)).with_fanout(4);
-        let rings = search.find(&graph, 0, &[999], owns(&ownership));
+        let search = shorter_first(3).with_fanout(4);
+        let rings = fresh_search(search, &graph, 0, &[999], owns(&ownership)).rings;
         assert_eq!(rings.len(), 4);
-        let all = RingSearch::new(shorter_first(3)).find(&graph, 0, &[999], owns(&ownership));
+        let all = fresh_search(shorter_first(3), &graph, 0, &[999], owns(&ownership)).rings;
         assert_eq!(all.len(), 20);
     }
 
@@ -945,8 +876,8 @@ mod tests {
             .collect();
         let ownership: HashMap<u32, Vec<u32>> =
             [(1, vec![99]), (4, vec![99])].into_iter().collect();
-        let search = RingSearch::new(shorter_first(5)).with_expansion_budget(2);
-        let rings = search.find(&graph, 0, &[99], owns(&ownership));
+        let search = shorter_first(5).with_expansion_budget(2);
+        let rings = fresh_search(search, &graph, 0, &[99], owns(&ownership)).rings;
         assert!(!rings.is_empty());
         assert!(rings[0].is_pairwise());
     }
@@ -958,8 +889,8 @@ mod tests {
             .into_iter()
             .collect();
         let ownership: HashMap<u32, Vec<u32>> = [(2, vec![99])].into_iter().collect();
-        let search = RingSearch::new(shorter_first(4));
-        let trace = search.find_traced(&graph, 0, &[99], owns(&ownership));
+        let search = shorter_first(4);
+        let trace = fresh_search(search, &graph, 0, &[99], owns(&ownership));
         assert_eq!(trace.rings.len(), 1);
         // Root 0 and frontier peers 1, 2 and 3 are deps (3 closes no ring but
         // was probed); the disconnected peers 8 and 9 are not.
@@ -975,8 +906,7 @@ mod tests {
         let graph: RequestGraph<u32, u32> =
             [(1, 0, 10), (2, 1, 20), (3, 2, 30)].into_iter().collect();
         let ownership: HashMap<u32, Vec<u32>> = [(2, vec![99])].into_iter().collect();
-        let trace =
-            RingSearch::new(shorter_first(3)).find_traced(&graph, 0, &[99], owns(&ownership));
+        let trace = fresh_search(shorter_first(3), &graph, 0, &[99], owns(&ownership));
         assert_eq!(trace.rings.len(), 1);
         assert_eq!(trace.deps, vec![0, 1, 2]);
         assert_eq!(trace.edge_deps, vec![0, 1]);
@@ -989,8 +919,8 @@ mod tests {
             .collect();
         let ownership: HashMap<u32, Vec<u32>> =
             [(2, vec![99]), (3, vec![99])].into_iter().collect();
-        for policy in [shorter_first(5), longer_first(4), shorter_first(2)] {
-            let trace = RingSearch::new(policy).find_traced(&graph, 0, &[99], owns(&ownership));
+        for search in [shorter_first(5), longer_first(4), shorter_first(2)] {
+            let trace = fresh_search(search, &graph, 0, &[99], owns(&ownership));
             for peer in &trace.edge_deps {
                 assert!(trace.deps.contains(peer), "edge dep {peer} not in deps");
             }
@@ -1005,13 +935,13 @@ mod tests {
         let ownership: HashMap<u32, Vec<u32>> = [(1, vec![99]), (2, vec![99]), (3, vec![98])]
             .into_iter()
             .collect();
-        let search = RingSearch::new(shorter_first(4));
+        let search = shorter_first(4);
         let mut scratch = SearchScratch::new();
         for round in 0..4u32 {
             for root in 0..4u32 {
                 let shared =
                     search.find_traced_in(&mut scratch, &graph, root, &[98, 99], owns(&ownership));
-                let fresh = search.find_traced(&graph, root, &[98, 99], owns(&ownership));
+                let fresh = fresh_search(search, &graph, root, &[98, 99], owns(&ownership));
                 assert_eq!(shared, fresh, "root {root} round {round}");
             }
             assert!(scratch.snapshot_len() > 0, "snapshot is populated");
@@ -1028,7 +958,7 @@ mod tests {
         let ownership: HashMap<u32, Vec<u32>> = [(1, vec![99]), (2, vec![99]), (3, vec![98])]
             .into_iter()
             .collect();
-        let search = RingSearch::new(shorter_first(4));
+        let search = shorter_first(4);
         let mut scratch = SearchScratch::new();
         graph.take_dirty_edges();
         let mut drained = graph.generation();
@@ -1036,7 +966,7 @@ mod tests {
             for root in 0..4u32 {
                 let shared =
                     search.find_traced_in(&mut scratch, &graph, root, &[98, 99], owns(&ownership));
-                let fresh = search.find_traced(&graph, root, &[98, 99], owns(&ownership));
+                let fresh = fresh_search(search, &graph, root, &[98, 99], owns(&ownership));
                 assert_eq!(shared, fresh, "root {root} round {round}");
             }
             let populated = scratch.snapshot_len();
@@ -1074,11 +1004,11 @@ mod tests {
         fn assert_send<T: Send>(_: &T) {}
         let graph: RequestGraph<u32, u32> = [(1, 0, 10), (2, 1, 20)].into_iter().collect();
         let ownership: HashMap<u32, Vec<u32>> = [(2, vec![99])].into_iter().collect();
-        let search = RingSearch::new(shorter_first(4));
+        let search = shorter_first(4);
         let mut scratches: Vec<SearchScratch<u32, u32>> =
             (0..2).map(|_| SearchScratch::new()).collect();
         assert_send(&scratches[0]);
-        let fresh = search.find_traced(&graph, 0, &[99], owns(&ownership));
+        let fresh = fresh_search(search, &graph, 0, &[99], owns(&ownership));
         std::thread::scope(|scope| {
             for scratch in &mut scratches {
                 let (graph, ownership, fresh) = (&graph, &ownership, &fresh);
@@ -1099,26 +1029,9 @@ mod tests {
     #[test]
     fn traced_search_with_no_wants_depends_only_on_the_root() {
         let graph: RequestGraph<u32, u32> = [(1, 0, 10)].into_iter().collect();
-        let trace =
-            RingSearch::new(shorter_first(5)).find_traced(&graph, 0, &[], |_: &u32, _: &u32| true);
+        let trace = fresh_search(shorter_first(5), &graph, 0, &[], |_: &u32, _: &u32| true);
         assert!(trace.rings.is_empty());
         assert_eq!(trace.deps, vec![0]);
-    }
-
-    #[test]
-    fn traced_and_plain_search_agree() {
-        let graph: RequestGraph<u32, u32> = [(1, 0, 10), (2, 1, 20), (2, 0, 11), (3, 2, 30)]
-            .into_iter()
-            .collect();
-        let ownership: HashMap<u32, Vec<u32>> = [(1, vec![99]), (2, vec![99]), (3, vec![98])]
-            .into_iter()
-            .collect();
-        for policy in [shorter_first(4), longer_first(4)] {
-            let search = RingSearch::new(policy);
-            let plain = search.find(&graph, 0, &[98, 99], owns(&ownership));
-            let traced = search.find_traced(&graph, 0, &[98, 99], owns(&ownership));
-            assert_eq!(plain, traced.rings);
-        }
     }
 
     #[test]
@@ -1126,7 +1039,7 @@ mod tests {
         // Peer 5 owns the wanted object but has no request path to the root.
         let graph: RequestGraph<u32, u32> = [(1, 0, 10)].into_iter().collect();
         let ownership: HashMap<u32, Vec<u32>> = [(5, vec![99])].into_iter().collect();
-        let rings = find_rings(&graph, 0, &[99], owns(&ownership), shorter_first(5));
+        let rings = fresh_search(shorter_first(5), &graph, 0, &[99], owns(&ownership)).rings;
         assert!(rings.is_empty());
     }
 
@@ -1155,8 +1068,8 @@ mod tests {
 
         proptest! {
             /// One scratch reused across a sequence of traced searches on
-            /// sparse ids returns exactly what a fresh-scratch
-            /// `find_traced` does — and keeps doing so when (with `force`
+            /// sparse ids returns exactly what a search in a fresh scratch
+            /// does — and keeps doing so when (with `force`
             /// set) its memo stamp counter is forced near `u32::MAX` after
             /// the first few searches, so the memo clears itself on
             /// exhaustion while the low stamps those searches left behind
@@ -1178,7 +1091,7 @@ mod tests {
                 let owned: BTreeSet<(u32, u32)> =
                     owned.into_iter().map(|(p, o)| (sparse(p), o)).collect();
                 let provides = |p: &u32, o: &u32| owned.contains(&(*p, *o));
-                let search = RingSearch::new(shorter_first(max_ring)).with_fanout(4);
+                let search = shorter_first(max_ring).with_fanout(4);
                 let mut scratch = SearchScratch::new();
                 for (index, (root, wants)) in searches.iter().enumerate() {
                     if force && index == force_at.0 {
@@ -1186,7 +1099,7 @@ mod tests {
                     }
                     let root = sparse(*root);
                     let warm = search.find_traced_in(&mut scratch, &graph, root, wants, provides);
-                    let fresh = search.find_traced(&graph, root, wants, provides);
+                    let fresh = fresh_search(search, &graph, root, wants, provides);
                     prop_assert_eq!(warm, fresh);
                 }
             }
@@ -1200,9 +1113,9 @@ mod tests {
                 longer in proptest::bool::ANY,
                 max_ring in 2usize..6,
             ) {
-                let policy = if longer { longer_first(max_ring) } else { shorter_first(max_ring) };
+                let search = if longer { longer_first(max_ring) } else { shorter_first(max_ring) };
                 let provides = |p: &u8, o: &u8| owned.get(p).is_some_and(|objs| objs.contains(o));
-                let rings = find_rings(&graph, root, &wants, provides, policy);
+                let rings = fresh_search(search, &graph, root, &wants, provides).rings;
                 for ring in &rings {
                     // Bounded size, contains the root, all edges except the
                     // closing one correspond to existing requests.
@@ -1227,8 +1140,8 @@ mod tests {
                 owned in proptest::collection::hash_map(0u8..10, proptest::collection::vec(0u8..20, 0..4), 0..10),
             ) {
                 let provides = |p: &u8, o: &u8| owned.get(p).is_some_and(|objs| objs.contains(o));
-                let shorter = find_rings(&graph, root, &wants, provides, shorter_first(5));
-                let longer = find_rings(&graph, root, &wants, provides, longer_first(5));
+                let shorter = fresh_search(shorter_first(5), &graph, root, &wants, provides).rings;
+                let longer = fresh_search(longer_first(5), &graph, root, &wants, provides).rings;
                 prop_assert_eq!(shorter.len(), longer.len());
                 for w in shorter.windows(2) {
                     prop_assert!(w[0].len() <= w[1].len());

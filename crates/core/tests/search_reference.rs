@@ -5,10 +5,10 @@
 //! object, materialises every path, drops repeated rings through a hash set
 //! of edge lists and sorts the whole BFS arena for `deps`.  The optimised
 //! [`RingSearch`] must return exactly what it returns — the same rings in the
-//! same order and the same `deps`/`edge_deps` — through `find`, `find_traced`
-//! and a warm `find_traced_in` scratch that is advanced across random graph
-//! and ownership mutations, while probing each (peer, object) pair at most
-//! once per search.
+//! same order and the same `deps`/`edge_deps` — through `find_traced_in` in
+//! a fresh scratch and in a warm scratch that is advanced across random
+//! graph and ownership mutations, while probing each (peer, object) pair at
+//! most once per search.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -267,12 +267,10 @@ proptest! {
                 let warm = search.find_traced_in(&mut scratch, &graph, root, &wants, probe);
                 prop_assert!(oracle.take_max_probes() <= 1, "a (peer, object) pair was probed twice");
                 prop_assert_eq!(&warm, &expected);
-                let traced = search.find_traced(&graph, root, &wants, probe);
+                let fresh =
+                    search.find_traced_in(&mut SearchScratch::new(), &graph, root, &wants, probe);
                 prop_assert!(oracle.take_max_probes() <= 1, "a (peer, object) pair was probed twice");
-                prop_assert_eq!(&traced, &expected);
-                let rings = search.find(&graph, root, &wants, probe);
-                prop_assert!(oracle.take_max_probes() <= 1, "a (peer, object) pair was probed twice");
-                prop_assert_eq!(&rings, &expected.rings);
+                prop_assert_eq!(&fresh, &expected);
             }
             // Mutate the graph and the ownership, then advance the warm
             // scratch past the graph change.
@@ -332,9 +330,11 @@ fn long_and_repeated_want_lists_match_the_reference() {
         );
         assert!(expected.rings.len() > 64);
         let oracle = CountingOracle::new(&owned);
-        let traced = search.find_traced(&graph, 0, &wants, |p, o| oracle.provides(p, o));
+        let fresh = search.find_traced_in(&mut SearchScratch::new(), &graph, 0, &wants, |p, o| {
+            oracle.provides(p, o)
+        });
         assert_eq!(oracle.take_max_probes(), 1);
-        assert_eq!(traced, expected);
+        assert_eq!(fresh, expected);
     }
 }
 
@@ -422,8 +422,14 @@ proptest! {
                 let warm =
                     search.find_traced_in(&mut scratch, &wide_graph, wide(root), &wants, wide_owned);
                 prop_assert_eq!(&warm, &expected);
-                let traced = search.find_traced(&wide_graph, wide(root), &wants, wide_owned);
-                prop_assert_eq!(&traced, &expected);
+                let fresh = search.find_traced_in(
+                    &mut SearchScratch::new(),
+                    &wide_graph,
+                    wide(root),
+                    &wants,
+                    wide_owned,
+                );
+                prop_assert_eq!(&fresh, &expected);
             }
             for _ in 0..1 + rng.below(6) {
                 let (r, p, o) = (rng.peer(), rng.peer(), rng.object());

@@ -108,14 +108,6 @@ impl DetRng {
         result
     }
 
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
     /// Uniform draw from `[0, n)`; `n` must be positive.
     fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
@@ -351,17 +343,6 @@ mod tests {
         // Degenerate inclusive ranges are valid for floats too.
         assert_eq!(rng.gen_range(1.5f64..=1.5), 1.5);
         assert_eq!(rng.gen_range(4u32..=4), 4);
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = DetRng::seed_from(8);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(
-            buf.iter().any(|b| *b != 0),
-            "13 random bytes are not all zero"
-        );
     }
 
     #[test]

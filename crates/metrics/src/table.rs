@@ -56,20 +56,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Convenience: appends a row of floats formatted with `precision`
-    /// decimals, prefixed by a label cell.
-    pub fn add_numeric_row(&mut self, label: impl Into<String>, values: &[f64], precision: usize) {
-        let mut row = vec![label.into()];
-        row.extend(values.iter().map(|v| format!("{v:.precision$}")));
-        self.add_row(row);
-    }
-
-    /// Number of data rows.
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Column headers.
     #[must_use]
     pub fn headers(&self) -> &[String] {
@@ -80,18 +66,6 @@ impl Table {
     #[must_use]
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
-    }
-
-    /// Renders the table as tab-separated values (header row first).
-    #[must_use]
-    pub fn to_tsv(&self) -> String {
-        let mut out = self.headers.join("\t");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -133,21 +107,7 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("x    value"));
         assert!(s.lines().count() >= 4);
-        assert_eq!(t.row_count(), 2);
-    }
-
-    #[test]
-    fn tsv_output_has_header_and_rows() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.add_row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_tsv(), "a\tb\n1\t2\n");
-    }
-
-    #[test]
-    fn numeric_row_formatting() {
-        let mut t = Table::new(vec!["label", "v1", "v2"]);
-        t.add_numeric_row("row", &[1.23456, 7.0], 2);
-        assert_eq!(t.rows()[0], vec!["row", "1.23", "7.00"]);
+        assert_eq!(t.rows().len(), 2);
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl<K: Ord> ClassTally<K> {
         self.classes.is_empty()
     }
 
-    /// Total number of observations across all classes.
-    #[must_use]
-    pub fn total_count(&self) -> u64 {
-        self.classes.values().map(OnlineStats::count).sum()
-    }
-
     /// Merges another tally into this one class-by-class.
     pub fn merge(&mut self, other: &ClassTally<K>)
     where
@@ -140,7 +134,6 @@ mod tests {
         assert_eq!(t.mean(&"b"), Some(10.0));
         assert_eq!(t.mean(&"c"), None);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.total_count(), 3);
     }
 
     #[test]
@@ -178,7 +171,6 @@ mod tests {
     fn empty_tally() {
         let t: ClassTally<u32> = ClassTally::new();
         assert!(t.is_empty());
-        assert_eq!(t.total_count(), 0);
         assert_eq!(t.get(&1), None);
     }
 }

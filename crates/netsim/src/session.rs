@@ -95,12 +95,6 @@ impl TransferSession {
     pub fn record_block(&mut self, bytes: u64) {
         self.bytes_transferred += bytes;
     }
-
-    /// How long the session has been running at `now`.
-    #[must_use]
-    pub fn age(&self, now: SimTime) -> SimDuration {
-        now.saturating_since(self.started_at)
-    }
 }
 
 #[cfg(test)]
@@ -132,17 +126,6 @@ mod tests {
         s.record_block(4_096);
         s.record_block(100);
         assert_eq!(s.bytes_transferred(), 4_196);
-    }
-
-    #[test]
-    fn age_is_measured_from_start() {
-        let start = SimTime::from_secs_f64(100.0);
-        let s = TransferSession::new(1_000.0, 4_096, start);
-        assert_eq!(
-            s.age(SimTime::from_secs_f64(160.0)),
-            SimDuration::from_secs(60)
-        );
-        assert_eq!(s.age(SimTime::from_secs_f64(50.0)), SimDuration::ZERO);
     }
 
     #[test]

@@ -79,16 +79,6 @@ impl SlotPool {
         !self.is_full()
     }
 
-    /// Utilisation in `[0, 1]` (0.0 for a zero-capacity pool).
-    #[must_use]
-    pub fn utilisation(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            self.in_use as f64 / self.capacity as f64
-        }
-    }
-
     /// Reserves one slot.
     ///
     /// # Errors
@@ -161,14 +151,6 @@ mod tests {
         let mut p = SlotPool::new(0);
         assert!(p.is_full());
         assert!(p.reserve().is_err());
-        assert_eq!(p.utilisation(), 0.0);
-    }
-
-    #[test]
-    fn utilisation_fraction() {
-        let mut p = SlotPool::new(4);
-        p.reserve().unwrap();
-        assert_eq!(p.utilisation(), 0.25);
     }
 
     #[test]

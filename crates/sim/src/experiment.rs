@@ -37,12 +37,6 @@ use crate::{
     Axis, BehaviorMix, Protection, Scenario, SessionKind, SimConfig, SimReport, Simulation,
 };
 
-/// Runs a single configuration and returns its report.
-#[must_use]
-pub fn run(config: SimConfig, seed: u64) -> SimReport {
-    Simulation::new(config, seed).run()
-}
-
 /// Figures 4 and 5: mean download time and exchange-session fraction as the
 /// upload capacity varies, for each discipline.
 #[must_use]
@@ -123,13 +117,6 @@ pub fn freerider_scenario(
         .disciplines(policies.iter().copied())
 }
 
-/// Section II comparison: every upload scheduler head-to-head under one
-/// workload (the `baseline_comparison` example and the ablation benches).
-#[must_use]
-pub fn scheduler_scenario(base: &SimConfig) -> Scenario {
-    Scenario::from(base.clone()).schedulers(credit::SchedulerKind::all())
-}
-
 /// Section III-B: every behavior mix under every countermeasure — how much
 /// does each cheater gain under a given scheduler × protection combination?
 /// Read the answers off [`crate::SimReport::behavior_stats`].
@@ -149,7 +136,7 @@ pub fn cheating_scenario(
 /// returned report.
 #[must_use]
 pub fn session_distributions(base: &SimConfig, seed: u64) -> SimReport {
-    run(base.clone(), seed)
+    Simulation::new(base.clone(), seed).run()
 }
 
 /// The session kinds the paper plots in Figures 7 and 8, in plot order.
@@ -285,12 +272,6 @@ mod tests {
         assert_eq!(points[0].config.protection, Protection::None);
         assert_eq!(points[2].config.protection, Protection::Mediated);
         assert_eq!(points[5].config.behaviors, mixes[1]);
-    }
-
-    #[test]
-    fn scheduler_scenario_covers_every_kind() {
-        let points = scheduler_scenario(&tiny_base()).points();
-        assert_eq!(points.len(), credit::SchedulerKind::all().len());
     }
 
     #[test]

@@ -263,12 +263,6 @@ impl SimReport {
         self.download_time_min.mean(&class)
     }
 
-    /// Download-time statistics per class.
-    #[must_use]
-    pub fn download_time_stats(&self, class: PeerClass) -> Option<&OnlineStats> {
-        self.download_time_min.get(&class)
-    }
-
     /// Ratio of non-sharing to sharing mean download time (> 1 means sharers
     /// are better off), if both classes completed downloads.
     #[must_use]
@@ -518,7 +512,6 @@ mod tests {
         assert_eq!(r.completed_downloads(), 3);
         assert_eq!(r.mean_download_time_min(PeerClass::Sharing), Some(15.0));
         assert_eq!(r.download_time_ratio(), Some(4.0));
-        assert!(r.download_time_stats(PeerClass::Sharing).is_some());
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! Hand-rolled JSON and CSV serialization of [`SweepGrid`] results.
+//! Hand-rolled JSON serialization of [`SweepGrid`] results.
 //!
 //! The workspace's `serde` is an offline stub (no crates.io access), so the
-//! writers here are self-contained: [`SweepGrid::write_csv`] emits one row
-//! per `(point, seed)` run with the axis values and headline metrics, and
-//! [`SweepGrid::write_json`] additionally nests the per-behavior breakdown.
-//! Both exist so sweep results can leave the process for plotting without
-//! any external dependency.
+//! writer here is self-contained: [`SweepGrid::write_json`] emits the sweep's
+//! seeds and points, then one object per `(point, seed)` run with the
+//! headline metrics, the per-behavior breakdown and the per-class fairness
+//! quantiles, so sweep results can leave the process for plotting without
+//! any external dependency.  The same row objects are the lines of
+//! [`crate::Scenario::run_streamed`]'s JSONL stream.
 
-use std::collections::BTreeSet;
 use std::io::{self, Write};
 
-use crate::{BehaviorKind, CapacityClass, SimReport, SweepGrid};
+use crate::{SimReport, SweepGrid};
 
-/// One headline metric column: its name and the report extractor.
+/// One headline metric: its JSON key and the report extractor.
 type MetricColumn = (&'static str, fn(&SimReport) -> Option<f64>);
 
-/// The fixed scalar metrics every row carries, as `(column, extractor)`.
+/// The fixed scalar metrics every row carries, as `(key, extractor)`.
 fn scalar_metrics() -> Vec<MetricColumn> {
     vec![
         ("completed_downloads", |r| {
@@ -38,25 +38,6 @@ fn scalar_metrics() -> Vec<MetricColumn> {
     ]
 }
 
-/// Every behavior observed anywhere in the grid, in kind order.
-fn observed_behaviors(grid: &SweepGrid) -> Vec<BehaviorKind> {
-    let mut kinds: BTreeSet<BehaviorKind> = BTreeSet::new();
-    for row in grid.rows() {
-        kinds.extend(row.report.behavior_breakdown().keys().copied());
-    }
-    kinds.into_iter().collect()
-}
-
-/// Every capacity class that completed a download anywhere in the grid, in
-/// class order (fast < medium < slow).
-fn observed_classes(grid: &SweepGrid) -> Vec<CapacityClass> {
-    let mut classes: BTreeSet<CapacityClass> = BTreeSet::new();
-    for row in grid.rows() {
-        classes.extend(row.report.observed_capacity_classes());
-    }
-    classes.into_iter().collect()
-}
-
 /// The download-time quantiles exported per capacity class (paper Figures
 /// 7–8 plot the full CDF; these are its fixed sampling points).
 const CLASS_QUANTILES: [(&str, f64); 3] = [("p10", 0.10), ("p50", 0.50), ("p90", 0.90)];
@@ -68,25 +49,6 @@ fn fmt_f64(value: f64) -> String {
         format!("{value}")
     } else {
         "null".to_string()
-    }
-}
-
-/// Formats an optional float for CSV: finite values via `{}`, everything
-/// else (unreported or non-finite) as an empty field, so numeric columns
-/// stay numeric for downstream parsers.
-fn csv_f64(value: Option<f64>) -> String {
-    match value {
-        Some(v) if v.is_finite() => format!("{v}"),
-        _ => String::new(),
-    }
-}
-
-/// Escapes `field` for CSV: quoted (with doubled quotes) only when needed.
-fn csv_escape(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
     }
 }
 
@@ -182,70 +144,6 @@ pub(crate) fn write_row_json<W: Write>(
 }
 
 impl SweepGrid {
-    /// Writes the grid as CSV: one row per `(point, seed)` run, with the
-    /// point label, every axis value, the headline metrics, and per-behavior
-    /// usable megabytes.  Metrics a run did not report are left empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error of `writer`.
-    pub fn write_csv<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        let axes: Vec<&str> = self
-            .points()
-            .first()
-            .map(|p| p.values.iter().map(|(name, _)| name.as_str()).collect())
-            .unwrap_or_default();
-        let metrics = scalar_metrics();
-        let behaviors = observed_behaviors(self);
-        let classes = observed_classes(self);
-
-        let mut header: Vec<String> = vec!["point".into(), "label".into(), "seed".into()];
-        header.extend(axes.iter().map(|a| (*a).to_string()));
-        header.extend(metrics.iter().map(|(name, _)| (*name).to_string()));
-        for kind in &behaviors {
-            header.push(format!("usable_mb_per_peer[{kind}]"));
-        }
-        for class in &classes {
-            for (quantile, _) in CLASS_QUANTILES {
-                header.push(format!("download_min_{quantile}[{}]", class.label()));
-            }
-        }
-        writeln!(
-            writer,
-            "{}",
-            header
-                .iter()
-                .map(|h| csv_escape(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        )?;
-
-        for row in self.rows() {
-            let point = self.point(row.point);
-            let mut fields: Vec<String> = vec![
-                row.point.to_string(),
-                csv_escape(&point.label),
-                row.seed.to_string(),
-            ];
-            for axis in &axes {
-                fields.push(csv_escape(point.value(axis).unwrap_or("")));
-            }
-            for (_, metric) in &metrics {
-                fields.push(csv_f64(metric(&row.report)));
-            }
-            for kind in &behaviors {
-                fields.push(csv_f64(row.report.mean_usable_mb_per_peer(*kind)));
-            }
-            for class in &classes {
-                for (_, p) in CLASS_QUANTILES {
-                    fields.push(csv_f64(row.report.capacity_download_percentile(*class, p)));
-                }
-            }
-            writeln!(writer, "{}", fields.join(","))?;
-        }
-        Ok(())
-    }
-
     /// Writes the grid as a single JSON document:
     ///
     /// ```json
@@ -256,8 +154,8 @@ impl SweepGrid {
     /// }
     /// ```
     ///
-    /// `metrics` carries the same headline numbers as the CSV; `behaviors`
-    /// nests the full per-behavior breakdown (bytes up/down, usable vs
+    /// `metrics` carries the headline numbers (a metric a run did not
+    /// report is `null`); `behaviors` nests the full per-behavior breakdown (bytes up/down, usable vs
     /// junk vs ciphertext, completions, cheat detections); `capacity` nests
     /// the per-class download-time fairness quantiles (paper Figures 7–8).
     ///
@@ -307,15 +205,6 @@ impl SweepGrid {
         Ok(())
     }
 
-    /// [`SweepGrid::write_csv`] into a `String`.
-    #[must_use]
-    pub fn to_csv_string(&self) -> String {
-        let mut buffer = Vec::new();
-        self.write_csv(&mut buffer)
-            .expect("writing to a Vec never fails");
-        String::from_utf8(buffer).expect("CSV output is UTF-8")
-    }
-
     /// [`SweepGrid::write_json`] into a `String`.
     #[must_use]
     pub fn to_json_string(&self) -> String {
@@ -342,23 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_one_row_per_run_plus_header() {
-        let grid = tiny_grid();
-        let csv = grid.to_csv_string();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + grid.rows().len());
-        assert!(lines[0].starts_with("point,label,seed,upload_kbps,completed_downloads"));
-        assert!(lines[0].contains("cheat_detections"));
-        assert!(lines[0].contains("usable_mb_per_peer[honest]"));
-        // Every data line has the same number of fields as the header.
-        let columns = lines[0].split(',').count();
-        for line in &lines[1..] {
-            assert_eq!(line.split(',').count(), columns, "ragged row: {line}");
-        }
-        assert!(lines[1].starts_with("0,"));
-    }
-
-    #[test]
     fn fairness_quantiles_export_per_observed_class() {
         use crate::{CapacityClass, ClassMix};
         let mut config = SimConfig::quick_test();
@@ -367,27 +239,16 @@ mod tests {
         config.classes =
             ClassMix::weighted([(CapacityClass::Fast, 0.5), (CapacityClass::Slow, 0.5)]);
         let grid = Scenario::from(config).seeds([1]).run();
-        let csv = grid.to_csv_string();
-        let header = csv.lines().next().expect("csv has a header");
-        assert!(header.contains("download_min_p10[fast]"));
-        assert!(header.contains("download_min_p50[fast]"));
-        assert!(header.contains("download_min_p90[slow]"));
-        assert!(
-            !header.contains("[medium]"),
-            "unobserved classes get no columns"
-        );
         let json = grid.to_json_string();
         assert!(json.contains("\"capacity\":{"));
         assert!(json.contains("\"fast\":{\"mean_download_time_min\":"));
+        assert!(json.contains("\"slow\":{\"mean_download_time_min\":"));
         assert!(json.contains("\"download_min_p90\":"));
+        assert!(
+            !json.contains("\"medium\":"),
+            "unobserved classes get no entry"
+        );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn csv_escapes_embedded_delimiters() {
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
 
     #[test]
@@ -418,13 +279,9 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_metrics_serialize_as_null_in_json_and_empty_in_csv() {
+    fn non_finite_metrics_serialize_as_null_in_json() {
         assert_eq!(fmt_f64(f64::NAN), "null");
         assert_eq!(fmt_f64(f64::INFINITY), "null");
         assert_eq!(fmt_f64(1.5), "1.5");
-        assert_eq!(csv_f64(Some(f64::NAN)), "");
-        assert_eq!(csv_f64(Some(f64::NEG_INFINITY)), "");
-        assert_eq!(csv_f64(None), "");
-        assert_eq!(csv_f64(Some(2.25)), "2.25");
     }
 }

@@ -134,7 +134,7 @@ pub struct CachedEntry<'a> {
     pub edge_deps: &'a [PeerId],
 }
 
-/// Memoises [`exchange::RingSearch::find_traced`] results per provider.
+/// Memoises [`exchange::RingSearch::find_traced_in`] results per provider.
 ///
 /// An entry is dropped as soon as a graph or holdings delta could change
 /// what its search read, so a cached hit always equals a fresh search; the
@@ -475,7 +475,7 @@ impl RingCandidateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exchange::{RingPreference, RingSearch, SearchPolicy};
+    use exchange::{RingPreference, RingSearch, SearchPolicy, SearchScratch};
 
     fn peer(id: u32) -> PeerId {
         PeerId::new(id)
@@ -487,6 +487,17 @@ mod tests {
 
     fn search() -> RingSearch {
         RingSearch::new(SearchPolicy::new(5, RingPreference::ShorterFirst))
+    }
+
+    /// Runs `search` in a fresh scratch.
+    fn fresh_search(
+        search: RingSearch,
+        graph: &RequestGraph<PeerId, ObjectId>,
+        root: PeerId,
+        wants: &[ObjectId],
+        provides: impl Fn(&PeerId, &ObjectId) -> bool,
+    ) -> SearchTrace<PeerId, ObjectId> {
+        search.find_traced_in(&mut SearchScratch::new(), graph, root, wants, provides)
     }
 
     /// A tiny fixture: 1 asked 0 for o10, 2 asked 1 for o20; peer 2 owns o30.
@@ -508,7 +519,7 @@ mod tests {
         let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
         assert!(cache.lookup(peer(0), &wants).is_none());
-        let trace = search().find_traced(&graph, peer(0), &wants, owns_o30);
+        let trace = fresh_search(search(), &graph, peer(0), &wants, owns_o30);
         assert_eq!(trace.rings.len(), 1);
         cache.store(peer(0), wants.clone(), trace.clone());
         assert_eq!(cache.lookup(peer(0), &wants), Some(trace.rings.as_slice()));
@@ -521,7 +532,7 @@ mod tests {
         let graph = fixture();
         let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
-        let trace = search().find_traced(&graph, peer(0), &wants, owns_o30);
+        let trace = fresh_search(search(), &graph, peer(0), &wants, owns_o30);
         cache.store(peer(0), wants, trace);
         assert!(cache.lookup(peer(0), &[object(30), object(31)]).is_none());
         assert_eq!(cache.stats().invalidations, 0);
@@ -532,7 +543,7 @@ mod tests {
         let mut graph = fixture();
         let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
-        let trace = search().find_traced(&graph, peer(0), &wants, owns_o30);
+        let trace = fresh_search(search(), &graph, peer(0), &wants, owns_o30);
         cache.store(peer(0), wants.clone(), trace);
         // A new request at frontier peer 2 dirties it -> entry dropped.
         graph.add_request(peer(3), peer(2), object(40));
@@ -547,7 +558,7 @@ mod tests {
         let mut graph = fixture();
         let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
-        let trace = search().find_traced(&graph, peer(0), &wants, owns_o30);
+        let trace = fresh_search(search(), &graph, peer(0), &wants, owns_o30);
         let rings = trace.rings.clone();
         cache.store(peer(0), wants.clone(), trace);
         // An edge between peers the search never visited is irrelevant.
@@ -566,12 +577,12 @@ mod tests {
         cache.store(
             peer(0),
             wants0.clone(),
-            search().find_traced(&graph, peer(0), &wants0, owns_o30),
+            fresh_search(search(), &graph, peer(0), &wants0, owns_o30),
         );
         cache.store(
             peer(1),
             wants1.clone(),
-            search().find_traced(&graph, peer(1), &wants1, owns_o30),
+            fresh_search(search(), &graph, peer(1), &wants1, owns_o30),
         );
         assert_eq!(cache.len(), 2);
         // Peer 2 is in both dependency sets (frontier of both searches).
@@ -592,7 +603,7 @@ mod tests {
         cache.store(
             peer(0),
             wants.clone(),
-            search().find_traced(&graph, peer(0), &wants, owns_o30),
+            fresh_search(search(), &graph, peer(0), &wants, owns_o30),
         );
         // Peer 2 completes object 77, which no cached root wants.
         cache.invalidate_holding(peer(2), object(77));
@@ -609,7 +620,7 @@ mod tests {
         let mut graph = fixture();
         let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
-        let trace = search().find_traced(&graph, peer(0), &wants, owns_o30);
+        let trace = fresh_search(search(), &graph, peer(0), &wants, owns_o30);
         let rings = trace.rings.clone();
         cache.store(peer(0), wants.clone(), trace);
         // Peer 2 (a dep) issues a request towards an unrelated provider for
@@ -633,7 +644,7 @@ mod tests {
         let shallow = RingSearch::new(SearchPolicy::new(3, RingPreference::ShorterFirst));
         let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
-        let trace = shallow.find_traced(&graph, peer(0), &wants, owns_o30);
+        let trace = fresh_search(shallow, &graph, peer(0), &wants, owns_o30);
         // Peer 2 sits at the depth bound: probed, but its queue never read.
         assert!(trace.deps.contains(&peer(2)));
         assert!(!trace.edge_deps.contains(&peer(2)));
@@ -650,7 +661,7 @@ mod tests {
         let graph = fixture();
         let mut cache = RingCandidateCache::new();
         let wants = vec![object(30)];
-        let trace = search().find_traced(&graph, peer(0), &wants, owns_o30);
+        let trace = fresh_search(search(), &graph, peer(0), &wants, owns_o30);
         cache.store(peer(0), wants.clone(), trace.clone());
         let entries: Vec<_> = cache.iter_entries().collect();
         assert_eq!(entries.len(), 1);
@@ -669,14 +680,14 @@ mod tests {
         cache.store(
             peer(0),
             wants.clone(),
-            search().find_traced(&graph, peer(0), &wants, owns_o30),
+            fresh_search(search(), &graph, peer(0), &wants, owns_o30),
         );
         // Re-store with a no-ring oracle: the entry must be replaced, and the
         // old dependency links must be gone (no double counting later).
         cache.store(
             peer(0),
             wants.clone(),
-            search().find_traced(&graph, peer(0), &wants, |_, _| false),
+            fresh_search(search(), &graph, peer(0), &wants, |_, _| false),
         );
         assert_eq!(cache.lookup(peer(0), &wants), Some(&[][..]));
         cache.invalidate_peer(peer(2));

@@ -4,7 +4,7 @@
 
 use p2p_exchange::des::DetRng;
 use p2p_exchange::exchange::{
-    find_rings, ExchangeRing, RequestGraph, RingPreference, RingToken, SearchPolicy,
+    ExchangeRing, RequestGraph, RingPreference, RingSearch, RingToken, SearchPolicy, SearchScratch,
 };
 
 /// Builds a reproducible random request graph over `peers` peers.
@@ -22,6 +22,19 @@ fn random_graph(peers: u32, edges: usize, seed: u64) -> RequestGraph<u32, u32> {
     graph
 }
 
+/// The rings through `root`, found in a fresh scratch.
+fn rings_through(
+    graph: &RequestGraph<u32, u32>,
+    root: u32,
+    wants: &[u32],
+    provides: impl Fn(&u32, &u32) -> bool,
+    policy: SearchPolicy,
+) -> Vec<ExchangeRing<u32, u32>> {
+    RingSearch::new(policy)
+        .find_traced_in(&mut SearchScratch::new(), graph, root, wants, provides)
+        .rings
+}
+
 /// Ownership oracle used across the tests: peer `p` owns object `o` iff
 /// `(p + o)` is divisible by 7 — arbitrary but deterministic and sparse.
 fn owns(p: &u32, o: &u32) -> bool {
@@ -35,7 +48,7 @@ fn every_ring_found_is_internally_consistent_with_the_graph() {
     for preference in [RingPreference::ShorterFirst, RingPreference::LongerFirst] {
         let policy = SearchPolicy::new(5, preference);
         for root in 0..40u32 {
-            for ring in find_rings(&graph, root, &wants, owns, policy) {
+            for ring in rings_through(&graph, root, &wants, owns, policy) {
                 assert!(ring.contains(&root));
                 assert!(ring.len() >= 2 && ring.len() <= 5);
                 // Every edge except the closing one is a registered request.
@@ -58,7 +71,7 @@ fn token_circulation_visits_every_member_of_search_results() {
     let policy = SearchPolicy::new(4, RingPreference::ShorterFirst);
     let mut circulated = 0;
     for root in 0..30u32 {
-        for ring in find_rings(&graph, root, &wants, owns, policy) {
+        for ring in rings_through(&graph, root, &wants, owns, policy) {
             let mut asked = Vec::new();
             let outcome = RingToken::new(root).circulate(&ring, |peer, edge| {
                 assert_eq!(edge.uploader, *peer);
@@ -79,7 +92,7 @@ fn token_circulation_visits_every_member_of_search_results() {
 #[test]
 fn declined_member_blocks_activation_and_reports_position() {
     let graph: RequestGraph<u32, u32> = [(1, 0, 10), (2, 1, 20)].into_iter().collect();
-    let rings = find_rings(
+    let rings = rings_through(
         &graph,
         0,
         &[99],

@@ -1,12 +1,12 @@
 //! The incremental ring-search engine must be a pure memoisation: a
-//! cache-backed query answers exactly what a fresh `RingSearch::find` would,
+//! cache-backed query answers exactly what a fresh-scratch search would,
 //! across arbitrary graph and holdings deltas.  A full simulation run
 //! produces an identical report with the cache on or off.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use p2p_exchange::exchange::{
-    ExchangePolicy, RequestGraph, RingPreference, RingSearch, SearchPolicy,
+    ExchangePolicy, RequestGraph, RingPreference, RingSearch, SearchPolicy, SearchScratch,
 };
 use p2p_exchange::sim::{
     PeerClass, RingCandidateCache, SchedulerKind, SessionKind, SimConfig, SimReport, Simulation,
@@ -105,7 +105,13 @@ proptest! {
             for root in 0..PEERS as u32 {
                 let root = PeerId::new(root);
                 let want = &wants[root.as_usize()];
-                let trace = search.find_traced(&world.graph, root, want, world.provides());
+                let trace = search.find_traced_in(
+                    &mut SearchScratch::new(),
+                    &world.graph,
+                    root,
+                    want,
+                    world.provides(),
+                );
                 let cached = cache.lookup(root, want).map(<[_]>::to_vec);
                 match cached {
                     Some(rings) => prop_assert_eq!(rings, trace.rings.clone()),

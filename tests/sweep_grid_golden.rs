@@ -1,8 +1,8 @@
-//! Golden snapshot tests for the PR-3 `SweepGrid` export format.
+//! Golden snapshot test for the `SweepGrid` JSON export format.
 //!
-//! The JSON/CSV writers are hand-rolled (the workspace's serde is an offline
-//! stub), so nothing type-checks their output shape; these exact-string
-//! fixtures pin the column set, key names, nesting and number formatting.
+//! The JSON writer is hand-rolled (the workspace's serde is an offline
+//! stub), so nothing type-checks its output shape; this exact-string
+//! fixture pins the key names, nesting and number formatting.
 //! A legitimate format change regenerates them with
 //! `UPDATE_SNAPSHOTS=1 cargo test --test sweep_grid_golden`.
 
@@ -10,10 +10,10 @@ use std::path::PathBuf;
 
 use p2p_exchange::sim::{Axis, CapacityClass, ClassMix, Scenario, SimConfig};
 
-/// The fixed grid behind both snapshots: small, fast and fully
+/// The fixed grid behind the snapshot: small, fast and fully
 /// deterministic (the simulator is seeded; the scenario engine's row order
 /// is independent of thread scheduling).  The class-mix axis pins the
-/// per-capacity fairness columns (PR 8) alongside the original metrics.
+/// per-capacity fairness entries alongside the original metrics.
 fn golden_grid() -> p2p_exchange::sim::SweepGrid {
     let mut config = SimConfig::quick_test();
     config.num_peers = 12;
@@ -59,9 +59,4 @@ fn assert_matches_fixture(actual: &str, name: &str) {
 #[test]
 fn json_export_matches_the_checked_in_snapshot() {
     assert_matches_fixture(&golden_grid().to_json_string(), "sweep_grid.json");
-}
-
-#[test]
-fn csv_export_matches_the_checked_in_snapshot() {
-    assert_matches_fixture(&golden_grid().to_csv_string(), "sweep_grid.csv");
 }
