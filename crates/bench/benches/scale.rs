@@ -1,33 +1,22 @@
 //! Scale tier of the `end_to_end` benchmark: whole simulation runs at
-//! 1k / 5k / 10k / 100k peers, with per-phase wall-clock timings and named
-//! speedup figures per tier.  The `churn-10k` tier re-runs the 10k workload
-//! under full population dynamics (session churn, a mid-run catastrophe, a
-//! flash crowd, and a heterogeneous capacity-class mix) so the cost of the
-//! departure/rejoin teardown machinery is tracked by the regression gate.
+//! 1k / 5k / 10k / 100k peers, with per-phase wall-clock timings per tier.
+//! The `churn-10k` tier re-runs the 10k workload under full population
+//! dynamics (session churn, a mid-run catastrophe, a flash crowd, and a
+//! heterogeneous capacity-class mix) so the cost of the departure/rejoin
+//! teardown machinery is tracked by the regression gate.
 //!
-//! Each tier runs the same seeded workload in up to two modes:
-//!
-//! * **entry-warm** — the ring-candidate cache plus a shared [`SimSetup`]
-//!   across seeds (warm restarts);
-//! * **entry-warm-sharded** — entry-warm with `SimConfig::shards` set from
-//!   `--shards N` (only when N > 1).  The bench asserts the sharded report
-//!   is **bit-identical** to entry-warm on the shared seed — the nightly CI
-//!   workflow runs exactly this assertion at the 10k tier.
-//!
-//! `speedup_sharded` compares entry-warm to the sharded mode (what the
-//! persistent worker pool buys — meaningful only on multi-core hosts, so the
-//! JSON also records `host_parallelism`).
+//! Each tier runs its seeded workload in one mode, **entry-warm**: the
+//! ring-candidate cache plus a shared [`SimSetup`] across seeds (warm
+//! restarts).  The JSON keeps a `modes` list so the regression gate's
+//! `--mode` selector reads old and new files alike.
 //!
 //! Usage (a bare `cargo bench` only smoke-compiles; the tiers are explicit):
 //!
 //! ```text
 //! cargo bench --bench scale -- --tier 1k                 # CI smoke tier
 //! cargo bench --bench scale -- --tier all --out BENCH_scale.json
-//! cargo bench --bench scale -- --tier 10k --seeds 1 --shards 8
-//! cargo bench --bench scale -- --tier churn-10k --shards 8
-//! cargo bench --bench scale -- --tier 100k --shards 8    # always 1 seed
-//! cargo bench --bench scale -- --tier multicore --shards 8 \
-//!     --out BENCH_scale_multicore.json                   # nightly speedup job
+//! cargo bench --bench scale -- --tier 10k --seeds 1
+//! cargo bench --bench scale -- --tier 100k               # always 1 seed
 //! ```
 //!
 //! (`full` is the 1k/5k/10k subset; `all` adds the churn-10k and 100k
@@ -49,11 +38,10 @@
 //! ([`bench_support::ScaleArgs`]).
 //!
 //! **Checkpoint mode** (kill-and-resume drills): `--checkpoint-every <secs>
-//! --checkpoint-path <file>` runs one simulation of the
-//! selected tier (first seed, `--shards` honoured), writing its latest
-//! snapshot to `<file>` every interval — atomically, via a temp file and
-//! rename, so a `SIGKILL` mid-write still leaves a complete checkpoint —
-//! and prints a fingerprint JSON.  `--resume-from <file>` restores that
+//! --checkpoint-path <file>` runs one simulation of the selected tier
+//! (first seed), writing its latest snapshot to `<file>` every interval —
+//! atomically, via a temp file and rename, so a `SIGKILL` mid-write still
+//! leaves a complete checkpoint — and prints a fingerprint JSON.  `--resume-from <file>` restores that
 //! snapshot under the identical tier flags, runs to the horizon, and prints
 //! the **same** fingerprint JSON: a killed-then-resumed run must produce
 //! output byte-identical to an uninterrupted one (the CI smoke asserts
@@ -79,39 +67,17 @@ struct RunMeasurement {
     report: SimReport,
 }
 
-/// One mode (sequential or sharded) over all seeds.
-struct ModeMeasurement {
-    name: &'static str,
-    runs: Vec<RunMeasurement>,
-}
-
-impl ModeMeasurement {
-    fn wall(&self) -> Duration {
-        self.runs.iter().map(|r| r.setup + r.run).sum()
-    }
-}
-
+/// One tier's entry-warm runs over all seeds.
 struct TierMeasurement {
     label: &'static str,
     peers: usize,
     config: SimConfig,
-    modes: Vec<ModeMeasurement>,
+    runs: Vec<RunMeasurement>,
 }
 
 impl TierMeasurement {
-    fn mode(&self, name: &str) -> Option<&ModeMeasurement> {
-        self.modes.iter().find(|m| m.name == name)
-    }
-
-    /// Sharded entry-warm over sequential entry-warm.
-    fn speedup_sharded(&self) -> Option<f64> {
-        let sequential = self.mode("entry-warm")?.wall().as_secs_f64();
-        let sharded = self.mode("entry-warm-sharded")?.wall().as_secs_f64();
-        Some(if sharded > 0.0 {
-            sequential / sharded
-        } else {
-            f64::INFINITY
-        })
+    fn wall(&self) -> Duration {
+        self.runs.iter().map(|r| r.setup + r.run).sum()
     }
 }
 
@@ -121,7 +87,6 @@ impl TierMeasurement {
 /// search bounded the way a production deployment at this scale must bound
 /// it — a tight expansion budget and fanout keep the per-search cost and the
 /// dependency footprint of cached searches independent of the population.
-/// Identical for all modes of a tier.
 fn tier_config(peers: usize, options: TierOptions) -> SimConfig {
     let mut config = SimConfig::paper_defaults();
     config.num_peers = peers;
@@ -159,23 +124,15 @@ fn population_config(config: &mut SimConfig, options: TierOptions) {
     ]);
 }
 
-fn measure_run(
-    name: &str,
-    config: &SimConfig,
-    setup: Option<&SimSetup>,
-    seed: u64,
-) -> RunMeasurement {
+fn measure_run(config: &SimConfig, setup: &SimSetup, seed: u64) -> RunMeasurement {
     let started = Instant::now();
-    let simulation = match setup {
-        Some(shared) => Simulation::from_setup(config.clone(), shared, seed),
-        None => Simulation::new(config.clone(), seed),
-    };
+    let simulation = Simulation::from_setup(config.clone(), setup, seed);
     let setup_time = started.elapsed();
     let started = Instant::now();
     let (report, profile) = simulation.run_profiled();
     let run = started.elapsed();
     eprintln!(
-        "   {name:<22} seed {seed}: setup {:.2}s run {:.2}s ({} events)",
+        "   entry-warm seed {seed}: setup {:.2}s run {:.2}s ({} events)",
         setup_time.as_secs_f64(),
         run.as_secs_f64(),
         profile.events
@@ -187,15 +144,6 @@ fn measure_run(
         profile,
         report,
     }
-}
-
-fn fingerprint(report: &SimReport) -> (u64, u64, u64, sim::RingCacheStats) {
-    (
-        report.completed_downloads(),
-        report.total_sessions(),
-        report.total_rings(),
-        report.ring_cache_stats(),
-    )
 }
 
 fn run_tier(
@@ -218,88 +166,28 @@ fn run_tier(
     };
     eprintln!("== tier {label}: {peers} peers, {} seeds ==", seeds.len());
 
-    let mut modes = Vec::new();
     let started = Instant::now();
     let shared_setup = SimSetup::generate(&config, seeds[0]);
     let shared_setup_time = started.elapsed();
-    let entry_runs: Vec<RunMeasurement> = seeds
+    let runs = seeds
         .iter()
         .enumerate()
         .map(|(index, &seed)| {
             // The shared setup is generated once; only the first seed's row
             // carries its cost.
-            let mut run = measure_run("entry-warm", &config, Some(&shared_setup), seed);
+            let mut run = measure_run(&config, &shared_setup, seed);
             if index == 0 {
                 run.setup += shared_setup_time;
             }
             run
         })
         .collect();
-    modes.push(ModeMeasurement {
-        name: "entry-warm",
-        runs: entry_runs,
-    });
-
-    if options.shards > 1 {
-        let mut sharded_config = config.clone();
-        sharded_config.shards = options.shards;
-        let runs: Vec<RunMeasurement> = seeds
-            .iter()
-            .map(|&seed| {
-                measure_run(
-                    "entry-warm-sharded",
-                    &sharded_config,
-                    Some(&shared_setup),
-                    seed,
-                )
-            })
-            .collect();
-        modes.push(ModeMeasurement {
-            name: "entry-warm-sharded",
-            runs,
-        });
-    }
-
-    let tier = TierMeasurement {
+    TierMeasurement {
         label,
         peers,
         config,
-        modes,
-    };
-
-    // Exactness guards: on the shared setup seed every mode simulates the
-    // identical system, so all reports must agree bit for bit.
-    let entry = &tier.mode("entry-warm").expect("always measured").runs[0];
-    if let Some(sharded) = tier.mode("entry-warm-sharded") {
-        assert_eq!(
-            fingerprint(&sharded.runs[0].report),
-            fingerprint(&entry.report),
-            "tier {label}: the sharded report diverged from the sequential \
-             engine on the shared seed — the deterministic merge is broken"
-        );
-        // Consumed-only accounting: the sharded engine charges only the
-        // planned searches the merge actually consumed (plus inline
-        // fallbacks), so its search count must equal the sequential
-        // engine's exactly — speculation lives in `planning_breakdown`.
-        assert_eq!(
-            sharded.runs[0].profile.ring_searches, entry.profile.ring_searches,
-            "tier {label}: sharded ring_searches diverged from sequential — \
-             speculative shard work is leaking into the search accounting"
-        );
-        eprintln!(
-            "   sharded report bit-identical to sequential: ok \
-             ({} searches planned, {} consumed)",
-            sharded.runs[0].profile.planned_searches, sharded.runs[0].profile.planned_consumed
-        );
+        runs,
     }
-
-    if let Some(speedup) = tier.speedup_sharded() {
-        eprintln!(
-            "   speedup (shards={} over sequential): {speedup:.2}x",
-            options.shards
-        );
-    }
-    tier
 }
 
 /// The run fingerprint the kill-and-resume smoke compares: identical JSON
@@ -341,7 +229,6 @@ fn run_checkpoint_mode(
     if population {
         population_config(&mut config, options);
     }
-    config.shards = options.shards;
 
     let simulation = match resume_from {
         Some(path) => {
@@ -384,24 +271,12 @@ fn run_checkpoint_mode(
 }
 
 fn phase_json(profile: &PhaseProfile) -> String {
-    // Speculative = planned by a shard worker but never consumed at merge
-    // (the predicted miss was resolved by an earlier provider in the batch,
-    // or the stamps moved). A hit rate of 1.0 means zero wasted searches.
-    let speculative = profile.planned_searches - profile.planned_consumed;
-    let plan_hit_rate = if profile.planned_searches > 0 {
-        profile.planned_consumed as f64 / profile.planned_searches as f64
-    } else {
-        1.0
-    };
     format!(
         "{{\"events\":{},\"event_loop_s\":{:.3},\"generate_requests_s\":{:.3},\
          \"request_draw_s\":{:.3},\"provider_lookup_s\":{:.3},\"request_register_s\":{:.3},\
          \"scheduling_s\":{:.3},\"ring_search_s\":{:.3},\"ring_searches\":{},\
          \"serve_queue_s\":{:.3},\"cache_upkeep_s\":{:.3},\"token_pass_s\":{:.3},\
-         \"shard_planning_s\":{:.3},\"planning_breakdown\":{{\
-         \"true_miss_searches\":{},\"speculative_searches\":{},\
-         \"plan_hit_rate\":{:.4}}},\"transfers_s\":{:.3},\"maintenance_s\":{:.3},\
-         \"population_s\":{:.3}}}",
+         \"transfers_s\":{:.3},\"maintenance_s\":{:.3},\"population_s\":{:.3}}}",
         profile.events,
         profile.event_loop.as_secs_f64(),
         profile.generate_requests.as_secs_f64(),
@@ -414,23 +289,19 @@ fn phase_json(profile: &PhaseProfile) -> String {
         profile.serve_queue.as_secs_f64(),
         profile.cache_upkeep.as_secs_f64(),
         profile.token_pass.as_secs_f64(),
-        profile.shard_planning.as_secs_f64(),
-        profile.planned_consumed,
-        speculative,
-        plan_hit_rate,
         profile.transfers.as_secs_f64(),
         profile.maintenance.as_secs_f64(),
         profile.population.as_secs_f64(),
     )
 }
 
-fn to_json(tiers: &[TierMeasurement], seeds: usize, shards: usize, calibration: f64) -> String {
+fn to_json(tiers: &[TierMeasurement], seeds: usize, calibration: f64) -> String {
     let host_parallelism =
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"bench\":\"scale\",\"seeds\":{seeds},\"shards\":{shards},\
+        "{{\"bench\":\"scale\",\"seeds\":{seeds},\
          \"host_parallelism\":{host_parallelism},\
          \"calibration_ops_per_s\":{calibration:.0},\"tiers\":["
     );
@@ -440,51 +311,37 @@ fn to_json(tiers: &[TierMeasurement], seeds: usize, shards: usize, calibration: 
         }
         let _ = write!(
             out,
-            "{{\"tier\":\"{}\",\"peers\":{},\"sim_seconds\":{},\"object_mb\":{},\"modes\":[",
+            "{{\"tier\":\"{}\",\"peers\":{},\"sim_seconds\":{},\"object_mb\":{},\
+             \"modes\":[{{\"mode\":\"entry-warm\",\"wall_s\":{:.3},\"runs\":[",
             tier.label,
             tier.peers,
             tier.config.sim_duration_s,
             tier.config.workload.object_size_bytes / (1024 * 1024),
+            tier.wall().as_secs_f64(),
         );
-        for (m, mode) in tier.modes.iter().enumerate() {
-            if m > 0 {
+        for (r, run) in tier.runs.iter().enumerate() {
+            if r > 0 {
                 out.push(',');
             }
+            let cache = run.report.ring_cache_stats();
             let _ = write!(
                 out,
-                "{{\"mode\":\"{}\",\"wall_s\":{:.3},\"runs\":[",
-                mode.name,
-                mode.wall().as_secs_f64()
+                "{{\"seed\":{},\"setup_s\":{:.3},\"run_s\":{:.3},\"phases\":{},\
+                 \"ring_cache\":{{\"hits\":{},\"misses\":{},\"invalidations\":{}}},\
+                 \"completed_downloads\":{},\"total_sessions\":{},\"total_rings\":{}}}",
+                run.seed,
+                run.setup.as_secs_f64(),
+                run.run.as_secs_f64(),
+                phase_json(&run.profile),
+                cache.hits,
+                cache.misses,
+                cache.invalidations,
+                run.report.completed_downloads(),
+                run.report.total_sessions(),
+                run.report.total_rings(),
             );
-            for (r, run) in mode.runs.iter().enumerate() {
-                if r > 0 {
-                    out.push(',');
-                }
-                let cache = run.report.ring_cache_stats();
-                let _ = write!(
-                    out,
-                    "{{\"seed\":{},\"setup_s\":{:.3},\"run_s\":{:.3},\"phases\":{},\
-                     \"ring_cache\":{{\"hits\":{},\"misses\":{},\"invalidations\":{}}},\
-                     \"completed_downloads\":{},\"total_sessions\":{},\"total_rings\":{}}}",
-                    run.seed,
-                    run.setup.as_secs_f64(),
-                    run.run.as_secs_f64(),
-                    phase_json(&run.profile),
-                    cache.hits,
-                    cache.misses,
-                    cache.invalidations,
-                    run.report.completed_downloads(),
-                    run.report.total_sessions(),
-                    run.report.total_rings(),
-                );
-            }
-            let _ = write!(out, "]}}");
         }
-        let _ = write!(out, "]");
-        if let Some(speedup) = tier.speedup_sharded() {
-            let _ = write!(out, ",\"speedup_sharded\":{speedup:.3}");
-        }
-        let _ = write!(out, "}}");
+        let _ = write!(out, "]}}]}}");
     }
     let _ = write!(out, "]}}");
     out
@@ -507,8 +364,8 @@ fn main() {
         // `cargo bench` with no arguments (or `--no-run`) must stay cheap:
         // the tiers run minutes each and are requested explicitly.
         eprintln!(
-            "scale bench: pass `-- --tier 1k|5k|10k|churn-10k|100k|multicore|full [--seeds n] \
-             [--shards n] [--out BENCH_scale.json]` to run a tier; doing nothing."
+            "scale bench: pass `-- --tier 1k|5k|10k|churn-10k|100k|full|all [--seeds n] \
+             [--out BENCH_scale.json]` to run a tier; doing nothing."
         );
         return;
     };
@@ -521,11 +378,6 @@ fn main() {
         "10k" => vec![("10k", 10_000, false)],
         "churn-10k" => vec![("churn-10k", 10_000, true)],
         "100k" => vec![("100k", 100_000, false)],
-        // The nightly multi-core job: the two 10k-peer workloads where the
-        // worker pool has real parallel work, producing the
-        // `BENCH_scale_multicore.json` baseline that `bench_gate
-        // --require-speedup` enforces `speedup_sharded > 1` against.
-        "multicore" => vec![("10k", 10_000, false), ("churn-10k", 10_000, true)],
         "full" => vec![
             ("1k", 1_000, false),
             ("5k", 5_000, false),
@@ -541,7 +393,7 @@ fn main() {
         other => {
             eprintln!(
                 "scale bench: unknown tier '{other}' \
-                 (expected 1k|5k|10k|churn-10k|100k|multicore|full|all)"
+                 (expected 1k|5k|10k|churn-10k|100k|full|all)"
             );
             std::process::exit(2);
         }
@@ -593,7 +445,7 @@ fn main() {
         .map(|(label, peers, population)| run_tier(label, peers, population, &seed_list, options))
         .collect();
 
-    let json = to_json(&tiers, seed_list.len(), options.shards, calibration);
+    let json = to_json(&tiers, seed_list.len(), calibration);
     match out {
         Some(path) => {
             std::fs::write(&path, &json).unwrap_or_else(|e| {

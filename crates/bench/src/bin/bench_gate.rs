@@ -46,20 +46,11 @@
 //! recovered — so CI can assert a killed nightly still left a usable
 //! monitoring artifact.
 //!
-//! **Speedup mode.**  `bench_gate --require-speedup <BENCH.json>` enforces
-//! the multi-core contract instead of comparing two files: every tier in
-//! the file that records `speedup_sharded` must show a value **> 1.0** —
-//! the persistent worker pool must actually beat the sequential engine, not
-//! merely match it.  On a host whose recorded `host_parallelism` is 1 the
-//! figure is meaningless (the workers time-slice one core), so the gate
-//! prints a skip notice and exits 0.  The nightly multicore job runs this
-//! against its fresh `BENCH_scale_multicore.json`.
-//!
-//! **Step summaries.**  `--summary` (valid in compare and speedup modes)
-//! additionally renders the verdict table as GitHub-flavoured markdown and
-//! appends it to `$GITHUB_STEP_SUMMARY` when that variable is set (falling
-//! back to stdout locally), so the per-phase deltas are readable from the
-//! Actions run page without expanding logs.
+//! **Step summaries.**  `--summary` (compare mode) additionally renders
+//! the verdict table as GitHub-flavoured markdown and appends it to
+//! `$GITHUB_STEP_SUMMARY` when that variable is set (falling back to stdout
+//! locally), so the per-phase deltas are readable from the Actions run page
+//! without expanding logs.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -352,8 +343,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bench_gate --baseline <BENCH_scale.json> --current <smoke.json> \
          [--tier 1k] [--mode entry-warm] [--tolerance 0.25] [--min-phase-s 0.05] [--summary]\n\
-         \x20      bench_gate --stream <rows.jsonl> [--min-rows 1]\n\
-         \x20      bench_gate --require-speedup <BENCH_scale_multicore.json> [--summary]"
+         \x20      bench_gate --stream <rows.jsonl> [--min-rows 1]"
     );
     std::process::exit(2)
 }
@@ -375,81 +365,6 @@ fn emit_summary(markdown: &str) {
         }
     }
     println!("{markdown}");
-}
-
-/// Enforces `speedup_sharded > 1.0` for every tier that records it, unless
-/// the file was produced on a single-core host (skip, exit 0).
-fn gate_speedup(path: &str, summary: bool) -> ExitCode {
-    let root = match std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {path}: {e}"))
-        .and_then(|text| Parser::parse(&text).map_err(|e| format!("{path}: {e}")))
-    {
-        Ok(root) => root,
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let host_parallelism = root
-        .get("host_parallelism")
-        .and_then(Json::as_f64)
-        .unwrap_or(1.0);
-    if host_parallelism <= 1.0 {
-        println!(
-            "bench_gate: {path} records host_parallelism {host_parallelism:.0} — \
-             sharded speedup is meaningless when the workers time-slice one \
-             core; skipping the speedup gate"
-        );
-        return ExitCode::SUCCESS;
-    }
-    let Some(tiers) = root.get("tiers").and_then(Json::as_array) else {
-        eprintln!("bench_gate: {path}: no 'tiers' array");
-        return ExitCode::from(2);
-    };
-    let mut markdown = format!(
-        "## Sharded speedup gate ({path}, {host_parallelism:.0} cores)\n\n\
-         | tier | speedup_sharded | verdict |\n|---|---:|---|\n"
-    );
-    let mut checked = 0usize;
-    let mut failures = 0usize;
-    for tier in tiers {
-        let label = tier.get("tier").and_then(Json::as_str).unwrap_or("?");
-        let Some(speedup) = tier.get("speedup_sharded").and_then(Json::as_f64) else {
-            continue;
-        };
-        checked += 1;
-        let passed = speedup > 1.0;
-        failures += usize::from(!passed);
-        println!(
-            "bench_gate: tier {label}: speedup_sharded {speedup:.3}x — {}",
-            if passed { "ok" } else { "NOT > 1.0" }
-        );
-        use std::fmt::Write as _;
-        let _ = writeln!(
-            markdown,
-            "| {label} | {speedup:.3}x | {} |",
-            if passed { "✅ ok" } else { "❌ not > 1.0" }
-        );
-    }
-    if checked == 0 {
-        eprintln!(
-            "bench_gate: {path}: no tier records speedup_sharded — \
-             was the bench run with --shards > 1?"
-        );
-        return ExitCode::from(2);
-    }
-    if summary {
-        emit_summary(&markdown);
-    }
-    if failures > 0 {
-        eprintln!(
-            "bench_gate: {failures} tier(s) failed to clear 1.0x sharded \
-             speedup on a {host_parallelism:.0}-core host"
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("bench_gate: all {checked} tier(s) clear 1.0x sharded speedup");
-    ExitCode::SUCCESS
 }
 
 /// Consumes a possibly-truncated JSON-lines sweep stream: counts complete
@@ -542,7 +457,6 @@ fn main() -> ExitCode {
     let mut min_phase_s = 0.05f64;
     let mut stream_path = None;
     let mut min_rows = 1usize;
-    let mut speedup_path = None;
     let mut summary = false;
     let mut i = 0;
     while i < args.len() {
@@ -561,13 +475,9 @@ fn main() -> ExitCode {
             ("--min-phase-s", Some(v)) => min_phase_s = v.parse().unwrap_or_else(|_| usage()),
             ("--stream", Some(v)) => stream_path = Some(v.clone()),
             ("--min-rows", Some(v)) => min_rows = v.parse().unwrap_or_else(|_| usage()),
-            ("--require-speedup", Some(v)) => speedup_path = Some(v.clone()),
             _ => usage(),
         }
         i += 2;
-    }
-    if let Some(path) = speedup_path {
-        return gate_speedup(&path, summary);
     }
     if let Some(path) = stream_path {
         return gate_stream(&path, min_rows);

@@ -2,16 +2,31 @@
 //! upload scheduler × protection combination, via the behavior-mix API.
 //!
 //! Besides the printed table, `--json <path>` dumps the full sweep grid
-//! through `SweepGrid::write_json` for plotting; a failed write exits 1.
+//! through `SweepGrid::write_json` for plotting.  The flag is read, and the
+//! file created, before the sweep runs: a missing path exits 2 naming the
+//! flag, and a path that cannot be created or written exits 1.
+
+use std::fs::File;
 
 use bench_support::{print_figure_header, FigureOptions};
 use exchange::ExchangePolicy;
 use metrics::Table;
 use sim::experiment::cheating_scenario;
-use sim::{BehaviorKind, BehaviorMix, Protection, SchedulerKind, SweepGrid};
+use sim::{BehaviorKind, BehaviorMix, Protection, SchedulerKind};
 
 fn main() {
     let options = FigureOptions::from_env();
+    let json = json_path(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let mut json = json.map(|path| match File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => {
+            eprintln!("failed to create {path}: {e}");
+            std::process::exit(1);
+        }
+    });
     let mut base = options.base_config();
     base.discipline = ExchangePolicy::two_five_way();
     print_figure_header(
@@ -77,24 +92,54 @@ fn main() {
     println!("out-earn passive free-riders; windowed validation bounds the junk sender's");
     println!("take per detection, and mediation zeroes the middleman's usable bytes.");
 
-    write_json_dumps(&grid);
-}
-
-/// Handles `--json <path>` (ignored by `FigureOptions`), exiting 1 if a
-/// write fails.
-fn write_json_dumps(grid: &SweepGrid) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for pair in args.windows(2) {
-        let (flag, path) = (&pair[0], &pair[1]);
-        if flag != "--json" {
-            continue;
-        }
-        match std::fs::File::create(path).and_then(|mut f| grid.write_json(&mut f)) {
+    if let Some((path, file)) = &mut json {
+        match grid.write_json(file) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => {
                 eprintln!("failed to write {path}: {e}");
                 std::process::exit(1);
             }
         }
+    }
+}
+
+/// The `--json <path>` flag, which `FigureOptions` ignores; the last one
+/// wins.
+///
+/// # Errors
+///
+/// Names the flag when it has no value.
+fn json_path<I: IntoIterator<Item = String>>(args: I) -> Result<Option<String>, String> {
+    let mut path = None;
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        if flag == "--json" {
+            path = Some(args.next().ok_or("--json needs a value")?);
+        }
+    }
+    Ok(path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_path;
+
+    fn parse(args: &[&str]) -> Result<Option<String>, String> {
+        json_path(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn json_flag_parses_before_the_sweep() {
+        assert_eq!(parse(&["--seeds", "1", "--bench"]), Ok(None));
+        assert_eq!(
+            parse(&["--json", "a.json", "--seeds", "1"]),
+            Ok(Some("a.json".into()))
+        );
+        assert_eq!(
+            parse(&["--json", "a.json", "--json", "b.json"]),
+            Ok(Some("b.json".into()))
+        );
+        let err = parse(&["--seeds", "1", "--json"]).unwrap_err();
+        assert!(err.contains("--json"), "{err}");
     }
 }

@@ -186,8 +186,6 @@ pub struct TierOptions {
     pub budget: usize,
     /// Ring-search fanout.
     pub fanout: usize,
-    /// Scheduling shards (`1` = sequential only).
-    pub shards: usize,
 }
 
 impl Default for TierOptions {
@@ -197,7 +195,6 @@ impl Default for TierOptions {
             duration_s: 1_800.0,
             budget: 512,
             fanout: 8,
-            shards: 1,
         }
     }
 }
@@ -248,7 +245,6 @@ impl ScaleArgs {
                 "--tier" => parsed.tier = Some(value()?),
                 "--out" => parsed.out = Some(value()?),
                 "--seeds" => parsed.seeds = at_least(&flag, &value()?, 1)?,
-                "--shards" => options.shards = at_least(&flag, &value()?, 1)?,
                 "--object-mb" => options.object_mb = at_least(&flag, &value()?, 1)?,
                 "--duration" => options.duration_s = positive(&flag, &value()?)?,
                 "--budget" => options.budget = at_least(&flag, &value()?, 1)?,
@@ -467,8 +463,6 @@ mod tests {
             "o.json",
             "--seeds",
             "3",
-            "--shards",
-            "4",
             "--object-mb",
             "2",
             "--duration",
@@ -496,7 +490,6 @@ mod tests {
                     duration_s: 900.5,
                     budget: 64,
                     fanout: 5,
-                    shards: 4,
                 },
                 checkpoint_every: Some(60.0),
                 checkpoint_path: Some("c.ckpt".into()),
@@ -507,7 +500,7 @@ mod tests {
 
     #[test]
     fn scale_args_reject_bad_values_naming_the_flag() {
-        let counts = ["--seeds", "--shards", "--object-mb", "--budget", "--fanout"];
+        let counts = ["--seeds", "--object-mb", "--budget", "--fanout"];
         for flag in counts {
             for bad in ["0", "-1", "x", "1.5", ""] {
                 let err = scale_args(&["--tier", "1k", flag, bad]).unwrap_err();

@@ -166,15 +166,14 @@ impl PeerBits {
 /// (about 120 KiB at 10k peers).  They are scratch state, never
 /// serialized.
 ///
-/// # Shard safety
+/// # Thread safety
 ///
 /// A scratch holds no shared state — it is plain owned data, `Send` whenever
 /// the key types are — and every search re-validates its snapshot against
-/// the graph generation before reuse.  Engines that shard searches across
-/// worker threads therefore give each shard its *own* scratch against a
-/// shared `&RequestGraph`: results stay bit-identical to fresh searches, and
-/// a scratch warmed on one thread can safely migrate to another between
-/// batches (the simulator's sharded scheduler does exactly this).
+/// the graph generation before reuse.  A scratch warmed on one thread can
+/// therefore move to another and keep searching bit-identically to fresh
+/// searches.  The simulator's `Simulation` owns one, and a `Simulation` is
+/// `Send`, so it can run on, or move between, sweep worker threads.
 #[derive(Debug)]
 pub struct SearchScratch<P: Key + Into<u32>, O: Key> {
     /// Graph generation the snapshot was taken at.
@@ -997,10 +996,11 @@ mod tests {
     }
 
     #[test]
-    fn scratches_are_send_and_shardable_across_threads() {
-        // Compile-time guarantee backing the sharded scheduler: a scratch
-        // can move to a worker thread, search against a shared graph there,
-        // and come back warm.
+    fn scratches_are_send_and_move_across_threads() {
+        // Compile-time guarantee backing the sweep fan-out, where a
+        // `Simulation` (which owns a scratch) runs on or moves between sweep
+        // threads: a scratch can move to a worker thread, search against a
+        // shared graph there, and come back warm.
         fn assert_send<T: Send>(_: &T) {}
         let graph: RequestGraph<u32, u32> = [(1, 0, 10), (2, 1, 20)].into_iter().collect();
         let ownership: HashMap<u32, Vec<u32>> = [(2, vec![99])].into_iter().collect();

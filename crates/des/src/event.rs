@@ -99,10 +99,10 @@ impl<E> EventQueue<E> {
 
     /// The earliest pending event and its timestamp, without removing it.
     ///
-    /// Lets a driver collect a *batch* of simultaneous events (pop while the
-    /// head matches a predicate) — the basis of the simulator's sharded
-    /// scheduling, which fans same-timestamp work out to worker threads and
-    /// then applies it in this queue's deterministic FIFO order.
+    /// Lets a caller stop before an event without delivering it — the
+    /// simulator's bounded run loop stops before the first event past its
+    /// bound, and its audit checkpoints the state while the next event is
+    /// still queued.
     #[must_use]
     pub fn peek(&self) -> Option<(SimTime, &E)> {
         self.heap.peek().map(|e| (e.time, &e.event))

@@ -3,7 +3,7 @@
 //! A workspace-specific determinism & concurrency static-analysis pass.
 //!
 //! The repo's load-bearing correctness property — simulation reports
-//! bit-identical across shard counts, cache settings, and warm
+//! bit-identical across cache settings, checkpoint/restore and warm
 //! restarts — is defended dynamically by the equivalence suites and the
 //! audit harness. This crate is the *static* guardrail: it catches the
 //! hazards that historically break that property (nondeterministic
@@ -32,7 +32,7 @@
 //! |------|----------|----------|
 //! | D001 | error | iteration over `HashMap`/`HashSet` in sim-state crates (`sim`, `des`, `core`, `credit`, `workload`) |
 //! | D002 | error | `Instant::now` / `SystemTime::now` outside the bench crate |
-//! | D003 | error | `thread::spawn` / `thread::scope` outside `simulation/pool.rs` and `scenario.rs` |
+//! | D003 | error | `thread::spawn` / `thread::scope` outside `scenario.rs` |
 //! | D004 | error | float `sum`/`product` turbofish or `fold` chained onto a D001 iterator |
 //! | U001 | error | `unsafe` without a `// SAFETY:` comment within 3 lines above |
 //! | H001 | error | `.unwrap()`, empty `.expect("")`, or non-`as_usize()` slice indexing in the event-loop modules |

@@ -26,8 +26,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "D003",
         severity: Severity::Error,
-        summary: "thread creation (thread::spawn / thread::scope) outside simulation/pool.rs \
-                  and the scenario sweep runner",
+        summary: "thread creation (thread::spawn / thread::scope) outside the scenario sweep \
+                  runner",
     },
     RuleInfo {
         id: "D004",
@@ -61,23 +61,17 @@ pub const RULES: &[RuleInfo] = &[
 /// Crates whose state feeds simulation outcomes: D001/D004 scope.
 const SIM_STATE_CRATES: &[&str] = &["sim", "des", "core", "credit", "workload"];
 
-/// Files allowed to create threads: the sharded scheduler's persistent
-/// worker pool (workers read an immutable `BatchJob` and report through a
-/// deterministic single-threaded merge — see `simulation/pool.rs`) and the
-/// scenario sweep runner.  `shard.rs` itself no longer spawns: the
-/// per-batch `thread::scope` fan-out was replaced by the pool.
-const D003_ALLOWED_FILES: &[&str] = &[
-    "crates/sim/src/simulation/pool.rs",
-    "crates/sim/src/scenario.rs",
-];
+/// Files allowed to create threads: only the scenario sweep runner, whose
+/// workers each own whole simulations and whose rows are collected in grid
+/// order.  A simulation itself runs on one thread.
+const D003_ALLOWED_FILES: &[&str] = &["crates/sim/src/scenario.rs"];
 
 /// The event-loop modules H001 hardens.
 const H001_FILES: &[&str] = &[
     "crates/sim/src/simulation/events.rs",
     "crates/sim/src/simulation/scheduling.rs",
     "crates/sim/src/simulation/transfers.rs",
-    "crates/sim/src/simulation/shard.rs",
-    "crates/sim/src/simulation/pool.rs",
+    "crates/sim/src/simulation/holder_marks.rs",
     "crates/sim/src/simulation/maintenance.rs",
     "crates/sim/src/simulation/population.rs",
     "crates/sim/src/simulation/snapshot.rs",
@@ -673,9 +667,9 @@ fn rule_d003(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
                 "D003",
                 tokens[i + 3].line,
                 format!(
-                    "`thread::{}` outside simulation/pool.rs and the scenario sweep \
-                     runner: concurrency must stay behind the deterministic-merge \
-                     boundary — move the parallelism there or suppress with a reason",
+                    "`thread::{}` outside the scenario sweep runner: a simulation runs \
+                     on one thread, and concurrency stays in the sweep's per-run fan-out \
+                     — move the parallelism there or suppress with a reason",
                     tokens[i + 3].text
                 ),
             ));

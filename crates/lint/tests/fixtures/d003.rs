@@ -1,6 +1,6 @@
 //! D003 fixture: thread creation outside the sanctioned files.
 //! Linted under the synthetic path `crates/credit/src/fixture.rs`; the same
-//! content linted as `crates/sim/src/simulation/pool.rs` must be clean.
+//! content linted as `crates/sim/src/scenario.rs` must be clean.
 use std::thread;
 
 pub fn violation_spawn() {

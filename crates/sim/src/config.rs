@@ -84,17 +84,10 @@ pub struct SimConfig {
     /// runs produce identical reports with it on or off — so this knob
     /// exists for benchmarking and debugging, not for accuracy trade-offs.
     pub ring_candidate_cache: bool,
-    /// Number of worker shards the scheduling hot path fans out to (1 =
-    /// fully sequential, the default).  Within one event timestamp, the
-    /// ring searches and serve-queue assemblies of a `TrySchedule` batch are
-    /// partitioned by provider across a **persistent pool** of this many
-    /// worker threads (spawned lazily at the first sharded batch, joined
-    /// when the simulation drops), each with its own long-lived
-    /// [`exchange::SearchScratch`]; the resulting candidate decisions are
-    /// then applied by a single-threaded merge in the event queue's
-    /// deterministic order.  Reports are **bit-identical** for every shard
-    /// count — the knob trades threads for wall-clock, never accuracy (see
-    /// `tests/sharded_equivalence.rs` and `tests/shard_pool.rs`).
+    /// Inert: the simulation never reads it, so every value runs the same
+    /// sequential engine.  Read only by `perfbench` until the benchmark
+    /// drops its sharded pass; [`validate`](Self::validate) still rejects 0.
+    #[doc(hidden)]
     pub shards: usize,
     /// Virtual length of the run, in seconds.
     pub sim_duration_s: f64,
@@ -380,10 +373,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = SimConfig::quick_test();
-        c.shards = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = SimConfig::quick_test();
         c.churn = Some(ChurnConfig::new(0.0, 100.0));
         assert!(c.validate().is_err());
 
@@ -449,7 +438,6 @@ mod tests {
         for c in [SimConfig::paper_defaults(), SimConfig::quick_test()] {
             assert_eq!(c.ring_attempts_per_schedule, 8);
             assert!(c.ring_candidate_cache);
-            assert_eq!(c.shards, 1, "sharding is strictly opt-in");
         }
     }
 }

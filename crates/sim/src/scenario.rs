@@ -336,23 +336,18 @@ impl Scenario {
     }
 
     /// Caps the number of sweep worker threads directly.  By default the
-    /// sweep uses the available parallelism divided by the grid's widest
-    /// [`SimConfig::shards`], so sweep workers × scheduling shards stays
-    /// near the core count.
+    /// sweep uses the available parallelism.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
-    /// The sweep worker count `run` will use for `points`: the explicit
-    /// [`threads`](Self::threads) cap, or the available parallelism divided
-    /// by the grid's widest shard width.
-    fn workers_for(&self, points: &[ScenarioPoint], jobs: usize) -> usize {
+    /// The sweep worker count `run` will use for `jobs` jobs: the explicit
+    /// [`threads`](Self::threads) cap, or the available parallelism.
+    fn workers_for(&self, jobs: usize) -> usize {
         let workers = self.threads.unwrap_or_else(|| {
-            let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-            let shard_width = points.iter().map(|p| p.config.shards).max().unwrap_or(1);
-            cores / shard_width.max(1)
+            thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
         workers.clamp(1, jobs.max(1))
     }
@@ -486,7 +481,7 @@ impl Scenario {
             .flat_map(|point| self.seeds.iter().map(move |&seed| (point.index, seed)))
             .collect();
 
-        let workers = self.workers_for(&points, jobs.len());
+        let workers = self.workers_for(jobs.len());
 
         let next_job = AtomicUsize::new(0);
         let results: Vec<Mutex<Option<SimReport>>> =
@@ -926,49 +921,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweeps_match_sequential_sweeps() {
-        let build = |shards: usize| {
-            let mut base = tiny_base();
-            base.shards = shards;
-            Scenario::from(base)
-                .disciplines([ExchangePolicy::two_five_way()])
-                .seeds(0..2)
-                .run()
-        };
-        let sequential = build(1);
-        let sharded = build(3);
-        assert_eq!(sharded.points()[0].config.shards, 3);
-        for (a, b) in sequential.rows().iter().zip(sharded.rows().iter()) {
-            assert_eq!((a.point, a.seed), (b.point, b.seed));
-            assert_eq!(
-                a.report.completed_downloads(),
-                b.report.completed_downloads()
-            );
-            assert_eq!(a.report.total_sessions(), b.report.total_sessions());
-            assert_eq!(a.report.total_rings(), b.report.total_rings());
-        }
-    }
-
-    #[test]
-    fn default_workers_derate_by_shard_width() {
+    fn default_workers_use_the_available_parallelism() {
         let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let mut base = tiny_base();
-        base.shards = 4;
-        let scenario = Scenario::from(base.clone());
-        let points = scenario.points();
-        // The cores over 4-shard runs, but never fewer than one worker or
-        // more workers than jobs.
-        assert_eq!(scenario.workers_for(&points, 1_000), (cores / 4).max(1));
-        assert_eq!(scenario.workers_for(&points, 1), 1);
-        // An explicit thread cap wins over the derating.
-        let capped = Scenario::from(base.clone()).threads(5);
-        let points = capped.points();
-        assert_eq!(capped.workers_for(&points, 16), 5);
-        // Runs wider than the machine still get one worker.
-        base.shards = 2 * cores;
-        let narrow = Scenario::from(base);
-        let points = narrow.points();
-        assert_eq!(narrow.workers_for(&points, 16), 1);
+        let scenario = Scenario::from(tiny_base());
+        // The cores, but never fewer than one worker or more workers than
+        // jobs.
+        assert_eq!(scenario.workers_for(1_000), cores);
+        assert_eq!(scenario.workers_for(1), 1);
+        assert_eq!(scenario.workers_for(0), 1);
+        // An explicit thread cap wins.
+        assert_eq!(Scenario::from(tiny_base()).threads(5).workers_for(16), 5);
     }
 
     #[test]

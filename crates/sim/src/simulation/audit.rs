@@ -48,7 +48,7 @@ use workload::PeerId;
 use crate::SimReport;
 
 use super::events::Event;
-use super::shard::{search_oracle, HolderMarks};
+use super::holder_marks::HolderMarks;
 use super::Simulation;
 
 impl Simulation {
@@ -77,38 +77,7 @@ impl Simulation {
             let Some(event) = self.engine.next() else {
                 break;
             };
-            match event {
-                // The sharded engine batches same-timestamp TrySchedule runs;
-                // audit each merged event application individually, so a
-                // violation is pinned to the exact event that introduced it.
-                Event::TrySchedule(first) if self.config.shards > 1 => {
-                    let batch = self.collect_try_schedule_batch(first);
-                    let mut plan = self.plan_batch(&batch);
-                    // Pool-protocol invariants, checked with plain panics:
-                    // the pool and plan are not serialized, so the
-                    // checkpoint-dumping audit path could not replay them
-                    // anyway.  A plan must be stamped at the live state it
-                    // was computed against, and every worker must be parked
-                    // again once the batch barrier returns.
-                    if let Some(plan) = &plan {
-                        assert!(
-                            plan.stamps_current(self.graph.generation(), self.world_epoch),
-                            "a batch plan carries stale stamps at merge time"
-                        );
-                    }
-                    assert!(
-                        self.shard_pool_idle(),
-                        "a shard worker is still busy after its batch barrier"
-                    );
-                    for &provider in &batch {
-                        let planned = plan.as_mut().and_then(|p| p.provider_mut(provider));
-                        self.handle_try_schedule_planned(provider, planned);
-                        self.audit_after(Event::TrySchedule(provider), &pre_event);
-                    }
-                    continue;
-                }
-                other => self.dispatch(other),
-            }
+            self.dispatch(event);
             self.audit_after(event, &pre_event);
         }
         let report = self.finalize();
@@ -283,27 +252,23 @@ impl Simulation {
     }
 
     /// For every online sharing peer with wants, the oracle its ring search
-    /// would probe ([`search_oracle`]) agrees with [`Simulation::claims`]
-    /// for every peer and every distinct wanted object.
+    /// would probe ([`Simulation::search_claims`]) agrees with
+    /// [`Simulation::claims`] for every peer and every distinct wanted
+    /// object.
     fn audit_search_oracle(&self) -> Result<(), String> {
+        // Audit-owned marks, so the check stays independent of the
+        // simulation's own scratch state.
         let mut marks = HolderMarks::default();
         for root in self.peers.iter().filter(|p| p.sharing && p.online) {
             let wants = root.wanted_objects();
             if wants.is_empty() {
                 continue;
             }
-            let provides = search_oracle(
-                &mut marks,
-                &self.holders,
-                &self.peers,
-                &self.graph,
-                &self.advertises,
-                &wants,
-            );
+            marks.mark(self.peers.len(), &self.holders, &wants);
             for peer in &self.peers {
                 for object in &wants {
                     let claimed = self.claims(peer.id, *object);
-                    if provides(&peer.id, object) != claimed {
+                    if self.search_claims(&marks, peer.id, *object) != claimed {
                         return Err(format!(
                             "search oracle of root {:?} answers {} for {:?} and {object:?}, \
                              claims answers {claimed}",

@@ -15,12 +15,11 @@
 #[cfg(feature = "audit")]
 pub mod audit;
 mod events;
+mod holder_marks;
 mod maintenance;
-mod pool;
 mod population;
 mod ring_cache;
 mod scheduling;
-mod shard;
 mod snapshot;
 mod transfers;
 
@@ -30,8 +29,6 @@ pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use credit::UploadScheduler;
@@ -43,6 +40,7 @@ use workload::{Catalog, ObjectId, PeerId, PeerInterests, RequestGenerator, Stora
 use crate::{BehaviorKind, PeerBehavior, PeerState, SessionEnd, SimConfig, SimReport};
 
 use events::Event;
+use holder_marks::HolderMarks;
 use maintenance::MaintenanceSchedule;
 use transfers::{ActiveRing, ActiveTransfer};
 
@@ -146,15 +144,6 @@ impl SimSetup {
 /// covers the whole dispatch loop (the phases plus engine overhead).  Setup
 /// time is not included — time [`Simulation::new`]/[`SimSetup::generate`]
 /// separately.
-///
-/// Sharded runs ([`SimConfig::shards`] > 1) additionally report
-/// `shard_planning` — the wall clock of the parallel search/queue windows —
-/// plus the planning breakdown `planned_searches`/`planned_consumed`.
-/// Worker-side search time enters `ring_search` only when the merge
-/// *consumes* the planned trace (as summed CPU time, which can exceed the
-/// wall clock of the window it ran in); a speculative search the merge
-/// discards stays inside `shard_planning`, so `ring_search`/`ring_searches`
-/// match the sequential engine's totals exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     /// Total events dispatched.
@@ -176,8 +165,7 @@ pub struct PhaseProfile {
     /// Time spent filling upload slots (ring discovery + activation + the
     /// non-exchange fallback).
     pub scheduling: Duration,
-    /// Time spent inside fresh ring searches (a subset of `scheduling` for
-    /// sequential runs; summed worker CPU time for sharded runs).
+    /// Time spent inside fresh ring searches (a subset of `scheduling`).
     pub ring_search: Duration,
     /// Number of fresh ring searches run.
     pub ring_searches: u64,
@@ -190,15 +178,17 @@ pub struct PhaseProfile {
     /// Time spent circulating ring tokens, i.e. confirming candidate rings
     /// member by member (a subset of `scheduling`).
     pub token_pass: Duration,
-    /// Wall clock of the sharded batch-planning windows (zero when
-    /// [`SimConfig::shards`] is 1).
+    /// Inert, always zero: read only by `perfbench` until the benchmark
+    /// drops its sharded pass.
+    #[doc(hidden)]
     pub shard_planning: Duration,
-    /// Searches shard workers ran ahead of the merge (zero for sequential
-    /// runs).  `planned_searches - planned_consumed` is the speculative
-    /// waste the worker-side eligibility + cache-peek filters left behind.
+    /// Inert, always zero: read only by `perfbench` until the benchmark
+    /// drops its sharded pass.
+    #[doc(hidden)]
     pub planned_searches: u64,
-    /// Worker-run searches the merge actually consumed in place of an
-    /// inline search (each is also counted in `ring_searches`).
+    /// Inert, always zero: read only by `perfbench` until the benchmark
+    /// drops its sharded pass.
+    #[doc(hidden)]
     pub planned_consumed: u64,
     /// Time spent completing transfer blocks.
     pub transfers: Duration,
@@ -275,10 +265,10 @@ pub struct Simulation {
     /// Which wanted objects of the current search's root each peer holds,
     /// marked from [`holders`](Self::holders) before every fresh search so
     /// the search's probes skip per-peer storage lookups (see
-    /// [`shard::search_oracle`]).  Scratch state beside
+    /// [`search_claims`](Self::search_claims)).  Scratch state beside
     /// [`scratch`](Self::scratch): sized on the first search, never
     /// serialized.
-    marks: shard::HolderMarks,
+    marks: HolderMarks,
     /// The graph generation up to which the dirty log has been drained
     /// (the `from` side of the scratch's incremental advance).
     drained_generation: u64,
@@ -297,9 +287,8 @@ pub struct Simulation {
     /// in id order; behaviors are fixed per run, so this is static.
     advertisers: Vec<PeerId>,
     /// Per-peer bitmap of [`advertisers`](Self::advertisers): lets the claims
-    /// oracle — and the shard workers, which cannot touch the `dyn
-    /// PeerBehavior` objects — answer `advertises_unstored` without a
-    /// virtual call.  Behaviors are fixed per run, so this is static.
+    /// oracle answer `advertises_unstored` without a virtual call.
+    /// Behaviors are fixed per run, so this is static.
     advertises: Vec<bool>,
     /// Bumped whenever a transfer starts or ends; lets the scheduling loop
     /// detect that an assembled non-exchange queue is still current.
@@ -315,9 +304,9 @@ pub struct Simulation {
     /// Bumped whenever a peer's storage (and with it the claims oracle)
     /// changes outside the request graph: a completed download entering the
     /// store, a maintenance eviction.  Together with
-    /// [`RequestGraph::generation`] this stamps the state a sharded batch
-    /// plan was computed against; a precomputed search is replayed only while
-    /// both are unchanged.
+    /// [`RequestGraph::generation`] this stamps the state a serve queue was
+    /// built against; the queue is reused or patched only while both are
+    /// unchanged.
     world_epoch: u64,
     /// The lazy maintenance timing wheel (see [`maintenance`]).
     maintenance: MaintenanceSchedule,
@@ -327,14 +316,6 @@ pub struct Simulation {
     /// Retries only arm when this is zero, so the on-demand retry chain
     /// stays singular even across a completion's immediate regeneration.
     generate_queued: Vec<u32>,
-    /// The persistent shard worker pool, spawned lazily by the first batch
-    /// that fans out and joined when the simulation drops (`None` while
-    /// [`SimConfig::shards`] is 1, after a restore, or before the first
-    /// sharded batch).  Never serialized — a restored run respawns lazily.
-    pool: Option<pool::ShardPool>,
-    /// Live shard-worker thread count, shared with the pool's workers; the
-    /// audit harness asserts it returns to zero once the simulation drops.
-    shard_census: Arc<AtomicUsize>,
     /// Set by [`run_profiled`](Self::run_profiled): fresh ring searches and
     /// the scheduling and request-generation sub-phases time themselves
     /// into their `*_nanos` counters (see
@@ -371,10 +352,6 @@ pub struct Simulation {
     provider_lookup_nanos: Cell<u64>,
     /// Nanoseconds spent registering requests (profiled runs only).
     request_register_nanos: Cell<u64>,
-    /// Searches shard workers ran ahead of the merge (profiled runs only).
-    planned_searches: Cell<u64>,
-    /// Planned searches the merge consumed (profiled runs only).
-    planned_consumed: Cell<u64>,
 }
 
 impl Simulation {
@@ -485,7 +462,7 @@ impl Simulation {
             report,
             ring_cache,
             scratch: SearchScratch::new(),
-            marks: shard::HolderMarks::default(),
+            marks: HolderMarks::default(),
             drained_generation: 0,
             holders,
             honest_holders,
@@ -497,8 +474,6 @@ impl Simulation {
             maintenance: MaintenanceSchedule::new(config_maintenance_interval),
             maintenance_pending: vec![false; num_peers],
             generate_queued: vec![0; num_peers],
-            pool: None,
-            shard_census: Arc::new(AtomicUsize::new(0)),
             profile_searches: false,
             #[cfg(feature = "audit")]
             audit_fault_at: None,
@@ -512,8 +487,6 @@ impl Simulation {
             request_draw_nanos: Cell::new(0),
             provider_lookup_nanos: Cell::new(0),
             request_register_nanos: Cell::new(0),
-            planned_searches: Cell::new(0),
-            planned_consumed: Cell::new(0),
         }
     }
 
@@ -548,37 +521,11 @@ impl Simulation {
         self.scheduler = scheduler;
     }
 
-    /// The live shard-worker census, shared with the pool's threads.  It
-    /// counts workers this simulation spawned; audit-mode tests hold a clone
-    /// and assert it drains to zero once the simulation is dropped (no
-    /// worker thread outlives its `Simulation`).
-    #[cfg(feature = "audit")]
-    #[must_use]
-    pub fn shard_worker_census(&self) -> Arc<AtomicUsize> {
-        Arc::clone(&self.shard_census)
-    }
-
-    /// Whether every pool worker is parked between batches with no unread
-    /// results — trivially true before the pool exists.  The audit harness
-    /// checks this after every merged batch.
-    #[cfg(feature = "audit")]
-    pub(crate) fn shard_pool_idle(&self) -> bool {
-        self.pool.as_ref().is_none_or(pool::ShardPool::idle)
-    }
-
     /// Runs the simulation to its horizon and returns the collected report.
-    ///
-    /// With [`SimConfig::shards`] > 1 the scheduling hot path runs sharded
-    /// (see the `simulation::shard` module); the report is bit-identical
-    /// either way.
     #[must_use]
     pub fn run(mut self) -> SimReport {
-        if self.config.shards > 1 {
-            self.run_event_loop_sharded(None, None);
-        } else {
-            while let Some(event) = self.engine.next() {
-                self.dispatch(event);
-            }
+        while let Some(event) = self.engine.next() {
+            self.dispatch(event);
         }
         self.finalize()
     }
@@ -589,15 +536,11 @@ impl Simulation {
     /// bit-identical — this is the stepping primitive behind
     /// [`run_checkpointed`](Self::run_checkpointed).
     pub fn run_until(&mut self, until: SimTime) {
-        if self.config.shards > 1 {
-            self.run_event_loop_sharded(None, Some(until));
-        } else {
-            while matches!(self.engine.peek(), Some((t, _)) if t <= until) {
-                let Some(event) = self.engine.next() else {
-                    break;
-                };
-                self.dispatch(event);
-            }
+        while matches!(self.engine.peek(), Some((t, _)) if t <= until) {
+            let Some(event) = self.engine.next() else {
+                break;
+            };
+            self.dispatch(event);
         }
     }
 
@@ -606,23 +549,9 @@ impl Simulation {
     /// [`run`](Self::run) straight to finalisation).  Stepping through a
     /// whole run event by event is bit-identical to [`run`](Self::run) —
     /// tests use this to checkpoint/restore at every event boundary.
-    ///
-    /// Under sharding a same-timestamp `TrySchedule` batch is one step, the
-    /// same merged unit the sharded run loop applies atomically.
     pub fn step(&mut self) -> Option<SimTime> {
         let event = self.engine.next()?;
         let time = self.engine.now();
-        if self.config.shards > 1 {
-            if let Event::TrySchedule(first) = event {
-                let batch = self.collect_try_schedule_batch(first);
-                let mut plan = self.plan_batch(&batch);
-                for &provider in &batch {
-                    let planned = plan.as_mut().and_then(|p| p.provider_mut(provider));
-                    self.handle_try_schedule_planned(provider, planned);
-                }
-                return Some(time);
-            }
-        }
         self.dispatch(event);
         Some(time)
     }
@@ -739,16 +668,12 @@ impl Simulation {
     pub fn run_profiled(mut self) -> (SimReport, PhaseProfile) {
         self.profile_searches = true;
         let mut profile = PhaseProfile::default();
-        if self.config.shards > 1 {
-            self.run_event_loop_sharded(Some(&mut profile), None);
-        } else {
-            // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
-            let loop_start = Instant::now();
-            while let Some(event) = self.engine.next() {
-                self.dispatch_profiled(event, &mut profile);
-            }
-            profile.event_loop = loop_start.elapsed();
+        // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
+        let loop_start = Instant::now();
+        while let Some(event) = self.engine.next() {
+            self.dispatch_profiled(event, &mut profile);
         }
+        profile.event_loop = loop_start.elapsed();
         profile.ring_search = Duration::from_nanos(self.ring_search_nanos.get());
         profile.ring_searches = self.ring_searches.get();
         profile.serve_queue = Duration::from_nanos(self.serve_queue_nanos.get());
@@ -757,8 +682,6 @@ impl Simulation {
         profile.request_draw = Duration::from_nanos(self.request_draw_nanos.get());
         profile.provider_lookup = Duration::from_nanos(self.provider_lookup_nanos.get());
         profile.request_register = Duration::from_nanos(self.request_register_nanos.get());
-        profile.planned_searches = self.planned_searches.get();
-        profile.planned_consumed = self.planned_consumed.get();
         (self.finalize(), profile)
     }
 
@@ -862,7 +785,16 @@ impl Simulation {
     /// request edges, both of which invalidate the ring-candidate cache when
     /// they change, so cached searches stay exact under every behavior mix.
     pub(crate) fn claims(&self, peer: PeerId, object: ObjectId) -> bool {
-        shard::claims_with(&self.peers, &self.graph, &self.advertises, peer, object)
+        let state = self.peer(peer);
+        // A departed peer claims nothing: its holdings are unreachable until it
+        // rejoins, and a middleman's standing edges are torn down at departure.
+        if !state.sharing || !state.online {
+            return false;
+        }
+        if state.storage.contains(object) {
+            return true;
+        }
+        self.advertises[peer.as_usize()] && self.graph.incoming(peer).any(|r| r.object == object)
     }
 }
 
@@ -1120,6 +1052,36 @@ mod tests {
         assert!(profile.request_draw > Duration::ZERO);
         assert!(profile.provider_lookup > Duration::ZERO);
         assert!(profile.request_register > Duration::ZERO);
+    }
+
+    /// `SimConfig::shards` and the three planning fields of `PhaseProfile`
+    /// are inert compatibility fields: any valid shard count runs the one
+    /// sequential engine, and the planning fields stay zero.  `validate`
+    /// still rejects zero shards.
+    #[test]
+    fn shards_are_inert() {
+        let fingerprint = |report: &SimReport| {
+            (
+                report.completed_downloads(),
+                report.total_sessions(),
+                report.session_end_counts().clone(),
+                report.total_rings(),
+                report.token_declines(),
+                report.preemptions(),
+                report.ring_cache_stats(),
+            )
+        };
+        let sequential = Simulation::new(SimConfig::quick_test(), 5).run();
+        let mut config = SimConfig::quick_test();
+        config.shards = 4;
+        let (report, profile) = Simulation::new(config.clone(), 5).run_profiled();
+        assert_eq!(fingerprint(&report), fingerprint(&sequential));
+        assert!(profile.ring_searches > 0);
+        assert_eq!(profile.shard_planning, Duration::ZERO);
+        assert_eq!(profile.planned_searches, 0);
+        assert_eq!(profile.planned_consumed, 0);
+        config.shards = 0;
+        assert!(config.validate().is_err());
     }
 
     /// What one scheduler call was, for the participation-report regression

@@ -20,11 +20,8 @@
 //!
 //! Every teardown path goes through the same invalidation machinery as the
 //! organic mutations (graph dirty log, holders index, ring-candidate cache,
-//! `world_epoch`), so cached and sharded runs stay bit-identical to the
-//! sequential engine under any population schedule.  The population events
-//! also never join a sharded `TrySchedule` batch — batches only collect
-//! consecutive `TrySchedule` entries — so a departure landing mid-timestamp
-//! splits the batch exactly where the sequential engine would.
+//! `world_epoch`), so cached runs stay bit-identical to uncached ones under
+//! any population schedule.
 
 // The event loop's panic policy (exchange-lint rule H001): no `.unwrap()` —
 // every panicking access carries an `.expect()` stating the invariant that

@@ -186,19 +186,6 @@ impl RingCandidateCache {
         }
     }
 
-    /// Whether [`lookup`](Self::lookup) for `root` and exactly this `wants`
-    /// list would hit, **without** touching the hit/miss counters.  Shard
-    /// planning uses this to decide which providers need a precomputed
-    /// search; the stats themselves are only ever advanced by the merge
-    /// thread's real lookups, so they stay bit-identical to a sequential
-    /// run.
-    #[must_use]
-    pub fn peek(&self, root: PeerId, wants: &[ObjectId]) -> bool {
-        self.entries
-            .get(&root)
-            .is_some_and(|entry| entry.wants == wants)
-    }
-
     /// Stores a fresh search result for `root`, replacing any prior entry.
     ///
     /// Only the (much smaller) edge-dependency set and the wants are
@@ -838,7 +825,7 @@ mod tests {
         }
         cache.invalidate_edge_readers(peer(5));
         assert_eq!(cache.stats().invalidations, 1, "only root 1 read peer 5");
-        assert!(cache.peek(peer(0), &[object(1)]));
+        assert!(cache.iter_entries().any(|entry| entry.root == peer(0)));
         cache.invalidate_edge_readers(peer(6));
         assert_eq!(cache.stats().invalidations, 3);
         cache.invalidate_holding(peer(9), object(2));

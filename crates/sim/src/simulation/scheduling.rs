@@ -7,17 +7,17 @@
 #![deny(clippy::unwrap_used, clippy::get_unwrap)]
 
 use credit::QueuedRequest;
-use exchange::{ExchangeRing, RingSearch, RingToken, SearchTrace, TokenOutcome};
+use exchange::{ExchangeRing, RingSearch, RingToken, TokenOutcome};
 use workload::{ObjectId, PeerId};
 
 use crate::{SessionEnd, SessionKind};
 
-use super::shard::{search_oracle, PlannedProvider};
+use super::holder_marks::HolderMarks;
 use super::Simulation;
 
 /// The non-exchange request queue assembled for one provider, reused across
-/// iterations of the scheduling loop — and seeded from a shard worker's
-/// precomputation — as long as its validity stamps still match.
+/// iterations of the scheduling loop as long as its validity stamps still
+/// match.
 ///
 /// Reuse is tiered by what actually moved since the queue was built:
 ///
@@ -38,47 +38,32 @@ use super::Simulation;
 /// "already served by this provider" test — the condition that rejects
 /// most entries — runs against the `(downloader, object)` pairs of the
 /// provider's own uploads, collected once per build or patch.
-pub(super) struct ServeQueue {
-    pub(super) queue: Vec<QueuedRequest<PeerId>>,
-    pub(super) objects: Vec<ObjectId>,
-    pub(super) transfer_epoch: u64,
-    pub(super) transfer_end_epoch: u64,
-    pub(super) generation: u64,
-    pub(super) world_epoch: u64,
+struct ServeQueue {
+    queue: Vec<QueuedRequest<PeerId>>,
+    objects: Vec<ObjectId>,
+    transfer_epoch: u64,
+    transfer_end_epoch: u64,
+    generation: u64,
+    world_epoch: u64,
 }
 
 impl Simulation {
+    /// Fills `provider`'s upload slots: exchange rings first, then the
+    /// non-exchange fallback, until neither makes progress.
     pub(super) fn handle_try_schedule(&mut self, provider: PeerId) {
-        self.handle_try_schedule_planned(provider, None);
-    }
-
-    /// [`handle_try_schedule`](Self::handle_try_schedule), optionally seeded
-    /// with a shard worker's precomputed plan.  With `plan = None` this *is*
-    /// the sequential engine; with a plan, precomputed results replace the
-    /// searches and queue assemblies they are provably identical to, and
-    /// everything else — cache lookups and stores, activation, preemption,
-    /// the scheduler's pick — runs unchanged, so the two paths cannot
-    /// diverge.
-    pub(super) fn handle_try_schedule_planned(
-        &mut self,
-        provider: PeerId,
-        mut plan: Option<&mut PlannedProvider>,
-    ) {
         // A departed peer serves nobody; a stale TrySchedule queued before
         // its departure is a no-op.
         if !self.peer(provider).sharing || !self.peer(provider).online {
             return;
         }
-        let mut serve_queue = plan
-            .as_deref_mut()
-            .and_then(PlannedProvider::take_serve_queue);
+        let mut serve_queue = None;
         loop {
             let free_slot = self.peer(provider).upload_slots.has_free();
             let can_preempt = self.config.preemption && self.has_preemptible_upload(provider);
             let mut progressed = false;
 
             if self.config.discipline.allows_exchange() && (free_slot || can_preempt) {
-                progressed = self.try_form_exchange(provider, plan.as_deref_mut());
+                progressed = self.try_form_exchange(provider);
             }
             if !progressed && self.peer(provider).upload_slots.has_free() {
                 progressed = self.serve_non_exchange(provider, &mut serve_queue);
@@ -106,9 +91,7 @@ impl Simulation {
     /// when enabled: the last search's rings are reused verbatim until a
     /// graph or holdings delta touches a peer that search depended on, so
     /// repeated scheduling rounds at a quiet provider skip the BFS entirely.
-    /// When a shard `plan` carries a still-valid precomputed trace, it
-    /// replaces the fresh BFS a miss would otherwise run — nothing else.
-    fn try_form_exchange(&mut self, provider: PeerId, plan: Option<&mut PlannedProvider>) -> bool {
+    fn try_form_exchange(&mut self, provider: PeerId) -> bool {
         let Some(policy) = self.config.discipline.search_policy() else {
             return false;
         };
@@ -128,7 +111,7 @@ impl Simulation {
             if let Some(candidates) = cached {
                 candidates
             } else {
-                let trace = self.planned_or_fresh_trace(policy, provider, &wants, plan);
+                let trace = self.search_rings(policy, provider, &wants);
                 let timer = self.profile_timer();
                 let candidates = trace.rings.iter().take(attempts).cloned().collect();
                 self.ring_cache.store(provider, wants, trace);
@@ -136,9 +119,7 @@ impl Simulation {
                 candidates
             }
         } else {
-            let mut rings = self
-                .planned_or_fresh_trace(policy, provider, &wants, plan)
-                .rings;
+            let mut rings = self.search_rings(policy, provider, &wants).rings;
             rings.truncate(attempts);
             rings
         };
@@ -148,36 +129,6 @@ impl Simulation {
             }
         }
         false
-    }
-
-    /// The shard-precomputed trace when it is provably identical to a fresh
-    /// search (same wants, graph generation and world epoch unchanged since
-    /// the snapshot), a fresh inline search otherwise.
-    ///
-    /// A consumed plan trace is *moved* out of the plan and counted as the
-    /// one `ring_search` it replaced (with the worker-side search time), so
-    /// the sharded engine's `ring_searches`/`ring_search_nanos` totals equal
-    /// the sequential engine's exactly — speculative worker searches the
-    /// merge never consumes appear only in `planned_searches`.
-    fn planned_or_fresh_trace(
-        &mut self,
-        policy: exchange::SearchPolicy,
-        provider: PeerId,
-        wants: &[ObjectId],
-        plan: Option<&mut PlannedProvider>,
-    ) -> SearchTrace<PeerId, ObjectId> {
-        if let Some((trace, nanos)) =
-            plan.and_then(|p| p.take_valid_trace(wants, self.graph.generation(), self.world_epoch))
-        {
-            if self.profile_searches {
-                self.ring_search_nanos
-                    .set(self.ring_search_nanos.get() + nanos);
-                self.ring_searches.set(self.ring_searches.get() + 1);
-                self.planned_consumed.set(self.planned_consumed.get() + 1);
-            }
-            return trace;
-        }
-        self.search_rings(policy, provider, wants)
     }
 
     /// Drains the request graph's dirty log into the ring-candidate cache
@@ -253,12 +204,12 @@ impl Simulation {
     /// A peer in the request tree can close a ring if it shares and *claims*
     /// an object the provider wants — its advertised holdings, which for a
     /// middleman exceed its real storage ([`Simulation::claims`]).  The
-    /// search asks through [`search_oracle`](super::shard::search_oracle):
-    /// the holders of the provider's wants are marked once from the holders
-    /// index, so each probe is a mark lookup instead of a storage lookup.
-    /// (Following the paper, the provider examines its pending requests
-    /// against what the peers in its request tree advertise; it is not
-    /// limited to the providers its own lookups sampled.)
+    /// search asks [`search_claims`](Self::search_claims): the holders of
+    /// the provider's wants are marked once from the holders index, so each
+    /// probe is a mark lookup instead of a storage lookup.  (Following the
+    /// paper, the provider examines its pending requests against what the
+    /// peers in its request tree advertise; it is not limited to the
+    /// providers its own lookups sampled.)
     fn search_rings(
         &mut self,
         policy: exchange::SearchPolicy,
@@ -266,23 +217,40 @@ impl Simulation {
         wants: &[ObjectId],
     ) -> exchange::SearchTrace<PeerId, ObjectId> {
         let timer = self.profile_timer();
-        let provides = search_oracle(
-            &mut self.marks,
-            &self.holders,
-            &self.peers,
-            &self.graph,
-            &self.advertises,
-            wants,
-        );
+        self.marks.mark(self.peers.len(), &self.holders, wants);
+        // The scratch is lent out for the search, so the oracle can read
+        // the rest of the simulation.
+        let mut scratch = std::mem::take(&mut self.scratch);
         let trace = RingSearch::new(policy)
             .with_expansion_budget(self.config.ring_search_budget)
             .with_fanout(self.config.ring_search_fanout)
-            .find_traced_in(&mut self.scratch, &self.graph, provider, wants, provides);
+            .find_traced_in(
+                &mut scratch,
+                &self.graph,
+                provider,
+                wants,
+                |peer, object| self.search_claims(&self.marks, *peer, *object),
+            );
+        self.scratch = scratch;
         if timer.is_some() {
             Self::add_elapsed(&self.ring_search_nanos, timer);
             self.ring_searches.set(self.ring_searches.get() + 1);
         }
         trace
+    }
+
+    /// The claims oracle of one ring search whose root's wants are marked in
+    /// `marks`: equal to [`claims`](Self::claims) for every peer and every
+    /// marked object (the audit checks this).  Only a middleman
+    /// (`advertises[peer]`) still goes through `claims`, for its relay
+    /// claims.
+    pub(super) fn search_claims(
+        &self,
+        marks: &HolderMarks,
+        peer: PeerId,
+        object: ObjectId,
+    ) -> bool {
+        marks.holds(peer, object) || (self.advertises[peer.as_usize()] && self.claims(peer, object))
     }
 
     /// Whether `peer` could take on the upload described by `edge` as part of
@@ -438,9 +406,7 @@ impl Simulation {
     /// scheduling loop.  It is reused verbatim while no transfer started or
     /// ended since it was built; when only transfer *starts* intervened
     /// (the epoch taxonomy [`ServeQueue`] documents) it is patched in place
-    /// instead of rebuilt — this is what lets a shard worker's precomputed
-    /// queue survive the earlier events of its batch, which can start
-    /// transfers but, within one timestamp, never complete them.
+    /// instead of rebuilt.
     fn serve_non_exchange(&mut self, provider: PeerId, cached: &mut Option<ServeQueue>) -> bool {
         let timer = self.profile_timer();
         let reusable = matches!(cached, Some(sq) if sq.generation == self.graph.generation()
@@ -449,7 +415,7 @@ impl Simulation {
         match cached.as_mut() {
             Some(sq) if reusable && sq.transfer_epoch == self.transfer_epoch => {}
             Some(sq) if reusable => self.patch_serve_queue(provider, sq),
-            _ => *cached = Some(self.batch_snapshot().build_serve_queue(provider)),
+            _ => *cached = Some(self.build_serve_queue(provider)),
         }
         Self::add_elapsed(&self.serve_queue_nanos, timer);
         let sq = cached.as_mut().expect("serve queue was just built");
@@ -491,20 +457,17 @@ impl Simulation {
     ///
     /// Transfer starts never touch the request graph, want issue times,
     /// storage, claims, sharing flags or the clock (the graph/world stamps
-    /// already matched, and a batch shares one timestamp), so of
-    /// [`BatchSnapshot::build_serve_queue`]'s per-entry conditions only two
-    /// can have changed — and both only towards exclusion: the
-    /// `(requester, object)` pair may now be served by this provider, and
-    /// the requester's download slots may have filled.  Filtering on those
-    /// two reproduces the rebuild, at O(queue) with no graph walk, no want
-    /// lookups and no reciprocity scans: the first is a scan of the
-    /// provider's few current uploads
-    /// ([`BatchSnapshot::serving`](super::shard::BatchSnapshot::serving)),
-    /// the second one slot-pool read.
-    ///
-    /// [`BatchSnapshot::build_serve_queue`]: super::shard::BatchSnapshot::build_serve_queue
+    /// already matched, and the scheduling loop runs within one event), so
+    /// of [`build_serve_queue`](Self::build_serve_queue)'s per-entry
+    /// conditions only two can have changed — and both only towards
+    /// exclusion: the `(requester, object)` pair may now be served by this
+    /// provider, and the requester's download slots may have filled.
+    /// Filtering on those two reproduces the rebuild, at O(queue) with no
+    /// graph walk, no want lookups and no reciprocity scans: the first is a
+    /// scan of the provider's few current uploads
+    /// ([`serving`](Self::serving)), the second one slot-pool read.
     fn patch_serve_queue(&self, provider: PeerId, sq: &mut ServeQueue) {
-        let serving = self.batch_snapshot().serving(provider);
+        let serving = self.serving(provider);
         let mut kept_queue = Vec::with_capacity(sq.queue.len());
         let mut kept_objects = Vec::with_capacity(sq.objects.len());
         let entries = std::mem::take(&mut sq.queue)
@@ -522,5 +485,80 @@ impl Simulation {
         sq.queue = kept_queue;
         sq.objects = kept_objects;
         sq.transfer_epoch = self.transfer_epoch;
+    }
+
+    /// The `(downloader, object)` pairs `provider` is uploading right now:
+    /// at most one per upload slot, so a serve queue tests each entry's
+    /// already-served condition against this short list instead of probing
+    /// the download index.
+    fn serving(&self, provider: PeerId) -> Vec<(PeerId, ObjectId)> {
+        let uploads = self.uploads_by_peer.get(&provider).into_iter().flatten();
+        uploads
+            .filter_map(|tid| self.transfers.get(tid))
+            .map(|t| (t.downloader, t.object))
+            .collect()
+    }
+
+    /// Assembles the eligible non-exchange queue at `provider` from scratch,
+    /// stamped with the epochs [`serve_non_exchange`](Self::serve_non_exchange)
+    /// checks before reusing it.
+    fn build_serve_queue(&self, provider: PeerId) -> ServeQueue {
+        let provider_state = self.peer(provider);
+        let needs_reciprocal = self.scheduler.needs_reciprocal();
+        // The reciprocation flag costs a storage scan per queued request;
+        // only compute it for schedulers that actually read it.
+        let provider_wants = if needs_reciprocal {
+            provider_state.wanted_objects()
+        } else {
+            Vec::new()
+        };
+        // The provider already serving the pair is by far the most common
+        // reason an entry is ineligible, and the cheapest to test.
+        let serving = self.serving(provider);
+        let now = self.now();
+        let mut queue: Vec<QueuedRequest<PeerId>> = Vec::new();
+        let mut objects: Vec<ObjectId> = Vec::new();
+        for req in self.graph.incoming(provider) {
+            if serving.contains(&(req.requester, req.object)) {
+                continue;
+            }
+            let requester_state = self.peer(req.requester);
+            let Some(want) = requester_state.wants.get(&req.object) else {
+                continue;
+            };
+            // The provider must still claim the object.  This is `claims`
+            // with its edge-existence scan elided: `req` IS an incoming edge
+            // for exactly this object, so the capability probe alone decides,
+            // and the queue rebuild stays O(queue) instead of O(queue²) at a
+            // busy middleman.
+            if !provider_state.storage.contains(req.object) && !self.advertises[provider.as_usize()]
+            {
+                continue;
+            }
+            if !requester_state.download_slots.has_free() {
+                continue;
+            }
+            let reciprocal = needs_reciprocal
+                && requester_state.sharing
+                && provider_wants
+                    .iter()
+                    .any(|object| requester_state.storage.contains(*object));
+            queue.push(
+                QueuedRequest::new(
+                    req.requester,
+                    now.saturating_since(want.issued_at).as_secs_f64(),
+                )
+                .with_reciprocal(reciprocal),
+            );
+            objects.push(req.object);
+        }
+        ServeQueue {
+            queue,
+            objects,
+            transfer_epoch: self.transfer_epoch,
+            transfer_end_epoch: self.transfer_end_epoch,
+            generation: self.graph.generation(),
+            world_epoch: self.world_epoch,
+        }
     }
 }

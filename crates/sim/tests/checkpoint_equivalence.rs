@@ -4,7 +4,7 @@
 //! snapshot, and running to the horizon produces a [`SimReport`] **bit
 //! identical** (via `PartialEq`, which compares every `f64` exactly) to the
 //! uninterrupted run — including [`sim::RingCacheStats`] — across random
-//! schedulers × protections × behavior mixes × churn × shards {1, 4, 8}.
+//! schedulers × protections × behavior mixes × churn.
 //! A second property chains a checkpoint/restore round trip at *every event
 //! boundary* of a small scenario and still demands the identical report.
 
@@ -24,7 +24,6 @@ struct RunShape {
     protection: usize,
     mix: usize,
     churn: bool,
-    shards: usize,
     seed: u64,
 }
 
@@ -40,20 +39,16 @@ fn shape_strategy() -> impl Strategy<Value = RunShape> {
             0usize..4,  // behavior mix
             proptest::bool::ANY,
         ),
-        (
-            0usize..3, // shards selector -> {1, 4, 8}
-            0u64..1_000,
-        ),
+        0u64..1_000,
     )
         .prop_map(
-            |((peers, duration_s, scheduler), (protection, mix, churn), (shards, seed))| RunShape {
+            |((peers, duration_s, scheduler), (protection, mix, churn), seed)| RunShape {
                 peers,
                 duration_s,
                 scheduler,
                 protection,
                 mix,
                 churn,
-                shards: [1, 4, 8][shards],
                 seed,
             },
         )
@@ -86,7 +81,6 @@ fn config_for(shape: RunShape) -> SimConfig {
         mean_session_s: shape.duration_s / 2.0,
         mean_downtime_s: shape.duration_s / 8.0,
     });
-    config.shards = shape.shards;
     config.validate().expect("sampled config is valid");
     config
 }
@@ -181,24 +175,4 @@ fn checkpoint_at_every_event_matches_straight_run() {
     let resumed = chained.run();
     assert_eq!(straight.ring_cache_stats(), resumed.ring_cache_stats());
     assert_eq!(straight, resumed);
-}
-
-/// The sharded engine's merged batches also step and resume exactly.
-#[test]
-fn checkpoint_at_every_event_matches_straight_run_sharded() {
-    let mut config = SimConfig::quick_test();
-    config.num_peers = 12;
-    config.sim_duration_s = 300.0;
-    config.warmup_s = 75.0;
-    config.shards = 4;
-    let straight = Simulation::new(config.clone(), 9).run();
-
-    let mut chained = Simulation::new(config.clone(), 9);
-    loop {
-        chained = round_trip(&chained, &config);
-        if chained.step().is_none() {
-            break;
-        }
-    }
-    assert_eq!(straight, chained.run());
 }

@@ -4,7 +4,7 @@
 //! lazily unlinked: entries eagerly unlink from `BTreeSet` indexes on every
 //! removal.  It is copied verbatim, minus `apply_graph_deltas` (the
 //! simulator never called it) and the crate-private `set_stats`.  Random
-//! sequences of stores, lookups, peeks and every invalidation path drive it
+//! sequences of stores, lookups and every invalidation path drive it
 //! and the real [`RingCandidateCache`] side by side; after every operation
 //! their lookups, `len`, `iter_entries` and stats must agree.
 
@@ -66,19 +66,6 @@ impl ReferenceCache {
                 None
             }
         }
-    }
-
-    /// Whether [`lookup`](Self::lookup) for `root` and exactly this `wants`
-    /// list would hit, **without** touching the hit/miss counters.  Shard
-    /// planning uses this to decide which providers need a precomputed
-    /// search; the stats themselves are only ever advanced by the merge
-    /// thread's real lookups, so they stay bit-identical to a sequential
-    /// run.
-    #[must_use]
-    fn peek(&self, root: PeerId, wants: &[ObjectId]) -> bool {
-        self.entries
-            .get(&root)
-            .is_some_and(|entry| entry.wants == wants)
     }
 
     /// Stores a fresh search result for `root`, replacing any prior entry.
@@ -397,7 +384,6 @@ proptest! {
                         Some(wants) if rng.below(4) != 0 => wants,
                         _ => rng.wants(),
                     };
-                    prop_assert_eq!(cache.peek(root, &wants), reference.peek(root, &wants));
                     let got = cache.lookup(root, &wants).map(<[_]>::to_vec);
                     let expected = reference.lookup(root, &wants).map(<[_]>::to_vec);
                     prop_assert_eq!(got, expected);

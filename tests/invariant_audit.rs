@@ -95,27 +95,6 @@ fn audit_passes_under_every_scheduler() {
     }
 }
 
-#[test]
-fn audit_passes_for_sharded_runs_and_matches_sequential() {
-    // The audited sharded loop re-checks every invariant after each merged
-    // event — including cache-vs-fresh exactness right after a precomputed
-    // trace was substituted, and the maintenance-wheel capacity invariant.
-    let mut config = audit_config();
-    config.num_peers = 24;
-    config.shards = 3;
-    let sharded = Simulation::new(config.clone(), 4).run_audited();
-    config.shards = 1;
-    let sequential = Simulation::new(config, 4).run_audited();
-    assert_eq!(
-        sharded.completed_downloads(),
-        sequential.completed_downloads()
-    );
-    assert_eq!(sharded.total_sessions(), sequential.total_sessions());
-    assert_eq!(sharded.total_rings(), sequential.total_rings());
-    assert_eq!(sharded.ring_cache_stats(), sequential.ring_cache_stats());
-    assert!(sharded.total_sessions() > 0);
-}
-
 /// `audit_config` plus the full population dynamics: churn, a mid-run
 /// catastrophe, a flash crowd, and a heterogeneous class mix.  The audit
 /// re-checks every invariant after every event — including the new offline
@@ -208,27 +187,6 @@ fn audit_passes_under_churn_cached_uncached_and_under_every_scheduler() {
         config.scheduler = kind;
         let _ = Simulation::new(config, 80 + index as u64).run_audited();
     }
-}
-
-#[test]
-fn audit_passes_for_sharded_churny_runs_and_matches_sequential() {
-    let mut config = churny_audit_config();
-    config.num_peers = 24;
-    config.catastrophe = Some(CatastropheConfig {
-        at_s: 250.0,
-        top_k: 3,
-    });
-    config.shards = 3;
-    let sharded = Simulation::new(config.clone(), 4).run_audited();
-    config.shards = 1;
-    let sequential = Simulation::new(config, 4).run_audited();
-    assert_eq!(
-        sharded.completed_downloads(),
-        sequential.completed_downloads()
-    );
-    assert_eq!(sharded.total_sessions(), sequential.total_sessions());
-    assert_eq!(sharded.total_rings(), sequential.total_rings());
-    assert_eq!(sharded.ring_cache_stats(), sequential.ring_cache_stats());
 }
 
 #[test]

@@ -191,28 +191,6 @@ fn cached_and_uncached_runs_produce_identical_reports() {
 }
 
 #[test]
-fn sharded_cached_runs_still_equal_uncached_runs() {
-    // The three-way identity behind the sharded engine: a sharded cached run
-    // equals a sequential cached run equals an uncached run — the shard
-    // planner has to predict hits, with the merge replaying the lookups.
-    let mut config = SimConfig::quick_test();
-    config.discipline = ExchangePolicy::two_five_way();
-    let without_cache = run(config.clone(), false, 31);
-    let mut sharded_config = config;
-    sharded_config.shards = 4;
-    let sharded_cached = run(sharded_config, true, 31);
-    assert_eq!(
-        fingerprint(&sharded_cached),
-        fingerprint(&without_cache),
-        "sharded cached run diverged from the uncached baseline"
-    );
-    assert!(
-        sharded_cached.ring_cache_stats().hits > 0,
-        "the sharded run must actually reuse entries"
-    );
-}
-
-#[test]
 fn cache_equivalence_holds_for_reciprocal_schedulers_too() {
     // ExchangePriority exercises the reciprocal flag in the serve queue, the
     // other code path the scheduling loop reuses across iterations.

@@ -3,7 +3,10 @@
 //! maintenance policy, and report/CDF consistency.
 
 use p2p_exchange::des::DetRng;
-use p2p_exchange::sim::{PeerClass, SessionKind, SimConfig, Simulation};
+use p2p_exchange::sim::{
+    CapacityClass, CatastropheConfig, ClassMix, FlashCrowdConfig, PeerClass, SessionKind,
+    SimConfig, Simulation,
+};
 use p2p_exchange::workload::{Catalog, PeerInterests, RequestGenerator, WorkloadConfig};
 
 #[test]
@@ -103,6 +106,49 @@ fn waiting_time_cdfs_are_nonnegative_and_bounded_by_run_length() {
         if let Some(cdf) = report.waiting_cdf(kind) {
             assert!(cdf.percentile(0.0) >= 0.0);
             assert!(cdf.percentile(1.0) <= duration);
+        }
+    }
+}
+
+#[test]
+fn population_scenarios_report_per_class_fairness_cdfs() {
+    // Catastrophe-only and flash-crowd-only scenarios must each surface the
+    // per-capacity-class download-time CDFs of paper Figures 7–8.
+    let mut base = SimConfig::quick_test();
+    base.num_peers = 40;
+    base.sim_duration_s = 2_000.0;
+    base.classes = ClassMix::weighted([
+        (CapacityClass::Fast, 0.25),
+        (CapacityClass::Medium, 0.5),
+        (CapacityClass::Slow, 0.25),
+    ]);
+    let mut catastrophe = base.clone();
+    catastrophe.catastrophe = Some(CatastropheConfig {
+        at_s: 800.0,
+        top_k: 4,
+    });
+    let mut flash = base;
+    flash.flash_crowd = Some(FlashCrowdConfig {
+        at_s: 1_000.0,
+        requesters: 12,
+        seed_holders: 2,
+    });
+    for (name, config) in [("catastrophe", catastrophe), ("flash-crowd", flash)] {
+        let report = Simulation::new(config, 3).run();
+        let classes = report.observed_capacity_classes();
+        assert!(
+            classes.len() >= 2,
+            "{name}: a mixed-class run must finish downloads in 2+ classes, got {classes:?}"
+        );
+        for class in classes {
+            let cdf = report
+                .capacity_fairness_cdf(class)
+                .unwrap_or_else(|| panic!("{name}: class {class:?} observed but has no CDF"));
+            assert!(!cdf.is_empty(), "{name}: empty CDF for {class:?}");
+            assert!(
+                report.capacity_download_percentile(class, 0.5).is_some(),
+                "{name}: no median for {class:?}"
+            );
         }
     }
 }
