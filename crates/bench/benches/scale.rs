@@ -5,10 +5,9 @@
 //! heterogeneous capacity-class mix) so the cost of the departure/rejoin
 //! teardown machinery is tracked by the regression gate.
 //!
-//! Each tier runs its seeded workload in one mode, **entry-warm**: the
-//! ring-candidate cache plus a shared [`SimSetup`] across seeds (warm
-//! restarts).  The JSON keeps a `modes` list so the regression gate's
-//! `--mode` selector reads old and new files alike.
+//! Each tier runs its seeded workload **entry-warm**: the ring-candidate
+//! cache plus a shared [`SimSetup`] across seeds (warm restarts).  Each
+//! tier's JSON object carries the tier's `wall_s` and its `runs`.
 //!
 //! Usage (a bare `cargo bench` only smoke-compiles; the tiers are explicit):
 //!
@@ -296,13 +295,10 @@ fn phase_json(profile: &PhaseProfile) -> String {
 }
 
 fn to_json(tiers: &[TierMeasurement], seeds: usize, calibration: f64) -> String {
-    let host_parallelism =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut out = String::new();
     let _ = write!(
         out,
         "{{\"bench\":\"scale\",\"seeds\":{seeds},\
-         \"host_parallelism\":{host_parallelism},\
          \"calibration_ops_per_s\":{calibration:.0},\"tiers\":["
     );
     for (t, tier) in tiers.iter().enumerate() {
@@ -312,7 +308,7 @@ fn to_json(tiers: &[TierMeasurement], seeds: usize, calibration: f64) -> String 
         let _ = write!(
             out,
             "{{\"tier\":\"{}\",\"peers\":{},\"sim_seconds\":{},\"object_mb\":{},\
-             \"modes\":[{{\"mode\":\"entry-warm\",\"wall_s\":{:.3},\"runs\":[",
+             \"wall_s\":{:.3},\"runs\":[",
             tier.label,
             tier.peers,
             tier.config.sim_duration_s,
@@ -341,7 +337,7 @@ fn to_json(tiers: &[TierMeasurement], seeds: usize, calibration: f64) -> String 
                 run.report.total_rings(),
             );
         }
-        let _ = write!(out, "]}}]}}");
+        let _ = write!(out, "]}}");
     }
     let _ = write!(out, "]}}");
     out

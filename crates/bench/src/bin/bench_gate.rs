@@ -8,7 +8,7 @@
 //! ```text
 //! cargo run --release -p exchange-bench --bin bench_gate -- \
 //!     --baseline BENCH_scale.json --current /tmp/bench_scale_smoke.json \
-//!     [--tier 1k] [--mode entry-warm] [--tolerance 0.25] [--min-phase-s 0.05]
+//!     [--tier 1k] [--tolerance 0.25] [--min-phase-s 0.05]
 //! ```
 //!
 //! **What is compared.** When both files carry `calibration_ops_per_s`
@@ -266,9 +266,9 @@ struct Side {
     calibration: f64,
 }
 
-/// Per-phase mean seconds of one (tier, mode) across its runs, `run_s`
-/// included under the pseudo-phase name `run`.
-fn phase_means(root: &Json, tier: &str, mode: &str) -> Result<Side, String> {
+/// Per-phase mean seconds of one tier across its runs, `run_s` included
+/// under the pseudo-phase name `run`.
+fn phase_means(root: &Json, tier: &str) -> Result<Side, String> {
     let tiers = root
         .get("tiers")
         .and_then(Json::as_array)
@@ -277,20 +277,12 @@ fn phase_means(root: &Json, tier: &str, mode: &str) -> Result<Side, String> {
         .iter()
         .find(|t| t.get("tier").and_then(Json::as_str) == Some(tier))
         .ok_or_else(|| format!("tier '{tier}' not present"))?;
-    let modes = tier_obj
-        .get("modes")
-        .and_then(Json::as_array)
-        .ok_or("no 'modes' array")?;
-    let mode_obj = modes
-        .iter()
-        .find(|m| m.get("mode").and_then(Json::as_str) == Some(mode))
-        .ok_or_else(|| format!("mode '{mode}' not present in tier '{tier}'"))?;
-    let runs = mode_obj
+    let runs = tier_obj
         .get("runs")
         .and_then(Json::as_array)
-        .ok_or("no 'runs' array")?;
+        .ok_or_else(|| format!("tier '{tier}' has no 'runs' array"))?;
     if runs.is_empty() {
-        return Err(format!("tier '{tier}' mode '{mode}' has no runs"));
+        return Err(format!("tier '{tier}' has no runs"));
     }
     let mut sums: BTreeMap<String, (f64, usize)> = BTreeMap::new();
     let mut events_sum = 0.0f64;
@@ -320,9 +312,7 @@ fn phase_means(root: &Json, tier: &str, mode: &str) -> Result<Side, String> {
         }
     }
     if events_n == 0 {
-        return Err(format!(
-            "tier '{tier}' mode '{mode}' records no event counts"
-        ));
+        return Err(format!("tier '{tier}' records no event counts"));
     }
     let calibration = root
         .get("calibration_ops_per_s")
@@ -342,7 +332,7 @@ fn phase_means(root: &Json, tier: &str, mode: &str) -> Result<Side, String> {
 fn usage() -> ! {
     eprintln!(
         "usage: bench_gate --baseline <BENCH_scale.json> --current <smoke.json> \
-         [--tier 1k] [--mode entry-warm] [--tolerance 0.25] [--min-phase-s 0.05] [--summary]\n\
+         [--tier 1k] [--tolerance 0.25] [--min-phase-s 0.05] [--summary]\n\
          \x20      bench_gate --stream <rows.jsonl> [--min-rows 1]"
     );
     std::process::exit(2)
@@ -452,7 +442,6 @@ fn main() -> ExitCode {
     let mut baseline_path = None;
     let mut current_path = None;
     let mut tier = "1k".to_string();
-    let mut mode = "entry-warm".to_string();
     let mut tolerance = 0.25f64;
     let mut min_phase_s = 0.05f64;
     let mut stream_path = None;
@@ -470,7 +459,6 @@ fn main() -> ExitCode {
             ("--baseline", Some(v)) => baseline_path = Some(v.clone()),
             ("--current", Some(v)) => current_path = Some(v.clone()),
             ("--tier", Some(v)) => tier = v.clone(),
-            ("--mode", Some(v)) => mode = v.clone(),
             ("--tolerance", Some(v)) => tolerance = v.parse().unwrap_or_else(|_| usage()),
             ("--min-phase-s", Some(v)) => min_phase_s = v.parse().unwrap_or_else(|_| usage()),
             ("--stream", Some(v)) => stream_path = Some(v.clone()),
@@ -507,8 +495,8 @@ fn main() -> ExitCode {
         }
     };
     let (base_side, now_side) = match (
-        phase_means(&baseline, &tier, &mode).map_err(|e| format!("{baseline_path}: {e}")),
-        phase_means(&current, &tier, &mode).map_err(|e| format!("{current_path}: {e}")),
+        phase_means(&baseline, &tier).map_err(|e| format!("{baseline_path}: {e}")),
+        phase_means(&current, &tier).map_err(|e| format!("{current_path}: {e}")),
     ) {
         (Ok(b), Ok(c)) => (b, c),
         (Err(e), _) | (_, Err(e)) => {
@@ -518,7 +506,7 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "bench_gate: tier {tier}, mode {mode}, tolerance {:.0}%, \
+        "bench_gate: tier {tier}, tolerance {:.0}%, \
          calibrated events/s (machine ratio {:.2}x)",
         tolerance * 100.0,
         now_side.calibration / base_side.calibration
@@ -529,7 +517,7 @@ fn main() -> ExitCode {
     );
     use std::fmt::Write as _;
     let mut markdown = format!(
-        "## Bench gate: tier {tier}, mode {mode} (calibrated event rates)\n\n\
+        "## Bench gate: tier {tier} (calibrated event rates)\n\n\
          tolerance {:.0}% against `{baseline_path}`\n\n\
          | phase | base kev/s | current kev/s | ratio | verdict |\n\
          |---|---:|---:|---:|---|\n",

@@ -13,9 +13,9 @@ fn bench_json(calibration: Option<f64>, scheduling_s: f64) -> String {
         .unwrap_or_default();
     format!(
         "{{\"bench\":\"scale\",\"seeds\":1,{calibration}\"tiers\":[{{\"tier\":\"1k\",\
-         \"peers\":1000,\"modes\":[{{\"mode\":\"entry-warm\",\"wall_s\":2.1,\"runs\":[\
+         \"peers\":1000,\"wall_s\":2.1,\"runs\":[\
          {{\"seed\":1,\"setup_s\":0.1,\"run_s\":2.0,\"phases\":{{\"events\":100000,\
-         \"event_loop_s\":2.0,\"scheduling_s\":{scheduling_s},\"ring_searches\":5000}}}}]}}]}}]}}"
+         \"event_loop_s\":2.0,\"scheduling_s\":{scheduling_s},\"ring_searches\":5000}}}}]}}]}}"
     )
 }
 
@@ -77,16 +77,11 @@ fn truncated_or_malformed_json_is_refused() {
         ("garbage.json", "not json at all".to_string()),
         ("trailing.json", format!("{good} {{")),
         ("bad_number.json", good.replace("100000", "1e+e")),
-        (
-            "bad_escape.json",
-            good.replace("entry-warm", "entry\\q-warm"),
-        ),
+        ("bad_escape.json", good.replace("\"scale\"", "\"sc\\qale\"")),
         ("wrong_shape.json", "{\"tiers\":\"1k\"}".to_string()),
         (
             "no_runs.json",
-            "{\"calibration_ops_per_s\":1e9,\"tiers\":[{\"tier\":\"1k\",\
-             \"modes\":[{\"mode\":\"entry-warm\",\"runs\":[]}]}]}"
-                .to_string(),
+            "{\"calibration_ops_per_s\":1e9,\"tiers\":[{\"tier\":\"1k\",\"runs\":[]}]}".to_string(),
         ),
         ("no_events.json", good.replace("\"events\":100000,", "")),
     ];

@@ -1,23 +1,22 @@
 //! First-class peer behaviors: the strategic peers of Section III-B and the
 //! countermeasures the paper proposes against them.
 //!
-//! The simulator used to model exactly one axis of behavior — a binary
-//! `sharing` flag drawn from a free-rider fraction.  This module generalises
-//! that into an object-safe [`PeerBehavior`] trait (mirroring the
-//! [`credit::UploadScheduler`] redesign) with lifecycle hooks the event loop
-//! consults, five concrete behaviors, a validated weighted population
-//! ([`BehaviorMix`]), and the selectable [`Protection`] countermeasures:
+//! Each peer has one fixed, stateless [`BehaviorKind`], whose methods answer
+//! the questions the event loop asks about it; a validated weighted
+//! population ([`BehaviorMix`]) assigns the kinds, and [`Protection`] selects
+//! the countermeasure.  The five behaviors:
 //!
-//! * [`Honest`] — shares its stored objects, serves valid blocks, reports its
-//!   true participation level.
-//! * [`FreeRider`] — never uploads (the paper's "non-sharing" peers).
-//! * [`JunkSender`] — uploads garbage blocks to harvest exchange priority and
-//!   pairwise credit without spending real content.
-//! * [`ParticipationCheater`] — never uploads but announces an inflated
-//!   KaZaA-style participation level.
-//! * [`Middleman`] — advertises objects it does not store and relays blocks
-//!   between peers that could have traded directly, collecting exchange
-//!   priority while contributing nothing of its own.
+//! * [`BehaviorKind::Honest`] — shares its stored objects, serves valid
+//!   blocks, reports its true participation level.
+//! * [`BehaviorKind::FreeRider`] — never uploads (the paper's "non-sharing"
+//!   peers).
+//! * [`BehaviorKind::JunkSender`] — uploads garbage blocks to harvest
+//!   exchange priority and pairwise credit without spending real content.
+//! * [`BehaviorKind::ParticipationCheater`] — never uploads but announces an
+//!   inflated KaZaA-style participation level.
+//! * [`BehaviorKind::Middleman`] — advertises objects it does not store and
+//!   relays blocks between peers that could have traded directly, collecting
+//!   exchange priority while contributing nothing of its own.
 //!
 //! [`Protection`] selects the Section III-B countermeasure wired into the
 //! transfer path: windowed synchronous block validation
@@ -31,192 +30,53 @@ use serde::{Deserialize, Serialize};
 
 use crate::PeerClass;
 
-/// The participation level a [`ParticipationCheater`] announces regardless of
+/// The participation level a [`BehaviorKind::ParticipationCheater`] adds to
 /// what it actually uploaded.  Any value this large dominates every honest
 /// report under the [`credit::ParticipationLevel`] scheduler.
 pub const INFLATED_PARTICIPATION_LEVEL: f64 = 1.0e6;
 
-/// A peer's strategic behavior, consulted by the simulation's event loop.
-///
-/// The trait is object-safe: the simulation holds one boxed behavior per
-/// peer, built from the plain-data [`BehaviorKind`] named in the
-/// configuration ([`BehaviorKind::build`]), exactly like
-/// [`credit::SchedulerKind`] builds an [`credit::UploadScheduler`].
-///
-/// Every hook has an honest default, so a custom behavior only overrides the
-/// axes on which it cheats.
+/// A peer's strategic behavior: named in configurations, sweep axes and
+/// per-behavior report breakdowns, and consulted by the event loop through
+/// its methods.  Behaviors are fixed per run and stateless.
 ///
 /// # Example
 ///
 /// ```
-/// use sim::{BehaviorKind, PeerBehavior};
+/// use sim::BehaviorKind;
 ///
-/// let honest = BehaviorKind::Honest.build();
+/// let honest = BehaviorKind::Honest;
 /// assert!(honest.shares_honestly() && honest.block_validity());
 ///
-/// let middleman = BehaviorKind::Middleman.build();
-/// // Middlemen advertise sourceable objects they do not store.
-/// assert!(middleman.advertised_holdings(false, true));
+/// // Middlemen upload relayed content and may advertise objects they do
+/// // not store (the simulator backs such a claim only while an honest
+/// // holder exists).
+/// let middleman = BehaviorKind::Middleman;
+/// assert!(middleman.uploads() && middleman.advertises_unstored());
 /// assert!(!middleman.shares_honestly());
 /// ```
-pub trait PeerBehavior: fmt::Debug + Send + Sync {
-    /// The plain-data name of this behavior (for configs and reports).
-    fn kind(&self) -> BehaviorKind;
-
-    /// Whether the peer offers upload service at all.  `false` for peers
-    /// that only download (free-riders, participation cheaters).
-    fn uploads(&self) -> bool {
-        true
-    }
-
-    /// Whether the peer's uploads are genuine own content: it serves valid
-    /// blocks of objects it actually stores.  `false` for junk senders
-    /// (garbage blocks) and middlemen (relayed content) as well as for peers
-    /// that do not upload; only honest holders can source a middleman relay.
-    fn shares_honestly(&self) -> bool {
-        self.uploads()
-    }
-
-    /// Whether the peer advertises holding an object, given whether it
-    /// actually `stores` it and whether the object is `sourceable` from some
-    /// honest holder elsewhere.  Middlemen answer `true` for sourceable
-    /// objects they do not store — the Section III-B middleman attack.
-    fn advertised_holdings(&self, stores: bool, sourceable: bool) -> bool {
-        let _ = sourceable;
-        stores
-    }
-
-    /// Capability probe: can this behavior ever advertise an object it does
-    /// not store?  Derived from [`PeerBehavior::advertised_holdings`] in the
-    /// most permissive case; the event loop uses it to decide whether a
-    /// peer's claims can exceed its storage at all, before evaluating the
-    /// per-object facts.
-    fn advertises_unstored(&self) -> bool {
-        self.advertised_holdings(false, true)
-    }
-
-    /// The participation level the peer announces, given the level its real
-    /// upload volume would honestly justify.  Participation cheaters inflate
-    /// this (the KaZaA exploit the paper dismisses in Section III-B).
-    fn reported_participation(&self, honest_level: f64) -> f64 {
-        honest_level
-    }
-
-    /// Whether blocks this peer uploads carry valid data.  `false` for junk
-    /// senders; countermeasures decide how quickly the garbage is caught.
-    fn block_validity(&self) -> bool {
-        true
-    }
-
-    /// A short, stable label for reports and figures.
-    fn label(&self) -> &'static str {
-        self.kind().label()
-    }
-}
-
-/// The honest baseline: shares stored objects, serves valid blocks, reports
-/// its true participation level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Honest;
-
-impl PeerBehavior for Honest {
-    fn kind(&self) -> BehaviorKind {
-        BehaviorKind::Honest
-    }
-}
-
-/// A peer that never uploads (the paper's "non-sharing" population).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FreeRider;
-
-impl PeerBehavior for FreeRider {
-    fn kind(&self) -> BehaviorKind {
-        BehaviorKind::FreeRider
-    }
-
-    fn uploads(&self) -> bool {
-        false
-    }
-}
-
-/// A peer that uploads garbage: it stores and advertises real objects, but
-/// the blocks it serves are junk, harvesting exchange priority and pairwise
-/// credit at zero content cost (Section III-B's "cheat by sending junk").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JunkSender;
-
-impl PeerBehavior for JunkSender {
-    fn kind(&self) -> BehaviorKind {
-        BehaviorKind::JunkSender
-    }
-
-    fn shares_honestly(&self) -> bool {
-        false
-    }
-
-    fn block_validity(&self) -> bool {
-        false
-    }
-}
-
-/// A peer that never uploads but announces an inflated participation level,
-/// jumping KaZaA-style queues without contributing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParticipationCheater;
-
-impl PeerBehavior for ParticipationCheater {
-    fn kind(&self) -> BehaviorKind {
-        BehaviorKind::ParticipationCheater
-    }
-
-    fn uploads(&self) -> bool {
-        false
-    }
-
-    fn reported_participation(&self, honest_level: f64) -> f64 {
-        honest_level + INFLATED_PARTICIPATION_LEVEL
-    }
-}
-
-/// The Section III-B middleman: it advertises objects it does not store
-/// (as long as some honest peer could source them) and relays blocks between
-/// peers that could have exchanged directly, collecting exchange priority
-/// while never contributing content of its own.  The mediator countermeasure
-/// leaves it holding ciphertext only.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Middleman;
-
-impl PeerBehavior for Middleman {
-    fn kind(&self) -> BehaviorKind {
-        BehaviorKind::Middleman
-    }
-
-    fn shares_honestly(&self) -> bool {
-        false
-    }
-
-    fn advertised_holdings(&self, stores: bool, sourceable: bool) -> bool {
-        stores || sourceable
-    }
-}
-
-/// Plain-data name of a [`PeerBehavior`], used in configurations, sweep axes
-/// and per-behavior report breakdowns.  [`BehaviorKind::build`] constructs
-/// the matching trait object for a run.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
 pub enum BehaviorKind {
-    /// [`Honest`].
+    /// The honest baseline: shares stored objects, serves valid blocks,
+    /// reports its true participation level.
     #[default]
     Honest,
-    /// [`FreeRider`].
+    /// Never uploads (the paper's "non-sharing" population).
     FreeRider,
-    /// [`JunkSender`].
+    /// Uploads garbage: it stores and advertises real objects, but the
+    /// blocks it serves are junk, harvesting exchange priority and pairwise
+    /// credit at zero content cost (Section III-B's "cheat by sending
+    /// junk").
     JunkSender,
-    /// [`ParticipationCheater`].
+    /// Never uploads but announces an inflated participation level, jumping
+    /// KaZaA-style queues without contributing.
     ParticipationCheater,
-    /// [`Middleman`].
+    /// The Section III-B middleman: it advertises objects it does not store
+    /// (as long as some honest peer could source them) and relays blocks
+    /// between peers that could have exchanged directly, collecting exchange
+    /// priority while never contributing content of its own.  The mediator
+    /// countermeasure leaves it holding ciphertext only.
     Middleman,
 }
 
@@ -233,8 +93,9 @@ impl BehaviorKind {
         ]
     }
 
-    /// The Section III-B adversaries (everything except [`Honest`] and the
-    /// merely passive [`FreeRider`]).
+    /// The Section III-B adversaries (everything except
+    /// [`BehaviorKind::Honest`] and the merely passive
+    /// [`BehaviorKind::FreeRider`]).
     #[must_use]
     pub fn adversarial() -> Vec<BehaviorKind> {
         vec![
@@ -242,18 +103,6 @@ impl BehaviorKind {
             BehaviorKind::ParticipationCheater,
             BehaviorKind::Middleman,
         ]
-    }
-
-    /// Instantiates the behavior for one peer.
-    #[must_use]
-    pub fn build(&self) -> Box<dyn PeerBehavior> {
-        match self {
-            BehaviorKind::Honest => Box::new(Honest),
-            BehaviorKind::FreeRider => Box::new(FreeRider),
-            BehaviorKind::JunkSender => Box::new(JunkSender),
-            BehaviorKind::ParticipationCheater => Box::new(ParticipationCheater),
-            BehaviorKind::Middleman => Box::new(Middleman),
-        }
     }
 
     /// The label used in configs, figures and report breakdowns.
@@ -268,18 +117,60 @@ impl BehaviorKind {
         }
     }
 
+    /// Whether the peer offers upload service at all.  `false` for peers
+    /// that only download (free-riders, participation cheaters).
+    #[must_use]
+    pub fn uploads(&self) -> bool {
+        !matches!(
+            self,
+            BehaviorKind::FreeRider | BehaviorKind::ParticipationCheater
+        )
+    }
+
+    /// Whether the peer's uploads are genuine own content: it serves valid
+    /// blocks of objects it actually stores.  `false` for junk senders
+    /// (garbage blocks) and middlemen (relayed content) as well as for peers
+    /// that do not upload; only honest holders can source a middleman relay.
+    #[must_use]
+    pub fn shares_honestly(&self) -> bool {
+        matches!(self, BehaviorKind::Honest)
+    }
+
+    /// Whether the peer may advertise objects it does not store — the
+    /// Section III-B middleman attack.  The simulator lets such a claim
+    /// stand only while some honest holder could source the object.
+    #[must_use]
+    pub fn advertises_unstored(&self) -> bool {
+        matches!(self, BehaviorKind::Middleman)
+    }
+
+    /// The participation level the peer announces, given the level its real
+    /// upload volume would honestly justify.  Participation cheaters inflate
+    /// this (the KaZaA exploit the paper dismisses in Section III-B).
+    #[must_use]
+    pub fn reported_participation(&self, honest_level: f64) -> f64 {
+        match self {
+            BehaviorKind::ParticipationCheater => honest_level + INFLATED_PARTICIPATION_LEVEL,
+            _ => honest_level,
+        }
+    }
+
+    /// Whether blocks this peer uploads carry valid data.  `false` for junk
+    /// senders; countermeasures decide how quickly the garbage is caught.
+    #[must_use]
+    pub fn block_validity(&self) -> bool {
+        !matches!(self, BehaviorKind::JunkSender)
+    }
+
     /// The binary class this behavior falls into for the paper's
     /// sharing/non-sharing figures: peers that upload (honestly or not)
-    /// count as sharing.  Must agree with [`PeerBehavior::uploads`] of the
-    /// built behavior (asserted in tests); spelled out as a match so the
-    /// hot reporting paths never allocate a trait object.
+    /// count as sharing.
     #[must_use]
     pub fn class(&self) -> PeerClass {
-        match self {
-            BehaviorKind::Honest | BehaviorKind::JunkSender | BehaviorKind::Middleman => {
-                PeerClass::Sharing
-            }
-            BehaviorKind::FreeRider | BehaviorKind::ParticipationCheater => PeerClass::NonSharing,
+        if self.uploads() {
+            PeerClass::Sharing
+        } else {
+            PeerClass::NonSharing
         }
     }
 }
@@ -526,40 +417,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_build_matching_behaviors() {
-        for kind in BehaviorKind::all() {
-            let behavior = kind.build();
-            assert_eq!(behavior.kind(), kind);
-            assert_eq!(behavior.label(), kind.label());
+    fn labels_are_distinct_and_displayed() {
+        let kinds = BehaviorKind::all();
+        for (i, kind) in kinds.iter().enumerate() {
+            assert_eq!(kind.to_string(), kind.label());
+            assert!(kinds[..i].iter().all(|k| k.label() != kind.label()));
         }
     }
 
     #[test]
     fn hook_matrix_matches_section_iii_b() {
-        let honest = BehaviorKind::Honest.build();
+        let honest = BehaviorKind::Honest;
         assert!(honest.uploads() && honest.shares_honestly() && honest.block_validity());
-        assert!(!honest.advertised_holdings(false, true));
+        assert!(!honest.advertises_unstored());
         assert_eq!(honest.reported_participation(7.0), 7.0);
 
-        let freerider = BehaviorKind::FreeRider.build();
+        let freerider = BehaviorKind::FreeRider;
         assert!(!freerider.uploads());
         assert!(!freerider.shares_honestly());
 
-        let junk = BehaviorKind::JunkSender.build();
+        let junk = BehaviorKind::JunkSender;
         assert!(junk.uploads() && !junk.shares_honestly() && !junk.block_validity());
-        assert!(
-            junk.advertised_holdings(true, false),
-            "advertises real holdings"
-        );
 
-        let cheater = BehaviorKind::ParticipationCheater.build();
+        let cheater = BehaviorKind::ParticipationCheater;
         assert!(!cheater.uploads());
         assert!(cheater.reported_participation(1.0) >= INFLATED_PARTICIPATION_LEVEL);
 
-        let middleman = BehaviorKind::Middleman.build();
+        let middleman = BehaviorKind::Middleman;
         assert!(middleman.uploads() && !middleman.shares_honestly());
-        assert!(middleman.advertised_holdings(false, true));
-        assert!(!middleman.advertised_holdings(false, false));
+        assert!(middleman.advertises_unstored());
         assert!(middleman.block_validity(), "relayed blocks are real data");
     }
 
@@ -573,14 +459,6 @@ mod tests {
             BehaviorKind::ParticipationCheater.class(),
             PeerClass::NonSharing
         );
-        // The allocation-free match must agree with the trait hook.
-        for kind in BehaviorKind::all() {
-            assert_eq!(
-                kind.class() == PeerClass::Sharing,
-                kind.build().uploads(),
-                "{kind}"
-            );
-        }
     }
 
     #[test]
@@ -625,7 +503,7 @@ mod tests {
     fn only_the_middleman_advertises_unstored_objects() {
         for kind in BehaviorKind::all() {
             assert_eq!(
-                kind.build().advertises_unstored(),
+                kind.advertises_unstored(),
                 kind == BehaviorKind::Middleman,
                 "{kind}"
             );

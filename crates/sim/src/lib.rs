@@ -15,8 +15,9 @@
 //!   [`UploadScheduler`] API;
 //! * peer strategy — honest sharing, free-riding, and the Section III-B
 //!   adversaries (junk senders, participation cheaters, middlemen) — is the
-//!   object-safe [`PeerBehavior`] API, populated through a weighted
-//!   [`BehaviorMix`] and countered via [`Protection`];
+//!   plain-data [`BehaviorKind`], whose methods the event loop consults,
+//!   populated through a weighted [`BehaviorMix`] and countered via
+//!   [`Protection`];
 //! * everything is driven by the discrete-event engine in [`des`] and
 //!   measured with [`metrics`].
 //!
@@ -60,10 +61,7 @@ mod serialize;
 mod simulation;
 mod types;
 
-pub use behavior::{
-    BehaviorKind, BehaviorMix, FreeRider, Honest, JunkSender, Middleman, ParticipationCheater,
-    PeerBehavior, Protection, INFLATED_PARTICIPATION_LEVEL,
-};
+pub use behavior::{BehaviorKind, BehaviorMix, Protection, INFLATED_PARTICIPATION_LEVEL};
 pub use config::SimConfig;
 pub use credit::{SchedulerKind, UploadScheduler};
 pub use des::{SimDuration, SimTime};

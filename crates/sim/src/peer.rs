@@ -40,13 +40,12 @@ impl WantState {
 pub struct PeerState {
     /// The peer's identifier.
     pub id: PeerId,
-    /// The peer's strategic behavior (see [`crate::PeerBehavior`]).  The
-    /// boxed trait object lives in the simulation; this is its plain-data
-    /// name.
+    /// The peer's strategic behavior, fixed for the run; the event loop
+    /// consults its [`BehaviorKind`] methods.
     pub behavior: BehaviorKind,
-    /// Whether the peer uploads at all.  Derived from `behavior`
-    /// (`PeerBehavior::uploads`); cached here because the scheduling hot
-    /// paths read it constantly.
+    /// Whether the peer uploads at all: [`BehaviorKind::uploads`] of
+    /// `behavior`, stored beside it because the scheduling hot paths read
+    /// it constantly.
     pub sharing: bool,
     /// Whether the peer is currently in the system.  Always `true` without
     /// churn; a departed peer holds no slots, no transfers, no request-graph
@@ -124,7 +123,7 @@ mod tests {
         PeerState {
             id: PeerId::new(0),
             behavior,
-            sharing: behavior.build().uploads(),
+            sharing: behavior.uploads(),
             online: true,
             capacity: CapacityClass::Medium,
             interests,

@@ -16,6 +16,8 @@
 //!   and no peer's junk/ciphertext tallies exceed its downloads;
 //! * holders index — `holders[o]` is exactly the set of sharing, online
 //!   peers storing `o`, and `honest_holders[o]` counts the honest ones;
+//! * middleman sources — every request at a middleman for an object it
+//!   does not store has an honest holder to relay from;
 //! * search oracle — for every online sharing root with wants, the
 //!   holder-marked oracle a ring search probes agrees with the per-pair
 //!   claims oracle on every peer and every distinct wanted object;
@@ -158,6 +160,7 @@ impl Simulation {
         self.audit_maintenance_wheel()?;
         self.audit_population()?;
         self.audit_holders_index()?;
+        self.audit_middleman_sources()?;
         self.audit_search_oracle()?;
         Ok(())
     }
@@ -221,7 +224,7 @@ impl Simulation {
         let mut expected = vec![BTreeSet::new(); objects];
         let mut honest = vec![0u32; objects];
         for peer in self.peers.iter().filter(|p| p.sharing && p.online) {
-            let shares_honestly = self.behavior(peer.id).shares_honestly();
+            let shares_honestly = peer.behavior.shares_honestly();
             for object in peer.storage.iter() {
                 let Some(holders) = expected.get_mut(object.as_usize()) else {
                     return Err(format!(
@@ -246,6 +249,35 @@ impl Simulation {
                     "object {object}: {} honest holders counted, {} stored",
                     self.honest_holders[object], honest[object]
                 ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every request edge at a peer that may advertise unstored objects (a
+    /// middleman), for an object it does not store, has an honest source:
+    /// `honest_holders[o] > 0`.  Provider lookup offers such a claim only
+    /// while an honest holder exists, and the simulator withdraws the edges
+    /// when the last honest holder evicts the object or departs.
+    fn audit_middleman_sources(&self) -> Result<(), String> {
+        for middleman in self
+            .peers
+            .iter()
+            .filter(|p| p.behavior.advertises_unstored())
+        {
+            for request in self.graph.incoming(middleman.id) {
+                let object = request.object;
+                let sourced = self
+                    .honest_holders
+                    .get(object.as_usize())
+                    .is_some_and(|honest| *honest > 0);
+                if !middleman.storage.contains(object) && !sourced {
+                    return Err(format!(
+                        "middleman {:?} holds a request from {:?} for unstored {object:?} \
+                         with no honest holder",
+                        middleman.id, request.requester
+                    ));
+                }
             }
         }
         Ok(())
@@ -374,8 +406,8 @@ impl Simulation {
     fn audit_transfer_provision(&self) -> Result<(), String> {
         for (tid, t) in &self.transfers {
             let uploader = self.peer(t.uploader);
-            let holds = uploader.storage.contains(t.object)
-                || self.behavior(t.uploader).advertises_unstored();
+            let holds =
+                uploader.storage.contains(t.object) || uploader.behavior.advertises_unstored();
             if !holds {
                 return Err(format!(
                     "transfer {tid}: uploader {:?} neither stores nor may advertise {:?}",

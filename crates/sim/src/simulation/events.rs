@@ -219,7 +219,8 @@ impl Simulation {
         // the participation-level scheduler listens.
         let honest_level = self.peer(requester).uploaded_bytes as f64 / (1024.0 * 1024.0);
         let announced = self
-            .behavior(requester)
+            .peer(requester)
+            .behavior
             .reported_participation(honest_level);
         self.scheduler.on_participation_report(requester, announced);
         self.peer_mut(requester)

@@ -28,7 +28,7 @@ pub(crate) use snapshot::{record_codec, Cursor, Decode, Encode};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 use credit::UploadScheduler;
@@ -37,7 +37,7 @@ use exchange::{FastState, RequestGraph, SearchScratch};
 use netsim::SlotPool;
 use workload::{Catalog, ObjectId, PeerId, PeerInterests, RequestGenerator, Storage};
 
-use crate::{BehaviorKind, PeerBehavior, PeerState, SessionEnd, SimConfig, SimReport};
+use crate::{PeerState, SessionEnd, SimConfig, SimReport};
 
 use events::Event;
 use holder_marks::HolderMarks;
@@ -50,8 +50,8 @@ pub(crate) type TransferId = u64;
 pub(crate) type RingId = u64;
 
 /// The seed-dependent but *run-independent* setup of one configuration: the
-/// generated catalog, the behavior assignment, and the pristine peer states
-/// (interests, initial storage placement, empty slot pools).
+/// generated catalog and the pristine peer states (behavior, interests,
+/// initial storage placement, empty slot pools).
 ///
 /// Generating this is pure function of `(config, setup seed)` — building a
 /// [`Simulation`] from a shared setup via [`Simulation::from_setup`] with the
@@ -66,7 +66,6 @@ pub(crate) type RingId = u64;
 pub struct SimSetup {
     seed: u64,
     catalog: Catalog,
-    kinds: Vec<BehaviorKind>,
     peers: Vec<PeerState>,
 }
 
@@ -102,7 +101,7 @@ impl SimSetup {
             peers.push(PeerState {
                 id: PeerId::new(index as u32),
                 behavior: *behavior,
-                sharing: behavior.build().uploads(),
+                sharing: behavior.uploads(),
                 online: true,
                 capacity: classes[index],
                 interests,
@@ -119,7 +118,6 @@ impl SimSetup {
         SimSetup {
             seed,
             catalog,
-            kinds,
             peers,
         }
     }
@@ -199,6 +197,21 @@ pub struct PhaseProfile {
     pub population: Duration,
 }
 
+impl PhaseProfile {
+    /// The phase that the handling time of `event` is attributed to.
+    fn phase_of(&mut self, event: &Event) -> &mut Duration {
+        match event {
+            Event::Arrive(_) | Event::GenerateRequests(_) => &mut self.generate_requests,
+            Event::TrySchedule(_) => &mut self.scheduling,
+            Event::BlockComplete(_) => &mut self.transfers,
+            Event::StorageMaintenance(_) => &mut self.maintenance,
+            Event::Depart(_) | Event::Rejoin(_) | Event::Catastrophe | Event::FlashCrowd => {
+                &mut self.population
+            }
+        }
+    }
+}
+
 /// One run of the file-sharing system.
 ///
 /// A `Simulation` is built from a [`SimConfig`] and a seed, run to its
@@ -228,9 +241,6 @@ pub struct Simulation {
     setup_objects: usize,
     catalog: Catalog,
     peers: Vec<PeerState>,
-    /// One strategic behavior per peer, built from
-    /// [`SimConfig::behaviors`]; indexed like `peers`.
-    behaviors: Vec<Box<dyn PeerBehavior>>,
     graph: RequestGraph<PeerId, ObjectId>,
     request_gen: RequestGenerator,
     /// Open transfer sessions.  Boxed, so the table stores pointers: it
@@ -278,7 +288,7 @@ pub struct Simulation {
     /// source of every ring search's holder marks.  Maintained at every
     /// storage or presence change (download completed, eviction, departure,
     /// rejoin, flash-crowd seeding); the audit checks it after every event.
-    holders: Vec<std::collections::BTreeSet<PeerId>>,
+    holders: Vec<BTreeSet<PeerId>>,
     /// How many of [`holders`](Self::holders) per object also share
     /// honestly (a middleman advertisement is only as good as an honest
     /// source).
@@ -286,9 +296,10 @@ pub struct Simulation {
     /// The peers whose behavior may advertise unstored objects (middlemen),
     /// in id order; behaviors are fixed per run, so this is static.
     advertisers: Vec<PeerId>,
-    /// Per-peer bitmap of [`advertisers`](Self::advertisers): lets the claims
-    /// oracle answer `advertises_unstored` without a virtual call.
-    /// Behaviors are fixed per run, so this is static.
+    /// Per-peer [`BehaviorKind::advertises_unstored`](crate::BehaviorKind::advertises_unstored),
+    /// the bitmap of [`advertisers`](Self::advertisers): the claims oracle
+    /// reads it densely instead of each peer's behavior.  Static, like the
+    /// list.
     advertises: Vec<bool>,
     /// Bumped whenever a transfer starts or ends; lets the scheduling loop
     /// detect that an assembled non-exchange queue is still current.
@@ -389,8 +400,6 @@ impl Simulation {
             "setup was generated for a different number of peers"
         );
         let root_rng = DetRng::seed_from(seed);
-        let behaviors: Vec<Box<dyn PeerBehavior>> =
-            setup.kinds.iter().map(crate::BehaviorKind::build).collect();
         let peers = setup.peers.clone();
         let catalog = setup.catalog.clone();
         let num_peers = config.num_peers;
@@ -417,26 +426,16 @@ impl Simulation {
 
         let report = SimReport::new(num_peers);
         let ring_cache = RingCandidateCache::new();
-        let mut holders = vec![std::collections::BTreeSet::new(); catalog.num_objects()];
-        let mut honest_holders = vec![0u32; catalog.num_objects()];
-        let mut advertisers = Vec::new();
-        let mut advertises = vec![false; num_peers];
-        for (peer, behavior) in peers.iter().zip(behaviors.iter()) {
-            if !peer.sharing {
-                continue;
-            }
-            let honest = behavior.shares_honestly();
-            for object in peer.storage.iter() {
-                holders[object.as_usize()].insert(peer.id);
-                if honest {
-                    honest_holders[object.as_usize()] += 1;
-                }
-            }
-            if behavior.advertises_unstored() {
-                advertisers.push(peer.id);
-                advertises[peer.id.as_usize()] = true;
-            }
-        }
+        let (holders, honest_holders) = holders_index(&peers, catalog.num_objects());
+        let advertises: Vec<bool> = peers
+            .iter()
+            .map(|p| p.behavior.advertises_unstored())
+            .collect();
+        let advertisers = peers
+            .iter()
+            .filter(|p| advertises[p.id.as_usize()])
+            .map(|p| p.id)
+            .collect();
         let config_maintenance_interval = config.storage_maintenance_interval_s;
         Simulation {
             setup_seed: setup.seed(),
@@ -450,7 +449,6 @@ impl Simulation {
             config,
             catalog,
             peers,
-            behaviors,
             graph: RequestGraph::new(),
             transfers: HashMap::default(),
             rings: HashMap::default(),
@@ -616,51 +614,6 @@ impl Simulation {
         }
     }
 
-    /// [`dispatch`](Self::dispatch) with per-phase wall-clock attribution.
-    fn dispatch_profiled(&mut self, event: Event, profile: &mut PhaseProfile) {
-        profile.events += 1;
-        // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
-        let start = Instant::now();
-        match event {
-            Event::Arrive(peer) => {
-                self.handle_arrive(peer);
-                profile.generate_requests += start.elapsed();
-            }
-            Event::GenerateRequests(peer) => {
-                self.handle_generate_requests(peer);
-                profile.generate_requests += start.elapsed();
-            }
-            Event::TrySchedule(peer) => {
-                self.handle_try_schedule(peer);
-                profile.scheduling += start.elapsed();
-            }
-            Event::BlockComplete(transfer) => {
-                self.handle_block_complete(transfer);
-                profile.transfers += start.elapsed();
-            }
-            Event::StorageMaintenance(peer) => {
-                self.handle_storage_maintenance(peer);
-                profile.maintenance += start.elapsed();
-            }
-            Event::Depart(peer) => {
-                self.handle_depart(peer);
-                profile.population += start.elapsed();
-            }
-            Event::Rejoin(peer) => {
-                self.handle_rejoin(peer);
-                profile.population += start.elapsed();
-            }
-            Event::Catastrophe => {
-                self.handle_catastrophe();
-                profile.population += start.elapsed();
-            }
-            Event::FlashCrowd => {
-                self.handle_flash_crowd();
-                profile.population += start.elapsed();
-            }
-        }
-    }
-
     /// Like [`run`](Self::run), but additionally times every event phase and
     /// the fresh ring searches, returning the wall-clock breakdown alongside
     /// the report.  The report is identical to an unprofiled run.
@@ -671,7 +624,12 @@ impl Simulation {
         // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
         let loop_start = Instant::now();
         while let Some(event) = self.engine.next() {
-            self.dispatch_profiled(event, &mut profile);
+            profile.events += 1;
+            let phase = profile.phase_of(&event);
+            // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
+            let start = Instant::now();
+            self.dispatch(event);
+            *phase += start.elapsed();
         }
         profile.event_loop = loop_start.elapsed();
         profile.ring_search = Duration::from_nanos(self.ring_search_nanos.get());
@@ -748,18 +706,15 @@ impl Simulation {
         &mut self.peers[id.as_usize()]
     }
 
-    /// The strategic behavior of `id`.
-    fn behavior(&self, id: PeerId) -> &dyn PeerBehavior {
-        self.behaviors[id.as_usize()].as_ref()
-    }
-
     /// Registers `peer` (which just stored `object`) in the lookup index.
     /// Only sharing peers serve, so only they are indexed.
     pub(crate) fn index_holding_gained(&mut self, peer: PeerId, object: ObjectId) {
         if !self.peer(peer).sharing {
             return;
         }
-        if self.holders[object.as_usize()].insert(peer) && self.behavior(peer).shares_honestly() {
+        if self.holders[object.as_usize()].insert(peer)
+            && self.peer(peer).behavior.shares_honestly()
+        {
             self.honest_holders[object.as_usize()] += 1;
         }
     }
@@ -769,7 +724,9 @@ impl Simulation {
         if !self.peer(peer).sharing {
             return;
         }
-        if self.holders[object.as_usize()].remove(&peer) && self.behavior(peer).shares_honestly() {
+        if self.holders[object.as_usize()].remove(&peer)
+            && self.peer(peer).behavior.shares_honestly()
+        {
             self.honest_holders[object.as_usize()] -= 1;
         }
     }
@@ -796,6 +753,23 @@ impl Simulation {
         }
         self.advertises[peer.as_usize()] && self.graph.incoming(peer).any(|r| r.object == object)
     }
+}
+
+/// Builds the [`holders`](Simulation::holders) index and its honest-holder
+/// counts from scratch: every sharing, online peer under each object it
+/// stores.  Setup builds it once (every peer starts online); restore
+/// rebuilds it from the decoded peers.
+fn holders_index(peers: &[PeerState], num_objects: usize) -> (Vec<BTreeSet<PeerId>>, Vec<u32>) {
+    let mut holders = vec![BTreeSet::new(); num_objects];
+    let mut honest_holders = vec![0u32; num_objects];
+    for peer in peers.iter().filter(|p| p.sharing && p.online) {
+        let honest = peer.behavior.shares_honestly();
+        for object in peer.storage.iter() {
+            holders[object.as_usize()].insert(peer.id);
+            honest_holders[object.as_usize()] += u32::from(honest);
+        }
+    }
+    (holders, honest_holders)
 }
 
 #[cfg(test)]
@@ -1163,7 +1137,7 @@ mod tests {
             })
             .collect();
         // (1) Never-uploading peers deliver reports at all, and cheaters'
-        // announcements arrive behavior-inflated through the trait object.
+        // announcements arrive inflated by their behavior.
         assert!(
             log.iter().any(|call| matches!(
                 call,

@@ -82,7 +82,7 @@ use crate::{
 use super::events::Event;
 use super::ring_cache::RingCacheStats;
 use super::transfers::{ActiveRing, ActiveTransfer};
-use super::{RingId, SimSetup, Simulation, TransferId};
+use super::{holders_index, RingId, SimSetup, Simulation, TransferId};
 
 /// The 8-byte magic that opens every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"XCHGSNAP";
@@ -997,25 +997,10 @@ impl Simulation {
             (sim.peers.iter_mut()).try_for_each(|peer| decode_peer(peer, sec))
         })?;
 
-        // Rebuild the holders index from the restored storage (sharing and
-        // honesty are fixed per behavior, so this is a pure function of the
-        // per-peer state just read).
-        let mut holders = vec![BTreeSet::new(); num_objects];
-        let mut honest_holders = vec![0u32; num_objects];
-        for (peer, behavior) in sim.peers.iter().zip(sim.behaviors.iter()) {
-            if !peer.sharing || !peer.online {
-                continue;
-            }
-            let honest = behavior.shares_honestly();
-            for object in peer.storage.iter() {
-                holders[object.as_usize()].insert(peer.id);
-                if honest {
-                    honest_holders[object.as_usize()] += 1;
-                }
-            }
-        }
-        sim.holders = holders;
-        sim.honest_holders = honest_holders;
+        // Rebuild the holders index from the restored storage and presence
+        // (sharing and honesty are fixed per behavior, so this is a pure
+        // function of the per-peer state just read).
+        (sim.holders, sim.honest_holders) = holders_index(&sim.peers, num_objects);
 
         (sim.graph, sim.drained_generation) = cur.section(TAG_GRAPH, Cursor::decode)?;
 

@@ -107,7 +107,7 @@ impl Simulation {
             self.report.record_waiting(kind, waiting_secs);
         }
 
-        let remaining = if self.behavior(uploader).block_validity() {
+        let remaining = if self.peer(uploader).behavior.block_validity() {
             self.remaining_bytes(downloader, object)
         } else {
             // A junk stream paces itself against a full (fake) object copy,
@@ -164,7 +164,7 @@ impl Simulation {
             return; // the session ended before this block event fired
         };
         let size = self.catalog.size_bytes(transfer.object);
-        let junk = !self.behavior(transfer.uploader).block_validity();
+        let junk = !self.peer(transfer.uploader).behavior.block_validity();
         let block = if junk {
             // Junk streams track their own progress towards a fake full copy.
             let streamed = transfer.session.bytes_transferred();
@@ -277,7 +277,7 @@ impl Simulation {
             }
             if self.measuring() {
                 self.report
-                    .record_cheat_detection(self.behavior(transfer.uploader).kind());
+                    .record_cheat_detection(self.peer(transfer.uploader).behavior);
             }
             self.end_transfer(tid, SessionEnd::CheatDetected);
             return;
@@ -300,7 +300,7 @@ impl Simulation {
     /// relaying middleman).
     fn ciphertext_downloader(&self, downloader: PeerId) -> bool {
         self.config.protection == Protection::Mediated
-            && self.behavior(downloader).kind() == BehaviorKind::Middleman
+            && self.peer(downloader).behavior == BehaviorKind::Middleman
     }
 
     /// Handles the completion of a whole object at `downloader`.
@@ -415,7 +415,7 @@ impl Simulation {
             // `UploadScheduler::on_transfer_complete` until then.
             for peer in [transfer.uploader, transfer.downloader] {
                 let honest = self.peer(peer).uploaded_bytes as f64 / (1024.0 * 1024.0);
-                let announced = self.behavior(peer).reported_participation(honest);
+                let announced = self.peer(peer).behavior.reported_participation(honest);
                 self.scheduler.on_participation_report(peer, announced);
             }
             // The freed upload slot can immediately be refilled — unless the
