@@ -1,6 +1,6 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! preemption on/off, ring-search fanout, and the pluggable upload
-//! schedulers behind the unified `UploadScheduler` API.
+//! Ablation benchmarks for three design choices: preemption on/off,
+//! ring-search fanout, and the five upload schedulers that `SchedulerKind`
+//! selects.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sim::{SchedulerKind, SimConfig, Simulation};

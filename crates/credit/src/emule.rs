@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use exchange::Key;
 
-use crate::{IncentiveMechanism, QueuedRequest};
+use crate::QueuedRequest;
 
 /// Pairwise upload/download volumes between a provider and one requester.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -23,26 +23,14 @@ struct PairVolumes {
 /// clamped to `[1, 10]` as in eMule, so peers without credit can still be
 /// served if they wait long enough — exactly the weakness the paper points
 /// out.
-///
-/// # Example
-///
-/// ```
-/// use credit::{EmuleCredit, IncentiveMechanism, QueuedRequest};
-///
-/// let mut credit: EmuleCredit<u32> = EmuleCredit::new();
-/// credit.record_transfer(5, 0, 10_000_000); // peer 5 uploaded 10 MB to us (peer 0)
-/// assert!(credit.modifier(0, 5) > 1.0);
-/// assert_eq!(credit.modifier(0, 6), 1.0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmuleCredit<P: Key> {
     volumes: HashMap<(P, P), PairVolumes>,
 }
 
 impl<P: Key> EmuleCredit<P> {
     /// Creates an empty credit table.
-    #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EmuleCredit {
             volumes: HashMap::new(),
         }
@@ -54,8 +42,7 @@ impl<P: Key> EmuleCredit<P> {
     /// Following eMule's documented rule, the modifier is the smaller of
     /// `2 × uploaded / downloaded` and `sqrt(uploaded_MB + 2)`, computed from
     /// the pair's history; peers that never uploaded anything get 1.
-    #[must_use]
-    pub fn modifier(&self, provider: P, requester: P) -> f64 {
+    pub(crate) fn modifier(&self, provider: P, requester: P) -> f64 {
         let Some(v) = self.volumes.get(&(provider, requester)) else {
             return 1.0;
         };
@@ -70,14 +57,6 @@ impl<P: Key> EmuleCredit<P> {
         };
         let cap = (uploaded_mb + 2.0).sqrt();
         ratio.min(cap).clamp(1.0, 10.0)
-    }
-
-    /// The recorded volume `requester` has uploaded to `provider`, in bytes.
-    #[must_use]
-    pub fn uploaded_to(&self, provider: P, requester: P) -> u64 {
-        self.volumes
-            .get(&(provider, requester))
-            .map_or(0, |v| v.uploaded_to_me)
     }
 
     /// Every recorded pair as `(provider, requester, uploaded_to_me,
@@ -110,14 +89,15 @@ impl<P: Key> EmuleCredit<P> {
             })
             .collect();
     }
-}
 
-impl<P: Key> IncentiveMechanism<P> for EmuleCredit<P> {
-    fn score(&self, provider: P, request: &QueuedRequest<P>) -> f64 {
+    /// A request's queue rank: its waiting time scaled by the requester's
+    /// credit modifier at `provider`.
+    pub(crate) fn score(&self, provider: P, request: &QueuedRequest<P>) -> f64 {
         request.waiting_secs * self.modifier(provider, request.requester)
     }
 
-    fn record_transfer(&mut self, uploader: P, downloader: P, bytes: u64) {
+    /// Records that `uploader` transferred `bytes` to `downloader`.
+    pub(crate) fn record_transfer(&mut self, uploader: P, downloader: P, bytes: u64) {
         // From the downloader's point of view, the uploader earned credit.
         self.volumes
             .entry((downloader, uploader))
@@ -129,21 +109,18 @@ impl<P: Key> IncentiveMechanism<P> for EmuleCredit<P> {
             .or_default()
             .downloaded_from_me += bytes;
     }
-
-    fn label(&self) -> &'static str {
-        "emule-credit"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UploadScheduler;
 
     #[test]
     fn unknown_peer_has_unit_modifier() {
         let credit: EmuleCredit<u32> = EmuleCredit::new();
         assert_eq!(credit.modifier(0, 1), 1.0);
-        assert_eq!(credit.uploaded_to(0, 1), 0);
+        assert!(credit.export_volumes().is_empty());
     }
 
     #[test]
@@ -159,7 +136,10 @@ mod tests {
             1.0,
             "peer 0 earned nothing at peer 1"
         );
-        assert_eq!(credit.uploaded_to(0, 1), 20 * 1_048_576);
+        assert_eq!(
+            credit.export_volumes(),
+            vec![(0, 1, 20 * 1_048_576, 0), (1, 0, 0, 20 * 1_048_576)]
+        );
     }
 
     #[test]
@@ -210,6 +190,9 @@ mod tests {
         let mut credit: EmuleCredit<u32> = EmuleCredit::new();
         credit.record_transfer(2, 0, 50 * 1_048_576);
         let queue = vec![QueuedRequest::new(1u32, 30.0), QueuedRequest::new(2, 30.0)];
-        assert_eq!(credit.pick(0, &queue), Some(1));
+        assert_eq!(
+            UploadScheduler::EmuleCredit(credit).pick(0, &queue),
+            Some(1)
+        );
     }
 }

@@ -3,61 +3,56 @@
 //! Section II of the paper surveys the incentive mechanisms deployed or
 //! proposed at the time.  To compare the exchange mechanism against something
 //! concrete (and to support the ablation benchmarks), this crate implements
-//! the survey's main alternatives as pluggable *upload schedulers*: given the
-//! requests waiting in a provider's incoming-request queue, each mechanism
-//! scores them and the provider serves the highest-scoring request first.
+//! the survey's main alternatives as *upload schedulers*: given the requests
+//! waiting in a provider's incoming-request queue, each mechanism scores them
+//! and the provider serves the highest-scoring request first.
 //!
-//! * [`Fifo`] — no incentive at all: serve the longest-waiting request
+//! [`UploadScheduler`] is the one scheduler type, a closed enum with one
+//! variant per mechanism:
+//!
+//! * `Fifo` — no incentive at all: serve the longest-waiting request
 //!   (the paper's "no exchange" baseline).
-//! * [`EmuleCredit`] — the eMule-style pairwise credit system: a requester's
-//!   queue rank grows with its waiting time, scaled by a credit modifier
-//!   derived from the data volumes previously exchanged between the two peers.
-//! * [`ParticipationLevel`] — the KaZaA-style self-reported participation
-//!   level; trivially subvertible because peers report their own score.
-//! * [`TitForTat`] — a BitTorrent-style reciprocation heuristic: prefer
-//!   requesters that recently uploaded to *you*, with a small optimistic
-//!   allowance for strangers.
-//! * [`ExchangeOrder`] — the exchange preference adapted to queue ordering:
+//! * `EmuleCredit` ([`EmuleCredit`]) — the eMule-style pairwise credit
+//!   system: a requester's queue rank grows with its waiting time, scaled by
+//!   a credit modifier derived from the data volumes previously exchanged
+//!   between the two peers.
+//! * `TitForTat` ([`TitForTat`]) — a BitTorrent-style reciprocation
+//!   heuristic: prefer requesters that recently uploaded to *you*, with a
+//!   small optimistic allowance for strangers.
+//! * `ParticipationLevel` ([`ParticipationLevel`]) — the KaZaA-style
+//!   self-reported participation level; trivially subvertible because peers
+//!   report their own score.
+//! * `ExchangePriority` — the exchange preference adapted to queue ordering:
 //!   requesters that could reciprocate in kind are served first.
 //!
-//! All mechanisms implement the [`IncentiveMechanism`] scoring trait, and —
-//! through the object-safe [`UploadScheduler`] trait — plug into the
-//! simulator interchangeably.  [`SchedulerKind`] names each mechanism in
-//! configurations and constructs the matching trait object for a run.
+//! [`SchedulerKind`] names each mechanism in configurations and builds the
+//! matching scheduler for a run.
 //!
 //! # Example
 //!
 //! ```
-//! use credit::{EmuleCredit, IncentiveMechanism, QueuedRequest};
+//! use credit::{QueuedRequest, SchedulerKind};
 //!
-//! let mut credit: EmuleCredit<u32> = EmuleCredit::new();
+//! let mut credit = SchedulerKind::EmuleCredit.build::<u32>();
 //! // Peer 7 has uploaded a lot to us (peer 0) in the past; peer 8 nothing.
 //! credit.record_transfer(7, 0, 50_000_000);
 //!
-//! let waiting = |requester| QueuedRequest::new(requester, 100.0);
-//! let s7 = credit.score(0, &waiting(7));
-//! let s8 = credit.score(0, &waiting(8));
-//! assert!(s7 > s8);
+//! let queue = [QueuedRequest::new(8, 100.0), QueuedRequest::new(7, 100.0)];
+//! assert_eq!(credit.pick(0, &queue), Some(1));
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod emule;
-mod exchange_order;
-mod fifo;
 mod participation;
 mod scheduler;
 mod tit_for_tat;
 
 pub use emule::EmuleCredit;
-pub use exchange_order::ExchangeOrder;
-pub use fifo::Fifo;
 pub use participation::ParticipationLevel;
-pub use scheduler::{SchedulerKind, SchedulerState, UploadScheduler};
+pub use scheduler::{SchedulerKind, UploadScheduler};
 pub use tit_for_tat::TitForTat;
-
-use exchange::Key;
 
 /// A request waiting in a provider's incoming-request queue, as seen by an
 /// incentive mechanism.
@@ -68,7 +63,7 @@ pub struct QueuedRequest<P> {
     /// How long the request has been waiting, in seconds.
     pub waiting_secs: f64,
     /// Whether the requester could reciprocate: it stores an object the
-    /// provider currently wants (used by [`ExchangeOrder`]).
+    /// provider currently wants (read by the exchange-priority scheduler).
     pub reciprocal: bool,
 }
 
@@ -88,79 +83,5 @@ impl<P> QueuedRequest<P> {
     pub fn with_reciprocal(mut self, reciprocal: bool) -> Self {
         self.reciprocal = reciprocal;
         self
-    }
-}
-
-/// An upload-scheduling incentive mechanism.
-///
-/// The provider calls [`IncentiveMechanism::score`] for every queued request
-/// and serves the highest score first; ties are broken by waiting time by the
-/// caller.  Completed transfers are reported through
-/// [`IncentiveMechanism::record_transfer`] so that history-based mechanisms
-/// can update their state.
-pub trait IncentiveMechanism<P: Key> {
-    /// Scores `request` from the point of view of `provider`; higher scores
-    /// are served first.
-    fn score(&self, provider: P, request: &QueuedRequest<P>) -> f64;
-
-    /// Records that `uploader` transferred `bytes` to `downloader`.
-    fn record_transfer(&mut self, uploader: P, downloader: P, bytes: u64);
-
-    /// A short, stable label for reports and figures.
-    fn label(&self) -> &'static str;
-
-    /// Picks the best request among `queue` according to this mechanism.
-    ///
-    /// Returns the index of the winning request, or `None` if the queue is
-    /// empty.  Ties are broken in favour of the longer-waiting request, then
-    /// queue order.
-    fn pick(&self, provider: P, queue: &[QueuedRequest<P>]) -> Option<usize> {
-        queue
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                let sa = self.score(provider, a);
-                let sb = self.score(provider, b);
-                sa.partial_cmp(&sb)
-                    .expect("incentive scores must not be NaN")
-                    .then(
-                        a.waiting_secs
-                            .partial_cmp(&b.waiting_secs)
-                            .expect("waiting times must not be NaN"),
-                    )
-            })
-            .map(|(i, _)| i)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pick_prefers_higher_score_then_waiting_time() {
-        let fifo: Fifo = Fifo::new();
-        let queue = vec![
-            QueuedRequest::new(1u32, 5.0),
-            QueuedRequest::new(2, 50.0),
-            QueuedRequest::new(3, 20.0),
-        ];
-        assert_eq!(fifo.pick(0, &queue), Some(1));
-        assert_eq!(fifo.pick(0, &[]), None);
-    }
-
-    #[test]
-    fn all_mechanisms_have_distinct_labels() {
-        let labels = [
-            IncentiveMechanism::<u32>::label(&Fifo::new()),
-            IncentiveMechanism::<u32>::label(&EmuleCredit::<u32>::new()),
-            IncentiveMechanism::<u32>::label(&ParticipationLevel::<u32>::new()),
-            IncentiveMechanism::<u32>::label(&TitForTat::<u32>::new()),
-            IncentiveMechanism::<u32>::label(&ExchangeOrder::new()),
-        ];
-        let mut unique = labels.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), labels.len());
     }
 }

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use exchange::Key;
 
-use crate::{IncentiveMechanism, QueuedRequest};
+use crate::QueuedRequest;
 
 /// Self-reported participation levels, as used by KaZaA.
 ///
@@ -12,22 +12,22 @@ use crate::{IncentiveMechanism, QueuedRequest};
 /// its uptime and upload/download volumes) and providers prioritise peers
 /// with higher announced levels.  The mechanism is trivially subverted — a
 /// modified client can announce any value — which is exactly why the paper
-/// dismisses it.  [`ParticipationLevel::report`] lets tests and simulations
-/// model both honest and cheating peers.
+/// dismisses it.  Announcements arrive through
+/// [`UploadScheduler::report_participation`](crate::UploadScheduler::report_participation),
+/// so a simulation can model both honest and cheating peers.
 ///
 /// # Example
 ///
 /// ```
-/// use credit::{IncentiveMechanism, ParticipationLevel, QueuedRequest};
+/// use credit::{QueuedRequest, SchedulerKind};
 ///
-/// let mut pl: ParticipationLevel<u32> = ParticipationLevel::new();
-/// pl.report(1, 10.0);   // honest, modest contributor
-/// pl.report(2, 1000.0); // cheater announcing a huge level
-/// let r1 = QueuedRequest::new(1, 60.0);
-/// let r2 = QueuedRequest::new(2, 1.0);
-/// assert!(pl.score(0, &r2) > pl.score(0, &r1));
+/// let mut pl = SchedulerKind::ParticipationLevel.build::<u32>();
+/// pl.report_participation(1, 10.0);   // honest, modest contributor
+/// pl.report_participation(2, 1000.0); // cheater announcing a huge level
+/// let queue = [QueuedRequest::new(1, 60.0), QueuedRequest::new(2, 1.0)];
+/// assert_eq!(pl.pick(0, &queue), Some(1));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParticipationLevel<P: Key> {
     reported: HashMap<P, f64>,
     honest_volume: HashMap<P, u64>,
@@ -43,8 +43,7 @@ pub type HonestVolumes<P> = Vec<(P, u64)>;
 
 impl<P: Key> ParticipationLevel<P> {
     /// Creates the mechanism with no reports.
-    #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ParticipationLevel {
             reported: HashMap::new(),
             honest_volume: HashMap::new(),
@@ -57,7 +56,7 @@ impl<P: Key> ParticipationLevel<P> {
     /// non-finite value: NaN collapses to 0, negative levels clamp to 0,
     /// and infinities clamp to `f64::MAX` (a cheater announcing `inf` would
     /// otherwise poison score comparisons).
-    pub fn report(&mut self, peer: P, level: f64) {
+    pub(crate) fn report(&mut self, peer: P, level: f64) {
         let sanitised = if level.is_nan() {
             0.0
         } else {
@@ -67,24 +66,13 @@ impl<P: Key> ParticipationLevel<P> {
     }
 
     /// The level `peer` currently announces (0 if it never reported).
-    #[must_use]
-    pub fn reported_level(&self, peer: P) -> f64 {
+    fn reported_level(&self, peer: P) -> f64 {
         self.reported.get(&peer).copied().unwrap_or(0.0)
     }
 
-    /// The level `peer` *would* honestly report based on recorded uploads
-    /// (MB uploaded), for comparison with what it announces.
-    #[must_use]
-    pub fn honest_level(&self, peer: P) -> f64 {
+    /// The level `peer`'s recorded uploads honestly justify (MiB uploaded).
+    fn honest_level(&self, peer: P) -> f64 {
         self.honest_volume.get(&peer).copied().unwrap_or(0) as f64 / 1_048_576.0
-    }
-
-    /// How far `peer`'s announced level diverges from what its recorded
-    /// uploads honestly justify.  Positive means the peer inflates its
-    /// report (the Section III-B cheat); roughly zero for honest clients.
-    #[must_use]
-    pub fn divergence(&self, peer: P) -> f64 {
-        self.reported_level(peer) - self.honest_level(peer)
     }
 
     /// Both tables as sorted rows (`(peer, announced_level)` and
@@ -106,26 +94,26 @@ impl<P: Key> ParticipationLevel<P> {
         self.reported = reported.into_iter().collect();
         self.honest_volume = honest.into_iter().collect();
     }
-}
 
-impl<P: Key> IncentiveMechanism<P> for ParticipationLevel<P> {
-    fn score(&self, _provider: P, request: &QueuedRequest<P>) -> f64 {
-        // Announced level dominates; waiting time only breaks ties.
+    /// The announced level dominates; waiting time only breaks ties.
+    pub(crate) fn score(&self, request: &QueuedRequest<P>) -> f64 {
         self.reported_level(request.requester) * 1e6 + request.waiting_secs
     }
 
-    fn record_transfer(&mut self, uploader: P, _downloader: P, bytes: u64) {
+    /// Records that `uploader` uploaded `bytes` more.  Peers continuously
+    /// re-announce their participation level, and an uploader's announcement
+    /// tracks the volume it actually uploaded: the honest client.  (Only a
+    /// peer that never uploads can keep an inflated announcement.)
+    pub(crate) fn record_transfer(&mut self, uploader: P, bytes: u64) {
         *self.honest_volume.entry(uploader).or_insert(0) += bytes;
-    }
-
-    fn label(&self) -> &'static str {
-        "participation-level"
+        self.report(uploader, self.honest_level(uploader));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UploadScheduler;
 
     #[test]
     fn unreported_peers_have_zero_level() {
@@ -138,12 +126,13 @@ mod tests {
     fn cheater_outranks_honest_contributor() {
         let mut pl: ParticipationLevel<u32> = ParticipationLevel::new();
         // Peer 1 really contributes; peer 2 lies.
-        pl.record_transfer(1, 0, 500 * 1_048_576);
+        pl.record_transfer(1, 500 * 1_048_576);
+        assert_eq!(pl.reported_level(1), 500.0, "uploading re-announces");
         pl.report(1, 50.0);
         pl.report(2, 10_000.0);
         let honest = QueuedRequest::new(1u32, 500.0);
         let cheater = QueuedRequest::new(2u32, 1.0);
-        assert!(pl.score(0, &cheater) > pl.score(0, &honest));
+        assert!(pl.score(&cheater) > pl.score(&honest));
         assert!(pl.honest_level(2) < pl.honest_level(1));
     }
 
@@ -165,24 +154,8 @@ mod tests {
         assert_eq!(pl.reported_level(3), 0.0);
         // Scores stay comparable (pick() asserts on NaN scores).
         let queue = vec![QueuedRequest::new(1u32, 1.0), QueuedRequest::new(2, 1.0)];
+        let pl = UploadScheduler::ParticipationLevel(pl);
         assert_eq!(pl.pick(0, &queue), Some(1));
-    }
-
-    #[test]
-    fn divergence_exposes_inflated_reports() {
-        let mut pl: ParticipationLevel<u32> = ParticipationLevel::new();
-        // Peer 1 uploaded 100 MB and reports exactly that.
-        pl.record_transfer(1, 0, 100 * 1_048_576);
-        let honest = pl.honest_level(1);
-        pl.report(1, honest);
-        assert_eq!(pl.divergence(1), 0.0);
-        // Peer 2 uploaded nothing and reports 500.
-        pl.report(2, 500.0);
-        assert_eq!(pl.divergence(2), 500.0);
-        // Peer 3 under-reports (modest, or stale client).
-        pl.record_transfer(3, 0, 50 * 1_048_576);
-        pl.report(3, 10.0);
-        assert_eq!(pl.divergence(3), -40.0);
     }
 
     #[test]
@@ -191,6 +164,9 @@ mod tests {
         pl.report(1, 5.0);
         pl.report(2, 5.0);
         let queue = vec![QueuedRequest::new(1u32, 10.0), QueuedRequest::new(2, 20.0)];
-        assert_eq!(pl.pick(0, &queue), Some(1));
+        assert_eq!(
+            UploadScheduler::ParticipationLevel(pl).pick(0, &queue),
+            Some(1)
+        );
     }
 }

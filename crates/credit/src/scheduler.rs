@@ -1,235 +1,131 @@
-//! The unified, object-safe upload-scheduler API.
-
-use std::fmt;
+//! The upload scheduler: one closed type over every mechanism.
 
 use exchange::Key;
 
-use crate::{
-    EmuleCredit, ExchangeOrder, Fifo, IncentiveMechanism, ParticipationLevel, QueuedRequest,
-    TitForTat,
-};
+use crate::{EmuleCredit, ParticipationLevel, QueuedRequest, TitForTat};
 
-/// A pluggable upload-scheduling discipline with lifecycle hooks.
+/// One run's upload-scheduling discipline and its history.
 ///
-/// This is the one interface through which the simulator talks to every
-/// incentive mechanism the paper compares (Section II): the provider notifies
-/// the scheduler of queue and transfer events and asks it to pick the next
-/// request to serve.  The trait is object-safe, so a simulation holds a
-/// single `Box<dyn UploadScheduler<P>>` regardless of the mechanism under
-/// test.
-///
-/// * [`UploadScheduler::on_request`] — a request entered a provider's
-///   incoming-request queue.
-/// * [`UploadScheduler::on_transfer_complete`] — one block of data moved;
-///   history-based mechanisms (eMule credit, tit-for-tat, participation
-///   level) update their state here.
-/// * [`UploadScheduler::pick`] — choose which queued request the free upload
-///   slot should serve.
+/// This is the one type through which the simulator talks to every
+/// incentive mechanism the paper compares (Section II): the provider reports
+/// transfers and participation announcements, and asks the scheduler to
+/// pick the next request to serve.  Each variant is one mechanism; the
+/// history-based ones carry their tables.
 ///
 /// # Example
 ///
 /// ```
-/// use credit::{QueuedRequest, SchedulerKind, UploadScheduler};
+/// use credit::{QueuedRequest, SchedulerKind};
 ///
 /// let mut scheduler = SchedulerKind::TitForTat.build::<u32>();
-/// scheduler.on_transfer_complete(7, 0, 50_000_000); // peer 7 uploaded to us
+/// scheduler.record_transfer(7, 0, 50_000_000); // peer 7 uploaded to us
 /// let queue = [QueuedRequest::new(9, 100.0), QueuedRequest::new(7, 1.0)];
 /// assert_eq!(scheduler.pick(0, &queue), Some(1)); // reciprocate with peer 7
 /// ```
-pub trait UploadScheduler<P: Key>: fmt::Debug + Send {
-    /// Notifies the scheduler that `requester` queued a request at
-    /// `provider`.
-    fn on_request(&mut self, requester: P, provider: P) {
-        let _ = (requester, provider);
+#[derive(Debug, Clone, PartialEq)]
+pub enum UploadScheduler<P: Key> {
+    /// Serve the longest-waiting request first, regardless of who sent it:
+    /// the paper's "no exchange" baseline, where every request is eventually
+    /// granted and contributors receive no preferential treatment.
+    Fifo,
+    /// eMule-style pairwise credit.
+    EmuleCredit(EmuleCredit<P>),
+    /// BitTorrent-style reciprocation.
+    TitForTat(TitForTat<P>),
+    /// KaZaA-style self-reported participation level.
+    ParticipationLevel(ParticipationLevel<P>),
+    /// The exchange preference applied to fallback queue ordering: requests
+    /// whose requester could reciprocate (it stores an object the provider
+    /// currently wants, so the pair could form a ring) are served before all
+    /// others; within each class the longest-waiting request wins.  The
+    /// caller marks reciprocation candidates via [`QueuedRequest::reciprocal`].
+    ExchangePriority,
+}
+
+/// Reciprocation dominates; waiting time breaks ties within each class.
+const RECIPROCAL_PRIORITY: f64 = 1e12;
+
+impl<P: Key> UploadScheduler<P> {
+    /// Scores `request` from the point of view of `provider`; higher scores
+    /// are served first.
+    fn score(&self, provider: P, request: &QueuedRequest<P>) -> f64 {
+        match self {
+            UploadScheduler::Fifo => request.waiting_secs,
+            UploadScheduler::EmuleCredit(credit) => credit.score(provider, request),
+            UploadScheduler::TitForTat(tft) => tft.score(provider, request),
+            UploadScheduler::ParticipationLevel(levels) => levels.score(request),
+            UploadScheduler::ExchangePriority if request.reciprocal => {
+                RECIPROCAL_PRIORITY + request.waiting_secs
+            }
+            UploadScheduler::ExchangePriority => request.waiting_secs,
+        }
     }
 
-    /// Notifies the scheduler that `uploader` transferred `bytes` to
-    /// `downloader`.
-    fn on_transfer_complete(&mut self, uploader: P, downloader: P, bytes: u64) {
-        let _ = (uploader, downloader, bytes);
+    /// Picks the request `provider` should serve next from `queue`: the
+    /// index of the highest-scoring request, or `None` if the queue is
+    /// empty.  Ties are broken in favour of the longer-waiting request, then
+    /// queue order.
+    #[must_use]
+    pub fn pick(&self, provider: P, queue: &[QueuedRequest<P>]) -> Option<usize> {
+        queue
+            .iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| {
+                let sa = self.score(provider, a);
+                let sb = self.score(provider, b);
+                sa.partial_cmp(&sb)
+                    .expect("incentive scores must not be NaN")
+                    .then(
+                        a.waiting_secs
+                            .partial_cmp(&b.waiting_secs)
+                            .expect("waiting times must not be NaN"),
+                    )
+            })
+            .map(|(i, _)| i)
     }
 
-    /// Notifies the scheduler that `peer` announced `level` as its own
-    /// participation level.  Only self-report-based mechanisms
-    /// ([`ParticipationLevel`]) listen; the announcement is taken at face
-    /// value, which is exactly the exploit of Section III-B — cheating peers
-    /// inflate it.
-    fn on_participation_report(&mut self, peer: P, level: f64) {
-        let _ = (peer, level);
+    /// Records that `uploader` transferred `bytes` to `downloader`;
+    /// history-based mechanisms (eMule credit, tit-for-tat, participation
+    /// level) update their tables.
+    pub fn record_transfer(&mut self, uploader: P, downloader: P, bytes: u64) {
+        match self {
+            UploadScheduler::Fifo | UploadScheduler::ExchangePriority => {}
+            UploadScheduler::EmuleCredit(credit) => {
+                credit.record_transfer(uploader, downloader, bytes);
+            }
+            UploadScheduler::TitForTat(tft) => tft.record_transfer(uploader, downloader, bytes),
+            UploadScheduler::ParticipationLevel(levels) => levels.record_transfer(uploader, bytes),
+        }
     }
 
-    /// Picks the request `provider` should serve next from `queue`, or
-    /// `None` to leave the slot idle (e.g. when the queue is empty).
-    fn pick(&mut self, provider: P, queue: &[QueuedRequest<P>]) -> Option<usize>;
+    /// Records that `peer` announced `level` as its own participation level.
+    /// Only the participation-level mechanism listens; it takes the
+    /// announcement at face value, which is exactly the exploit of Section
+    /// III-B — cheating peers inflate it.
+    pub fn report_participation(&mut self, peer: P, level: f64) {
+        if let UploadScheduler::ParticipationLevel(levels) = self {
+            levels.report(peer, level);
+        }
+    }
 
-    /// Whether [`UploadScheduler::pick`] reads [`QueuedRequest::reciprocal`].
+    /// Whether [`pick`](Self::pick) reads [`QueuedRequest::reciprocal`].
     /// Callers may skip the (potentially costly) computation of that flag
     /// when this returns `false`.
-    fn needs_reciprocal(&self) -> bool {
-        false
+    #[must_use]
+    pub fn needs_reciprocal(&self) -> bool {
+        matches!(self, UploadScheduler::ExchangePriority)
     }
 
-    /// Exports the scheduler's mutable history for checkpointing.
-    ///
-    /// Stateless disciplines (FIFO, exchange priority) return
-    /// [`SchedulerState::Stateless`]; history-based ones export their tables
-    /// in a canonical sorted order so checkpoints are byte-stable.
-    fn export_state(&self) -> SchedulerState<P> {
-        SchedulerState::Stateless
-    }
-
-    /// Restores history previously captured by
-    /// [`UploadScheduler::export_state`] into a freshly built scheduler of
-    /// the same kind.  A state variant that does not match the scheduler is
-    /// ignored (there is nothing to restore into).
-    fn import_state(&mut self, state: SchedulerState<P>) {
-        let _ = state;
-    }
-
-    /// A short, stable label for reports and figures.
-    fn label(&self) -> &'static str;
-}
-
-/// The mutable history of an [`UploadScheduler`], in a serializable shape.
-///
-/// Produced by [`UploadScheduler::export_state`] and consumed by
-/// [`UploadScheduler::import_state`]; all tables are sorted by key so two
-/// checkpoints of the same state are byte-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SchedulerState<P> {
-    /// The scheduler keeps no history (FIFO, exchange priority).
-    Stateless,
-    /// eMule pairwise volumes: `(provider, requester, uploaded_to_me,
-    /// downloaded_from_me)` rows.
-    EmuleCredit(Vec<(P, P, u64, u64)>),
-    /// Tit-for-tat reciprocation volumes: `(provider, requester, bytes)`
-    /// rows.
-    TitForTat(Vec<(P, P, u64)>),
-    /// Self-reported participation levels and the honest upload volumes they
-    /// are compared against.
-    ParticipationLevel {
-        /// `(peer, announced_level)` rows.
-        reported: Vec<(P, f64)>,
-        /// `(peer, honest_upload_bytes)` rows.
-        honest: Vec<(P, u64)>,
-    },
-}
-
-macro_rules! impl_upload_scheduler_via_mechanism {
-    ($($mechanism:ty),*) => {$(
-        impl<P: Key + Send> UploadScheduler<P> for $mechanism {
-            fn on_transfer_complete(&mut self, uploader: P, downloader: P, bytes: u64) {
-                self.record_transfer(uploader, downloader, bytes);
-            }
-
-            fn pick(&mut self, provider: P, queue: &[QueuedRequest<P>]) -> Option<usize> {
-                IncentiveMechanism::<P>::pick(self, provider, queue)
-            }
-
-            fn label(&self) -> &'static str {
-                IncentiveMechanism::<P>::label(self)
-            }
+    /// The mechanism this scheduler runs.
+    #[must_use]
+    pub fn kind(&self) -> SchedulerKind {
+        match self {
+            UploadScheduler::Fifo => SchedulerKind::Fifo,
+            UploadScheduler::EmuleCredit(_) => SchedulerKind::EmuleCredit,
+            UploadScheduler::TitForTat(_) => SchedulerKind::TitForTat,
+            UploadScheduler::ParticipationLevel(_) => SchedulerKind::ParticipationLevel,
+            UploadScheduler::ExchangePriority => SchedulerKind::ExchangePriority,
         }
-    )*};
-}
-
-impl_upload_scheduler_via_mechanism!(Fifo);
-
-impl<P: Key + Send> UploadScheduler<P> for EmuleCredit<P> {
-    fn on_transfer_complete(&mut self, uploader: P, downloader: P, bytes: u64) {
-        self.record_transfer(uploader, downloader, bytes);
-    }
-
-    fn pick(&mut self, provider: P, queue: &[QueuedRequest<P>]) -> Option<usize> {
-        IncentiveMechanism::<P>::pick(self, provider, queue)
-    }
-
-    fn export_state(&self) -> SchedulerState<P> {
-        SchedulerState::EmuleCredit(self.export_volumes())
-    }
-
-    fn import_state(&mut self, state: SchedulerState<P>) {
-        if let SchedulerState::EmuleCredit(rows) = state {
-            self.import_volumes(rows);
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        IncentiveMechanism::<P>::label(self)
-    }
-}
-
-impl<P: Key + Send> UploadScheduler<P> for TitForTat<P> {
-    fn on_transfer_complete(&mut self, uploader: P, downloader: P, bytes: u64) {
-        self.record_transfer(uploader, downloader, bytes);
-    }
-
-    fn pick(&mut self, provider: P, queue: &[QueuedRequest<P>]) -> Option<usize> {
-        IncentiveMechanism::<P>::pick(self, provider, queue)
-    }
-
-    fn export_state(&self) -> SchedulerState<P> {
-        SchedulerState::TitForTat(self.export_received())
-    }
-
-    fn import_state(&mut self, state: SchedulerState<P>) {
-        if let SchedulerState::TitForTat(rows) = state {
-            self.import_received(rows);
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        IncentiveMechanism::<P>::label(self)
-    }
-}
-
-impl<P: Key + Send> UploadScheduler<P> for ExchangeOrder {
-    fn pick(&mut self, provider: P, queue: &[QueuedRequest<P>]) -> Option<usize> {
-        IncentiveMechanism::<P>::pick(self, provider, queue)
-    }
-
-    fn needs_reciprocal(&self) -> bool {
-        true
-    }
-
-    fn label(&self) -> &'static str {
-        IncentiveMechanism::<P>::label(self)
-    }
-}
-
-impl<P: Key + Send> UploadScheduler<P> for ParticipationLevel<P> {
-    fn on_participation_report(&mut self, peer: P, level: f64) {
-        self.report(peer, level);
-    }
-
-    fn on_transfer_complete(&mut self, uploader: P, downloader: P, bytes: u64) {
-        self.record_transfer(uploader, downloader, bytes);
-        // Peers continuously re-announce their participation level.  The
-        // default wiring models honest clients: the announced level tracks
-        // the volume actually uploaded.  Tests and cheating studies can
-        // overwrite any peer's announcement via
-        // [`ParticipationLevel::report`].
-        let honest = self.honest_level(uploader);
-        self.report(uploader, honest);
-    }
-
-    fn pick(&mut self, provider: P, queue: &[QueuedRequest<P>]) -> Option<usize> {
-        IncentiveMechanism::<P>::pick(self, provider, queue)
-    }
-
-    fn export_state(&self) -> SchedulerState<P> {
-        let (reported, honest) = self.export_levels();
-        SchedulerState::ParticipationLevel { reported, honest }
-    }
-
-    fn import_state(&mut self, state: SchedulerState<P>) {
-        if let SchedulerState::ParticipationLevel { reported, honest } = state {
-            self.import_levels(reported, honest);
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        IncentiveMechanism::<P>::label(self)
     }
 }
 
@@ -237,10 +133,9 @@ impl<P: Key + Send> UploadScheduler<P> for ParticipationLevel<P> {
 /// not already served by an exchange ring (and, when exchanges are disabled,
 /// for all requests).
 ///
-/// This enum is the constructor of the scheduler trait object: it is plain
-/// data (serializable, hashable) so configurations stay comparable, and
-/// [`SchedulerKind::build`] instantiates the matching scheduler state for
-/// one run.
+/// This enum is plain data (serializable, hashable) so configurations stay
+/// comparable; [`SchedulerKind::build`] instantiates the matching scheduler,
+/// with empty history, for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum SchedulerKind {
     /// Longest-waiting request first (the paper's behaviour).
@@ -269,19 +164,21 @@ impl SchedulerKind {
         ]
     }
 
-    /// Instantiates the scheduler state for one simulation run.
+    /// Instantiates the scheduler, with empty history, for one run.
     #[must_use]
-    pub fn build<P: Key + Send + 'static>(&self) -> Box<dyn UploadScheduler<P>> {
+    pub fn build<P: Key>(&self) -> UploadScheduler<P> {
         match self {
-            SchedulerKind::Fifo => Box::new(Fifo::new()),
-            SchedulerKind::EmuleCredit => Box::new(EmuleCredit::new()),
-            SchedulerKind::TitForTat => Box::new(TitForTat::new()),
-            SchedulerKind::ParticipationLevel => Box::new(ParticipationLevel::new()),
-            SchedulerKind::ExchangePriority => Box::new(ExchangeOrder::new()),
+            SchedulerKind::Fifo => UploadScheduler::Fifo,
+            SchedulerKind::EmuleCredit => UploadScheduler::EmuleCredit(EmuleCredit::new()),
+            SchedulerKind::TitForTat => UploadScheduler::TitForTat(TitForTat::new()),
+            SchedulerKind::ParticipationLevel => {
+                UploadScheduler::ParticipationLevel(ParticipationLevel::new())
+            }
+            SchedulerKind::ExchangePriority => UploadScheduler::ExchangePriority,
         }
     }
 
-    /// The label the built scheduler will report.
+    /// A short, stable label for reports and figures.
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
@@ -306,18 +203,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_kind_builds_a_scheduler_with_matching_label() {
-        for kind in SchedulerKind::all() {
-            let scheduler = kind.build::<u32>();
-            assert_eq!(scheduler.label(), kind.label());
+    fn every_kind_builds_a_scheduler_of_that_kind_with_a_distinct_label() {
+        let kinds = SchedulerKind::all();
+        for kind in &kinds {
+            assert_eq!(kind.build::<u32>().kind(), *kind);
         }
+        let mut labels: Vec<&str> = kinds.iter().map(SchedulerKind::label).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), kinds.len());
     }
 
     #[test]
     fn built_schedulers_pick_from_queues() {
         let queue = [QueuedRequest::new(1u32, 50.0), QueuedRequest::new(2, 10.0)];
         for kind in SchedulerKind::all() {
-            let mut scheduler = kind.build::<u32>();
+            let scheduler = kind.build::<u32>();
             let pick = scheduler.pick(0, &queue);
             assert!(
                 pick.is_some(),
@@ -329,10 +230,25 @@ mod tests {
     }
 
     #[test]
+    fn fifo_score_is_waiting_time_and_history_does_not_change_ordering() {
+        let mut fifo = SchedulerKind::Fifo.build::<u32>();
+        assert_eq!(fifo.score(0, &QueuedRequest::new(1u32, 12.5)), 12.5);
+        fifo.record_transfer(1, 0, 1_000_000);
+        fifo.report_participation(1, 1.0e9);
+        let queue = [
+            QueuedRequest::new(1u32, 5.0),
+            QueuedRequest::new(2, 50.0),
+            QueuedRequest::new(3, 20.0),
+        ];
+        assert_eq!(fifo.pick(0, &queue), Some(1), "longest-waiting first");
+        assert_eq!(fifo, UploadScheduler::Fifo, "fifo keeps no history");
+    }
+
+    #[test]
     fn participation_level_scheduler_self_reports_upload_volume() {
         let mut scheduler = SchedulerKind::ParticipationLevel.build::<u32>();
         // Peer 1 uploads 100 MiB; peer 2 uploads nothing.
-        scheduler.on_transfer_complete(1, 9, 100 * 1_048_576);
+        scheduler.record_transfer(1, 9, 100 * 1_048_576);
         let contributor = QueuedRequest::new(1u32, 1.0);
         let stranger = QueuedRequest::new(2u32, 10_000.0);
         assert_eq!(
@@ -345,9 +261,8 @@ mod tests {
     #[test]
     fn only_exchange_priority_needs_the_reciprocal_flag() {
         for kind in SchedulerKind::all() {
-            let scheduler = kind.build::<u32>();
             assert_eq!(
-                scheduler.needs_reciprocal(),
+                kind.build::<u32>().needs_reciprocal(),
                 kind == SchedulerKind::ExchangePriority,
                 "{}",
                 kind.label()
@@ -356,11 +271,11 @@ mod tests {
     }
 
     #[test]
-    fn participation_reports_flow_through_the_trait_object() {
+    fn participation_reports_reach_only_the_participation_level_scheduler() {
         let mut scheduler = SchedulerKind::ParticipationLevel.build::<u32>();
         // Peer 1 genuinely uploads; peer 2 just announces a huge level.
-        scheduler.on_transfer_complete(1, 9, 100 * 1_048_576);
-        scheduler.on_participation_report(2, 1.0e9);
+        scheduler.record_transfer(1, 9, 100 * 1_048_576);
+        scheduler.report_participation(2, 1.0e9);
         let honest = QueuedRequest::new(1u32, 10_000.0);
         let cheater = QueuedRequest::new(2u32, 1.0);
         assert_eq!(
@@ -369,22 +284,42 @@ mod tests {
             "an inflated self-report outranks genuine contribution"
         );
         // Every other scheduler ignores the announcement.
-        let mut fifo = SchedulerKind::Fifo.build::<u32>();
-        fifo.on_participation_report(2, 1.0e9);
-        let queue = [QueuedRequest::new(1u32, 50.0), QueuedRequest::new(2, 10.0)];
-        assert_eq!(fifo.pick(0, &queue), Some(0));
+        for kind in SchedulerKind::all() {
+            if kind == SchedulerKind::ParticipationLevel {
+                continue;
+            }
+            let mut other = kind.build::<u32>();
+            other.report_participation(2, 1.0e9);
+            assert_eq!(other, kind.build(), "{}", kind.label());
+        }
     }
 
     #[test]
-    fn default_hooks_are_no_ops() {
-        let mut fifo = SchedulerKind::Fifo.build::<u32>();
-        fifo.on_request(1, 0);
-        fifo.on_transfer_complete(1, 0, 42);
-        let queue = [QueuedRequest::new(1u32, 1.0), QueuedRequest::new(2, 2.0)];
-        assert_eq!(
-            fifo.pick(0, &queue),
-            Some(1),
-            "fifo still serves longest-waiting"
-        );
+    fn exchange_priority_puts_reciprocal_requests_first() {
+        let order = SchedulerKind::ExchangePriority.build::<u32>();
+        let stranger = QueuedRequest::new(1u32, 500.0);
+        let partner = QueuedRequest::new(2u32, 1.0).with_reciprocal(true);
+        assert!(order.score(0, &partner) > order.score(0, &stranger));
+        let queue = [
+            QueuedRequest::new(1u32, 1e9),
+            QueuedRequest::new(2u32, 0.5).with_reciprocal(true),
+        ];
+        assert_eq!(order.pick(0, &queue), Some(1));
+    }
+
+    #[test]
+    fn exchange_priority_orders_by_waiting_time_within_each_class() {
+        let order = SchedulerKind::ExchangePriority.build::<u32>();
+        let non_reciprocal = [
+            QueuedRequest::new(3u32, 10.0),
+            QueuedRequest::new(4u32, 30.0),
+            QueuedRequest::new(5u32, 20.0),
+        ];
+        assert_eq!(order.pick(0, &non_reciprocal), Some(1));
+        let reciprocal = [
+            QueuedRequest::new(1u32, 40.0).with_reciprocal(true),
+            QueuedRequest::new(2u32, 4.0).with_reciprocal(true),
+        ];
+        assert_eq!(order.pick(0, &reciprocal), Some(0));
     }
 }

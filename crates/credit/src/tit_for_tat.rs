@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use exchange::Key;
 
-use crate::{IncentiveMechanism, QueuedRequest};
+use crate::QueuedRequest;
 
 /// Prefer requesters that have recently uploaded to this provider.
 ///
@@ -13,18 +13,6 @@ use crate::{IncentiveMechanism, QueuedRequest};
 /// each requester by the bytes that requester has uploaded *to it*, with a
 /// small "optimistic unchoke" bonus proportional to waiting time so that
 /// strangers are not starved forever.
-///
-/// # Example
-///
-/// ```
-/// use credit::{IncentiveMechanism, QueuedRequest, TitForTat};
-///
-/// let mut tft: TitForTat<u32> = TitForTat::new();
-/// tft.record_transfer(3, 0, 1_000_000); // peer 3 uploaded to us (peer 0)
-/// let reciprocal = QueuedRequest::new(3, 1.0);
-/// let stranger = QueuedRequest::new(4, 1.0);
-/// assert!(tft.score(0, &reciprocal) > tft.score(0, &stranger));
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TitForTat<P: Key> {
     received_from: HashMap<(P, P), u64>,
@@ -36,16 +24,14 @@ const OPTIMISTIC_WEIGHT: f64 = 1.0;
 
 impl<P: Key> TitForTat<P> {
     /// Creates the mechanism with no recorded transfers.
-    #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TitForTat {
             received_from: HashMap::new(),
         }
     }
 
     /// Bytes `requester` has uploaded to `provider` so far.
-    #[must_use]
-    pub fn received(&self, provider: P, requester: P) -> u64 {
+    fn received(&self, provider: P, requester: P) -> u64 {
         self.received_from
             .get(&(provider, requester))
             .copied()
@@ -70,29 +56,20 @@ impl<P: Key> TitForTat<P> {
     pub fn import_received(&mut self, rows: Vec<(P, P, u64)>) {
         self.received_from = rows.into_iter().map(|(p, r, b)| ((p, r), b)).collect();
     }
-}
 
-impl<P: Key> Default for TitForTat<P> {
-    fn default() -> Self {
-        TitForTat::new()
-    }
-}
-
-impl<P: Key> IncentiveMechanism<P> for TitForTat<P> {
-    fn score(&self, provider: P, request: &QueuedRequest<P>) -> f64 {
+    /// Reciprocated megabytes dominate; waiting time adds the optimistic
+    /// allowance.
+    pub(crate) fn score(&self, provider: P, request: &QueuedRequest<P>) -> f64 {
         let reciprocation_mb = self.received(provider, request.requester) as f64 / 1_048_576.0;
         reciprocation_mb * 1_000.0 + OPTIMISTIC_WEIGHT * request.waiting_secs
     }
 
-    fn record_transfer(&mut self, uploader: P, downloader: P, bytes: u64) {
+    /// Records that `uploader` transferred `bytes` to `downloader`.
+    pub(crate) fn record_transfer(&mut self, uploader: P, downloader: P, bytes: u64) {
         *self
             .received_from
             .entry((downloader, uploader))
             .or_insert(0) += bytes;
-    }
-
-    fn label(&self) -> &'static str {
-        "tit-for-tat"
     }
 }
 

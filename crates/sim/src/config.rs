@@ -51,8 +51,8 @@ pub struct SimConfig {
     /// The exchange discipline under evaluation.
     pub discipline: ExchangePolicy,
     /// The upload scheduler ordering non-exchange requests (and, under
-    /// [`ExchangePolicy::NoExchange`], all requests).  Built into a
-    /// [`credit::UploadScheduler`] trait object per run.
+    /// [`ExchangePolicy::NoExchange`], all requests).  Built into a fresh
+    /// [`credit::UploadScheduler`] per run.
     pub scheduler: SchedulerKind,
     /// Whether a newly feasible exchange may preempt an ongoing non-exchange
     /// upload (the paper reclaims such slots "as soon as another exchange

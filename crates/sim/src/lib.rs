@@ -9,10 +9,9 @@
 //!   [`netsim`];
 //! * exchange-ring discovery, the token protocol and the exchange
 //!   disciplines come from [`exchange`];
-//! * the pluggable upload schedulers (FIFO, eMule credit, tit-for-tat,
-//!   participation level, exchange priority) come from [`credit`], selected
-//!   via [`SchedulerKind`] and driven through one object-safe
-//!   [`UploadScheduler`] API;
+//! * the upload schedulers (FIFO, eMule credit, tit-for-tat, participation
+//!   level, exchange priority) come from [`credit`], selected via
+//!   [`SchedulerKind`] and run as one closed [`UploadScheduler`] enum;
 //! * peer strategy — honest sharing, free-riding, and the Section III-B
 //!   adversaries (junk senders, participation cheaters, middlemen) — is the
 //!   plain-data [`BehaviorKind`], whose methods the event loop consults,

@@ -90,6 +90,14 @@ impl PeerState {
             .saturating_sub(self.ciphertext_bytes)
     }
 
+    /// The participation level the peer announces: its behavior applied to
+    /// the MiB it has actually uploaded (the KaZaA self-report of Section
+    /// II, which participation cheaters inflate).
+    pub(crate) fn announced_participation(&self) -> f64 {
+        self.behavior
+            .reported_participation(self.uploaded_bytes as f64 / (1024.0 * 1024.0))
+    }
+
     /// Whether the peer can accept one more outstanding download.
     #[must_use]
     pub fn can_issue_request(&self, max_pending: usize) -> bool {

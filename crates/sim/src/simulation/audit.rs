@@ -161,6 +161,7 @@ impl Simulation {
         self.audit_population()?;
         self.audit_holders_index()?;
         self.audit_middleman_sources()?;
+        self.audit_participation_levels()?;
         self.audit_search_oracle()?;
         Ok(())
     }

@@ -207,7 +207,6 @@ impl Simulation {
                 continue;
             }
             if self.graph.add_request(requester, provider, object) {
-                self.scheduler.on_request(requester, provider);
                 registered.push(provider);
             }
         }
@@ -217,12 +216,8 @@ impl Simulation {
         // Queueing up is when a peer (re-)announces its participation level;
         // behaviors may inflate it (the KaZaA cheat of Section III-B).  Only
         // the participation-level scheduler listens.
-        let honest_level = self.peer(requester).uploaded_bytes as f64 / (1024.0 * 1024.0);
-        let announced = self
-            .peer(requester)
-            .behavior
-            .reported_participation(honest_level);
-        self.scheduler.on_participation_report(requester, announced);
+        let announced = self.peer(requester).announced_participation();
+        self.scheduler.report_participation(requester, announced);
         self.peer_mut(requester)
             .wants
             .insert(object, WantState::new(now, registered.clone()));

@@ -5,7 +5,7 @@
 //! * [`events`] — the event vocabulary, request generation and storage
 //!   maintenance;
 //! * [`scheduling`] — filling upload slots: exchange-ring discovery,
-//!   token-validated activation, preemption, and the pluggable
+//!   token-validated activation, preemption, and the configured
 //!   [`UploadScheduler`] fallback;
 //! * [`transfers`] — the block-by-block transfer lifecycle and its
 //!   bookkeeping;
@@ -156,9 +156,9 @@ pub struct PhaseProfile {
     /// Time spent collecting a drawn object's advertised providers and
     /// sampling the ones to ask (a subset of `generate_requests`).
     pub provider_lookup: Duration,
-    /// Time spent registering requests: graph inserts, scheduler hooks,
-    /// the want entry and the `TrySchedule` wake-ups (a subset of
-    /// `generate_requests`).
+    /// Time spent registering requests: graph inserts, the participation
+    /// announcement, the want entry and the `TrySchedule` wake-ups (a subset
+    /// of `generate_requests`).
     pub request_register: Duration,
     /// Time spent filling upload slots (ring discovery + activation + the
     /// non-exchange fallback).
@@ -216,9 +216,8 @@ impl PhaseProfile {
 ///
 /// A `Simulation` is built from a [`SimConfig`] and a seed, run to its
 /// configured horizon, and consumed into a [`SimReport`].  The upload
-/// scheduler named by [`SimConfig::scheduler`] is instantiated as a single
-/// boxed [`UploadScheduler`]; the simulation itself never names a concrete
-/// mechanism.
+/// scheduler named by [`SimConfig::scheduler`] is built once per run as an
+/// [`UploadScheduler`], which carries the mechanism's history.
 ///
 /// # Example
 ///
@@ -262,7 +261,7 @@ pub struct Simulation {
     /// draws and flash-crowd requester sampling.  A dedicated keyed stream,
     /// so enabling churn never perturbs the request/lookup/storage draws.
     rng_churn: DetRng,
-    scheduler: Box<dyn UploadScheduler<PeerId>>,
+    scheduler: UploadScheduler<PeerId>,
     /// Memoised ring-search results (see [`RingCandidateCache`]); only
     /// consulted when [`SimConfig::ring_candidate_cache`] is set.
     ring_cache: RingCandidateCache,
@@ -500,23 +499,11 @@ impl Simulation {
         &self.peers
     }
 
-    /// The label of the active upload scheduler.
-    #[must_use]
-    pub fn scheduler_label(&self) -> &'static str {
-        self.scheduler.label()
-    }
-
     /// Hit/miss/invalidation counters of the ring-candidate cache so far.
     /// All zeros when [`SimConfig::ring_candidate_cache`] is disabled.
     #[must_use]
     pub fn ring_cache_stats(&self) -> RingCacheStats {
         self.ring_cache.stats()
-    }
-
-    /// Swaps in a custom upload scheduler (instrumentation in tests).
-    #[cfg(test)]
-    pub(crate) fn set_scheduler(&mut self, scheduler: Box<dyn UploadScheduler<PeerId>>) {
-        self.scheduler = scheduler;
     }
 
     /// Runs the simulation to its horizon and returns the collected report.
@@ -753,6 +740,51 @@ impl Simulation {
         }
         self.advertises[peer.as_usize()] && self.graph.incoming(peer).any(|r| r.object == object)
     }
+
+    /// Under the participation-level scheduler, its tables equal their
+    /// definition: every peer with an outstanding want has announced, every
+    /// announcement is [`PeerState::announced_participation`], and every
+    /// honest row is the peer's uploaded bytes.  Registering a request
+    /// announces; uploading re-announces.  Other schedulers pass trivially.
+    #[cfg(any(test, feature = "audit"))]
+    fn audit_participation_levels(&self) -> Result<(), String> {
+        let UploadScheduler::ParticipationLevel(levels) = &self.scheduler else {
+            return Ok(());
+        };
+        let (reported, honest) = levels.export_levels();
+        let mut rows = (reported.iter().map(|(p, _)| p)).chain(honest.iter().map(|(p, _)| p));
+        if let Some(peer) = rows.find(|p| p.as_usize() >= self.peers.len()) {
+            return Err(format!("the participation tables name unknown {peer:?}"));
+        }
+        for peer in &self.peers {
+            let expected = peer.announced_participation();
+            match reported.binary_search_by_key(&peer.id, |(p, _)| *p) {
+                Ok(i) if reported[i].1 != expected => {
+                    return Err(format!(
+                        "peer {:?} announces {}, its behavior and uploads give {expected}",
+                        peer.id, reported[i].1
+                    ));
+                }
+                Err(_) if !peer.wants.is_empty() => {
+                    return Err(format!(
+                        "peer {:?} has outstanding wants but never announced",
+                        peer.id
+                    ));
+                }
+                _ => {}
+            }
+            let recorded = honest
+                .binary_search_by_key(&peer.id, |(p, _)| *p)
+                .map_or(0, |i| honest[i].1);
+            if recorded != peer.uploaded_bytes {
+                return Err(format!(
+                    "peer {:?} uploaded {} bytes, the participation table has {recorded}",
+                    peer.id, peer.uploaded_bytes
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Builds the [`holders`](Simulation::holders) index and its honest-holder
@@ -915,12 +947,12 @@ mod tests {
     }
 
     #[test]
-    fn every_scheduler_kind_runs_and_reports_its_label() {
+    fn every_scheduler_kind_builds_its_kind_and_runs() {
         for kind in SchedulerKind::all() {
             let mut config = SimConfig::quick_test();
             config.scheduler = kind;
             let sim = Simulation::new(config, 11);
-            assert_eq!(sim.scheduler_label(), kind.label());
+            assert_eq!(sim.scheduler.kind(), kind);
             let report = sim.run();
             assert!(
                 report.completed_downloads() > 0,
@@ -1058,123 +1090,43 @@ mod tests {
         assert!(config.validate().is_err());
     }
 
-    /// What one scheduler call was, for the participation-report regression
-    /// test: `Request(requester)`, `Transfer(uploader)` or
-    /// `Report(peer, level)`.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum SchedulerCall {
-        Request(PeerId),
-        Transfer(PeerId),
-        Report(PeerId, f64),
-    }
-
-    /// A FIFO-ish scheduler that logs every lifecycle hook it receives.
-    #[derive(Debug)]
-    struct RecordingScheduler {
-        log: std::sync::Arc<std::sync::Mutex<Vec<SchedulerCall>>>,
-    }
-
-    impl UploadScheduler<PeerId> for RecordingScheduler {
-        fn on_request(&mut self, requester: PeerId, _provider: PeerId) {
-            self.log
-                .lock()
-                .unwrap()
-                .push(SchedulerCall::Request(requester));
-        }
-
-        fn on_transfer_complete(&mut self, uploader: PeerId, _downloader: PeerId, _bytes: u64) {
-            self.log
-                .lock()
-                .unwrap()
-                .push(SchedulerCall::Transfer(uploader));
-        }
-
-        fn on_participation_report(&mut self, peer: PeerId, level: f64) {
-            self.log
-                .lock()
-                .unwrap()
-                .push(SchedulerCall::Report(peer, level));
-        }
-
-        fn pick(
-            &mut self,
-            _provider: PeerId,
-            queue: &[credit::QueuedRequest<PeerId>],
-        ) -> Option<usize> {
-            (!queue.is_empty()).then_some(0)
-        }
-
-        fn label(&self) -> &'static str {
-            "recording"
-        }
-    }
-
-    /// Regression test: `UploadScheduler::on_participation_report` must fire
-    /// for peers that never upload — not only when they register a request,
-    /// but also when one of their sessions ends, so a scheduler's view of a
-    /// silent downloader stays current.
+    /// Under the participation-level scheduler, at every event of a run
+    /// with all five behaviors, every peer with a want has announced, every
+    /// announcement is its behavior applied to what it uploaded, and the
+    /// honest table is its upload volume.
     #[test]
-    fn participation_reports_flow_for_never_uploading_peers_and_on_session_end() {
+    fn participation_announcements_track_uploads_under_every_behavior() {
         let mut config = SimConfig::quick_test();
-        config.num_peers = 20;
+        config.num_peers = 30;
         config.sim_duration_s = 2_000.0;
-        config.behaviors = crate::BehaviorMix::weighted([
-            (crate::BehaviorKind::Honest, 0.5),
-            (crate::BehaviorKind::ParticipationCheater, 0.5),
-        ]);
-        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        config.scheduler = SchedulerKind::ParticipationLevel;
+        config.behaviors =
+            crate::BehaviorMix::weighted(crate::BehaviorKind::all().into_iter().map(|b| (b, 1.0)));
         let mut sim = Simulation::new(config, 23);
-        sim.set_scheduler(Box::new(RecordingScheduler { log: log.clone() }));
-        let report = sim.run();
-        assert!(report.completed_downloads() > 0, "cheaters must get served");
-
-        let log = log.lock().unwrap();
-        let uploaders: std::collections::HashSet<PeerId> = log
-            .iter()
-            .filter_map(|call| match call {
-                SchedulerCall::Transfer(uploader) => Some(*uploader),
-                _ => None,
-            })
-            .collect();
-        // (1) Never-uploading peers deliver reports at all, and cheaters'
-        // announcements arrive inflated by their behavior.
+        while let Some(time) = sim.step() {
+            if let Err(e) = sim.audit_participation_levels() {
+                panic!("at t={:.1}s: {e}", time.as_secs_f64());
+            }
+        }
+        let UploadScheduler::ParticipationLevel(levels) = &sim.scheduler else {
+            panic!("the run was configured with the participation-level scheduler");
+        };
+        let (reported, honest) = levels.export_levels();
+        let behavior = |peer: PeerId| sim.peer(peer).behavior;
         assert!(
-            log.iter().any(|call| matches!(
-                call,
-                SchedulerCall::Report(peer, level)
-                    if !uploaders.contains(peer)
-                        && *level >= crate::INFLATED_PARTICIPATION_LEVEL
-            )),
-            "no inflated report from a never-uploading peer reached the scheduler"
+            reported.iter().any(|(peer, level)| {
+                behavior(*peer) == crate::BehaviorKind::ParticipationCheater
+                    && *level >= crate::INFLATED_PARTICIPATION_LEVEL
+            }),
+            "no cheater announced an inflated level"
         );
-        // (2) Reports are delivered on session end too.  Registration-time
-        // reports are immediately preceded by an `on_request` of the same
-        // peer (the registration loop notifies edge by edge, then reports);
-        // any report without that prefix came from a session ending.
-        let session_end_reports = log
-            .iter()
-            .enumerate()
-            .filter(|(index, call)| {
-                matches!(call, SchedulerCall::Report(peer, _)
-                    if *index == 0
-                        || !matches!(&log[index - 1], SchedulerCall::Request(r) if r == peer))
-            })
-            .count();
         assert!(
-            session_end_reports > 0,
-            "no participation report was delivered outside request registration"
+            reported.iter().any(|(peer, level)| {
+                behavior(*peer) != crate::BehaviorKind::ParticipationCheater && *level > 0.0
+            }),
+            "no uploader re-announced its upload volume"
         );
-        // (3) Never-uploading peers are among the session-end reporters.
-        let session_end_from_silent = log.iter().enumerate().any(|(index, call)| {
-            matches!(call, SchedulerCall::Report(peer, _)
-                if !uploaders.contains(peer)
-                    && (index == 0
-                        || !matches!(&log[index - 1], SchedulerCall::Request(r) if r == peer)))
-        });
-        assert!(
-            session_end_from_silent,
-            "session-end reports never covered a never-uploading peer"
-        );
+        assert!(!honest.is_empty(), "nobody uploaded");
     }
 
     #[test]

@@ -399,7 +399,7 @@ impl Simulation {
     /// Serves one non-exchange request at `provider`, if any is eligible.
     ///
     /// The queue is assembled from the provider's incoming requests and
-    /// handed to the configured [`credit::UploadScheduler`], which picks the
+    /// handed to the run's [`credit::UploadScheduler`], which picks the
     /// winner; the simulation itself imposes no ordering policy.
     ///
     /// The assembled queue is kept in `cached` between iterations of the
@@ -425,21 +425,10 @@ impl Simulation {
         let Some(index) = self.scheduler.pick(provider, &sq.queue) else {
             return false;
         };
-        if index >= sq.queue.len() {
-            // A custom scheduler returned a nonsense index; treat the slot as
-            // idle rather than panicking the whole run.
-            debug_assert!(
-                false,
-                "scheduler {} picked index {index} from a queue of {}",
-                self.scheduler.label(),
-                sq.queue.len()
-            );
-            return false;
-        }
         let requester = sq
             .queue
             .get(index)
-            .expect("pick index validated against queue length above")
+            .expect("pick returns an index into the queue it was given")
             .requester;
         let object = *sq
             .objects

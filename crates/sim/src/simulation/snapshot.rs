@@ -66,7 +66,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::io::{Read, Write};
 
-use credit::SchedulerState;
+use credit::{SchedulerKind, UploadScheduler};
 use des::{DetRng, EventQueue, Scheduler, SimTime};
 use exchange::cheat::WindowedExchange;
 use exchange::{ExchangeRing, FastState, RequestGraph, RingEdge, SearchTrace};
@@ -619,32 +619,45 @@ impl Decode for Event {
     }
 }
 
-impl Encode for SchedulerState<PeerId> {
+/// The scheduler's history: tag 0 for the stateless disciplines (FIFO,
+/// exchange priority), else tag 1/2/3 and the mechanism's tables as rows
+/// sorted by key, so two checkpoints of the same state are byte-identical.
+impl Encode for UploadScheduler<PeerId> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            SchedulerState::Stateless => 0u8.encode(out),
-            SchedulerState::EmuleCredit(rows) => (1u8, rows).encode(out),
-            SchedulerState::TitForTat(rows) => (2u8, rows).encode(out),
-            SchedulerState::ParticipationLevel { reported, honest } => {
+            UploadScheduler::Fifo | UploadScheduler::ExchangePriority => 0u8.encode(out),
+            UploadScheduler::EmuleCredit(credit) => (1u8, credit.export_volumes()).encode(out),
+            UploadScheduler::TitForTat(tft) => (2u8, tft.export_received()).encode(out),
+            UploadScheduler::ParticipationLevel(levels) => {
+                let (reported, honest) = levels.export_levels();
                 (3u8, reported, honest).encode(out);
             }
         }
     }
 }
 
-impl Decode for SchedulerState<PeerId> {
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        Ok(match cur.decode::<u8>()? {
-            0 => SchedulerState::Stateless,
-            1 => SchedulerState::EmuleCredit(cur.decode()?),
-            2 => SchedulerState::TitForTat(cur.decode()?),
-            3 => SchedulerState::ParticipationLevel {
-                reported: cur.decode()?,
-                honest: cur.decode()?,
-            },
-            t => return Err(corrupt!("unknown scheduler-state tag {t}")),
-        })
+/// Decodes the scheduler section into a fresh scheduler of the configured
+/// `kind`; history written by any other mechanism is corrupt input.
+fn decode_scheduler(
+    cur: &mut Cursor<'_>,
+    kind: SchedulerKind,
+) -> Result<UploadScheduler<PeerId>, SnapshotError> {
+    let mut scheduler = kind.build();
+    match (&mut scheduler, cur.decode::<u8>()?) {
+        (UploadScheduler::Fifo | UploadScheduler::ExchangePriority, 0) => {}
+        (UploadScheduler::EmuleCredit(credit), 1) => credit.import_volumes(cur.decode()?),
+        (UploadScheduler::TitForTat(tft), 2) => tft.import_received(cur.decode()?),
+        (UploadScheduler::ParticipationLevel(levels), 3) => {
+            levels.import_levels(cur.decode()?, cur.decode()?);
+        }
+        (_, t) => {
+            return Err(corrupt!(
+                "scheduler-state tag {t} does not match the configured {} scheduler",
+                kind.label()
+            ))
+        }
     }
+    Ok(scheduler)
 }
 
 // ---- foreign and simulation types ------------------------------------------
@@ -905,8 +918,7 @@ impl Simulation {
             (sorted_by_id(&self.transfers), sorted_by_id(&self.rings)).encode(out);
         })?;
         write_section(writer, TAG_ENGINE, |out| self.engine.encode(out))?;
-        let scheduler = self.scheduler.export_state();
-        write_section(writer, TAG_SCHEDULER, |out| scheduler.encode(out))?;
+        write_section(writer, TAG_SCHEDULER, |out| self.scheduler.encode(out))?;
         let population = (&self.maintenance_pending, &self.generate_queued);
         write_section(writer, TAG_POPULATION, |out| population.encode(out))?;
         write_section(writer, TAG_RING_CACHE, |out| {
@@ -1066,8 +1078,8 @@ impl Simulation {
         cur.transfers = next_transfer_id;
         sim.engine = cur.section(TAG_ENGINE, Cursor::decode)?;
 
-        let state = cur.section(TAG_SCHEDULER, Cursor::decode)?;
-        sim.scheduler.import_state(state);
+        let kind = sim.config.scheduler;
+        sim.scheduler = cur.section(TAG_SCHEDULER, |cur| decode_scheduler(cur, kind))?;
 
         let (maintenance_pending, generate_queued): (Vec<bool>, Vec<u32>) =
             cur.section(TAG_POPULATION, Cursor::decode)?;

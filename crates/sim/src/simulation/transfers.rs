@@ -184,7 +184,7 @@ impl Simulation {
         self.peer_mut(transfer.downloader).downloaded_bytes += block;
         self.peer_mut(transfer.uploader).uploaded_bytes += block;
         self.scheduler
-            .on_transfer_complete(transfer.uploader, transfer.downloader, block);
+            .record_transfer(transfer.uploader, transfer.downloader, block);
 
         if junk {
             self.handle_junk_block(tid, &transfer, block, size);
@@ -407,17 +407,6 @@ impl Simulation {
             }
         }
         if reason != SessionEnd::HorizonReached {
-            // Session end is when both sides (re-)announce their
-            // participation level, filtered through their behavior.  Without
-            // this, a peer that never uploads only reports when it registers
-            // a new request, and an uploader's behavior-mediated announcement
-            // is clobbered by the honest bookkeeping of
-            // `UploadScheduler::on_transfer_complete` until then.
-            for peer in [transfer.uploader, transfer.downloader] {
-                let honest = self.peer(peer).uploaded_bytes as f64 / (1024.0 * 1024.0);
-                let announced = self.peer(peer).behavior.reported_participation(honest);
-                self.scheduler.on_participation_report(peer, announced);
-            }
             // The freed upload slot can immediately be refilled — unless the
             // uploader is the one leaving (a departure teardown flips its
             // `online` flag before ending its sessions).

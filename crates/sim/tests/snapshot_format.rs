@@ -11,8 +11,9 @@
 //!
 //! The remaining tests pin the error contract: truncated bytes, wrong
 //! magic, future format versions, an unknown ring-cache tag, a cached
-//! search whose dependency lists are out of order, and a dirty-peer list
-//! that disagrees with its dirty-edge log must return
+//! search whose dependency lists are out of order, a dirty-peer list
+//! that disagrees with its dirty-edge log, and scheduler history written
+//! by a scheduler other than the configured one must return
 //! [`SnapshotError`]s, never panic, and the golden fixture must restore into a simulation that
 //! finishes with the exact same report as a fresh run.
 
@@ -308,6 +309,45 @@ fn pending_event_before_the_clock_errors_gracefully() {
     let count_at = payload + 8 + 9 + 8 + 8;
     assert!(read_u64(&bytes, count_at) > 0, "events are pending");
     bytes[count_at + 8..count_at + 16].copy_from_slice(&0u64.to_le_bytes());
+    assert!(matches!(
+        Simulation::restore(&mut &bytes[..], &config),
+        Err(SnapshotError::Corrupt(_))
+    ));
+}
+
+/// A checkpoint's scheduler history belongs to the scheduler that wrote it.
+/// Restoring the eMule-credit fixture under any other scheduler is corrupt
+/// input, not a silent drop of its credit table.  FIFO and exchange priority
+/// keep no history and write the same section, so they restore under each
+/// other.
+#[test]
+fn scheduler_section_must_match_the_configured_scheduler() {
+    let emule = FIXTURES
+        .iter()
+        .find(|f| f.name == "emule_churn_v1")
+        .expect("the eMule fixture is listed");
+    let bytes = std::fs::read(emule.path()).expect("the eMule fixture is checked in");
+    for kind in SchedulerKind::all() {
+        let mut config = emule_churn_config();
+        config.scheduler = kind;
+        let restored = Simulation::restore(&mut &bytes[..], &config);
+        if kind == SchedulerKind::EmuleCredit {
+            assert!(restored.is_ok(), "the matching scheduler restores");
+        } else {
+            assert!(
+                matches!(restored, Err(SnapshotError::Corrupt(_))),
+                "eMule history restored under {}",
+                kind.label()
+            );
+        }
+    }
+
+    let mut config = golden_config();
+    assert_eq!(config.scheduler, SchedulerKind::Fifo);
+    let bytes = std::fs::read(golden_path()).expect("golden fixture is checked in");
+    config.scheduler = SchedulerKind::ExchangePriority;
+    assert!(Simulation::restore(&mut &bytes[..], &config).is_ok());
+    config.scheduler = SchedulerKind::TitForTat;
     assert!(matches!(
         Simulation::restore(&mut &bytes[..], &config),
         Err(SnapshotError::Corrupt(_))
