@@ -2,11 +2,16 @@
 //! catalog (300 categories of 1–300 objects, object popularity factor 0.2):
 //! initial storage placement and request generation, each timed as one pass
 //! over 200 peers.  Request draws reject objects the peer already stores, as
-//! the simulator does, so the retry loop runs at its real rate.
+//! the simulator does, so the retry loop runs at its real rate.  A third
+//! group times the within-category rank draw alone.
+
+use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use des::DetRng;
-use workload::{Catalog, PeerInterests, RequestGenerator, Storage, WorkloadConfig};
+use workload::{
+    Catalog, PeerInterests, PowerLawWeights, RequestGenerator, Storage, WorkloadConfig,
+};
 
 const PEERS: usize = 200;
 
@@ -64,5 +69,27 @@ fn bench_draws(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_draws);
+/// `PowerLawWeights::sample_first` over the Table II category shape: four
+/// uniform draws at every category size from 1 to 300, factor 0.2.
+fn bench_rank_draw(c: &mut Criterion) {
+    let weights = PowerLawWeights::new(300, 0.2);
+    let mut rng = DetRng::seed_from(23);
+    let draws: Vec<(usize, f64)> = (1..=300)
+        .flat_map(|n| [n; 4])
+        .map(|n| (n, rng.gen_unit()))
+        .collect();
+    let mut group = c.benchmark_group("rank_draw");
+    group.sample_size(30);
+    group.bench_function("sample_first_n_1_to_300", |b| {
+        b.iter(|| {
+            black_box(&draws)
+                .iter()
+                .map(|&(n, u)| weights.sample_first(n, u))
+                .sum::<usize>()
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_draws, bench_rank_draw);
 criterion_main!(benches);

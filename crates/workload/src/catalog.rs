@@ -153,7 +153,13 @@ impl Catalog {
     }
 
     /// Picks an object of `category` by within-category popularity, given a
-    /// uniform draw `u` in `[0, 1)` (see [`PowerLawWeights::sample_with`]).
+    /// uniform draw `u` in `[0, 1)`.
+    ///
+    /// The rank comes from the shared table's first `n` ranks, for a
+    /// category of `n` objects, by [`PowerLawWeights::sample_first`]: a
+    /// binary search of its prefix sums in O(log n), falling back to the
+    /// defining linear scan for draws within rounding distance of a rank
+    /// boundary.
     ///
     /// # Panics
     ///

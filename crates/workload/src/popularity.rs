@@ -102,7 +102,8 @@ impl PowerLawWeights {
         (0..self.len()).map(|rank| self.weight(rank)).collect()
     }
 
-    /// Samples a rank given a uniform draw `u` in `[0, 1)`.
+    /// Samples a rank given a uniform draw `u` in `[0, 1)`, in O(log n); see
+    /// [`PowerLawWeights::sample_first`].
     ///
     /// Exposed separately from any RNG so that callers can use their own
     /// deterministic random streams.
@@ -118,11 +119,57 @@ impl PowerLawWeights {
     /// .sample_with(u)`, without building it: one table of the longest
     /// length serves every shorter one.
     ///
+    /// The rank is defined by a linear scan that subtracts each normalised
+    /// weight `raw[k] / total` from `u` until the remainder falls below the
+    /// next weight.  This finds the same rank in O(log n): it binary-searches
+    /// the raw prefix sums for `x = u * total` and keeps the result `k` when
+    /// `x` lies more than `tol = (2n + 8) · ε · total` from both `totals[k]`
+    /// and `totals[k - 1]`.  Inside that guard band, rounding could make the
+    /// scan disagree (an exact tie such as `f = 0` with `u = k/n`), and so
+    /// could a NaN draw, a draw past the last prefix sum or a zero-weight
+    /// tail: those draws run the scan itself.
+    ///
+    /// The band is wide enough.  Write `u` for the draw clamped to
+    /// `[0, 1 − ε]`, `T = total`, `S_k` for the exact sum of the first
+    /// `k + 1` raw weights and `2⁻⁵³` for the unit roundoff.
+    /// - Each of the scan's divisions and subtractions rounds by at most
+    ///   `2⁻⁵³` of a value at most 1, so its running remainder drifts from
+    ///   `u − S_{k-1}/T` by at most `(k + 1)·2⁻⁵³`, and its test against
+    ///   `w_k` by at most `(k + 2)·2⁻⁵³`: `(k + 2)·2⁻⁵³·T` in raw units.
+    /// - `totals[k]` is `k` rounded additions of values at most `T`, so it is
+    ///   off `S_k` by at most `k·2⁻⁵³·T`; `x` is off `u·T` by `2⁻⁵³·T`.
+    /// - So when `x` clears `totals[k]` by `tol`, `u·T` clears `S_k` by more
+    ///   than `tol − (k + 1)·2⁻⁵³·T`, which exceeds the scan's drift:
+    ///   `(2k + 3)·2⁻⁵³ < (4n + 16)·2⁻⁵³ = tol / T`, a margin above 2×.
+    /// - Weights are non-negative, so clearing `totals[k - 1]` from above
+    ///   clears every earlier prefix sum too: the scan passes every rank
+    ///   before `k` and stops at `k`.
+    ///
+    /// Debug builds check every fast-path rank against the scan.
+    ///
     /// # Panics
     ///
     /// Panics if `n` is zero or exceeds [`PowerLawWeights::len`].
     #[must_use]
     pub fn sample_first(&self, n: usize, u: f64) -> usize {
+        let total = self.total(n);
+        let totals = &self.totals[..n];
+        let x = u.clamp(0.0, 1.0 - f64::EPSILON) * total;
+        let rank = totals.partition_point(|&t| t <= x);
+        let tol = (2 * n + 8) as f64 * f64::EPSILON * total;
+        // A NaN `x` fails every comparison, so it takes the scan.
+        let clears_above = rank < n && totals[rank] - x > tol;
+        let clears_below = rank == 0 || x - totals[rank - 1] > tol;
+        if clears_above && clears_below {
+            debug_assert_eq!(rank, self.scan(n, u), "n={n} u={u:e}");
+            rank
+        } else {
+            self.scan(n, u)
+        }
+    }
+
+    /// The linear scan that defines [`PowerLawWeights::sample_first`].
+    fn scan(&self, n: usize, u: f64) -> usize {
         let total = self.total(n);
         let mut target = u.clamp(0.0, 1.0 - f64::EPSILON);
         for (rank, raw) in self.raw[..n].iter().enumerate() {
