@@ -19,6 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -26,8 +27,8 @@ use proptest::prelude::*;
 
 use sim::{
     BehaviorKind, BehaviorMix, CapacityClass, CatastropheConfig, ChurnConfig, ClassMix,
-    FlashCrowdConfig, Protection, SchedulerKind, SimConfig, SimTime, Simulation, SnapshotError,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    FlashCrowdConfig, Protection, SchedulerKind, SimConfig, SimReport, SimTime, Simulation,
+    SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 
 /// The fixed scenario the golden fixture freezes.  Every knob is pinned
@@ -42,11 +43,56 @@ fn golden_config() -> SimConfig {
     config
 }
 
+const GOLDEN_NAME: &str = "quick_test";
 const GOLDEN_SEED: u64 = 42;
 const GOLDEN_CHECKPOINT_S: f64 = 240.0;
 
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+/// The golden snapshot of fixture `name` at the current format version.
+fn snap_path(name: &str) -> PathBuf {
+    golden_dir().join(format!("{name}_v{SNAPSHOT_VERSION}.snap"))
+}
+
+/// The straight run's report of fixture `name`.  Reports do not depend on
+/// the snapshot format, so their names carry no version.
+fn report_path(name: &str) -> PathBuf {
+    golden_dir().join(format!("{name}.report"))
+}
+
 fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick_test_v1.snap")
+    snap_path(GOLDEN_NAME)
+}
+
+/// Asserts that `report`, the uninterrupted run of fixture `name`, prints
+/// exactly as the checked-in `.report` file.  A format change never touches
+/// these files; only a behaviour change does, and it regenerates them with
+///
+/// ```text
+/// UPDATE_REPORTS=1 cargo test -p sim --test snapshot_format
+/// ```
+fn assert_report_is_pinned(name: &str, report: &SimReport) {
+    let fresh = format!("{report:?}");
+    let path = report_path(name);
+    if std::env::var_os("UPDATE_REPORTS").is_some() {
+        std::fs::write(&path, &fresh).expect("write report fixture");
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let checked_in = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read report fixture {} ({e}); regenerate with UPDATE_REPORTS=1",
+            path.display()
+        )
+    });
+    assert!(
+        checked_in == fresh,
+        "{name}: the straight run's report changed — behaviour is not what \
+         {} pins",
+        path.display()
+    );
 }
 
 /// The fixture's bytes, regenerated in-process.
@@ -94,6 +140,7 @@ fn golden_snapshot_bytes_are_stable() {
 fn golden_snapshot_restores_and_finishes_identically() {
     let config = golden_config();
     let straight = Simulation::new(config.clone(), GOLDEN_SEED).run();
+    assert_report_is_pinned(GOLDEN_NAME, &straight);
     let bytes = std::fs::read(golden_path()).expect("golden fixture is checked in");
     let resumed = Simulation::restore(&mut &bytes[..], &config)
         .expect("golden fixture restores")
@@ -324,7 +371,7 @@ fn pending_event_before_the_clock_errors_gracefully() {
 fn scheduler_section_must_match_the_configured_scheduler() {
     let emule = FIXTURES
         .iter()
-        .find(|f| f.name == "emule_churn_v1")
+        .find(|f| f.name == "emule_churn")
         .expect("the eMule fixture is listed");
     let bytes = std::fs::read(emule.path()).expect("the eMule fixture is checked in");
     for kind in SchedulerKind::all() {
@@ -354,12 +401,13 @@ fn scheduler_section_must_match_the_configured_scheduler() {
     ));
 }
 
-/// One extra v1 fixture: a scenario that makes the encoder write state the
+/// One extra fixture: a scenario that makes the encoder write state the
 /// quick-test golden never reaches (the history-keeping scheduler states,
 /// open validation windows, pending population events, catalog releases,
 /// heterogeneous capacity classes and the adversarial behaviors).
 struct Fixture {
-    /// File stem under `tests/golden/`.
+    /// Names the fixture's files under `tests/golden/`: the snapshot
+    /// `<name>_v<SNAPSHOT_VERSION>.snap` and the report `<name>.report`.
     name: &'static str,
     config: fn() -> SimConfig,
     seed: u64,
@@ -438,6 +486,18 @@ fn participation_config() -> SimConfig {
     config
 }
 
+/// The participation-level scheduler under all five behaviors, equally
+/// weighted: cheaters announce inflated levels while uploaders, junk
+/// senders and middlemen announce what they uploaded.
+fn participation_mix_config() -> SimConfig {
+    let mut config = SimConfig::quick_test();
+    config.num_peers = 30;
+    config.sim_duration_s = 2_000.0;
+    config.scheduler = SchedulerKind::ParticipationLevel;
+    config.behaviors = BehaviorMix::weighted(BehaviorKind::all().into_iter().map(|b| (b, 1.0)));
+    config
+}
+
 /// The exchange-priority scheduler, checkpointed while peers are still
 /// arriving and a scheduling pass is queued for the current instant.
 fn mid_arrival_config() -> SimConfig {
@@ -448,28 +508,35 @@ fn mid_arrival_config() -> SimConfig {
 
 const FIXTURES: &[Fixture] = &[
     Fixture {
-        name: "emule_churn_v1",
+        name: "emule_churn",
         config: emule_churn_config,
         seed: 7,
         checkpoint_s: 600.0,
         steps: 0,
     },
     Fixture {
-        name: "tit_for_tat_v1",
+        name: "tit_for_tat",
         config: tit_for_tat_config,
         seed: 11,
         checkpoint_s: 400.0,
         steps: 0,
     },
     Fixture {
-        name: "participation_v1",
+        name: "participation",
         config: participation_config,
         seed: 13,
         checkpoint_s: 400.0,
         steps: 0,
     },
     Fixture {
-        name: "mid_arrival_v1",
+        name: "participation_mix",
+        config: participation_mix_config,
+        seed: 23,
+        checkpoint_s: 1_500.0,
+        steps: 0,
+    },
+    Fixture {
+        name: "mid_arrival",
         config: mid_arrival_config,
         seed: 17,
         checkpoint_s: 2.0,
@@ -479,7 +546,7 @@ const FIXTURES: &[Fixture] = &[
 
 impl Fixture {
     fn path(&self) -> PathBuf {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{}.snap", self.name))
+        snap_path(self.name)
     }
 
     /// The fixture's bytes, regenerated in-process.
@@ -523,6 +590,7 @@ fn variant_fixtures_are_stable_resume_exactly_and_round_trip() {
         );
 
         let straight = Simulation::new(config.clone(), fixture.seed).run();
+        assert_report_is_pinned(fixture.name, &straight);
         let restored = Simulation::restore(&mut &checked_in[..], &config)
             .unwrap_or_else(|e| panic!("{}: fixture restores: {e}", fixture.name));
         let mut again = Vec::new();
@@ -547,6 +615,25 @@ fn variant_fixtures_are_stable_resume_exactly_and_round_trip() {
             fixture.name
         );
     }
+}
+
+/// Every file in `tests/golden/` belongs to a listed fixture: a snapshot at
+/// the current format version or a report.  A version bump that re-records
+/// the snapshots therefore cannot leave the old version's files behind.
+#[test]
+fn golden_files_belong_to_listed_fixtures_at_the_current_version() {
+    let names = std::iter::once(GOLDEN_NAME).chain(FIXTURES.iter().map(|f| f.name));
+    let expected: BTreeSet<PathBuf> = names
+        .flat_map(|name| [snap_path(name), report_path(name)])
+        .collect();
+    let found: BTreeSet<PathBuf> = std::fs::read_dir(golden_dir())
+        .expect("the golden directory is checked in")
+        .map(|entry| entry.expect("readable directory entry").path())
+        .collect();
+    assert_eq!(
+        found, expected,
+        "stale or unlisted files under tests/golden/"
+    );
 }
 
 /// A system allocator that can report the largest single allocation the
