@@ -19,14 +19,15 @@
 //! * `TitForTat` ([`TitForTat`]) — a BitTorrent-style reciprocation
 //!   heuristic: prefer requesters that recently uploaded to *you*, with a
 //!   small optimistic allowance for strangers.
-//! * `ParticipationLevel` ([`ParticipationLevel`]) — the KaZaA-style
-//!   self-reported participation level; trivially subvertible because peers
-//!   report their own score.
+//! * `ParticipationLevel` — the KaZaA-style self-reported participation
+//!   level, read from [`QueuedRequest::participation`]; trivially
+//!   subvertible because peers report their own score.
 //! * `ExchangePriority` — the exchange preference adapted to queue ordering:
 //!   requesters that could reciprocate in kind are served first.
 //!
 //! [`SchedulerKind`] names each mechanism in configurations and builds the
-//! matching scheduler for a run.
+//! matching scheduler for a run.  Only eMule credit and tit-for-tat keep
+//! history; the other three score each request from the request alone.
 //!
 //! # Example
 //!
@@ -45,12 +46,10 @@
 #![forbid(unsafe_code)]
 
 mod emule;
-mod participation;
 mod scheduler;
 mod tit_for_tat;
 
 pub use emule::EmuleCredit;
-pub use participation::ParticipationLevel;
 pub use scheduler::{SchedulerKind, UploadScheduler};
 pub use tit_for_tat::TitForTat;
 
@@ -65,6 +64,10 @@ pub struct QueuedRequest<P> {
     /// Whether the requester could reciprocate: it stores an object the
     /// provider currently wants (read by the exchange-priority scheduler).
     pub reciprocal: bool,
+    /// The participation level the requester announces for itself, honest
+    /// or not (read by the participation-level scheduler).  Always finite
+    /// and non-negative; see [`with_participation`](Self::with_participation).
+    pub participation: f64,
 }
 
 impl<P> QueuedRequest<P> {
@@ -75,6 +78,7 @@ impl<P> QueuedRequest<P> {
             requester,
             waiting_secs,
             reciprocal: false,
+            participation: 0.0,
         }
     }
 
@@ -82,6 +86,22 @@ impl<P> QueuedRequest<P> {
     #[must_use]
     pub fn with_reciprocal(mut self, reciprocal: bool) -> Self {
         self.reciprocal = reciprocal;
+        self
+    }
+
+    /// Sets the participation level the requester announces.
+    ///
+    /// Announcements are sanitised so scoring never sees a non-finite
+    /// value: NaN collapses to 0, negative levels clamp to 0, and
+    /// infinities clamp to `f64::MAX` (a cheater announcing `inf` would
+    /// otherwise poison score comparisons).
+    #[must_use]
+    pub fn with_participation(mut self, level: f64) -> Self {
+        self.participation = if level.is_nan() {
+            0.0
+        } else {
+            level.clamp(0.0, f64::MAX)
+        };
         self
     }
 }

@@ -2,15 +2,15 @@
 
 use exchange::Key;
 
-use crate::{EmuleCredit, ParticipationLevel, QueuedRequest, TitForTat};
+use crate::{EmuleCredit, QueuedRequest, TitForTat};
 
 /// One run's upload-scheduling discipline and its history.
 ///
 /// This is the one type through which the simulator talks to every
 /// incentive mechanism the paper compares (Section II): the provider reports
-/// transfers and participation announcements, and asks the scheduler to
-/// pick the next request to serve.  Each variant is one mechanism; the
-/// history-based ones carry their tables.
+/// transfers, and asks the scheduler to pick the next request to serve.
+/// Each variant is one mechanism; the history-based ones carry their tables,
+/// the others read everything they need from the [`QueuedRequest`].
 ///
 /// # Example
 ///
@@ -33,7 +33,25 @@ pub enum UploadScheduler<P: Key> {
     /// BitTorrent-style reciprocation.
     TitForTat(TitForTat<P>),
     /// KaZaA-style self-reported participation level.
-    ParticipationLevel(ParticipationLevel<P>),
+    ///
+    /// Each peer announces its own "participation level" (nominally a
+    /// function of its uptime and upload/download volumes) and providers
+    /// prioritise peers with higher announced levels: the announced level
+    /// dominates, waiting time only breaks ties.  The mechanism is trivially
+    /// subverted — a modified client can announce any value — which is
+    /// exactly why the paper dismisses it.  The caller attaches each
+    /// requester's announcement with [`QueuedRequest::with_participation`],
+    /// so a simulation can model both honest and cheating peers.
+    ///
+    /// ```
+    /// use credit::{QueuedRequest, SchedulerKind};
+    ///
+    /// let pl = SchedulerKind::ParticipationLevel.build::<u32>();
+    /// let honest = QueuedRequest::new(1, 60.0).with_participation(10.0); // modest contributor
+    /// let cheater = QueuedRequest::new(2, 1.0).with_participation(1000.0); // inflated level
+    /// assert_eq!(pl.pick(0, &[honest, cheater]), Some(1));
+    /// ```
+    ParticipationLevel,
     /// The exchange preference applied to fallback queue ordering: requests
     /// whose requester could reciprocate (it stores an object the provider
     /// currently wants, so the pair could form a ring) are served before all
@@ -45,6 +63,9 @@ pub enum UploadScheduler<P: Key> {
 /// Reciprocation dominates; waiting time breaks ties within each class.
 const RECIPROCAL_PRIORITY: f64 = 1e12;
 
+/// Each announced participation unit outweighs this many seconds of waiting.
+const PARTICIPATION_WEIGHT: f64 = 1e6;
+
 impl<P: Key> UploadScheduler<P> {
     /// Scores `request` from the point of view of `provider`; higher scores
     /// are served first.
@@ -53,7 +74,9 @@ impl<P: Key> UploadScheduler<P> {
             UploadScheduler::Fifo => request.waiting_secs,
             UploadScheduler::EmuleCredit(credit) => credit.score(provider, request),
             UploadScheduler::TitForTat(tft) => tft.score(provider, request),
-            UploadScheduler::ParticipationLevel(levels) => levels.score(request),
+            UploadScheduler::ParticipationLevel => {
+                request.participation * PARTICIPATION_WEIGHT + request.waiting_secs
+            }
             UploadScheduler::ExchangePriority if request.reciprocal => {
                 RECIPROCAL_PRIORITY + request.waiting_secs
             }
@@ -85,26 +108,17 @@ impl<P: Key> UploadScheduler<P> {
     }
 
     /// Records that `uploader` transferred `bytes` to `downloader`;
-    /// history-based mechanisms (eMule credit, tit-for-tat, participation
-    /// level) update their tables.
+    /// history-based mechanisms (eMule credit, tit-for-tat) update their
+    /// tables.
     pub fn record_transfer(&mut self, uploader: P, downloader: P, bytes: u64) {
         match self {
-            UploadScheduler::Fifo | UploadScheduler::ExchangePriority => {}
+            UploadScheduler::Fifo
+            | UploadScheduler::ParticipationLevel
+            | UploadScheduler::ExchangePriority => {}
             UploadScheduler::EmuleCredit(credit) => {
                 credit.record_transfer(uploader, downloader, bytes);
             }
             UploadScheduler::TitForTat(tft) => tft.record_transfer(uploader, downloader, bytes),
-            UploadScheduler::ParticipationLevel(levels) => levels.record_transfer(uploader, bytes),
-        }
-    }
-
-    /// Records that `peer` announced `level` as its own participation level.
-    /// Only the participation-level mechanism listens; it takes the
-    /// announcement at face value, which is exactly the exploit of Section
-    /// III-B — cheating peers inflate it.
-    pub fn report_participation(&mut self, peer: P, level: f64) {
-        if let UploadScheduler::ParticipationLevel(levels) = self {
-            levels.report(peer, level);
         }
     }
 
@@ -123,7 +137,7 @@ impl<P: Key> UploadScheduler<P> {
             UploadScheduler::Fifo => SchedulerKind::Fifo,
             UploadScheduler::EmuleCredit(_) => SchedulerKind::EmuleCredit,
             UploadScheduler::TitForTat(_) => SchedulerKind::TitForTat,
-            UploadScheduler::ParticipationLevel(_) => SchedulerKind::ParticipationLevel,
+            UploadScheduler::ParticipationLevel => SchedulerKind::ParticipationLevel,
             UploadScheduler::ExchangePriority => SchedulerKind::ExchangePriority,
         }
     }
@@ -171,9 +185,7 @@ impl SchedulerKind {
             SchedulerKind::Fifo => UploadScheduler::Fifo,
             SchedulerKind::EmuleCredit => UploadScheduler::EmuleCredit(EmuleCredit::new()),
             SchedulerKind::TitForTat => UploadScheduler::TitForTat(TitForTat::new()),
-            SchedulerKind::ParticipationLevel => {
-                UploadScheduler::ParticipationLevel(ParticipationLevel::new())
-            }
+            SchedulerKind::ParticipationLevel => UploadScheduler::ParticipationLevel,
             SchedulerKind::ExchangePriority => UploadScheduler::ExchangePriority,
         }
     }
@@ -234,9 +246,8 @@ mod tests {
         let mut fifo = SchedulerKind::Fifo.build::<u32>();
         assert_eq!(fifo.score(0, &QueuedRequest::new(1u32, 12.5)), 12.5);
         fifo.record_transfer(1, 0, 1_000_000);
-        fifo.report_participation(1, 1.0e9);
         let queue = [
-            QueuedRequest::new(1u32, 5.0),
+            QueuedRequest::new(1u32, 5.0).with_participation(1.0e9),
             QueuedRequest::new(2, 50.0),
             QueuedRequest::new(3, 20.0),
         ];
@@ -245,17 +256,76 @@ mod tests {
     }
 
     #[test]
-    fn participation_level_scheduler_self_reports_upload_volume() {
-        let mut scheduler = SchedulerKind::ParticipationLevel.build::<u32>();
-        // Peer 1 uploads 100 MiB; peer 2 uploads nothing.
-        scheduler.record_transfer(1, 9, 100 * 1_048_576);
-        let contributor = QueuedRequest::new(1u32, 1.0);
+    fn the_announced_participation_level_dominates_waiting_time() {
+        let scheduler = SchedulerKind::ParticipationLevel.build::<u32>();
+        // Peer 1 announces the 100 MiB it uploaded; peer 2 announces nothing.
+        let contributor = QueuedRequest::new(1u32, 1.0).with_participation(100.0);
         let stranger = QueuedRequest::new(2u32, 10_000.0);
-        assert_eq!(
-            scheduler.pick(0, &[stranger, contributor]),
-            Some(1),
-            "the announced participation level must dominate waiting time"
-        );
+        assert_eq!(stranger.participation, 0.0, "no announcement is level 0");
+        assert_eq!(scheduler.pick(0, &[stranger, contributor]), Some(1));
+    }
+
+    #[test]
+    fn cheater_outranks_honest_contributor() {
+        let scheduler = SchedulerKind::ParticipationLevel.build::<u32>();
+        // Peer 1 really contributes and waited long; peer 2 lies.
+        let honest = QueuedRequest::new(1u32, 500.0).with_participation(50.0);
+        let cheater = QueuedRequest::new(2u32, 1.0).with_participation(10_000.0);
+        assert!(scheduler.score(0, &cheater) > scheduler.score(0, &honest));
+        assert_eq!(scheduler.pick(0, &[honest, cheater]), Some(1));
+    }
+
+    #[test]
+    fn negative_nan_and_infinite_announcements_are_sanitised() {
+        let level = |announced: f64| QueuedRequest::new(1u32, 1.0).with_participation(announced);
+        assert_eq!(level(-5.0).participation, 0.0);
+        assert_eq!(level(f64::NAN).participation, 0.0);
+        assert_eq!(level(f64::INFINITY).participation, f64::MAX);
+        assert_eq!(level(f64::NEG_INFINITY).participation, 0.0);
+        // Scores stay comparable (pick() asserts on NaN scores).
+        let scheduler = SchedulerKind::ParticipationLevel.build::<u32>();
+        let queue = [
+            QueuedRequest::new(1u32, 1.0).with_participation(f64::NAN),
+            QueuedRequest::new(2u32, 1.0).with_participation(f64::INFINITY),
+        ];
+        assert_eq!(scheduler.pick(0, &queue), Some(1));
+    }
+
+    #[test]
+    fn waiting_time_breaks_participation_ties() {
+        let scheduler = SchedulerKind::ParticipationLevel.build::<u32>();
+        let queue = [
+            QueuedRequest::new(1u32, 10.0).with_participation(5.0),
+            QueuedRequest::new(2u32, 20.0).with_participation(5.0),
+        ];
+        assert_eq!(scheduler.pick(0, &queue), Some(1));
+    }
+
+    #[test]
+    fn only_the_participation_level_scheduler_reads_the_announcement() {
+        let honest = QueuedRequest::new(1u32, 10_000.0).with_participation(100.0);
+        let cheater = QueuedRequest::new(2u32, 1.0).with_participation(1.0e9);
+        for kind in SchedulerKind::all() {
+            let scheduler = kind.build::<u32>();
+            if kind == SchedulerKind::ParticipationLevel {
+                assert_eq!(
+                    scheduler.pick(0, &[honest, cheater]),
+                    Some(1),
+                    "an inflated self-report outranks genuine contribution"
+                );
+                continue;
+            }
+            for request in [honest, cheater] {
+                let silent = QueuedRequest::new(request.requester, request.waiting_secs);
+                assert_eq!(
+                    scheduler.score(0, &request),
+                    scheduler.score(0, &silent),
+                    "{}",
+                    kind.label()
+                );
+            }
+            assert_eq!(scheduler.pick(0, &[honest, cheater]), Some(0));
+        }
     }
 
     #[test]
@@ -267,30 +337,6 @@ mod tests {
                 "{}",
                 kind.label()
             );
-        }
-    }
-
-    #[test]
-    fn participation_reports_reach_only_the_participation_level_scheduler() {
-        let mut scheduler = SchedulerKind::ParticipationLevel.build::<u32>();
-        // Peer 1 genuinely uploads; peer 2 just announces a huge level.
-        scheduler.record_transfer(1, 9, 100 * 1_048_576);
-        scheduler.report_participation(2, 1.0e9);
-        let honest = QueuedRequest::new(1u32, 10_000.0);
-        let cheater = QueuedRequest::new(2u32, 1.0);
-        assert_eq!(
-            scheduler.pick(0, &[honest, cheater]),
-            Some(1),
-            "an inflated self-report outranks genuine contribution"
-        );
-        // Every other scheduler ignores the announcement.
-        for kind in SchedulerKind::all() {
-            if kind == SchedulerKind::ParticipationLevel {
-                continue;
-            }
-            let mut other = kind.build::<u32>();
-            other.report_participation(2, 1.0e9);
-            assert_eq!(other, kind.build(), "{}", kind.label());
         }
     }
 

@@ -32,7 +32,7 @@ use crate::PeerClass;
 
 /// The participation level a [`BehaviorKind::ParticipationCheater`] adds to
 /// what it actually uploaded.  Any value this large dominates every honest
-/// report under the [`credit::ParticipationLevel`] scheduler.
+/// report under the [`credit::UploadScheduler::ParticipationLevel`] scheduler.
 pub const INFLATED_PARTICIPATION_LEVEL: f64 = 1.0e6;
 
 /// A peer's strategic behavior: named in configurations, sweep axes and

@@ -16,21 +16,17 @@ pub struct WantState {
     pub issued_at: SimTime,
     /// Bytes of the object received so far, across all sessions.
     pub received_bytes: u64,
-    /// The providers discovered by the lookup for this object.
-    pub providers: Vec<PeerId>,
-    /// Number of currently active sessions delivering this object.
-    pub active_sessions: usize,
 }
 
 impl WantState {
-    /// Creates a fresh want issued at `issued_at` with the given provider list.
+    /// Creates a fresh want issued at `issued_at`, with nothing received.
+    /// (Who was asked lives in the request graph's edges; the sessions
+    /// delivering the object, in the simulation's download index.)
     #[must_use]
-    pub fn new(issued_at: SimTime, providers: Vec<PeerId>) -> Self {
+    pub fn new(issued_at: SimTime) -> Self {
         WantState {
             issued_at,
             received_bytes: 0,
-            providers,
-            active_sessions: 0,
         }
     }
 }
@@ -177,9 +173,9 @@ mod tests {
         let mut peer = test_peer(BehaviorKind::Honest);
         assert!(peer.can_issue_request(2));
         peer.wants
-            .insert(ObjectId::new(1), WantState::new(SimTime::ZERO, vec![]));
+            .insert(ObjectId::new(1), WantState::new(SimTime::ZERO));
         peer.wants
-            .insert(ObjectId::new(2), WantState::new(SimTime::ZERO, vec![]));
+            .insert(ObjectId::new(2), WantState::new(SimTime::ZERO));
         assert!(!peer.can_issue_request(2));
         assert!(peer.can_issue_request(3));
     }
@@ -189,7 +185,7 @@ mod tests {
         let mut peer = test_peer(BehaviorKind::Honest);
         peer.storage.insert(ObjectId::new(7));
         peer.wants
-            .insert(ObjectId::new(9), WantState::new(SimTime::ZERO, vec![]));
+            .insert(ObjectId::new(9), WantState::new(SimTime::ZERO));
         assert!(peer.has_or_wants(ObjectId::new(7)));
         assert!(peer.has_or_wants(ObjectId::new(9)));
         assert!(!peer.has_or_wants(ObjectId::new(11)));
@@ -198,9 +194,8 @@ mod tests {
 
     #[test]
     fn want_state_starts_clean() {
-        let want = WantState::new(SimTime::from_secs_f64(5.0), vec![PeerId::new(3)]);
+        let want = WantState::new(SimTime::from_secs_f64(5.0));
+        assert_eq!(want.issued_at, SimTime::from_secs_f64(5.0));
         assert_eq!(want.received_bytes, 0);
-        assert_eq!(want.active_sessions, 0);
-        assert_eq!(want.providers, vec![PeerId::new(3)]);
     }
 }

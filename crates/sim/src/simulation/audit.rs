@@ -161,7 +161,6 @@ impl Simulation {
         self.audit_population()?;
         self.audit_holders_index()?;
         self.audit_middleman_sources()?;
-        self.audit_participation_levels()?;
         self.audit_search_oracle()?;
         Ok(())
     }

@@ -213,14 +213,9 @@ impl Simulation {
         if registered.is_empty() {
             return;
         }
-        // Queueing up is when a peer (re-)announces its participation level;
-        // behaviors may inflate it (the KaZaA cheat of Section III-B).  Only
-        // the participation-level scheduler listens.
-        let announced = self.peer(requester).announced_participation();
-        self.scheduler.report_participation(requester, announced);
         self.peer_mut(requester)
             .wants
-            .insert(object, WantState::new(now, registered.clone()));
+            .insert(object, WantState::new(now));
         for provider in registered {
             self.engine.schedule_now(Event::TrySchedule(provider));
         }

@@ -156,9 +156,8 @@ pub struct PhaseProfile {
     /// Time spent collecting a drawn object's advertised providers and
     /// sampling the ones to ask (a subset of `generate_requests`).
     pub provider_lookup: Duration,
-    /// Time spent registering requests: graph inserts, the participation
-    /// announcement, the want entry and the `TrySchedule` wake-ups (a subset
-    /// of `generate_requests`).
+    /// Time spent registering requests: graph inserts, the want entry and
+    /// the `TrySchedule` wake-ups (a subset of `generate_requests`).
     pub request_register: Duration,
     /// Time spent filling upload slots (ring discovery + activation + the
     /// non-exchange fallback).
@@ -740,51 +739,6 @@ impl Simulation {
         }
         self.advertises[peer.as_usize()] && self.graph.incoming(peer).any(|r| r.object == object)
     }
-
-    /// Under the participation-level scheduler, its tables equal their
-    /// definition: every peer with an outstanding want has announced, every
-    /// announcement is [`PeerState::announced_participation`], and every
-    /// honest row is the peer's uploaded bytes.  Registering a request
-    /// announces; uploading re-announces.  Other schedulers pass trivially.
-    #[cfg(any(test, feature = "audit"))]
-    fn audit_participation_levels(&self) -> Result<(), String> {
-        let UploadScheduler::ParticipationLevel(levels) = &self.scheduler else {
-            return Ok(());
-        };
-        let (reported, honest) = levels.export_levels();
-        let mut rows = (reported.iter().map(|(p, _)| p)).chain(honest.iter().map(|(p, _)| p));
-        if let Some(peer) = rows.find(|p| p.as_usize() >= self.peers.len()) {
-            return Err(format!("the participation tables name unknown {peer:?}"));
-        }
-        for peer in &self.peers {
-            let expected = peer.announced_participation();
-            match reported.binary_search_by_key(&peer.id, |(p, _)| *p) {
-                Ok(i) if reported[i].1 != expected => {
-                    return Err(format!(
-                        "peer {:?} announces {}, its behavior and uploads give {expected}",
-                        peer.id, reported[i].1
-                    ));
-                }
-                Err(_) if !peer.wants.is_empty() => {
-                    return Err(format!(
-                        "peer {:?} has outstanding wants but never announced",
-                        peer.id
-                    ));
-                }
-                _ => {}
-            }
-            let recorded = honest
-                .binary_search_by_key(&peer.id, |(p, _)| *p)
-                .map_or(0, |i| honest[i].1);
-            if recorded != peer.uploaded_bytes {
-                return Err(format!(
-                    "peer {:?} uploaded {} bytes, the participation table has {recorded}",
-                    peer.id, peer.uploaded_bytes
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Builds the [`holders`](Simulation::holders) index and its honest-holder
@@ -1088,45 +1042,6 @@ mod tests {
         assert_eq!(profile.planned_consumed, 0);
         config.shards = 0;
         assert!(config.validate().is_err());
-    }
-
-    /// Under the participation-level scheduler, at every event of a run
-    /// with all five behaviors, every peer with a want has announced, every
-    /// announcement is its behavior applied to what it uploaded, and the
-    /// honest table is its upload volume.
-    #[test]
-    fn participation_announcements_track_uploads_under_every_behavior() {
-        let mut config = SimConfig::quick_test();
-        config.num_peers = 30;
-        config.sim_duration_s = 2_000.0;
-        config.scheduler = SchedulerKind::ParticipationLevel;
-        config.behaviors =
-            crate::BehaviorMix::weighted(crate::BehaviorKind::all().into_iter().map(|b| (b, 1.0)));
-        let mut sim = Simulation::new(config, 23);
-        while let Some(time) = sim.step() {
-            if let Err(e) = sim.audit_participation_levels() {
-                panic!("at t={:.1}s: {e}", time.as_secs_f64());
-            }
-        }
-        let UploadScheduler::ParticipationLevel(levels) = &sim.scheduler else {
-            panic!("the run was configured with the participation-level scheduler");
-        };
-        let (reported, honest) = levels.export_levels();
-        let behavior = |peer: PeerId| sim.peer(peer).behavior;
-        assert!(
-            reported.iter().any(|(peer, level)| {
-                behavior(*peer) == crate::BehaviorKind::ParticipationCheater
-                    && *level >= crate::INFLATED_PARTICIPATION_LEVEL
-            }),
-            "no cheater announced an inflated level"
-        );
-        assert!(
-            reported.iter().any(|(peer, level)| {
-                behavior(*peer) != crate::BehaviorKind::ParticipationCheater && *level > 0.0
-            }),
-            "no uploader re-announced its upload volume"
-        );
-        assert!(!honest.is_empty(), "nobody uploaded");
     }
 
     #[test]

@@ -119,6 +119,12 @@ impl Simulation {
                 candidates
             }
         } else {
+            // Nothing consumes the dirty log without the cache, but it is
+            // discarded where the cached path drains it, so the log never
+            // grows for the whole run.  The scratch is not advanced: this
+            // reference path rebuilds its adjacency on every generation.
+            self.graph.take_dirty_edges();
+            self.drained_generation = self.graph.generation();
             let mut rings = self.search_rings(policy, provider, &wants).rings;
             rings.truncate(attempts);
             rings
@@ -532,12 +538,16 @@ impl Simulation {
                 && provider_wants
                     .iter()
                     .any(|object| requester_state.storage.contains(*object));
+            // The requester's self-reported level is a function of its
+            // state, which no transfer start inside this scheduling loop
+            // moves, so a reused or patched queue never holds a stale one.
             queue.push(
                 QueuedRequest::new(
                     req.requester,
                     now.saturating_since(want.issued_at).as_secs_f64(),
                 )
-                .with_reciprocal(reciprocal),
+                .with_reciprocal(reciprocal)
+                .with_participation(requester_state.announced_participation()),
             );
             objects.push(req.object);
         }

@@ -17,12 +17,23 @@
 //! [`SimSetup::generate`] is a pure function of `(config, setup seed)`, so
 //! the snapshot stores only the setup seed: restore regenerates the catalog,
 //! behavior assignment and pristine peers, then overwrites everything a run
-//! mutates.  Derived indexes that are a pure function of serialized state
-//! (the holders index, the per-transfer reverse maps, the maintenance wheel,
-//! the search scratches and the search's holder marks) are rebuilt rather
-//! than stored — the search scratches and holder marks are pure
-//! memoization with a warm-equals-cold guarantee, so a resumed run starting
-//! cold stays bit-identical.
+//! mutates.  State that is a pure function of serialized state is rebuilt
+//! rather than stored:
+//!
+//! * the holders index and the per-transfer reverse maps;
+//! * every peer's upload and download slot occupancy: one slot at each end
+//!   of each live transfer (a transfer that overfills a pool is corrupt
+//!   input);
+//! * the maintenance wheel;
+//! * the search scratches and the search's holder marks, pure memoization
+//!   with a warm-equals-cold guarantee, so a resumed run starting cold stays
+//!   bit-identical;
+//! * the serve-queue epochs (`transfer_epoch`, `transfer_end_epoch`,
+//!   `world_epoch`), which restart at zero: they only stamp a serve queue,
+//!   and a serve queue never outlives one scheduling event.
+//!
+//! The participation level a requester announces is not state at all: each
+//! serve-queue build reads it off the requester's peer state.
 //!
 //! # Wire format
 //!
@@ -47,9 +58,10 @@
 //! reject snapshots from any other version with
 //! [`SnapshotError::UnsupportedVersion`] — there is no cross-version
 //! migration; checkpoints are an intra-version resume mechanism, not an
-//! archival format.  The golden fixtures under `crates/sim/tests/golden/`
-//! pin the current layout; regenerate them with `UPDATE_SNAPSHOTS=1` when
-//! bumping the version.
+//! archival format.  The golden fixtures under `crates/sim/tests/golden/`,
+//! named `<fixture>_v<SNAPSHOT_VERSION>.snap`, pin the current layout;
+//! re-record them with `UPDATE_SNAPSHOTS=1` when bumping the version and
+//! delete the previous version's files.
 //!
 //! # Error policy
 //!
@@ -89,7 +101,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"XCHGSNAP";
 
 /// The current snapshot format version (see the module docs for the bump
 /// policy).
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 // Section tags, in their mandatory file order.
 const TAG_RNGS: u8 = 1;
@@ -102,11 +114,6 @@ const TAG_SCHEDULER: u8 = 7;
 const TAG_POPULATION: u8 = 8;
 const TAG_RING_CACHE: u8 = 9;
 const TAG_REPORT: u8 = 10;
-
-/// The ring-cache section's leading tag.  Entry-level invalidation is the
-/// only cache design; the byte survives from the v1 layout, where `0` named
-/// a since-removed provider-level design and is now rejected.
-const RING_CACHE_TAG: u8 = 1;
 
 /// Why a checkpoint could not be written or a snapshot could not be restored.
 #[derive(Debug)]
@@ -620,18 +627,17 @@ impl Decode for Event {
 }
 
 /// The scheduler's history: tag 0 for the stateless disciplines (FIFO,
-/// exchange priority), else tag 1/2/3 and the mechanism's tables as rows
-/// sorted by key, so two checkpoints of the same state are byte-identical.
+/// participation level, exchange priority), else tag 1/2 and the
+/// mechanism's table as rows sorted by key, so two checkpoints of the same
+/// state are byte-identical.
 impl Encode for UploadScheduler<PeerId> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            UploadScheduler::Fifo | UploadScheduler::ExchangePriority => 0u8.encode(out),
+            UploadScheduler::Fifo
+            | UploadScheduler::ParticipationLevel
+            | UploadScheduler::ExchangePriority => 0u8.encode(out),
             UploadScheduler::EmuleCredit(credit) => (1u8, credit.export_volumes()).encode(out),
             UploadScheduler::TitForTat(tft) => (2u8, tft.export_received()).encode(out),
-            UploadScheduler::ParticipationLevel(levels) => {
-                let (reported, honest) = levels.export_levels();
-                (3u8, reported, honest).encode(out);
-            }
         }
     }
 }
@@ -644,12 +650,14 @@ fn decode_scheduler(
 ) -> Result<UploadScheduler<PeerId>, SnapshotError> {
     let mut scheduler = kind.build();
     match (&mut scheduler, cur.decode::<u8>()?) {
-        (UploadScheduler::Fifo | UploadScheduler::ExchangePriority, 0) => {}
+        (
+            UploadScheduler::Fifo
+            | UploadScheduler::ParticipationLevel
+            | UploadScheduler::ExchangePriority,
+            0,
+        ) => {}
         (UploadScheduler::EmuleCredit(credit), 1) => credit.import_volumes(cur.decode()?),
         (UploadScheduler::TitForTat(tft), 2) => tft.import_received(cur.decode()?),
-        (UploadScheduler::ParticipationLevel(levels), 3) => {
-            levels.import_levels(cur.decode()?, cur.decode()?);
-        }
         (_, t) => {
             return Err(corrupt!(
                 "scheduler-state tag {t} does not match the configured {} scheduler",
@@ -781,16 +789,13 @@ record_codec!(ActiveRing {
 record_codec!(WantState {
     issued_at: SimTime,
     received_bytes: u64,
-    providers: Vec<PeerId>,
-    active_sessions: usize,
 });
 
 /// A peer's mutable state; everything else about it is regenerated with the
-/// setup.
+/// setup, and its slot occupancy is rebuilt from the live transfers.
 fn encode_peer(peer: &PeerState, out: &mut Vec<u8>) {
     peer.online.encode(out);
     encode_seq(out, peer.storage.len(), peer.storage.iter());
-    (peer.upload_slots.in_use(), peer.download_slots.in_use()).encode(out);
     peer.wants.encode(out);
     (peer.downloaded_bytes, peer.uploaded_bytes).encode(out);
     (peer.junk_bytes, peer.ciphertext_bytes).encode(out);
@@ -803,12 +808,6 @@ fn decode_peer(peer: &mut PeerState, cur: &mut Cursor<'_>) -> Result<(), Snapsho
     for object in cur.decode::<Vec<ObjectId>>()? {
         peer.storage.insert(object);
     }
-    for pool in [&mut peer.upload_slots, &mut peer.download_slots] {
-        for _ in 0..cur.decode::<usize>()? {
-            pool.reserve()
-                .map_err(|_| corrupt!("slot occupancy exceeds the pool capacity"))?;
-        }
-    }
     peer.wants = cur.decode()?;
     (peer.downloaded_bytes, peer.uploaded_bytes) = cur.decode()?;
     (peer.junk_bytes, peer.ciphertext_bytes) = cur.decode()?;
@@ -817,34 +816,21 @@ fn decode_peer(peer: &mut PeerState, cur: &mut Cursor<'_>) -> Result<(), Snapsho
 
 type Edge = (PeerId, PeerId, ObjectId);
 
-/// Every endpoint of the dirty-edge log — the peer view the v1 layout stores
-/// ahead of the log itself.
-fn dirty_log_peers(log: &BTreeSet<Edge>) -> BTreeSet<PeerId> {
-    log.iter()
-        .flat_map(|&(provider, requester, _)| [provider, requester])
-        .collect()
-}
-
 /// The request graph with its undrained dirty log: the edges, the mutation
-/// generation, the log's endpoints, then the log itself.
+/// generation, then the log.
 impl Encode for RequestGraph<PeerId, ObjectId> {
     fn encode(&self, out: &mut Vec<u8>) {
         let edges = self.iter().map(|r| (r.requester, r.provider, r.object));
         encode_seq(out, self.len(), edges);
-        let log = self.dirty_edge_log();
-        (self.generation(), dirty_log_peers(log), log).encode(out);
+        (self.generation(), self.dirty_edge_log()).encode(out);
     }
 }
 
 impl Decode for RequestGraph<PeerId, ObjectId> {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self, SnapshotError> {
-        let (edges, generation): (Vec<Edge>, u64) = cur.decode()?;
-        let (endpoints, log): (Vec<PeerId>, BTreeSet<Edge>) = cur.decode()?;
+        let (edges, generation, log): (Vec<Edge>, u64, BTreeSet<Edge>) = cur.decode()?;
         if edges.iter().any(|(from, to, _)| from == to) {
             return Err(corrupt!("the request graph lists a self-request"));
-        }
-        if !dirty_log_peers(&log).into_iter().eq(endpoints) {
-            return Err(corrupt!("dirty-peer list disagrees with the edge log"));
         }
         Ok(RequestGraph::from_parts(edges, generation, log))
     }
@@ -914,7 +900,6 @@ impl Simulation {
         write_section(writer, TAG_GRAPH, |out| graph.encode(out))?;
         write_section(writer, TAG_TRANSFERS, |out| {
             (self.next_transfer_id, self.next_ring_id).encode(out);
-            (self.transfer_epoch, self.world_epoch).encode(out);
             (sorted_by_id(&self.transfers), sorted_by_id(&self.rings)).encode(out);
         })?;
         write_section(writer, TAG_ENGINE, |out| self.engine.encode(out))?;
@@ -922,7 +907,7 @@ impl Simulation {
         let population = (&self.maintenance_pending, &self.generate_queued);
         write_section(writer, TAG_POPULATION, |out| population.encode(out))?;
         write_section(writer, TAG_RING_CACHE, |out| {
-            (RING_CACHE_TAG, self.ring_cache.stats()).encode(out);
+            self.ring_cache.stats().encode(out);
             // Each entry is laid out as a `(root, wants, SearchTrace)` triple.
             let entries = (self.ring_cache.iter_entries())
                 .map(|e| (e.root, e.wants, (e.rings, e.deps, e.edge_deps)));
@@ -1016,10 +1001,11 @@ impl Simulation {
 
         (sim.graph, sim.drained_generation) = cur.section(TAG_GRAPH, Cursor::decode)?;
 
-        // Transfers and rings; rebuild the reverse indexes as we go.
+        // Transfers and rings; rebuild the reverse indexes and the slot
+        // occupancy they imply as we go.  (The serve-queue epochs restart at
+        // zero: a serve queue never outlives one scheduling event.)
         let (transfers, rings) = cur.section(TAG_TRANSFERS, |sec| {
             (sim.next_transfer_id, sim.next_ring_id) = sec.decode()?;
-            (sim.transfer_epoch, sim.world_epoch) = sec.decode()?;
             let transfers: Vec<(TransferId, ActiveTransfer)> = sec.decode()?;
             let rings: Vec<(RingId, ActiveRing)> = sec.decode()?;
             Ok((transfers, rings))
@@ -1034,6 +1020,15 @@ impl Simulation {
             if tid >= next_transfer_id || transfer.ring.is_some_and(|rid| rid >= next_ring_id) {
                 return Err(corrupt!(
                     "transfer {tid} or its ring is past its id counter"
+                ));
+            }
+            let (up, down) = (transfer.uploader, transfer.downloader);
+            if sim.peer_mut(up).upload_slots.reserve().is_err() {
+                return Err(corrupt!("peer {up} has more uploads than upload slots"));
+            }
+            if sim.peer_mut(down).download_slots.reserve().is_err() {
+                return Err(corrupt!(
+                    "peer {down} has more downloads than download slots"
                 ));
             }
             uploads_by_peer
@@ -1092,11 +1087,8 @@ impl Simulation {
         // Ring-candidate cache: replay the stores (which never touch the
         // counters), then reinstate the captured counters.
         type CacheEntry = (PeerId, Vec<ObjectId>, SearchTrace<PeerId, ObjectId>);
-        let (tag, stats, entries): (u8, RingCacheStats, Vec<CacheEntry>) =
+        let (stats, entries): (RingCacheStats, Vec<CacheEntry>) =
             cur.section(TAG_RING_CACHE, Cursor::decode)?;
-        if tag != RING_CACHE_TAG {
-            return Err(corrupt!("unsupported ring-cache tag {tag}"));
-        }
         // A search leaves `deps` and `edge_deps` strictly ascending, and the
         // cache's invalidations binary-search `deps`: anything else is
         // corrupt input.

@@ -100,9 +100,6 @@ impl Simulation {
             .entry((downloader, object))
             .or_default()
             .push(tid);
-        if let Some(want) = self.peer_mut(downloader).wants.get_mut(&object) {
-            want.active_sessions += 1;
-        }
         if self.measuring() {
             self.report.record_waiting(kind, waiting_secs);
         }
@@ -376,13 +373,6 @@ impl Simulation {
         self.transfer_end_epoch += 1;
         self.peer_mut(transfer.uploader).upload_slots.release();
         self.peer_mut(transfer.downloader).download_slots.release();
-        if let Some(want) = self
-            .peer_mut(transfer.downloader)
-            .wants
-            .get_mut(&transfer.object)
-        {
-            want.active_sessions = want.active_sessions.saturating_sub(1);
-        }
         if let Some(tids) = self.uploads_by_peer.get_mut(&transfer.uploader) {
             tids.retain(|t| *t != tid);
         }

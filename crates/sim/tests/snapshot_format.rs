@@ -1,21 +1,28 @@
-//! Snapshot wire-format hardening (ISSUE 9).
+//! Snapshot wire-format hardening.
 //!
-//! A checked-in golden snapshot pins the version-1 byte layout: any change
-//! to the format — section order, integer widths, new state — fails
-//! `golden_snapshot_bytes_are_stable` until the author consciously bumps
-//! `SNAPSHOT_VERSION` and regenerates the fixture with
+//! Checked-in golden snapshots, `tests/golden/<name>_v<SNAPSHOT_VERSION>.snap`,
+//! pin the current byte layout: any change to the format — section order,
+//! integer widths, state added or removed — fails
+//! `golden_snapshot_bytes_are_stable` and the fixture test until the author
+//! consciously bumps `SNAPSHOT_VERSION` and re-records the fixtures with
 //!
 //! ```text
 //! UPDATE_SNAPSHOTS=1 cargo test -p sim --test snapshot_format
 //! ```
 //!
+//! and deletes the previous version's files (a test rejects leftovers).
+//! Each fixture's uninterrupted run is pinned too, as `<name>.report`: a
+//! format change leaves those files alone, so a version bump that claims to
+//! keep behaviour proves it.
+//!
 //! The remaining tests pin the error contract: truncated bytes, wrong
-//! magic, future format versions, an unknown ring-cache tag, a cached
-//! search whose dependency lists are out of order, a dirty-peer list
-//! that disagrees with its dirty-edge log, and scheduler history written
-//! by a scheduler other than the configured one must return
-//! [`SnapshotError`]s, never panic, and the golden fixture must restore into a simulation that
-//! finishes with the exact same report as a fresh run.
+//! magic, future format versions, a self-request edge, a cached search
+//! whose dependency lists are out of order, a pending event before the
+//! clock, scheduler history written by a scheduler other than the
+//! configured one, and transfers that overfill a peer's slot pool must
+//! return [`SnapshotError`]s, never panic, and every golden fixture must
+//! restore into a simulation that finishes with the exact same report as a
+//! fresh run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -204,7 +211,7 @@ fn future_versions_error_gracefully() {
 /// Byte length of the fixed header: magic, version, setup seed, peer count.
 const HEADER_LEN: usize = SNAPSHOT_MAGIC.len() + 4 + 8 + 8;
 
-/// Section tags of the v1 layout that the tests below edit.
+/// Section tags of the layout that the tests below edit.
 const TAG_GRAPH: u8 = 4;
 const TAG_RING_CACHE: u8 = 9;
 
@@ -226,51 +233,7 @@ fn section_len_offset(bytes: &[u8], tag: u8) -> usize {
     panic!("section {tag} not found");
 }
 
-#[test]
-fn unknown_ring_cache_tag_errors_gracefully() {
-    let config = golden_config();
-    let mut bytes = golden_bytes();
-    // The ring-cache payload opens with its one-byte cache tag; `0` named a
-    // cache design that no longer exists.
-    let payload = section_len_offset(&bytes, TAG_RING_CACHE) + 8;
-    assert_eq!(bytes[payload], 1, "the golden snapshot writes cache tag 1");
-    bytes[payload] = 0;
-    assert!(matches!(
-        Simulation::restore(&mut &bytes[..], &config),
-        Err(SnapshotError::Corrupt(_))
-    ));
-}
-
-#[test]
-fn dirty_peer_list_disagreeing_with_the_edge_log_errors_gracefully() {
-    let config = golden_config();
-    let mut bytes = golden_bytes();
-    // Graph payload: edge count, 12-byte edges, generation, then the
-    // dirty-peer list (count, 4-byte peer ids) the restore checks against
-    // the endpoints of the dirty-edge log that follows it.
-    let len_at = section_len_offset(&bytes, TAG_GRAPH);
-    let payload = len_at + 8;
-    let edges = usize::try_from(read_u64(&bytes, payload)).expect("edge count fits");
-    let count_at = payload + 8 + 12 * edges + 8;
-    let listed = read_u64(&bytes, count_at);
-    // Drop the first listed peer, or list peer 0 when the list is empty:
-    // either way the list no longer matches the edge log.
-    let (new_count, new_len) = if listed > 0 {
-        bytes.drain(count_at + 8..count_at + 12);
-        (listed - 1, read_u64(&bytes, len_at) - 4)
-    } else {
-        bytes.splice(count_at + 8..count_at + 8, 0u32.to_le_bytes());
-        (1, read_u64(&bytes, len_at) + 4)
-    };
-    bytes[count_at..count_at + 8].copy_from_slice(&new_count.to_le_bytes());
-    bytes[len_at..len_at + 8].copy_from_slice(&new_len.to_le_bytes());
-    assert!(matches!(
-        Simulation::restore(&mut &bytes[..], &config),
-        Err(SnapshotError::Corrupt(_))
-    ));
-}
-
-/// Section tag of the v1 engine section (clock, horizon, counters, pending
+/// Section tag of the engine section (clock, horizon, counters, pending
 /// events).
 const TAG_ENGINE: u8 = 6;
 
@@ -295,12 +258,12 @@ fn self_request_edge_errors_gracefully() {
 /// Byte offsets of each cached entry's `(deps, edge_deps)` lists in the
 /// ring-cache section: each offset points at the list's count.
 fn cached_dependency_lists(bytes: &[u8]) -> Vec<(usize, usize)> {
-    // Cache payload: cache tag, three u64 counters, entry count, then
+    // Cache payload: three u64 counters, entry count, then
     // `(root, wants, rings, deps, edge_deps)` entries.
     let payload = section_len_offset(bytes, TAG_RING_CACHE) + 8;
     let count = |at: usize| usize::try_from(read_u64(bytes, at)).expect("count fits");
     let skip_ids = |at: usize| at + 8 + 4 * count(at);
-    let mut at = payload + 1 + 24 + 8;
+    let mut at = payload + 24 + 8;
     (0..count(at - 8))
         .map(|_| {
             at = skip_ids(at + 4);
@@ -360,6 +323,54 @@ fn pending_event_before_the_clock_errors_gracefully() {
         Simulation::restore(&mut &bytes[..], &config),
         Err(SnapshotError::Corrupt(_))
     ));
+}
+
+/// Slot occupancy is not stored: restore reserves one upload and one
+/// download slot for each decoded transfer.  Transfers that overfill a pool
+/// — here, the eMule fixture restored under a link with a single upload slot
+/// per peer — are corrupt input, not a panic.
+#[test]
+fn transfers_overfilling_a_slot_pool_error_gracefully() {
+    let emule = FIXTURES
+        .iter()
+        .find(|f| f.name == "emule_churn")
+        .expect("the eMule fixture is listed");
+    let bytes = std::fs::read(emule.path()).expect("the eMule fixture is checked in");
+    let mut config = emule_churn_config();
+    config.link.upload_kbps = config.link.slot_kbps;
+    assert_eq!(config.link.upload_slots(), 1);
+    match Simulation::restore(&mut &bytes[..], &config) {
+        Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("upload slots"), "{msg}"),
+        Err(err) => panic!("expected a slot-overflow Corrupt error, got {err}"),
+        Ok(_) => panic!("two uploads at one peer must not restore into a one-slot pool"),
+    }
+}
+
+/// The cache-off reference path discards the graph's dirty log where the
+/// cached path drains it, so at the same instant both write the same graph
+/// section instead of the reference run carrying every edge it ever changed.
+#[test]
+fn cache_on_and_cache_off_checkpoints_share_the_graph_section() {
+    let graph_section = |ring_candidate_cache: bool| {
+        let mut config = golden_config();
+        config.ring_candidate_cache = ring_candidate_cache;
+        let mut simulation = Simulation::new(config, GOLDEN_SEED);
+        simulation.run_until(SimTime::from_secs_f64(GOLDEN_CHECKPOINT_S));
+        let mut bytes = Vec::new();
+        simulation
+            .checkpoint(&mut bytes)
+            .expect("serializing into a Vec cannot fail");
+        let len_at = section_len_offset(&bytes, TAG_GRAPH);
+        let len = usize::try_from(read_u64(&bytes, len_at)).expect("section fits in memory");
+        bytes[len_at..len_at + 8 + len].to_vec()
+    };
+    let (cached, reference) = (graph_section(true), graph_section(false));
+    assert!(
+        cached == reference,
+        "graph sections differ: {} bytes with the cache, {} without",
+        cached.len(),
+        reference.len()
+    );
 }
 
 /// A checkpoint's scheduler history belongs to the scheduler that wrote it.
