@@ -538,9 +538,9 @@ impl Simulation {
                 && provider_wants
                     .iter()
                     .any(|object| requester_state.storage.contains(*object));
-            // The requester's self-reported level is a function of its
-            // state, which no transfer start inside this scheduling loop
-            // moves, so a reused or patched queue never holds a stale one.
+            // The announced level reads `uploaded_bytes`, which only moves
+            // when a block completes, never inside this scheduling loop, so
+            // a reused or patched queue never holds a stale level.
             queue.push(
                 QueuedRequest::new(
                     req.requester,
