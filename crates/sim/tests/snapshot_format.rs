@@ -331,11 +331,7 @@ fn pending_event_before_the_clock_errors_gracefully() {
 /// per peer — are corrupt input, not a panic.
 #[test]
 fn transfers_overfilling_a_slot_pool_error_gracefully() {
-    let emule = FIXTURES
-        .iter()
-        .find(|f| f.name == "emule_churn")
-        .expect("the eMule fixture is listed");
-    let bytes = std::fs::read(emule.path()).expect("the eMule fixture is checked in");
+    let bytes = std::fs::read(snap_path("emule_churn")).expect("the eMule fixture is checked in");
     let mut config = emule_churn_config();
     config.link.upload_kbps = config.link.slot_kbps;
     assert_eq!(config.link.upload_slots(), 1);
@@ -380,11 +376,7 @@ fn cache_on_and_cache_off_checkpoints_share_the_graph_section() {
 /// other.
 #[test]
 fn scheduler_section_must_match_the_configured_scheduler() {
-    let emule = FIXTURES
-        .iter()
-        .find(|f| f.name == "emule_churn")
-        .expect("the eMule fixture is listed");
-    let bytes = std::fs::read(emule.path()).expect("the eMule fixture is checked in");
+    let bytes = std::fs::read(snap_path("emule_churn")).expect("the eMule fixture is checked in");
     for kind in SchedulerKind::all() {
         let mut config = emule_churn_config();
         config.scheduler = kind;
