@@ -60,7 +60,10 @@ fn bench_ring_search(c: &mut Criterion) {
 /// The `paper-sweep` search shape (200 peers, 6,000 requests, budget 6,000,
 /// fanout 16) under an ownership oracle backed by per-peer `BTreeSet`
 /// storage, the way the simulator's claims oracle looks objects up, instead
-/// of arithmetic on the ids.  Each iteration searches from ten roots.
+/// of arithmetic on the ids.  Each iteration searches from ten roots.  The
+/// `cap8` case stops each search at 8 rings, as the simulation does at its
+/// default `ring_attempts_per_schedule`; the uncapped `max_ring5` case
+/// beside it is the same search run to its budget.
 fn bench_stored_oracle(c: &mut Criterion) {
     const PEERS: u32 = 200;
     const STORED_PER_PEER: usize = 150;
@@ -83,34 +86,30 @@ fn bench_stored_oracle(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ring_search_stored");
     group.sample_size(20);
-    for max_ring in [2usize, 5] {
+    for (max_ring, max_rings) in [(2usize, None), (5, None), (5, Some(8))] {
         let policy = SearchPolicy::new(max_ring, RingPreference::ShorterFirst);
         let search = RingSearch::new(policy)
             .with_expansion_budget(6_000)
-            .with_fanout(16);
-        group.bench_function(
-            BenchmarkId::new("peers200_edges6000", format!("max_ring{max_ring}")),
-            |b| {
-                b.iter(|| {
-                    roots
-                        .iter()
-                        .map(|&root| {
-                            let want = &wants[root as usize];
-                            search
-                                .find_traced_in(
-                                    &mut SearchScratch::new(),
-                                    &graph,
-                                    root,
-                                    want,
-                                    provides,
-                                )
-                                .rings
-                                .len()
-                        })
-                        .sum::<usize>()
-                });
-            },
-        );
+            .with_fanout(16)
+            .with_max_rings(max_rings.unwrap_or(usize::MAX));
+        let case = match max_rings {
+            Some(cap) => format!("max_ring{max_ring}_cap{cap}"),
+            None => format!("max_ring{max_ring}"),
+        };
+        group.bench_function(BenchmarkId::new("peers200_edges6000", case), |b| {
+            b.iter(|| {
+                roots
+                    .iter()
+                    .map(|&root| {
+                        let want = &wants[root as usize];
+                        search
+                            .find_traced_in(&mut SearchScratch::new(), &graph, root, want, provides)
+                            .rings
+                            .len()
+                    })
+                    .sum::<usize>()
+            });
+        });
     }
     group.finish();
 }

@@ -346,6 +346,22 @@ impl<P: Key + Into<u32>, O: Key> Default for SearchScratch<P, O> {
 /// A global expansion budget bounds the work on pathological request graphs
 /// (very popular providers with huge incoming-request queues).
 ///
+/// # Stopping at a ring cap
+///
+/// A caller that only ever tries the first `n` candidates can say so with
+/// [`with_max_rings`](Self::with_max_rings): the search then returns at most
+/// `n` rings, the first `n` in preference order.  A
+/// [`ShorterFirst`](RingPreference::ShorterFirst) search also *stops* at the
+/// pop that finds its `n`th ring, before that node is extended.  This is
+/// exact: the BFS pops paths in non-decreasing depth and a ring's size is
+/// its path's depth + 1, so the rings are found in exactly their
+/// shorter-first order (ties in discovery order) and the first `n` found are
+/// the first `n` the uncapped search returns.  The trace's `deps` and `edge_deps` then cover
+/// only what the shorter search read, so they stay the exact footprint of
+/// the capped result.  A [`LongerFirst`](RingPreference::LongerFirst) search
+/// cannot know its longest rings before the budget or the depth bound ends
+/// it, so it runs in full and only the result is truncated.
+///
 /// # Example
 ///
 /// ```
@@ -365,17 +381,19 @@ pub struct RingSearch {
     policy: SearchPolicy,
     expansion_budget: usize,
     fanout: usize,
+    max_rings: usize,
 }
 
 impl RingSearch {
-    /// Creates a search with the default expansion budget and unbounded
-    /// per-node fanout.
+    /// Creates a search with the default expansion budget, unbounded
+    /// per-node fanout and no ring cap.
     #[must_use]
     pub fn new(policy: SearchPolicy) -> Self {
         RingSearch {
             policy,
             expansion_budget: 50_000,
             fanout: usize::MAX,
+            max_rings: usize::MAX,
         }
     }
 
@@ -398,6 +416,15 @@ impl RingSearch {
     #[must_use]
     pub fn with_fanout(mut self, fanout: usize) -> Self {
         self.fanout = fanout.max(1);
+        self
+    }
+
+    /// Returns at most `max_rings` rings, the first ones in preference order;
+    /// a shorter-first search stops as soon as it has found that many (see
+    /// [Stopping at a ring cap](Self#stopping-at-a-ring-cap)).
+    #[must_use]
+    pub fn with_max_rings(mut self, max_rings: usize) -> Self {
+        self.max_rings = max_rings.max(1);
         self
     }
 
@@ -488,6 +515,11 @@ impl RingSearch {
         }
         *stamp += 1;
         let mut budget = self.expansion_budget;
+        // Only a shorter-first search finds its leading rings first.
+        let stop_at = match self.policy.preference() {
+            RingPreference::ShorterFirst => self.max_rings,
+            RingPreference::LongerFirst => usize::MAX,
+        };
         // Breadth-first enumeration of simple paths root <- r1 <- r2 ...
         // following incoming request edges.  Breadth-first order guarantees
         // that when the expansion budget runs out, the shallow (short-ring)
@@ -552,7 +584,6 @@ impl RingSearch {
                 });
                 probes.last_mut().expect("a probe was just pushed")
             };
-            probe.expanded |= extend;
             let closing = &closers[probe.start..probe.end];
             if closing.is_empty() && !extend {
                 head += 1;
@@ -578,8 +609,14 @@ impl RingSearch {
                     found.push((path.len() + 1, ring));
                 }
             }
+            // The cap is reached: stop before this node's queue is read.
+            if found.len() >= stop_at {
+                head += 1;
+                break;
+            }
 
             // Extend the path.
+            probe.expanded |= extend;
             if extend {
                 let children = SearchScratch::prefix(adjacency, graph, last_peer, *fanout);
                 for &(peer, object) in children.iter().take(self.fanout) {
@@ -592,10 +629,12 @@ impl RingSearch {
             head += 1;
         }
 
-        match self.policy.preference() {
-            RingPreference::ShorterFirst => found.sort_by_key(|(size, _)| *size),
-            RingPreference::LongerFirst => found.sort_by_key(|(size, _)| Reverse(*size)),
+        // Breadth-first order already lists the rings by non-decreasing
+        // size, which is the shorter-first order.
+        if self.policy.preference() == RingPreference::LongerFirst {
+            found.sort_by_key(|(size, _)| Reverse(*size));
         }
+        found.truncate(self.max_rings);
         // The full dependency set: the root (its incoming queue seeds the
         // search) plus every peer that entered the frontier, whether or not
         // it was expanded before the budget ran out — the popped peers are
@@ -879,6 +918,57 @@ mod tests {
         let rings = fresh_search(search, &graph, 0, &[99], owns(&ownership)).rings;
         assert!(!rings.is_empty());
         assert!(rings[0].is_pairwise());
+    }
+
+    #[test]
+    fn ring_cap_stops_a_shorter_first_search_at_the_nth_ring() {
+        // Peers 1 and 2 asked the root; 3 asked 1 and 4 asked 3.  Peers 1,
+        // 2 and 4 close rings of sizes 2, 2 and 4.
+        let graph: RequestGraph<u32, u32> = [(1, 0, 10), (2, 0, 11), (3, 1, 30), (4, 3, 40)]
+            .into_iter()
+            .collect();
+        let ownership: HashMap<u32, Vec<u32>> = [(1, vec![99]), (2, vec![99]), (4, vec![99])]
+            .into_iter()
+            .collect();
+        let all = fresh_search(shorter_first(5), &graph, 0, &[99], owns(&ownership));
+        assert_eq!(all.rings.len(), 3);
+        assert_eq!(all.deps, vec![0, 1, 2, 3, 4]);
+        // The second ring closes at peer 2, the second pop: peer 1's queue
+        // was read by the first pop, peer 2's never is.
+        let capped = fresh_search(
+            shorter_first(5).with_max_rings(2),
+            &graph,
+            0,
+            &[99],
+            owns(&ownership),
+        );
+        assert_eq!(capped.rings, all.rings[..2]);
+        assert_eq!(capped.deps, vec![0, 1, 2, 3]);
+        assert_eq!(capped.edge_deps, vec![0, 1]);
+        // A cap the search never reaches changes nothing.
+        let loose = shorter_first(5).with_max_rings(4);
+        assert_eq!(fresh_search(loose, &graph, 0, &[99], owns(&ownership)), all);
+    }
+
+    #[test]
+    fn ring_cap_truncates_a_longer_first_search_without_stopping_it() {
+        let graph: RequestGraph<u32, u32> = [(1, 0, 10), (2, 0, 11), (3, 1, 30), (4, 3, 40)]
+            .into_iter()
+            .collect();
+        let ownership: HashMap<u32, Vec<u32>> = [(1, vec![99]), (2, vec![99]), (4, vec![99])]
+            .into_iter()
+            .collect();
+        let all = fresh_search(longer_first(5), &graph, 0, &[99], owns(&ownership));
+        let capped = fresh_search(
+            longer_first(5).with_max_rings(1),
+            &graph,
+            0,
+            &[99],
+            owns(&ownership),
+        );
+        assert_eq!(capped.rings, all.rings[..1]);
+        assert_eq!(capped.rings[0].len(), 4);
+        assert_eq!((capped.deps, capped.edge_deps), (all.deps, all.edge_deps));
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! a fresh scratch and in a warm scratch that is advanced across random
 //! graph and ownership mutations, while probing each (peer, object) pair at
 //! most once per search.
+//!
+//! The reference also keeps the ring cap's stop rule in its plainest form:
+//! a shorter-first search ends right after the pop whose rings bring the
+//! count to the cap, and the sorted result is cut to the cap.  A capped
+//! search must equal the capped reference, and its rings must be the first
+//! rings of the uncapped search.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -23,16 +29,50 @@ use proptest::prelude::*;
 const PEERS: u8 = 10;
 const OBJECTS: u8 = 90;
 
+/// The knobs of one search, read by the reference and handed to the
+/// optimised search alike.
+#[derive(Debug, Clone, Copy)]
+struct Knobs {
+    policy: SearchPolicy,
+    budget: usize,
+    fanout: usize,
+    max_rings: usize,
+}
+
+impl Knobs {
+    /// Uncapped knobs.
+    fn new(policy: SearchPolicy, budget: usize, fanout: usize) -> Self {
+        Knobs {
+            policy,
+            budget,
+            fanout,
+            max_rings: usize::MAX,
+        }
+    }
+
+    /// The optimised search under these knobs.
+    fn search(self) -> RingSearch {
+        RingSearch::new(self.policy)
+            .with_expansion_budget(self.budget)
+            .with_fanout(self.fanout)
+            .with_max_rings(self.max_rings)
+    }
+}
+
 /// The search as a plain, unmemoised BFS over the graph's queues.
 fn reference_search(
     graph: &RequestGraph<u8, u8>,
     root: u8,
     wants: &[u8],
     provides: impl Fn(&u8, &u8) -> bool,
-    policy: SearchPolicy,
-    budget: usize,
-    fanout: usize,
+    knobs: Knobs,
 ) -> SearchTrace<u8, u8> {
+    let Knobs {
+        policy,
+        budget,
+        fanout,
+        max_rings,
+    } = knobs;
     if wants.is_empty() {
         return SearchTrace {
             rings: Vec::new(),
@@ -77,6 +117,9 @@ fn reference_search(
                 }
             }
         }
+        if policy.preference() == RingPreference::ShorterFirst && found.len() >= max_rings {
+            break;
+        }
         if depth < policy.max_depth() {
             edge_deps.push(last_peer);
             for request in graph.incoming(last_peer).take(fanout) {
@@ -93,6 +136,7 @@ fn reference_search(
         RingPreference::ShorterFirst => found.sort_by_key(|(size, _)| *size),
         RingPreference::LongerFirst => found.sort_by_key(|(size, _)| Reverse(*size)),
     }
+    found.truncate(max_rings);
     let mut deps: Vec<u8> = arena.iter().map(|(peer, _, _, _)| *peer).collect();
     deps.push(root);
     deps.sort_unstable();
@@ -226,41 +270,84 @@ fn prefix_changed(
 const BUDGETS: [usize; 6] = [1, 2, 3, 17, 300, 2_000];
 const FANOUTS: [usize; 5] = [1, 2, 3, 5, usize::MAX];
 
+/// The policy of a drawn case.
+fn policy(max_ring: usize, longer: bool) -> SearchPolicy {
+    let preference = if longer {
+        RingPreference::LongerFirst
+    } else {
+        RingPreference::ShorterFirst
+    };
+    SearchPolicy::new(max_ring, preference)
+}
+
+/// The graph of a drawn case, its dirty log drained.  Every request the
+/// root itself issued is a path back to the root, which the search must
+/// never close through.
+fn case_graph(edges: Vec<(u8, u8, u8)>) -> RequestGraph<u8, u8> {
+    let mut graph: RequestGraph<u8, u8> = edges.into_iter().filter(|(r, p, _)| r != p).collect();
+    graph.take_dirty_edges();
+    graph
+}
+
+/// Mutates the graph and the ownership at random, then advances the warm
+/// `scratch` past the graph change, from generation `drained` on.
+fn mutate_and_advance(
+    rng: &mut Rng,
+    graph: &mut RequestGraph<u8, u8>,
+    owned: &mut BTreeSet<(u8, u8)>,
+    scratch: &mut SearchScratch<u8, u8>,
+    drained: &mut u64,
+    fanout: usize,
+) {
+    for _ in 0..1 + rng.below(6) {
+        let (r, p, o) = (rng.peer(), rng.peer(), rng.object());
+        if r != p && !graph.remove_request(r, p, o) {
+            graph.add_request(r, p, o);
+        }
+        let pair = (rng.peer(), rng.object());
+        if !owned.remove(&pair) {
+            owned.insert(pair);
+        }
+    }
+    let to = graph.generation();
+    let mut updates: Vec<(u8, bool)> = Vec::new();
+    for (provider, requester, object) in graph.take_dirty_edges() {
+        if updates.last().map(|(p, _)| *p) != Some(provider) {
+            let changed = prefix_changed(graph, provider, requester, object, fanout);
+            updates.push((provider, changed));
+        }
+    }
+    scratch.advance(*drained, to, updates);
+    *drained = to;
+}
+
 proptest! {
+    /// Half the cases cap the search at 1 to 10 rings.  A capped search
+    /// must also list exactly the first rings of the uncapped search: the
+    /// cap changes how many rings are listed, never which come first.
     #[test]
     fn optimised_search_equals_the_reference(
         edges in proptest::collection::vec((0u8..PEERS, 0u8..PEERS, 0u8..OBJECTS), 0..70),
         owned in proptest::collection::vec((0u8..PEERS, 0u8..OBJECTS), 0..200),
         max_ring in 2usize..7,
         knobs in (0usize..BUDGETS.len(), 0usize..FANOUTS.len(), proptest::bool::ANY),
+        cap in (proptest::bool::ANY, 1usize..11),
         seed in 0u64..u64::MAX,
     ) {
-        let (budget, fanout, longer) = (BUDGETS[knobs.0], FANOUTS[knobs.1], knobs.2);
-        let preference = if longer {
-            RingPreference::LongerFirst
-        } else {
-            RingPreference::ShorterFirst
-        };
-        let policy = SearchPolicy::new(max_ring, preference);
-        let search = RingSearch::new(policy)
-            .with_expansion_budget(budget)
-            .with_fanout(fanout);
-        // Every request the root itself issued is a path back to the root,
-        // which the search must never close through.
-        let mut graph: RequestGraph<u8, u8> =
-            edges.into_iter().filter(|(r, p, _)| r != p).collect();
+        let uncapped = Knobs::new(policy(max_ring, knobs.2), BUDGETS[knobs.0], FANOUTS[knobs.1]);
+        let knobs = if cap.0 { Knobs { max_rings: cap.1, ..uncapped } } else { uncapped };
+        let search = knobs.search();
+        let mut graph = case_graph(edges);
         let mut owned: BTreeSet<(u8, u8)> = owned.into_iter().collect();
         let mut rng = Rng(seed);
         let mut scratch = SearchScratch::new();
-        graph.take_dirty_edges();
         let mut drained = graph.generation();
         for _ in 0..4 {
             for _ in 0..4 {
                 let root = rng.peer();
                 let wants = rng.wants(&graph, root);
                 let plain_owned = |p: &u8, o: &u8| owned.contains(&(*p, *o));
-                let expected =
-                    reference_search(&graph, root, &wants, plain_owned, policy, budget, fanout);
+                let expected = reference_search(&graph, root, &wants, plain_owned, knobs);
                 let oracle = CountingOracle::new(&owned);
                 let probe = |p: &u8, o: &u8| oracle.provides(p, o);
 
@@ -271,29 +358,13 @@ proptest! {
                     search.find_traced_in(&mut SearchScratch::new(), &graph, root, &wants, probe);
                 prop_assert!(oracle.take_max_probes() <= 1, "a (peer, object) pair was probed twice");
                 prop_assert_eq!(&fresh, &expected);
+                let all = uncapped
+                    .search()
+                    .find_traced_in(&mut SearchScratch::new(), &graph, root, &wants, plain_owned)
+                    .rings;
+                prop_assert_eq!(&fresh.rings[..], &all[..all.len().min(knobs.max_rings)]);
             }
-            // Mutate the graph and the ownership, then advance the warm
-            // scratch past the graph change.
-            for _ in 0..1 + rng.below(6) {
-                let (r, p, o) = (rng.peer(), rng.peer(), rng.object());
-                if r != p && !graph.remove_request(r, p, o) {
-                    graph.add_request(r, p, o);
-                }
-                let pair = (rng.peer(), rng.object());
-                if !owned.remove(&pair) {
-                    owned.insert(pair);
-                }
-            }
-            let to = graph.generation();
-            let mut updates: Vec<(u8, bool)> = Vec::new();
-            for (provider, requester, object) in graph.take_dirty_edges() {
-                if updates.last().map(|(p, _)| *p) != Some(provider) {
-                    let changed = prefix_changed(&graph, provider, requester, object, fanout);
-                    updates.push((provider, changed));
-                }
-            }
-            scratch.advance(drained, to, updates);
-            drained = to;
+            mutate_and_advance(&mut rng, &mut graph, &mut owned, &mut scratch, &mut drained, knobs.fanout);
         }
     }
 }
@@ -314,25 +385,17 @@ fn long_and_repeated_want_lists_match_the_reference() {
         })
         .collect();
     let wants: Vec<u8> = (0..OBJECTS).chain(0..OBJECTS).collect();
-    for preference in [RingPreference::ShorterFirst, RingPreference::LongerFirst] {
-        let policy = SearchPolicy::new(4, preference);
-        let search = RingSearch::new(policy)
-            .with_expansion_budget(300)
-            .with_fanout(3);
-        let expected = reference_search(
-            &graph,
-            0,
-            &wants,
-            |p, o| owned.contains(&(*p, *o)),
-            policy,
-            300,
-            3,
-        );
+    for longer in [false, true] {
+        let knobs = Knobs::new(policy(4, longer), 300, 3);
+        let expected = reference_search(&graph, 0, &wants, |p, o| owned.contains(&(*p, *o)), knobs);
         assert!(expected.rings.len() > 64);
         let oracle = CountingOracle::new(&owned);
-        let fresh = search.find_traced_in(&mut SearchScratch::new(), &graph, 0, &wants, |p, o| {
-            oracle.provides(p, o)
-        });
+        let fresh =
+            knobs
+                .search()
+                .find_traced_in(&mut SearchScratch::new(), &graph, 0, &wants, |p, o| {
+                    oracle.provides(p, o)
+                });
         assert_eq!(oracle.take_max_probes(), 1);
         assert_eq!(fresh, expected);
     }
@@ -389,16 +452,8 @@ proptest! {
         knobs in (0usize..BUDGETS.len(), 0usize..FANOUTS.len(), proptest::bool::ANY),
         seed in 0u64..u64::MAX,
     ) {
-        let (budget, fanout, longer) = (BUDGETS[knobs.0], FANOUTS[knobs.1], knobs.2);
-        let preference = if longer {
-            RingPreference::LongerFirst
-        } else {
-            RingPreference::ShorterFirst
-        };
-        let policy = SearchPolicy::new(max_ring, preference);
-        let search = RingSearch::new(policy)
-            .with_expansion_budget(budget)
-            .with_fanout(fanout);
+        let knobs = Knobs::new(policy(max_ring, knobs.2), BUDGETS[knobs.0], FANOUTS[knobs.1]);
+        let (search, fanout) = (knobs.search(), knobs.fanout);
         let mut graph: RequestGraph<u8, u8> =
             edges.into_iter().filter(|(r, p, _)| r != p).collect();
         let mut wide_graph: RequestGraph<u32, u8> = graph
@@ -415,9 +470,7 @@ proptest! {
                 let root = rng.peer();
                 let wants = rng.wants(&graph, root);
                 let plain_owned = |p: &u8, o: &u8| owned.contains(&(*p, *o));
-                let expected = widen(&reference_search(
-                    &graph, root, &wants, plain_owned, policy, budget, fanout,
-                ));
+                let expected = widen(&reference_search(&graph, root, &wants, plain_owned, knobs));
                 let wide_owned = |p: &u32, o: &u8| owned.contains(&(narrow(*p), *o));
                 let warm =
                     search.find_traced_in(&mut scratch, &wide_graph, wide(root), &wants, wide_owned);

@@ -76,7 +76,9 @@ pub struct SimConfig {
     pub ring_search_fanout: usize,
     /// How many discovered candidate rings a provider probes per scheduling
     /// step before giving up (the paper's peers pick the first feasible
-    /// exchange rather than exhaustively trying every proposal).
+    /// exchange rather than exhaustively trying every proposal).  The ring
+    /// search returns at most this many, and a shorter-first search stops
+    /// once it has found them.
     pub ring_attempts_per_schedule: usize,
     /// Whether discovered ring candidates are memoised across scheduling
     /// rounds (see [`crate::RingCandidateCache`], which invalidates entry by

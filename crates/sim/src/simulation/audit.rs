@@ -44,7 +44,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use exchange::{RingSearch, SearchScratch};
+use exchange::SearchScratch;
 use workload::PeerId;
 
 use crate::SimReport;
@@ -494,12 +494,9 @@ impl Simulation {
         if self.ring_cache.is_empty() {
             return Ok(());
         }
-        let Some(policy) = self.config.discipline.search_policy() else {
+        let Some(search) = self.ring_search() else {
             return Err("cache holds entries although the discipline never searches".into());
         };
-        let search = RingSearch::new(policy)
-            .with_expansion_budget(self.config.ring_search_budget)
-            .with_fanout(self.config.ring_search_fanout);
         // One scratch for this call: the graph is fixed while the audit
         // runs, and warm results equal fresh ones.  It is deliberately not
         // the simulation's own scratch, so the check stays independent of

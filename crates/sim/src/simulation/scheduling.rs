@@ -92,28 +92,24 @@ impl Simulation {
     /// graph or holdings delta touches a peer that search depended on, so
     /// repeated scheduling rounds at a quiet provider skip the BFS entirely.
     fn try_form_exchange(&mut self, provider: PeerId) -> bool {
-        let Some(policy) = self.config.discipline.search_policy() else {
+        let Some(search) = self.ring_search() else {
             return false;
         };
         let wants = self.peer(provider).wanted_objects();
         if wants.is_empty() {
             return false;
         }
-        // Try only a handful of candidates: the paper's peers pick the first
-        // feasible exchange rather than exhaustively probing every proposal.
-        let attempts = self.config.ring_attempts_per_schedule;
         let candidates: Vec<ExchangeRing<PeerId, ObjectId>> = if self.config.ring_candidate_cache {
             let timer = self.profile_timer();
             self.drain_graph_deltas();
-            let cached = (self.ring_cache.lookup(provider, &wants))
-                .map(|rings| rings.iter().take(attempts).cloned().collect());
+            let cached = (self.ring_cache.lookup(provider, &wants)).map(<[_]>::to_vec);
             Self::add_elapsed(&self.cache_upkeep_nanos, timer);
             if let Some(candidates) = cached {
                 candidates
             } else {
-                let trace = self.search_rings(policy, provider, &wants);
+                let trace = self.search_rings(search, provider, &wants);
                 let timer = self.profile_timer();
-                let candidates = trace.rings.iter().take(attempts).cloned().collect();
+                let candidates = trace.rings.clone();
                 self.ring_cache.store(provider, wants, trace);
                 Self::add_elapsed(&self.cache_upkeep_nanos, timer);
                 candidates
@@ -125,9 +121,7 @@ impl Simulation {
             // reference path rebuilds its adjacency on every generation.
             self.graph.take_dirty_edges();
             self.drained_generation = self.graph.generation();
-            let mut rings = self.search_rings(policy, provider, &wants).rings;
-            rings.truncate(attempts);
-            rings
+            self.search_rings(search, provider, &wants).rings
         };
         for ring in &candidates {
             if self.activate_ring(provider, ring) {
@@ -203,6 +197,22 @@ impl Simulation {
         true
     }
 
+    /// The run's ring search, or `None` if its discipline never searches:
+    /// the discipline's policy under the configured budget and fanout,
+    /// capped at `ring_attempts_per_schedule` rings.  The paper's peers
+    /// take the first feasible exchange rather than probing every proposal,
+    /// so a provider tries only that many candidates, and a shorter-first
+    /// search stops once it has found them.  The scheduler and the audit
+    /// both search through this one constructor.
+    pub(super) fn ring_search(&self) -> Option<RingSearch> {
+        let policy = self.config.discipline.search_policy()?;
+        let search = RingSearch::new(policy)
+            .with_expansion_budget(self.config.ring_search_budget)
+            .with_fanout(self.config.ring_search_fanout)
+            .with_max_rings(self.config.ring_attempts_per_schedule);
+        Some(search)
+    }
+
     /// Runs one fresh ring search rooted at `provider`, inside the
     /// simulation's shared [`exchange::SearchScratch`] so consecutive
     /// searches of a round reuse their buffers and adjacency snapshot.
@@ -218,7 +228,7 @@ impl Simulation {
     /// providers its own lookups sampled.)
     fn search_rings(
         &mut self,
-        policy: exchange::SearchPolicy,
+        search: RingSearch,
         provider: PeerId,
         wants: &[ObjectId],
     ) -> exchange::SearchTrace<PeerId, ObjectId> {
@@ -227,16 +237,13 @@ impl Simulation {
         // The scratch is lent out for the search, so the oracle can read
         // the rest of the simulation.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let trace = RingSearch::new(policy)
-            .with_expansion_budget(self.config.ring_search_budget)
-            .with_fanout(self.config.ring_search_fanout)
-            .find_traced_in(
-                &mut scratch,
-                &self.graph,
-                provider,
-                wants,
-                |peer, object| self.search_claims(&self.marks, *peer, *object),
-            );
+        let trace = search.find_traced_in(
+            &mut scratch,
+            &self.graph,
+            provider,
+            wants,
+            |peer, object| self.search_claims(&self.marks, *peer, *object),
+        );
         self.scratch = scratch;
         if timer.is_some() {
             Self::add_elapsed(&self.ring_search_nanos, timer);

@@ -28,6 +28,9 @@
 //! * the search scratches and the search's holder marks, pure memoization
 //!   with a warm-equals-cold guarantee, so a resumed run starting cold stays
 //!   bit-identical;
+//! * the graph generation the search scratch was last advanced to, which
+//!   restarts at the restored graph's generation: the cold scratch ignores
+//!   it, since advancing a scratch that holds no snapshot clears it anyway;
 //! * the serve-queue epochs (`transfer_epoch`, `transfer_end_epoch`,
 //!   `world_epoch`), which restart at zero: they only stamp a serve queue,
 //!   and a serve queue never outlives one scheduling event.
@@ -101,7 +104,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"XCHGSNAP";
 
 /// The current snapshot format version (see the module docs for the bump
 /// policy).
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 // Section tags, in their mandatory file order.
 const TAG_RNGS: u8 = 1;
@@ -896,8 +899,7 @@ impl Simulation {
         write_section(writer, TAG_PEERS, |out| {
             self.peers.iter().for_each(|p| encode_peer(p, out))
         })?;
-        let graph = (&self.graph, self.drained_generation);
-        write_section(writer, TAG_GRAPH, |out| graph.encode(out))?;
+        write_section(writer, TAG_GRAPH, |out| self.graph.encode(out))?;
         write_section(writer, TAG_TRANSFERS, |out| {
             (self.next_transfer_id, self.next_ring_id).encode(out);
             (sorted_by_id(&self.transfers), sorted_by_id(&self.rings)).encode(out);
@@ -999,7 +1001,8 @@ impl Simulation {
         // function of the per-peer state just read).
         (sim.holders, sim.honest_holders) = holders_index(&sim.peers, num_objects);
 
-        (sim.graph, sim.drained_generation) = cur.section(TAG_GRAPH, Cursor::decode)?;
+        sim.graph = cur.section(TAG_GRAPH, Cursor::decode)?;
+        sim.drained_generation = sim.graph.generation();
 
         // Transfers and rings; rebuild the reverse indexes and the slot
         // occupancy they imply as we go.  (The serve-queue epochs restart at
