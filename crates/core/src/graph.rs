@@ -1,6 +1,6 @@
 //! The directed request graph.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::Key;
 
@@ -15,6 +15,19 @@ pub struct Request<P, O> {
     pub object: O,
 }
 
+/// The table index of a peer: its `u32` image (see [`RequestGraph`]).
+pub(crate) fn slot<P: Into<u32>>(peer: P) -> usize {
+    peer.into() as usize
+}
+
+/// The queue at `index` of a peer-indexed table, grown on demand.
+fn queue_mut<T>(table: &mut Vec<Vec<T>>, index: usize) -> &mut Vec<T> {
+    if index >= table.len() {
+        table.resize_with(index + 1, Vec::new);
+    }
+    &mut table[index]
+}
+
 /// The directed graph **G** of Section III-A.
 ///
 /// Vertices are peers; a labelled edge from `R` to `P` with label `o`
@@ -22,8 +35,11 @@ pub struct Request<P, O> {
 /// cycle of length *n* in this graph is a feasible *n*-way exchange.
 ///
 /// The graph is indexed both by provider (a provider's incoming edges are its
-/// incoming-request queue) and by requester (a peer's outgoing requests), so
-/// both the ring search and request-queue maintenance are cheap.
+/// incoming-request queue) and by requester (a peer's outgoing requests).
+/// Both indexes are peer-indexed tables of sorted queues, so reading a queue
+/// is one slice: [`incoming`](Self::incoming) lists `(requester, object)` in
+/// ascending order, [`outgoing`](Self::outgoing) lists `(provider, object)`
+/// likewise.
 ///
 /// For incremental consumers (candidate caches keyed on search results), the
 /// graph tracks a monotonically increasing [`generation`](Self::generation)
@@ -33,24 +49,36 @@ pub struct Request<P, O> {
 /// ignores all bookkeeping: two graphs with the same edges compare equal
 /// regardless of their mutation history.
 ///
+/// # Peer ids
+///
+/// A peer's table index is its `P: Into<u32>` image.  **Contract:** that
+/// conversion must be injective and preserve order (`a < b` iff
+/// `a.into() < b.into()`), which holds for the unsigned integer types and
+/// the `workload` id newtypes; [`iter`](Self::iter) walks the providers in
+/// index order.  The tables grow to the largest index seen, so ids should be
+/// dense.
+///
 /// # Example
 ///
 /// ```
 /// use exchange::RequestGraph;
 ///
-/// let mut g: RequestGraph<&str, u32> = RequestGraph::new();
-/// g.add_request("alice", "bob", 7);
-/// assert!(g.has_request("alice", "bob", 7));
-/// assert_eq!(g.incoming("bob").count(), 1);
-/// assert_eq!(g.outgoing("alice").count(), 1);
-/// assert!(g.take_dirty_edges().into_iter().eq([("bob", "alice", 7)]));
+/// let mut g: RequestGraph<u32, u32> = RequestGraph::new();
+/// g.add_request(1, 2, 7);
+/// assert!(g.has_request(1, 2, 7));
+/// assert_eq!(g.incoming(2), &[(1, 7)]);
+/// assert_eq!(g.outgoing(1), &[(2, 7)]);
+/// assert!(g.take_dirty_edges().into_iter().eq([(2, 1, 7)]));
 /// ```
 #[derive(Debug, Clone)]
-pub struct RequestGraph<P: Key, O: Key> {
-    /// provider -> set of (requester, object)
-    incoming: BTreeMap<P, BTreeSet<(P, O)>>,
-    /// requester -> set of (provider, object)
-    outgoing: BTreeMap<P, BTreeSet<(P, O)>>,
+pub struct RequestGraph<P: Key + Into<u32>, O: Key> {
+    /// Per provider index: its sorted `(requester, object)` queue.
+    incoming: Vec<Vec<(P, O)>>,
+    /// Per requester index: its sorted `(provider, object)` requests.
+    outgoing: Vec<Vec<(P, O)>>,
+    /// Per index: the peer it belongs to.  Only entries whose incoming or
+    /// outgoing queue is non-empty are ever read.
+    ids: Vec<P>,
     len: usize,
     /// Bumped on every successful mutation.
     generation: u64,
@@ -59,22 +87,24 @@ pub struct RequestGraph<P: Key, O: Key> {
     dirty_edges: BTreeSet<(P, P, O)>,
 }
 
-impl<P: Key, O: Key> PartialEq for RequestGraph<P, O> {
+impl<P: Key + Into<u32>, O: Key> PartialEq for RequestGraph<P, O> {
     fn eq(&self, other: &Self) -> bool {
-        // Mutation-tracking state is bookkeeping, not graph identity.
-        self.incoming == other.incoming && self.outgoing == other.outgoing
+        // Mutation-tracking state and emptied queues are bookkeeping, not
+        // graph identity; the incoming queues hold every edge once.
+        self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
-impl<P: Key, O: Key> Eq for RequestGraph<P, O> {}
+impl<P: Key + Into<u32>, O: Key> Eq for RequestGraph<P, O> {}
 
-impl<P: Key, O: Key> RequestGraph<P, O> {
+impl<P: Key + Into<u32>, O: Key> RequestGraph<P, O> {
     /// Creates an empty graph.
     #[must_use]
     pub fn new() -> Self {
         RequestGraph {
-            incoming: BTreeMap::new(),
-            outgoing: BTreeMap::new(),
+            incoming: Vec::new(),
+            outgoing: Vec::new(),
+            ids: Vec::new(),
             len: 0,
             generation: 0,
             dirty_edges: BTreeSet::new(),
@@ -139,6 +169,15 @@ impl<P: Key, O: Key> RequestGraph<P, O> {
         self.dirty_edges.insert((provider, requester, object));
     }
 
+    /// Records `peer` as the owner of its table index.
+    fn register(&mut self, peer: P) {
+        let index = slot(peer);
+        if index >= self.ids.len() {
+            self.ids.resize(index + 1, peer);
+        }
+        self.ids[index] = peer;
+    }
+
     /// Number of outstanding requests (edges).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -165,36 +204,40 @@ impl<P: Key, O: Key> RequestGraph<P, O> {
             requester != provider,
             "a peer cannot request an object from itself ({requester:?})"
         );
-        let inserted = self
-            .incoming
-            .entry(provider)
-            .or_default()
-            .insert((requester, object));
-        if inserted {
-            self.outgoing
-                .entry(requester)
-                .or_default()
-                .insert((provider, object));
-            self.len += 1;
-            self.mark_edge_dirty(requester, provider, object);
-        }
-        inserted
+        let queue = queue_mut(&mut self.incoming, slot(provider));
+        let Err(at) = queue.binary_search(&(requester, object)) else {
+            return false;
+        };
+        queue.insert(at, (requester, object));
+        let out = queue_mut(&mut self.outgoing, slot(requester));
+        let at = out
+            .binary_search(&(provider, object))
+            .expect_err("the outgoing index mirrors the incoming one");
+        out.insert(at, (provider, object));
+        self.register(provider);
+        self.register(requester);
+        self.len += 1;
+        self.mark_edge_dirty(requester, provider, object);
+        true
     }
 
     /// Removes a specific request; returns `true` if it existed.
     pub fn remove_request(&mut self, requester: P, provider: P, object: O) -> bool {
-        let removed = self
-            .incoming
-            .get_mut(&provider)
-            .is_some_and(|set| set.remove(&(requester, object)));
-        if removed {
-            if let Some(out) = self.outgoing.get_mut(&requester) {
-                out.remove(&(provider, object));
-            }
-            self.len -= 1;
-            self.mark_edge_dirty(requester, provider, object);
-        }
-        removed
+        let Some(queue) = self.incoming.get_mut(slot(provider)) else {
+            return false;
+        };
+        let Ok(at) = queue.binary_search(&(requester, object)) else {
+            return false;
+        };
+        queue.remove(at);
+        let out = &mut self.outgoing[slot(requester)];
+        let at = out
+            .binary_search(&(provider, object))
+            .expect("the outgoing index mirrors the incoming one");
+        out.remove(at);
+        self.len -= 1;
+        self.mark_edge_dirty(requester, provider, object);
+        true
     }
 
     /// Removes every request issued by `requester` for `object`
@@ -202,19 +245,23 @@ impl<P: Key, O: Key> RequestGraph<P, O> {
     ///
     /// Used when a download completes or is abandoned.
     pub fn remove_object_requests(&mut self, requester: P, object: O) -> usize {
-        let Some(out) = self.outgoing.get_mut(&requester) else {
+        let Some(out) = self.outgoing.get_mut(slot(requester)) else {
             return 0;
         };
-        let targets: Vec<P> = out
-            .iter()
-            .filter(|(_, o)| *o == object)
-            .map(|(p, _)| *p)
-            .collect();
-        for provider in &targets {
-            out.remove(&(*provider, object));
-            if let Some(inc) = self.incoming.get_mut(provider) {
-                inc.remove(&(requester, object));
+        let mut targets: Vec<P> = Vec::new();
+        out.retain(|&(provider, o)| {
+            let hit = o == object;
+            if hit {
+                targets.push(provider);
             }
+            !hit
+        });
+        for provider in &targets {
+            let queue = &mut self.incoming[slot(*provider)];
+            let at = queue
+                .binary_search(&(requester, object))
+                .expect("the incoming index mirrors the outgoing one");
+            queue.remove(at);
         }
         self.len -= targets.len();
         for provider in &targets {
@@ -226,79 +273,58 @@ impl<P: Key, O: Key> RequestGraph<P, O> {
     /// Whether the exact request is registered.
     #[must_use]
     pub fn has_request(&self, requester: P, provider: P, object: O) -> bool {
-        self.incoming
-            .get(&provider)
-            .is_some_and(|set| set.contains(&(requester, object)))
+        self.incoming(provider)
+            .binary_search(&(requester, object))
+            .is_ok()
     }
 
-    /// The incoming-request queue of `provider`: `(requester, object)` pairs.
-    pub fn incoming(&self, provider: P) -> impl Iterator<Item = Request<P, O>> + '_ {
-        self.incoming
-            .get(&provider)
-            .into_iter()
-            .flat_map(move |set| {
-                set.iter().map(move |(requester, object)| Request {
-                    requester: *requester,
-                    provider,
-                    object: *object,
-                })
-            })
-    }
-
-    /// Number of requests queued at `provider`.
+    /// The incoming-request queue of `provider`: its `(requester, object)`
+    /// pairs in ascending order.
     #[must_use]
-    pub fn incoming_len(&self, provider: P) -> usize {
-        self.incoming.get(&provider).map_or(0, BTreeSet::len)
+    pub fn incoming(&self, provider: P) -> &[(P, O)] {
+        self.incoming.get(slot(provider)).map_or(&[], Vec::as_slice)
     }
 
-    /// The outgoing requests of `requester`: `(provider, object)` pairs.
-    pub fn outgoing(&self, requester: P) -> impl Iterator<Item = Request<P, O>> + '_ {
+    /// The outgoing requests of `requester`: its `(provider, object)` pairs
+    /// in ascending order.
+    #[must_use]
+    pub fn outgoing(&self, requester: P) -> &[(P, O)] {
         self.outgoing
-            .get(&requester)
-            .into_iter()
-            .flat_map(move |set| {
-                set.iter().map(move |(provider, object)| Request {
+            .get(slot(requester))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// All requests in the graph, in deterministic order: by provider, then
+    /// by requester and object.
+    pub fn iter(&self) -> impl Iterator<Item = Request<P, O>> + '_ {
+        self.incoming
+            .iter()
+            .enumerate()
+            .flat_map(move |(index, queue)| {
+                queue.iter().map(move |&(requester, object)| Request {
                     requester,
-                    provider: *provider,
-                    object: *object,
+                    provider: self.ids[index],
+                    object,
                 })
             })
-    }
-
-    /// All requests in the graph, in deterministic order.
-    pub fn iter(&self) -> impl Iterator<Item = Request<P, O>> + '_ {
-        self.incoming.iter().flat_map(|(provider, set)| {
-            set.iter().map(move |(requester, object)| Request {
-                requester: *requester,
-                provider: *provider,
-                object: *object,
-            })
-        })
     }
 
     /// The distinct peers that appear as requester or provider of any edge.
     #[must_use]
     pub fn peers(&self) -> BTreeSet<P> {
-        let mut peers = BTreeSet::new();
-        for (provider, set) in &self.incoming {
-            if !set.is_empty() {
-                peers.insert(*provider);
-            }
-            for (requester, _) in set {
-                peers.insert(*requester);
-            }
-        }
-        peers
+        self.iter()
+            .flat_map(|request| [request.requester, request.provider])
+            .collect()
     }
 }
 
-impl<P: Key, O: Key> Default for RequestGraph<P, O> {
+impl<P: Key + Into<u32>, O: Key> Default for RequestGraph<P, O> {
     fn default() -> Self {
         RequestGraph::new()
     }
 }
 
-impl<P: Key, O: Key> FromIterator<(P, P, O)> for RequestGraph<P, O> {
+impl<P: Key + Into<u32>, O: Key> FromIterator<(P, P, O)> for RequestGraph<P, O> {
     fn from_iter<T: IntoIterator<Item = (P, P, O)>>(iter: T) -> Self {
         let mut graph = RequestGraph::new();
         for (requester, provider, object) in iter {
@@ -324,10 +350,13 @@ mod tests {
         assert_eq!(g.len(), 2);
         assert!(g.has_request(1, 2, 100));
         assert!(!g.has_request(2, 1, 100));
-        assert_eq!(g.incoming_len(2), 2);
-        assert_eq!(g.incoming(2).count(), 2);
-        assert_eq!(g.outgoing(1).count(), 2);
-        assert_eq!(g.outgoing(2).count(), 0);
+        assert_eq!(g.incoming(2), &[(1, 100), (1, 101)]);
+        assert_eq!(g.outgoing(1), &[(2, 100), (2, 101)]);
+        assert!(g.outgoing(2).is_empty());
+        assert!(
+            g.incoming(7).is_empty(),
+            "an unseen peer has an empty queue"
+        );
     }
 
     #[test]
@@ -337,7 +366,7 @@ mod tests {
         assert!(g.remove_request(1, 2, 100));
         assert!(!g.remove_request(1, 2, 100));
         assert!(g.is_empty());
-        assert_eq!(g.outgoing(1).count(), 0);
+        assert!(g.outgoing(1).is_empty());
     }
 
     #[test]
@@ -420,6 +449,27 @@ mod tests {
         assert_ne!(a.generation(), b.generation());
     }
 
+    #[test]
+    fn a_graph_emptied_by_removal_equals_a_new_one() {
+        let mut g: RequestGraph<u32, u32> = RequestGraph::new();
+        g.add_request(1, 2, 100);
+        g.remove_request(1, 2, 100);
+        assert_eq!(g, RequestGraph::new());
+        g.add_request(3, 1, 7);
+        g.remove_object_requests(3, 7);
+        assert_eq!(g, RequestGraph::new());
+    }
+
+    #[test]
+    fn queues_are_sorted_whatever_the_insertion_order() {
+        let g: RequestGraph<u32, u32> = [(5, 0, 1), (2, 0, 9), (2, 0, 3), (7, 4, 1), (5, 4, 1)]
+            .into_iter()
+            .collect();
+        assert_eq!(g.incoming(0), &[(2, 3), (2, 9), (5, 1)]);
+        assert_eq!(g.outgoing(5), &[(0, 1), (4, 1)]);
+        assert_eq!(g.outgoing(2), &[(0, 3), (0, 9)]);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -444,8 +494,8 @@ mod tests {
             fn incoming_and_outgoing_are_consistent(edges in arb_edges()) {
                 let g: RequestGraph<u8, u8> = edges.iter().copied().collect();
                 for req in g.iter() {
-                    prop_assert!(g.incoming(req.provider).any(|r| r == req));
-                    prop_assert!(g.outgoing(req.requester).any(|r| r == req));
+                    prop_assert!(g.incoming(req.provider).contains(&(req.requester, req.object)));
+                    prop_assert!(g.outgoing(req.requester).contains(&(req.provider, req.object)));
                 }
             }
 

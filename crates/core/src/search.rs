@@ -1,9 +1,9 @@
 //! Ring search: discovering feasible n-way exchanges through a provider.
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use crate::graph::slot;
 use crate::{ExchangeRing, Key, RequestGraph, RingEdge, RingPreference, SearchPolicy};
 
 /// The result of a [ring search](RingSearch::find_traced_in): the rings plus
@@ -31,13 +31,13 @@ pub struct SearchTrace<P: Key, O: Key> {
 
 /// An FxHash-style multiplicative hasher for maps keyed by small `Copy` ids.
 ///
-/// The workspace's one id hasher: the search's adjacency snapshot and the
-/// simulation's id-keyed bookkeeping (transfers, rings, upload and download
-/// indexes, the ring-candidate cache) all use it through [`FastState`].  The
-/// keys are peer, object, transfer and ring ids the program assigns itself,
-/// so SipHash's flooding resistance buys nothing there.  Every such map is
-/// only ever probed, or iterated into a list that is sorted before use, so
-/// the hash function cannot affect any result.
+/// The workspace's one id hasher: the simulation's id-keyed bookkeeping
+/// (transfers, rings, upload and download indexes, the ring-candidate
+/// cache) uses it through [`FastState`].  The keys are peer, object,
+/// transfer and ring ids the program assigns itself, so SipHash's flooding
+/// resistance buys nothing there.  Every such map is only ever probed, or
+/// iterated into a list that is sorted before use, so the hash function
+/// cannot affect any result.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FastHasher(u64);
 
@@ -93,11 +93,6 @@ struct Probe<P> {
 /// table is allocated once rather than regrown as larger ids turn up.
 const MIN_TABLE: usize = 64;
 
-/// The table index of a peer: its `u32` image (see [`SearchScratch`]).
-fn slot<P: Into<u32>>(peer: P) -> usize {
-    peer.into() as usize
-}
-
 /// A peer-indexed bitset that emits its members in ascending order.
 #[derive(Debug, Default)]
 struct PeerBits {
@@ -133,24 +128,13 @@ impl PeerBits {
 
 /// Reusable scratch state shared across ring searches.
 ///
-/// Holds the per-search working state and an *expansion-prefix snapshot*
-/// shared across searches: for every peer expanded below the first level,
-/// the first `fanout` entries of its incoming queue — exactly the slice the
-/// depth-bounded search reads.  Consecutive searches — typically one per
-/// provider within a scheduling round — neither reallocate their working
-/// memory nor re-walk the queue prefix of a peer an earlier provider's search
-/// already expanded: overlapping request trees share their expansion
-/// prefixes through the snapshot.  (A root's own queue is always scanned in
-/// full, so it is snapshotted whole and separately from the capped prefixes:
-/// providers are searched over and over.)
-///
-/// The snapshot is keyed on [`RequestGraph::generation`] and discarded
-/// wholesale as soon as the graph mutates, so a search in a warm scratch is
-/// always bit-identical to one in a fresh scratch.  A caller
-/// that forwards the graph's [dirty-edge
-/// log](crate::RequestGraph::take_dirty_edges) can do better and
-/// [`advance`](Self::advance) the snapshot across mutations, forgetting only
-/// the queues that changed.
+/// Holds only per-search working memory: the BFS arena and path buffers,
+/// the stamped closing-probe memo and the dependency bitsets.  Consecutive
+/// searches — typically one per provider within a scheduling round — reuse
+/// these allocations instead of reallocating them.  Every search reads the
+/// incoming-request queues straight from the [`RequestGraph`]'s sorted
+/// slices, so the scratch holds no copy of the graph, and a search in a
+/// warm scratch is always bit-identical to one in a fresh scratch.
 ///
 /// # Peer ids
 ///
@@ -158,34 +142,24 @@ impl PeerBits {
 /// table index is its `P: Into<u32>` image.  **Contract:** that conversion
 /// must be injective and preserve order (`a < b` iff `a.into() < b.into()`),
 /// which holds for the unsigned integer types and the `workload` id
-/// newtypes.  A search emits its dependency sets in index
-/// order, so an order-breaking conversion would break
-/// [`SearchTrace`]'s sorted contract.  Every table is sized lazily to the
-/// largest index a search touches, so ids should be dense: with 32-bit ids
-/// the tables cost about 12 bytes per index up to the largest one seen
-/// (about 120 KiB at 10k peers).  They are scratch state, never
-/// serialized.
+/// newtypes — the same contract [`RequestGraph`] indexes its queues by.  A
+/// search emits its dependency sets in index order, so an order-breaking
+/// conversion would break [`SearchTrace`]'s sorted contract.  Every table
+/// is sized lazily to the largest index a search touches, so ids should be
+/// dense: with 32-bit ids the tables cost about 12 bytes per index up to
+/// the largest one seen (about 120 KiB at 10k peers).  They are scratch
+/// state, never serialized.
 ///
 /// # Thread safety
 ///
 /// A scratch holds no shared state — it is plain owned data, `Send` whenever
-/// the key types are — and every search re-validates its snapshot against
-/// the graph generation before reuse.  A scratch warmed on one thread can
-/// therefore move to another and keep searching bit-identically to fresh
-/// searches.  The simulator's `Simulation` owns one, and a `Simulation` is
-/// `Send`, so it can run on, or move between, sweep worker threads.
+/// the key types are — and no search reads what an earlier one left behind.
+/// A scratch warmed on one thread can therefore move to another and keep
+/// searching bit-identically to fresh searches.  The simulator's
+/// `Simulation` owns one, and a `Simulation` is `Send`, so it can run on, or
+/// move between, sweep worker threads.
 #[derive(Debug)]
 pub struct SearchScratch<P: Key + Into<u32>, O: Key> {
-    /// Graph generation the snapshot was taken at.
-    generation: Option<u64>,
-    /// The fanout the interior prefixes were materialised at; a search with
-    /// a larger fanout resets the snapshot.
-    fanout: usize,
-    /// Full incoming queues of peers that served as search *roots* (their
-    /// queue is always scanned whole).
-    roots: HashMap<P, Vec<(P, O)>, FastState>,
-    /// Capped queue prefixes of peers expanded below the first level.
-    adjacency: HashMap<P, Vec<(P, O)>, FastState>,
     /// Per search: the BFS nodes, each (peer, object requested of its
     /// parent, parent index, depth).  The arena doubles as the FIFO queue.
     arena: Vec<(P, O, usize, usize)>,
@@ -222,10 +196,6 @@ impl<P: Key + Into<u32>, O: Key> SearchScratch<P, O> {
     #[must_use]
     pub fn new() -> Self {
         SearchScratch {
-            generation: None,
-            fanout: 0,
-            roots: HashMap::default(),
-            adjacency: HashMap::default(),
             arena: Vec::new(),
             path: Vec::new(),
             distinct_wants: Vec::new(),
@@ -245,86 +215,6 @@ impl<P: Key + Into<u32>, O: Key> SearchScratch<P, O> {
     fn with_stamp(mut self, stamp: u32) -> Self {
         self.stamp = stamp;
         self
-    }
-
-    /// Number of peers the current snapshot holds queues for (diagnostic;
-    /// the snapshot resets when the graph mutates, unless the caller
-    /// [`advance`](Self::advance)s it).
-    #[must_use]
-    pub fn snapshot_len(&self) -> usize {
-        self.adjacency.len() + self.roots.len()
-    }
-
-    /// Advances the snapshot from `from_generation` to `to_generation`,
-    /// forgetting only the snapshots of `changed_providers` — the peers whose
-    /// incoming queues changed in between.  Each provider comes with a flag
-    /// saying whether the change reached the fanout-bounded *prefix* of its
-    /// queue: the full root snapshot is forgotten either way, but the capped
-    /// interior prefix survives a change beyond it.
-    ///
-    /// This is the incremental alternative to the wholesale reset a search
-    /// performs on a generation mismatch: a caller that drains the graph's
-    /// [dirty-edge log](crate::RequestGraph::take_dirty_edges) knows exactly
-    /// which queues changed and can keep every other peer's snapshot warm
-    /// across mutations.  Soundness is guarded by the generation pair: if the
-    /// scratch is not exactly at `from_generation` (some mutations were never
-    /// reported to it), the whole snapshot is dropped instead.
-    ///
-    /// **Contract:** the `prefix_changed` flags must be computed at (or
-    /// below) the fanout the scratch's prefixes were materialised with.  A
-    /// scratch only ever serves searches of one fanout per generation epoch
-    /// (a larger fanout resets it), so computing the flags at the fanout the
-    /// searches run with — as the simulation's drain does — is always sound;
-    /// mixing fanouts across one scratch while advancing it is not.
-    pub fn advance(
-        &mut self,
-        from_generation: u64,
-        to_generation: u64,
-        changed_providers: impl IntoIterator<Item = (P, bool)>,
-    ) {
-        if self.generation == Some(from_generation) {
-            for (provider, prefix_changed) in changed_providers {
-                self.roots.remove(&provider);
-                if prefix_changed {
-                    self.adjacency.remove(&provider);
-                }
-            }
-        } else {
-            self.adjacency.clear();
-            self.roots.clear();
-        }
-        self.generation = Some(to_generation);
-    }
-
-    /// Materialises (or reuses) the full incoming queue of a search root.
-    fn full<'a>(
-        roots: &'a mut HashMap<P, Vec<(P, O)>, FastState>,
-        graph: &RequestGraph<P, O>,
-        peer: P,
-    ) -> &'a [(P, O)] {
-        roots.entry(peer).or_insert_with(|| {
-            graph
-                .incoming(peer)
-                .map(|r| (r.requester, r.object))
-                .collect()
-        })
-    }
-
-    /// Materialises (or reuses) the first `fanout` incoming-queue entries of
-    /// `peer`.
-    fn prefix<'a>(
-        adjacency: &'a mut HashMap<P, Vec<(P, O)>, FastState>,
-        graph: &RequestGraph<P, O>,
-        peer: P,
-        fanout: usize,
-    ) -> &'a [(P, O)] {
-        adjacency.entry(peer).or_insert_with(|| {
-            graph
-                .incoming(peer)
-                .take(fanout)
-                .map(|r| (r.requester, r.object))
-                .collect()
-        })
     }
 }
 
@@ -435,9 +325,9 @@ impl RingSearch {
     }
 
     /// Finds feasible rings through `root`, running inside a caller-owned
-    /// [`SearchScratch`] that shares buffers and the per-generation adjacency
-    /// snapshot with the other searches of the same round.  The result is
-    /// identical to a search in a fresh scratch (`SearchScratch::new()`).
+    /// [`SearchScratch`] that shares its buffers with the other searches of
+    /// the same round.  The result is identical to a search in a fresh
+    /// scratch (`SearchScratch::new()`).
     ///
     /// * `wants` — the objects `root` currently wants to download.
     /// * `provides` — oracle telling whether a given peer can serve a given
@@ -456,8 +346,8 @@ impl RingSearch {
     /// only its first answer.
     ///
     /// **Contract:** `P`'s `u32` conversion must be injective and preserve
-    /// order; it indexes the search's per-peer tables (see
-    /// [`SearchScratch`]), and `deps` and `edge_deps` are emitted in its
+    /// order; it indexes the graph's queues and the search's per-peer tables
+    /// (see [`SearchScratch`]), and `deps` and `edge_deps` are emitted in its
     /// order.
     pub fn find_traced_in<P: Key + Into<u32>, O: Key, F>(
         &self,
@@ -479,10 +369,6 @@ impl RingSearch {
             };
         }
         let SearchScratch {
-            generation,
-            fanout,
-            roots,
-            adjacency,
             arena,
             path,
             distinct_wants,
@@ -494,15 +380,6 @@ impl RingSearch {
             edge_bits,
             ids,
         } = scratch;
-        // The queue snapshot survives across searches while the graph is
-        // unchanged (or explicitly advanced) and the fanout fits; everything
-        // else is per-search state.
-        if *generation != Some(graph.generation()) || *fanout < self.fanout {
-            adjacency.clear();
-            roots.clear();
-            *generation = Some(graph.generation());
-            *fanout = self.fanout;
-        }
         arena.clear();
         probes.clear();
         closers.clear();
@@ -533,11 +410,10 @@ impl RingSearch {
         // ring or is extended.
         const NO_PARENT: usize = usize::MAX;
         // The root's queue is scanned in full (the paper's pairwise detection
-        // examines every pending request); providers are searched over and
-        // over, so their full queues are snapshotted separately from the
-        // capped interior prefixes.
+        // examines every pending request).
         arena.extend(
-            SearchScratch::full(roots, graph, root)
+            graph
+                .incoming(root)
                 .iter()
                 .map(|&(requester, object)| (requester, object, NO_PARENT, 1usize)),
         );
@@ -618,8 +494,7 @@ impl RingSearch {
             // Extend the path.
             probe.expanded |= extend;
             if extend {
-                let children = SearchScratch::prefix(adjacency, graph, last_peer, *fanout);
-                for &(peer, object) in children.iter().take(self.fanout) {
+                for &(peer, object) in graph.incoming(last_peer).iter().take(self.fanout) {
                     if peer == root || path.iter().any(|(p, _)| *p == peer) {
                         continue;
                     }
@@ -1033,56 +908,8 @@ mod tests {
                 let fresh = fresh_search(search, &graph, root, &[98, 99], owns(&ownership));
                 assert_eq!(shared, fresh, "root {root} round {round}");
             }
-            assert!(scratch.snapshot_len() > 0, "snapshot is populated");
-            // Mutate the graph: the snapshot must refresh on the next search.
             graph.add_request(round + 4, 0, 40 + round);
         }
-    }
-
-    #[test]
-    fn advanced_scratch_keeps_untouched_snapshots_and_stays_exact() {
-        let mut graph: RequestGraph<u32, u32> = [(1, 0, 10), (2, 1, 20), (2, 0, 11), (3, 2, 30)]
-            .into_iter()
-            .collect();
-        let ownership: HashMap<u32, Vec<u32>> = [(1, vec![99]), (2, vec![99]), (3, vec![98])]
-            .into_iter()
-            .collect();
-        let search = shorter_first(4);
-        let mut scratch = SearchScratch::new();
-        graph.take_dirty_edges();
-        let mut drained = graph.generation();
-        for round in 0..5u32 {
-            for root in 0..4u32 {
-                let shared =
-                    search.find_traced_in(&mut scratch, &graph, root, &[98, 99], owns(&ownership));
-                let fresh = fresh_search(search, &graph, root, &[98, 99], owns(&ownership));
-                assert_eq!(shared, fresh, "root {root} round {round}");
-            }
-            let populated = scratch.snapshot_len();
-            assert!(populated > 0);
-            // Mutate and advance incrementally: only the touched provider's
-            // snapshot is forgotten, everything else stays warm — and the
-            // next round must still agree with fresh searches.
-            graph.add_request(round + 4, 0, 40 + round);
-            let to = graph.generation();
-            scratch.advance(
-                drained,
-                to,
-                graph
-                    .take_dirty_edges()
-                    .into_iter()
-                    .map(|(provider, _, _)| (provider, true)),
-            );
-            drained = to;
-            assert!(
-                scratch.snapshot_len() >= populated - 2,
-                "advance must only forget the changed provider"
-            );
-        }
-        // A stale `from` generation must drop the whole snapshot, never
-        // reuse it.
-        scratch.advance(drained + 17, drained + 18, std::iter::empty());
-        assert_eq!(scratch.snapshot_len(), 0);
     }
 
     #[test]
@@ -1110,7 +937,6 @@ mod tests {
         });
         // Both scratches come back warm and usable on this thread.
         for scratch in &mut scratches {
-            assert!(scratch.snapshot_len() > 0);
             let again = search.find_traced_in(scratch, &graph, 0, &[99], owns(&ownership));
             assert_eq!(again, fresh);
         }

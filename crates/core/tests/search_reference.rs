@@ -6,9 +6,9 @@
 //! of edge lists and sorts the whole BFS arena for `deps`.  The optimised
 //! [`RingSearch`] must return exactly what it returns — the same rings in the
 //! same order and the same `deps`/`edge_deps` — through `find_traced_in` in
-//! a fresh scratch and in a warm scratch that is advanced across random
-//! graph and ownership mutations, while probing each (peer, object) pair at
-//! most once per search.
+//! a fresh scratch and in a warm scratch reused across random graph and
+//! ownership mutations, while probing each (peer, object) pair at most once
+//! per search.
 //!
 //! The reference also keeps the ring cap's stop rule in its plainest form:
 //! a shorter-first search ends right after the pop whose rings bring the
@@ -84,7 +84,8 @@ fn reference_search(
     // (peer, object requested of its parent, parent index, depth)
     let mut arena: Vec<(u8, u8, usize, usize)> = graph
         .incoming(root)
-        .map(|r| (r.requester, r.object, NO_PARENT, 1))
+        .iter()
+        .map(|&(requester, object)| (requester, object, NO_PARENT, 1))
         .collect();
     let mut seen: HashSet<Vec<RingEdge<u8, u8>>> = HashSet::new();
     let mut found: Vec<(usize, ExchangeRing<u8, u8>)> = Vec::new();
@@ -122,12 +123,11 @@ fn reference_search(
         }
         if depth < policy.max_depth() {
             edge_deps.push(last_peer);
-            for request in graph.incoming(last_peer).take(fanout) {
-                let peer = request.requester;
+            for &(peer, object) in graph.incoming(last_peer).iter().take(fanout) {
                 if peer == root || path.iter().any(|(p, _)| *p == peer) {
                     continue;
                 }
-                arena.push((peer, request.object, head, depth + 1));
+                arena.push((peer, object, head, depth + 1));
             }
         }
         head += 1;
@@ -242,29 +242,12 @@ impl Rng {
             // requested of the root.
             let i = self.below(len) as usize;
             wants.push(wants[i]);
-            if let Some(request) = graph.incoming(root).next() {
-                wants.push(request.object);
+            if let Some(&(_, object)) = graph.incoming(root).first() {
+                wants.push(object);
             }
         }
         wants
     }
-}
-
-/// Whether a batch of changes at `provider` whose smallest changed queue
-/// entry is `(requester, object)` reaches the first `fanout` entries of its
-/// queue (the flag [`SearchScratch::advance`] takes).
-fn prefix_changed(
-    graph: &RequestGraph<u8, u8>,
-    provider: u8,
-    requester: u8,
-    object: u8,
-    fanout: usize,
-) -> bool {
-    graph
-        .incoming(provider)
-        .take_while(|r| (r.requester, r.object) < (requester, object))
-        .count()
-        < fanout
 }
 
 const BUDGETS: [usize; 6] = [1, 2, 3, 17, 300, 2_000];
@@ -280,25 +263,14 @@ fn policy(max_ring: usize, longer: bool) -> SearchPolicy {
     SearchPolicy::new(max_ring, preference)
 }
 
-/// The graph of a drawn case, its dirty log drained.  Every request the
-/// root itself issued is a path back to the root, which the search must
-/// never close through.
+/// The graph of a drawn case.  Every request the root itself issued is a
+/// path back to the root, which the search must never close through.
 fn case_graph(edges: Vec<(u8, u8, u8)>) -> RequestGraph<u8, u8> {
-    let mut graph: RequestGraph<u8, u8> = edges.into_iter().filter(|(r, p, _)| r != p).collect();
-    graph.take_dirty_edges();
-    graph
+    edges.into_iter().filter(|(r, p, _)| r != p).collect()
 }
 
-/// Mutates the graph and the ownership at random, then advances the warm
-/// `scratch` past the graph change, from generation `drained` on.
-fn mutate_and_advance(
-    rng: &mut Rng,
-    graph: &mut RequestGraph<u8, u8>,
-    owned: &mut BTreeSet<(u8, u8)>,
-    scratch: &mut SearchScratch<u8, u8>,
-    drained: &mut u64,
-    fanout: usize,
-) {
+/// Mutates the graph and the ownership at random.
+fn mutate(rng: &mut Rng, graph: &mut RequestGraph<u8, u8>, owned: &mut BTreeSet<(u8, u8)>) {
     for _ in 0..1 + rng.below(6) {
         let (r, p, o) = (rng.peer(), rng.peer(), rng.object());
         if r != p && !graph.remove_request(r, p, o) {
@@ -309,16 +281,6 @@ fn mutate_and_advance(
             owned.insert(pair);
         }
     }
-    let to = graph.generation();
-    let mut updates: Vec<(u8, bool)> = Vec::new();
-    for (provider, requester, object) in graph.take_dirty_edges() {
-        if updates.last().map(|(p, _)| *p) != Some(provider) {
-            let changed = prefix_changed(graph, provider, requester, object, fanout);
-            updates.push((provider, changed));
-        }
-    }
-    scratch.advance(*drained, to, updates);
-    *drained = to;
 }
 
 proptest! {
@@ -341,7 +303,6 @@ proptest! {
         let mut owned: BTreeSet<(u8, u8)> = owned.into_iter().collect();
         let mut rng = Rng(seed);
         let mut scratch = SearchScratch::new();
-        let mut drained = graph.generation();
         for _ in 0..4 {
             for _ in 0..4 {
                 let root = rng.peer();
@@ -364,7 +325,7 @@ proptest! {
                     .rings;
                 prop_assert_eq!(&fresh.rings[..], &all[..all.len().min(knobs.max_rings)]);
             }
-            mutate_and_advance(&mut rng, &mut graph, &mut owned, &mut scratch, &mut drained, knobs.fanout);
+            mutate(&mut rng, &mut graph, &mut owned);
         }
     }
 }
@@ -442,7 +403,7 @@ proptest! {
     /// The same random graphs, ownership and mutation scripts as
     /// `optimised_search_equals_the_reference`, run on peers relabelled by
     /// [`wide`]: the optimised search — fresh, and through a warm scratch
-    /// advanced across the mutations — must return the reference trace,
+    /// reused across the mutations — must return the reference trace,
     /// relabelled.
     #[test]
     fn optimised_search_on_wide_ids_equals_the_relabelled_reference(
@@ -453,7 +414,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let knobs = Knobs::new(policy(max_ring, knobs.2), BUDGETS[knobs.0], FANOUTS[knobs.1]);
-        let (search, fanout) = (knobs.search(), knobs.fanout);
+        let search = knobs.search();
         let mut graph: RequestGraph<u8, u8> =
             edges.into_iter().filter(|(r, p, _)| r != p).collect();
         let mut wide_graph: RequestGraph<u32, u8> = graph
@@ -463,8 +424,6 @@ proptest! {
         let mut owned: BTreeSet<(u8, u8)> = owned.into_iter().collect();
         let mut rng = Rng(seed);
         let mut scratch = SearchScratch::new();
-        wide_graph.take_dirty_edges();
-        let mut drained = wide_graph.generation();
         for _ in 0..4 {
             for _ in 0..4 {
                 let root = rng.peer();
@@ -497,17 +456,6 @@ proptest! {
                     owned.insert(pair);
                 }
             }
-            let to = wide_graph.generation();
-            let mut updates: Vec<(u32, bool)> = Vec::new();
-            for (provider, requester, object) in wide_graph.take_dirty_edges() {
-                if updates.last().map(|(p, _)| *p) != Some(provider) {
-                    let changed =
-                        prefix_changed(&graph, narrow(provider), narrow(requester), object, fanout);
-                    updates.push((provider, changed));
-                }
-            }
-            scratch.advance(drained, to, updates);
-            drained = to;
         }
     }
 }

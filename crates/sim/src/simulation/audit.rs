@@ -184,10 +184,10 @@ impl Simulation {
             if !peer.wants.is_empty() {
                 return Err(format!("departed peer {id:?} still has outstanding wants"));
             }
-            if self.graph.incoming(id).next().is_some() {
+            if !self.graph.incoming(id).is_empty() {
                 return Err(format!("departed peer {id:?} still has incoming requests"));
             }
-            if self.graph.outgoing(id).next().is_some() {
+            if !self.graph.outgoing(id).is_empty() {
                 return Err(format!("departed peer {id:?} still has outgoing requests"));
             }
             for (object, holders) in self.holders.iter().enumerate() {
@@ -265,8 +265,7 @@ impl Simulation {
             .iter()
             .filter(|p| p.behavior.advertises_unstored())
         {
-            for request in self.graph.incoming(middleman.id) {
-                let object = request.object;
+            for &(requester, object) in self.graph.incoming(middleman.id) {
                 let sourced = self
                     .honest_holders
                     .get(object.as_usize())
@@ -275,7 +274,7 @@ impl Simulation {
                     return Err(format!(
                         "middleman {:?} holds a request from {:?} for unstored {object:?} \
                          with no honest holder",
-                        middleman.id, request.requester
+                        middleman.id, requester
                     ));
                 }
             }

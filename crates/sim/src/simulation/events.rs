@@ -203,7 +203,7 @@ impl Simulation {
         let now = self.now();
         let mut registered = Vec::new();
         for provider in chosen {
-            if self.graph.incoming_len(provider) >= self.config.irq_capacity {
+            if self.graph.incoming(provider).len() >= self.config.irq_capacity {
                 continue;
             }
             if self.graph.add_request(requester, provider, object) {
@@ -284,8 +284,9 @@ impl Simulation {
             let stale: Vec<PeerId> = self
                 .graph
                 .incoming(peer)
-                .filter(|r| r.object == object)
-                .map(|r| r.requester)
+                .iter()
+                .filter(|&&(_, o)| o == object)
+                .map(|&(requester, _)| requester)
                 .collect();
             for requester in stale {
                 self.graph.remove_request(requester, peer, object);
@@ -318,8 +319,9 @@ impl Simulation {
             let stale: Vec<PeerId> = self
                 .graph
                 .incoming(middleman)
-                .filter(|r| r.object == object)
-                .map(|r| r.requester)
+                .iter()
+                .filter(|&&(_, o)| o == object)
+                .map(|&(requester, _)| requester)
                 .collect();
             for requester in stale {
                 self.graph.remove_request(requester, middleman, object);

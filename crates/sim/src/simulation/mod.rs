@@ -264,11 +264,9 @@ pub struct Simulation {
     /// Memoised ring-search results (see [`RingCandidateCache`]); only
     /// consulted when [`SimConfig::ring_candidate_cache`] is set.
     ring_cache: RingCandidateCache,
-    /// Shared ring-search working memory: BFS buffers plus the
-    /// per-generation adjacency snapshot reused across providers
-    /// (see [`exchange::SearchScratch`]).  The snapshot survives graph
-    /// mutations: the dirty-edge drain advances it, forgetting only the
-    /// queues that changed.
+    /// Shared ring-search working memory: the BFS buffers, probe memo and
+    /// dependency bitsets reused across providers (see
+    /// [`exchange::SearchScratch`]).
     scratch: SearchScratch<PeerId, ObjectId>,
     /// Which wanted objects of the current search's root each peer holds,
     /// marked from [`holders`](Self::holders) before every fresh search so
@@ -277,9 +275,6 @@ pub struct Simulation {
     /// [`scratch`](Self::scratch): sized on the first search, never
     /// serialized.
     marks: HolderMarks,
-    /// The graph generation up to which the dirty log has been drained
-    /// (the `from` side of the scratch's incremental advance).
-    drained_generation: u64,
     /// Sharing, online peers currently storing each object, indexed by
     /// object id and iterated in peer-id order — the lookup index that
     /// replaces the old O(peers) provider scan per issued request, and the
@@ -459,7 +454,6 @@ impl Simulation {
             ring_cache,
             scratch: SearchScratch::new(),
             marks: HolderMarks::default(),
-            drained_generation: 0,
             holders,
             honest_holders,
             advertisers,
@@ -737,7 +731,8 @@ impl Simulation {
         if state.storage.contains(object) {
             return true;
         }
-        self.advertises[peer.as_usize()] && self.graph.incoming(peer).any(|r| r.object == object)
+        self.advertises[peer.as_usize()]
+            && self.graph.incoming(peer).iter().any(|&(_, o)| o == object)
     }
 }
 

@@ -207,11 +207,7 @@ impl Simulation {
         for object in &wanted {
             self.graph.remove_object_requests(peer, *object);
         }
-        let incoming: Vec<(PeerId, ObjectId)> = self
-            .graph
-            .incoming(peer)
-            .map(|r| (r.requester, r.object))
-            .collect();
+        let incoming = self.graph.incoming(peer).to_vec();
         for (requester, object) in incoming {
             self.graph.remove_request(requester, peer, object);
         }

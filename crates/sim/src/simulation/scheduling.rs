@@ -117,10 +117,8 @@ impl Simulation {
         } else {
             // Nothing consumes the dirty log without the cache, but it is
             // discarded where the cached path drains it, so the log never
-            // grows for the whole run.  The scratch is not advanced: this
-            // reference path rebuilds its adjacency on every generation.
+            // grows for the whole run.
             self.graph.take_dirty_edges();
-            self.drained_generation = self.graph.generation();
             self.search_rings(search, provider, &wants).rings
         };
         for ring in &candidates {
@@ -131,39 +129,30 @@ impl Simulation {
         false
     }
 
-    /// Drains the request graph's dirty log into the ring-candidate cache
-    /// and the search scratch.
-    ///
-    /// The `(provider, object)` edge log drives both consumers: the cache
-    /// drops only the entries whose search read a changed aspect, and the
-    /// scratch's adjacency snapshot *advances* — forgetting only the queues
-    /// that actually changed, so hub peers' materialised queues stay warm
-    /// across mutations.
+    /// Drains the request graph's dirty log into the ring-candidate cache,
+    /// which drops only the entries whose search read a changed aspect.
     pub(super) fn drain_graph_deltas(&mut self) {
         if !self.graph.has_dirty() {
             return;
         }
-        let edges = self.graph.take_dirty_edges();
-        let to = self.graph.generation();
         // Edges back claims only for behaviors that advertise unstored
         // objects; without middlemen in the population the whole probe-side
         // pass is provably irrelevant.
         let edges_back_claims = !self.advertisers.is_empty();
-        let mut scratch_updates: Vec<(PeerId, bool)> = Vec::new();
-        for &(provider, requester, object) in &edges {
-            if scratch_updates.last().map(|(p, _)| *p) != Some(provider) {
+        let mut last_provider = None;
+        for (provider, requester, object) in self.graph.take_dirty_edges() {
+            if last_provider != Some(provider) {
+                last_provider = Some(provider);
                 // First — therefore smallest — changed edge of this
                 // provider's group: every queue entry sorting before it is
                 // untouched by the whole batch, so the fanout-bounded prefix
                 // interior expansions read survives iff `fanout` untouched
                 // entries precede it.
-                let prefix_changed = self.edge_in_search_prefix(provider, requester, object);
-                if prefix_changed {
+                if self.edge_in_search_prefix(provider, requester, object) {
                     self.ring_cache.invalidate_edge_readers(provider);
                 } else {
                     self.ring_cache.invalidate_root(provider);
                 }
-                scratch_updates.push((provider, prefix_changed));
             }
             if edges_back_claims {
                 // Claim probes scan the whole queue; prefix position is
@@ -171,9 +160,6 @@ impl Simulation {
                 self.ring_cache.invalidate_holding(provider, object);
             }
         }
-        self.scratch
-            .advance(self.drained_generation, to, scratch_updates);
-        self.drained_generation = to;
     }
 
     /// Whether fewer than `ring_search_fanout` entries of `provider`'s
@@ -183,18 +169,8 @@ impl Simulation {
     /// unaffected by adding or removing it, so `fanout` of them shield the
     /// prefix entirely.
     fn edge_in_search_prefix(&self, provider: PeerId, requester: PeerId, object: ObjectId) -> bool {
-        let fanout = self.config.ring_search_fanout;
-        let mut smaller = 0usize;
-        for req in self.graph.incoming(provider) {
-            if (req.requester, req.object) >= (requester, object) {
-                break;
-            }
-            smaller += 1;
-            if smaller >= fanout {
-                return false;
-            }
-        }
-        true
+        let queue = self.graph.incoming(provider);
+        queue.partition_point(|&entry| entry < (requester, object)) < self.config.ring_search_fanout
     }
 
     /// The run's ring search, or `None` if its discipline never searches:
@@ -215,7 +191,7 @@ impl Simulation {
 
     /// Runs one fresh ring search rooted at `provider`, inside the
     /// simulation's shared [`exchange::SearchScratch`] so consecutive
-    /// searches of a round reuse their buffers and adjacency snapshot.
+    /// searches of a round reuse their buffers.
     ///
     /// A peer in the request tree can close a ring if it shares and *claims*
     /// an object the provider wants — its advertised holdings, which for a
@@ -520,21 +496,20 @@ impl Simulation {
         let now = self.now();
         let mut queue: Vec<QueuedRequest<PeerId>> = Vec::new();
         let mut objects: Vec<ObjectId> = Vec::new();
-        for req in self.graph.incoming(provider) {
-            if serving.contains(&(req.requester, req.object)) {
+        for &(requester, object) in self.graph.incoming(provider) {
+            if serving.contains(&(requester, object)) {
                 continue;
             }
-            let requester_state = self.peer(req.requester);
-            let Some(want) = requester_state.wants.get(&req.object) else {
+            let requester_state = self.peer(requester);
+            let Some(want) = requester_state.wants.get(&object) else {
                 continue;
             };
             // The provider must still claim the object.  This is `claims`
-            // with its edge-existence scan elided: `req` IS an incoming edge
+            // with its edge-existence scan elided: this IS an incoming edge
             // for exactly this object, so the capability probe alone decides,
             // and the queue rebuild stays O(queue) instead of O(queue²) at a
             // busy middleman.
-            if !provider_state.storage.contains(req.object) && !self.advertises[provider.as_usize()]
-            {
+            if !provider_state.storage.contains(object) && !self.advertises[provider.as_usize()] {
                 continue;
             }
             if !requester_state.download_slots.has_free() {
@@ -550,13 +525,13 @@ impl Simulation {
             // a reused or patched queue never holds a stale level.
             queue.push(
                 QueuedRequest::new(
-                    req.requester,
+                    requester,
                     now.saturating_since(want.issued_at).as_secs_f64(),
                 )
                 .with_reciprocal(reciprocal)
                 .with_participation(requester_state.announced_participation()),
             );
-            objects.push(req.object);
+            objects.push(object);
         }
         ServeQueue {
             queue,

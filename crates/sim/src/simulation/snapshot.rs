@@ -25,12 +25,9 @@
 //!   of each live transfer (a transfer that overfills a pool is corrupt
 //!   input);
 //! * the maintenance wheel;
-//! * the search scratches and the search's holder marks, pure memoization
-//!   with a warm-equals-cold guarantee, so a resumed run starting cold stays
-//!   bit-identical;
-//! * the graph generation the search scratch was last advanced to, which
-//!   restarts at the restored graph's generation: the cold scratch ignores
-//!   it, since advancing a scratch that holds no snapshot clears it anyway;
+//! * the search scratches and the search's holder marks, pure working
+//!   memory with a warm-equals-cold guarantee, so a resumed run starting
+//!   cold stays bit-identical;
 //! * the serve-queue epochs (`transfer_epoch`, `transfer_end_epoch`,
 //!   `world_epoch`), which restart at zero: they only stamp a serve queue,
 //!   and a serve queue never outlives one scheduling event.
@@ -1002,7 +999,6 @@ impl Simulation {
         (sim.holders, sim.honest_holders) = holders_index(&sim.peers, num_objects);
 
         sim.graph = cur.section(TAG_GRAPH, Cursor::decode)?;
-        sim.drained_generation = sim.graph.generation();
 
         // Transfers and rings; rebuild the reverse indexes and the slot
         // occupancy they imply as we go.  (The serve-queue epochs restart at

@@ -34,8 +34,8 @@ use proptest::prelude::*;
 
 use sim::{
     BehaviorKind, BehaviorMix, CapacityClass, CatastropheConfig, ChurnConfig, ClassMix,
-    FlashCrowdConfig, Protection, SchedulerKind, SimConfig, SimReport, SimTime, Simulation,
-    SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    FlashCrowdConfig, Protection, SchedulerKind, SimConfig, SimReport, SimSetup, SimTime,
+    Simulation, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 
 /// The fixed scenario the golden fixture freezes.  Every knob is pinned
@@ -739,8 +739,11 @@ const HUGE_LENGTHS: [u64; 5] = [u64::MAX, u64::MAX / 2, 1 << 40, 1 << 32, 1 << 2
 proptest! {
     /// Restore never panics on a corrupted fixture, and a corrupt length
     /// never sizes an allocation beyond the input: no single allocation
-    /// exceeds the larger of the input's length and the largest allocation
-    /// restoring the intact fixture makes (the regenerated setup).
+    /// exceeds the largest of the input's length, the largest allocation
+    /// restoring the intact fixture makes, and the largest allocation
+    /// generating the setup the corrupted header's seed names.  Restore
+    /// regenerates that setup, whose size the config bounds, not any
+    /// length field.
     #[test]
     fn corrupted_fixtures_never_panic_or_over_allocate(
         fixture in 0usize..64,
@@ -762,7 +765,10 @@ proptest! {
         let (restored, peak) =
             with_peak_allocation(|| Simulation::restore(&mut &bytes[..], config));
         drop(restored);
-        let bound = bytes.len().max(*clean_peak);
+        let seed = read_u64(&bytes, SNAPSHOT_MAGIC.len() + 4);
+        let (setup, setup_peak) = with_peak_allocation(|| SimSetup::generate(config, seed));
+        drop(setup);
+        let bound = bytes.len().max(*clean_peak).max(setup_peak);
         prop_assert!(
             peak <= bound,
             "a {peak}-byte allocation from a {}-byte input (bound {bound})",

@@ -1,7 +1,5 @@
 //! Per-peer object storage with capacity limits and random eviction.
 
-use std::collections::BTreeSet;
-
 use des::DetRng;
 use serde::{Deserialize, Serialize};
 
@@ -10,6 +8,9 @@ use crate::{Catalog, ObjectId, PeerInterests};
 /// The set of objects a peer currently stores.
 ///
 /// Capacity is expressed in number of objects (as in the paper's Table II).
+/// The objects are kept as a sorted, deduplicated `Vec`: a store holds at
+/// most a few dozen objects (5–40 in Table II), so a binary search beats a
+/// tree descent, and the store iterates in id order.
 /// When over capacity, random objects are evicted, except objects that the
 /// owner has *pinned* (the paper postpones removal of objects used in an
 /// ongoing exchange).
@@ -33,7 +34,8 @@ use crate::{Catalog, ObjectId, PeerInterests};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Storage {
     capacity: usize,
-    objects: BTreeSet<ObjectId>,
+    /// Sorted ascending, without duplicates.
+    objects: Vec<ObjectId>,
 }
 
 impl Storage {
@@ -42,7 +44,7 @@ impl Storage {
     pub fn new(capacity: usize) -> Self {
         Storage {
             capacity,
-            objects: BTreeSet::new(),
+            objects: Vec::new(),
         }
     }
 
@@ -67,6 +69,9 @@ impl Storage {
             let category = interests.pick_category(rng);
             storage.insert(catalog.sample_object(category, rng.gen_unit()));
         }
+        // The store was grown by doubling; most peers keep roughly this
+        // many objects for the whole run.
+        storage.objects.shrink_to_fit();
         storage
     }
 
@@ -97,7 +102,7 @@ impl Storage {
     /// Whether `object` is stored.
     #[must_use]
     pub fn contains(&self, object: ObjectId) -> bool {
-        self.objects.contains(&object)
+        self.objects.binary_search(&object).is_ok()
     }
 
     /// Adds `object`; returns `true` if it was not already present.
@@ -107,12 +112,24 @@ impl Storage {
     /// mirroring the paper ("in regular intervals, peers examine their
     /// storage and remove random objects if the maximum is exceeded").
     pub fn insert(&mut self, object: ObjectId) -> bool {
-        self.objects.insert(object)
+        match self.objects.binary_search(&object) {
+            Ok(_) => false,
+            Err(at) => {
+                self.objects.insert(at, object);
+                true
+            }
+        }
     }
 
     /// Removes `object`; returns `true` if it was present.
     pub fn remove(&mut self, object: ObjectId) -> bool {
-        self.objects.remove(&object)
+        match self.objects.binary_search(&object) {
+            Ok(at) => {
+                self.objects.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Evicts uniformly random objects until the store is back within
@@ -134,7 +151,7 @@ impl Storage {
             let Some(victim) = rng.choose(&candidates).copied() else {
                 break; // everything pinned: postpone eviction
             };
-            self.objects.remove(&victim);
+            self.remove(victim);
             evicted.push(victim);
         }
         evicted
@@ -160,6 +177,17 @@ mod tests {
         assert!(s.remove(ObjectId::new(1)));
         assert!(!s.remove(ObjectId::new(1)));
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn iteration_is_in_id_order_whatever_the_insertion_order() {
+        let mut s = Storage::new(10);
+        for i in [7, 2, 9, 2, 4] {
+            s.insert(ObjectId::new(i));
+        }
+        s.remove(ObjectId::new(9));
+        let ids: Vec<u32> = s.iter().map(ObjectId::index).collect();
+        assert_eq!(ids, vec![2, 4, 7]);
     }
 
     #[test]

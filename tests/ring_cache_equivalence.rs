@@ -119,6 +119,24 @@ proptest! {
                 }
             }
         }
+        // A closing round with no delta: every root stored or confirmed an
+        // entry in the last round, so every lookup must hit, and each hit
+        // must still equal a fresh search.
+        cache.apply_graph_deltas(&mut world.graph);
+        for root in 0..PEERS as u32 {
+            let root = PeerId::new(root);
+            let want = &wants[root.as_usize()];
+            let trace = search.find_traced_in(
+                &mut SearchScratch::new(),
+                &world.graph,
+                root,
+                want,
+                world.provides(),
+            );
+            let cached = cache.lookup(root, want).map(<[_]>::to_vec);
+            prop_assert!(cached.is_some(), "root {:?} missed in a round with no delta", root);
+            prop_assert_eq!(cached.unwrap_or_default(), trace.rings);
+        }
         // The property is only meaningful if entries actually get reused.
         prop_assert!(cache.stats().hits > 0, "no cache hit in the whole sequence");
     }
