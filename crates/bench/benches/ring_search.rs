@@ -214,7 +214,7 @@ fn bench_cached_vs_fresh(c: &mut Criterion) {
                 let provider = PeerId::new((round as u32 * 7) % PEERS);
                 let want = &wants[provider.as_usize()];
                 for _ in 0..QUERIES_PER_ROUND {
-                    cache.apply_graph_deltas(&mut graph);
+                    cache.drain_graph(&mut graph, usize::MAX, true);
                     if let Some(rings) = cache.lookup(provider, want) {
                         total += rings.len();
                     } else {

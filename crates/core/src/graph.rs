@@ -42,10 +42,10 @@ fn queue_mut<T>(table: &mut Vec<Vec<T>>, index: usize) -> &mut Vec<T> {
 /// likewise.
 ///
 /// For incremental consumers (candidate caches keyed on search results), the
-/// graph tracks a monotonically increasing [`generation`](Self::generation)
-/// and a *dirty log* of mutations since it was last drained
+/// graph keeps a *dirty log* of mutations since it was last drained
 /// ([`take_dirty_edges`](Self::take_dirty_edges)): the
-/// `(provider, requester, object)` triple of every changed edge.  Equality
+/// `(provider, requester, object)` triple of every changed edge.  It also
+/// counts its mutations in [`generation`](Self::generation).  Equality
 /// ignores all bookkeeping: two graphs with the same edges compare equal
 /// regardless of their mutation history.
 ///
@@ -113,9 +113,9 @@ impl<P: Key + Into<u32>, O: Key> RequestGraph<P, O> {
 
     /// A counter bumped on every successful mutation.
     ///
-    /// Consumers that cache derived data (e.g. ring-search candidates) can
-    /// compare generations to detect that *something* changed; the
-    /// [dirty log](Self::take_dirty_edges) says *which edges* changed.
+    /// No in-tree cache compares generations any more: the ring-candidate
+    /// cache drains the [dirty log](Self::take_dirty_edges), which says
+    /// *which edges* changed.  Only snapshot v3 stores the value.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation

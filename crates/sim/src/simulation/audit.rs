@@ -6,8 +6,9 @@
 //! finalisation:
 //!
 //! * slot accounting — each peer's reserved upload/download slots equal its
-//!   live transfer count, and the transfer indexes agree with the transfer
-//!   table;
+//!   live transfer count, the transfer indexes agree with the transfer
+//!   table, and no `(uploader, downloader, object)` edge is served by two
+//!   live transfers;
 //! * provision — every active transfer's uploader stores the object or is a
 //!   behavior that may advertise unstored objects (a relaying middleman);
 //! * rings — every active exchange ring's sessions form one cycle over
@@ -336,13 +337,23 @@ impl Simulation {
     }
 
     /// Slot reservations and the transfer indexes agree with the transfer
-    /// table.
+    /// table, and at most one live transfer serves each
+    /// `(uploader, downloader, object)` edge: the serve queue skips pairs the
+    /// provider already serves, and a ring preempts the low-priority
+    /// transfer on its edge before starting its own.
     fn audit_slots_and_indexes(&self) -> Result<(), String> {
         let mut uploads: BTreeMap<PeerId, usize> = BTreeMap::new();
         let mut downloads: BTreeMap<PeerId, usize> = BTreeMap::new();
+        let mut served = BTreeSet::new();
         for (tid, t) in &self.transfers {
             *uploads.entry(t.uploader).or_default() += 1;
             *downloads.entry(t.downloader).or_default() += 1;
+            if !served.insert((t.uploader, t.downloader, t.object)) {
+                return Err(format!(
+                    "{:?} serves {:?} to {:?} on two live transfers",
+                    t.uploader, t.object, t.downloader
+                ));
+            }
             let indexed_up = self
                 .uploads_by_peer
                 .get(&t.uploader)
@@ -566,4 +577,41 @@ pub fn check_report(report: &SimReport) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{SessionKind, SimConfig};
+
+    use super::Simulation;
+
+    #[test]
+    fn a_duplicated_transfer_is_named_by_the_audit() {
+        let mut sim = Simulation::new(SimConfig::quick_test(), 1);
+        // Step to the first live non-exchange transfer that a second copy
+        // could join: both ends still have a free slot.
+        let (uploader, downloader, object) = loop {
+            sim.step()
+                .expect("a duplicable transfer starts before the horizon");
+            let duplicable = sim.transfers.values().find(|t| {
+                !t.kind.is_exchange()
+                    && sim.peer(t.uploader).upload_slots.has_free()
+                    && sim.peer(t.downloader).download_slots.has_free()
+            });
+            if let Some(t) = duplicable {
+                break (t.uploader, t.downloader, t.object);
+            }
+        };
+        sim.drain_graph_deltas();
+        sim.audit()
+            .expect("the run is consistent before the duplicate");
+
+        sim.start_transfer(uploader, downloader, object, SessionKind::NonExchange, None)
+            .expect("both ends have a free slot");
+        let err = sim.audit().expect_err("a second transfer on one edge");
+        assert_eq!(
+            err,
+            format!("{uploader:?} serves {object:?} to {downloader:?} on two live transfers")
+        );
+    }
 }

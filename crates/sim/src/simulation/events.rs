@@ -269,9 +269,6 @@ impl Simulation {
                 .storage
                 .evict_over_capacity(&mut self.rng_storage, |o| pinned.contains(&o))
         };
-        if !evicted.is_empty() {
-            self.world_epoch += 1;
-        }
         // Requests directed at this peer for evicted objects can no longer be
         // served here; withdraw them so the request graph stays truthful, and
         // drop cached ring candidates that relied on the peer holding exactly

@@ -166,8 +166,8 @@ pub struct PhaseProfile {
     pub ring_search: Duration,
     /// Number of fresh ring searches run.
     pub ring_searches: u64,
-    /// Time spent building and patching non-exchange serve queues (a subset
-    /// of `scheduling`).
+    /// Time spent building non-exchange serve queues (a subset of
+    /// `scheduling`).
     pub serve_queue: Duration,
     /// Time spent keeping the ring-candidate cache current: draining graph
     /// deltas into it, lookups and stores (a subset of `scheduling`).
@@ -294,24 +294,6 @@ pub struct Simulation {
     /// reads it densely instead of each peer's behavior.  Static, like the
     /// list.
     advertises: Vec<bool>,
-    /// Bumped whenever a transfer starts or ends; lets the scheduling loop
-    /// detect that an assembled non-exchange queue is still current.
-    transfer_epoch: u64,
-    /// Bumped only when a transfer *ends*.  A serve queue whose graph/world
-    /// stamps and end epoch still match saw at most transfer starts since it
-    /// was built, and starts only shrink its eligible entry set — so it can
-    /// be patched in place instead of rebuilt (see
-    /// [`scheduling::ServeQueue`]).  Deliberately not serialized: serve
-    /// queues are event-locals that never straddle a checkpoint, so a
-    /// restored run safely restarts the counter at zero.
-    transfer_end_epoch: u64,
-    /// Bumped whenever a peer's storage (and with it the claims oracle)
-    /// changes outside the request graph: a completed download entering the
-    /// store, a maintenance eviction.  Together with
-    /// [`RequestGraph::generation`] this stamps the state a serve queue was
-    /// built against; the queue is reused or patched only while both are
-    /// unchanged.
-    world_epoch: u64,
     /// The lazy maintenance timing wheel (see [`maintenance`]).
     maintenance: MaintenanceSchedule,
     /// Whether a `StorageMaintenance` event is currently queued per peer.
@@ -341,8 +323,7 @@ pub struct Simulation {
     ring_search_nanos: Cell<u64>,
     /// Number of fresh ring searches run (profiled runs only).
     ring_searches: Cell<u64>,
-    /// Nanoseconds spent building and patching serve queues (profiled runs
-    /// only).
+    /// Nanoseconds spent building serve queues (profiled runs only).
     serve_queue_nanos: Cell<u64>,
     /// Nanoseconds spent in ring-cache drains, lookups and stores (profiled
     /// runs only).
@@ -458,9 +439,6 @@ impl Simulation {
             honest_holders,
             advertisers,
             advertises,
-            transfer_epoch: 0,
-            transfer_end_epoch: 0,
-            world_epoch: 0,
             maintenance: MaintenanceSchedule::new(config_maintenance_interval),
             maintenance_pending: vec![false; num_peers],
             generate_queued: vec![0; num_peers],

@@ -19,9 +19,9 @@
 //!   a few holders, and a burst of sampled peers requests it at once.
 //!
 //! Every teardown path goes through the same invalidation machinery as the
-//! organic mutations (graph dirty log, holders index, ring-candidate cache,
-//! `world_epoch`), so cached runs stay bit-identical to uncached ones under
-//! any population schedule.
+//! organic mutations (graph dirty log, holders index, ring-candidate cache),
+//! so cached runs stay bit-identical to uncached ones under any population
+//! schedule.
 
 // The event loop's panic policy (exchange-lint rule H001): no `.unwrap()` —
 // every panicking access carries an `.expect()` stating the invariant that
@@ -88,7 +88,6 @@ impl Simulation {
         // edges, so no BFS reaches it), but the whole-peer invalidation keeps
         // the cache provably exact rather than argued exact.
         self.ring_cache.invalidate_peer(peer);
-        self.world_epoch += 1;
         // The store may sit over capacity from before the departure.
         self.schedule_maintenance_if_over_capacity(peer);
         self.generate_queued[peer.as_usize()] += 1;
@@ -153,7 +152,6 @@ impl Simulation {
             self.ring_cache.invalidate_holding(peer, object);
             self.schedule_maintenance_if_over_capacity(peer);
         }
-        self.world_epoch += 1;
 
         let max_pending = self.config.max_pending_objects;
         let eligible: Vec<PeerId> = self
@@ -225,6 +223,5 @@ impl Simulation {
         }
 
         self.ring_cache.invalidate_peer(peer);
-        self.world_epoch += 1;
     }
 }

@@ -7,9 +7,8 @@
 //! relevant *delta* lands:
 //!
 //! * **graph deltas** (request added/removed, peer departed) arrive through
-//!   [`RequestGraph`]'s dirty log via
-//!   [`apply_graph_deltas`](RingCandidateCache::apply_graph_deltas), or via
-//!   the simulation's fanout-aware drain, which composes
+//!   [`RequestGraph`]'s dirty log via the fanout-aware
+//!   [`drain_graph`](RingCandidateCache::drain_graph), which composes
 //!   [`invalidate_edge_readers`](RingCandidateCache::invalidate_edge_readers),
 //!   [`invalidate_root`](RingCandidateCache::invalidate_root) and
 //!   [`invalidate_holding`](RingCandidateCache::invalidate_holding) per edge;
@@ -288,7 +287,7 @@ impl RingCandidateCache {
     /// Per-object provision changes — the peer gained or evicted one stored
     /// object — should go through the lazier
     /// [`invalidate_holding`](Self::invalidate_holding); graph-edge changes
-    /// through [`apply_graph_deltas`](Self::apply_graph_deltas).
+    /// through [`drain_graph`](Self::drain_graph).
     pub fn invalidate_peer(&mut self, peer: PeerId) {
         // No full-deps reverse index is kept: whole-peer kills come only
         // from departures, far rarer than the stores such an index would
@@ -309,28 +308,43 @@ impl RingCandidateCache {
     }
 
     /// Drains the graph's dirty log and invalidates every entry a changed
-    /// edge could affect.  Cheap when nothing changed.
+    /// edge could affect, given the `fanout` the cached searches ran at.
+    /// Cheap when nothing changed.
     ///
-    /// Each changed edge `(provider, object)` kills the entries that read the
-    /// provider's incoming queue ([`SearchTrace::edge_deps`]) or probed the
-    /// provider for that very object (a middleman claim backed by the edge).
-    /// This treats every edge as affecting the provider's full queue; the
-    /// simulation's own drain does better by knowing the fanout its searches
-    /// ran at — an edge landing beyond the fanout prefix of the provider's
-    /// queue can only affect the provider's *own* entry (the root scan is
-    /// unbounded) and the per-object claim probes.  Both drains compose the
-    /// same per-edge primitives, so the indexes have one delta path.
-    pub fn apply_graph_deltas(&mut self, graph: &mut RequestGraph<PeerId, ObjectId>) {
+    /// Per provider, the first — therefore smallest — changed edge decides:
+    /// every queue entry sorting before it is untouched by the whole batch,
+    /// so if at least `fanout` entries precede it, the prefix interior
+    /// expansions read survives and only the provider's own entry (the root
+    /// scan is unbounded) goes; otherwise every entry that read the queue
+    /// ([`SearchTrace::edge_deps`]) goes.  With `claims_read_edges` — some
+    /// peer's claims oracle reads its incoming edges (a middleman) — each
+    /// changed edge `(provider, object)` also kills the entries that probed
+    /// the provider for that very object; the probe scans the whole queue,
+    /// so prefix position is irrelevant to it.  `(usize::MAX, true)` is the
+    /// fanout-blind drain that treats every edge as affecting everything.
+    pub fn drain_graph(
+        &mut self,
+        graph: &mut RequestGraph<PeerId, ObjectId>,
+        fanout: usize,
+        claims_read_edges: bool,
+    ) {
         if !graph.has_dirty() {
             return;
         }
         let mut previous: Option<PeerId> = None;
-        for (provider, _, object) in graph.take_dirty_edges() {
+        for (provider, requester, object) in graph.take_dirty_edges() {
             if previous != Some(provider) {
-                self.invalidate_edge_readers(provider);
                 previous = Some(provider);
+                let queue = graph.incoming(provider);
+                if queue.partition_point(|&entry| entry < (requester, object)) < fanout {
+                    self.invalidate_edge_readers(provider);
+                } else {
+                    self.invalidate_root(provider);
+                }
             }
-            self.invalidate_holding(provider, object);
+            if claims_read_edges {
+                self.invalidate_holding(provider, object);
+            }
         }
     }
 
@@ -534,7 +548,7 @@ mod tests {
         cache.store(peer(0), wants.clone(), trace);
         // A new request at frontier peer 2 dirties it -> entry dropped.
         graph.add_request(peer(3), peer(2), object(40));
-        cache.apply_graph_deltas(&mut graph);
+        cache.drain_graph(&mut graph, usize::MAX, true);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidations, 1);
         assert!(cache.lookup(peer(0), &wants).is_none());
@@ -550,8 +564,29 @@ mod tests {
         cache.store(peer(0), wants.clone(), trace);
         // An edge between peers the search never visited is irrelevant.
         graph.add_request(peer(8), peer(9), object(90));
-        cache.apply_graph_deltas(&mut graph);
+        cache.drain_graph(&mut graph, usize::MAX, true);
         assert_eq!(cache.lookup(peer(0), &wants), Some(rings.as_slice()));
+    }
+
+    #[test]
+    fn an_edge_beyond_the_fanout_prefix_drops_only_the_root_entry() {
+        let wants = vec![object(30)];
+        for fanout in [1, 2] {
+            let mut graph = fixture();
+            let mut cache = RingCandidateCache::new();
+            let search = search().with_fanout(fanout);
+            for root in [peer(0), peer(1)] {
+                let trace = fresh_search(search, &graph, root, &wants, owns_o30);
+                cache.store(root, wants.clone(), trace);
+            }
+            // Peer 1's queue gains an edge after its one untouched entry
+            // (2, o20): the root's own scan reads it whatever the fanout,
+            // peer 0's expansion of peer 1 only at a fanout above 1.
+            graph.add_request(peer(9), peer(1), object(90));
+            cache.drain_graph(&mut graph, fanout, false);
+            assert!(cache.lookup(peer(1), &wants).is_none());
+            assert_eq!(cache.lookup(peer(0), &wants).is_some(), fanout == 1);
+        }
     }
 
     #[test]
@@ -578,7 +613,7 @@ mod tests {
         assert_eq!(cache.stats().invalidations, 2);
         // Stale reverse-index links must not resurrect anything.
         graph.add_request(peer(4), peer(1), object(50));
-        cache.apply_graph_deltas(&mut graph);
+        cache.drain_graph(&mut graph, usize::MAX, true);
         assert_eq!(cache.stats().invalidations, 2);
     }
 
@@ -614,7 +649,7 @@ mod tests {
         // an unwanted object: only 2's outgoing queue and 9's incoming queue
         // change, neither of which the cached search read.
         graph.add_request(peer(2), peer(9), object(90));
-        cache.apply_graph_deltas(&mut graph);
+        cache.drain_graph(&mut graph, usize::MAX, true);
         assert_eq!(cache.lookup(peer(0), &wants), Some(rings.as_slice()));
         assert_eq!(cache.stats().invalidations, 0);
     }
@@ -638,7 +673,7 @@ mod tests {
         cache.store(peer(0), wants.clone(), trace);
         // An edge at peer 2 for the wanted object 30 must invalidate...
         graph.add_request(peer(5), peer(2), object(30));
-        cache.apply_graph_deltas(&mut graph);
+        cache.drain_graph(&mut graph, usize::MAX, true);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidations, 1);
     }

@@ -15,38 +15,6 @@ use crate::{SessionEnd, SessionKind};
 use super::holder_marks::HolderMarks;
 use super::Simulation;
 
-/// The non-exchange request queue assembled for one provider, reused across
-/// iterations of the scheduling loop as long as its validity stamps still
-/// match.
-///
-/// Reuse is tiered by what actually moved since the queue was built:
-///
-/// * nothing (`transfer_epoch` equal) — reuse verbatim;
-/// * only transfer **starts** (`transfer_end_epoch`, `generation` and
-///   `world_epoch` equal, `transfer_epoch` moved) — patch in place:
-///   under starts-only drift the eligible entry set can only *shrink*
-///   (download slots fill, `already_serving` pairs appear), so dropping the
-///   newly ineligible entries is provably identical to a full rebuild;
-/// * anything else (a transfer ended, a request edge changed, storage or
-///   claims moved) — rebuild from scratch.
-///
-/// In the scheduling loop only the transfer epochs can actually move
-/// between iterations; the graph stamps are insurance that keeps a future
-/// graph-mutating scheduling step from silently replaying a stale queue.
-///
-/// Neither building nor patching probes a hashed index per entry: the
-/// "already served by this provider" test — the condition that rejects
-/// most entries — runs against the `(downloader, object)` pairs of the
-/// provider's own uploads, collected once per build or patch.
-struct ServeQueue {
-    queue: Vec<QueuedRequest<PeerId>>,
-    objects: Vec<ObjectId>,
-    transfer_epoch: u64,
-    transfer_end_epoch: u64,
-    generation: u64,
-    world_epoch: u64,
-}
-
 impl Simulation {
     /// Fills `provider`'s upload slots: exchange rings first, then the
     /// non-exchange fallback, until neither makes progress.
@@ -56,17 +24,17 @@ impl Simulation {
         if !self.peer(provider).sharing || !self.peer(provider).online {
             return;
         }
-        let mut serve_queue = None;
         loop {
             let free_slot = self.peer(provider).upload_slots.has_free();
-            let can_preempt = self.config.preemption && self.has_preemptible_upload(provider);
             let mut progressed = false;
-
-            if self.config.discipline.allows_exchange() && (free_slot || can_preempt) {
+            // The preemption probe runs only when no slot is free.
+            if self.config.discipline.allows_exchange()
+                && (free_slot || (self.config.preemption && self.has_preemptible_upload(provider)))
+            {
                 progressed = self.try_form_exchange(provider);
             }
             if !progressed && self.peer(provider).upload_slots.has_free() {
-                progressed = self.serve_non_exchange(provider, &mut serve_queue);
+                progressed = self.serve_non_exchange(provider);
             }
             if !progressed {
                 break;
@@ -131,46 +99,16 @@ impl Simulation {
 
     /// Drains the request graph's dirty log into the ring-candidate cache,
     /// which drops only the entries whose search read a changed aspect.
+    /// Edges back claims only for behaviors that advertise unstored objects;
+    /// without middlemen in the population the probe-side pass is provably
+    /// irrelevant.
     pub(super) fn drain_graph_deltas(&mut self) {
-        if !self.graph.has_dirty() {
-            return;
-        }
-        // Edges back claims only for behaviors that advertise unstored
-        // objects; without middlemen in the population the whole probe-side
-        // pass is provably irrelevant.
-        let edges_back_claims = !self.advertisers.is_empty();
-        let mut last_provider = None;
-        for (provider, requester, object) in self.graph.take_dirty_edges() {
-            if last_provider != Some(provider) {
-                last_provider = Some(provider);
-                // First — therefore smallest — changed edge of this
-                // provider's group: every queue entry sorting before it is
-                // untouched by the whole batch, so the fanout-bounded prefix
-                // interior expansions read survives iff `fanout` untouched
-                // entries precede it.
-                if self.edge_in_search_prefix(provider, requester, object) {
-                    self.ring_cache.invalidate_edge_readers(provider);
-                } else {
-                    self.ring_cache.invalidate_root(provider);
-                }
-            }
-            if edges_back_claims {
-                // Claim probes scan the whole queue; prefix position is
-                // irrelevant to them.
-                self.ring_cache.invalidate_holding(provider, object);
-            }
-        }
-    }
-
-    /// Whether fewer than `ring_search_fanout` entries of `provider`'s
-    /// current incoming queue sort before the changed edge
-    /// `(requester, object)` — i.e. whether the change can reach the queue
-    /// prefix a depth-limited search expands.  Entries before the edge are
-    /// unaffected by adding or removing it, so `fanout` of them shield the
-    /// prefix entirely.
-    fn edge_in_search_prefix(&self, provider: PeerId, requester: PeerId, object: ObjectId) -> bool {
-        let queue = self.graph.incoming(provider);
-        queue.partition_point(|&entry| entry < (requester, object)) < self.config.ring_search_fanout
+        let claims_read_edges = !self.advertisers.is_empty();
+        self.ring_cache.drain_graph(
+            &mut self.graph,
+            self.config.ring_search_fanout,
+            claims_read_edges,
+        );
     }
 
     /// The run's ring search, or `None` if its discipline never searches:
@@ -387,82 +325,28 @@ impl Simulation {
 
     /// Serves one non-exchange request at `provider`, if any is eligible.
     ///
-    /// The queue is assembled from the provider's incoming requests and
-    /// handed to the run's [`credit::UploadScheduler`], which picks the
+    /// The queue is assembled afresh from the provider's incoming requests
+    /// and handed to the run's [`credit::UploadScheduler`], which picks the
     /// winner; the simulation itself imposes no ordering policy.
-    ///
-    /// The assembled queue is kept in `cached` between iterations of the
-    /// scheduling loop.  It is reused verbatim while no transfer started or
-    /// ended since it was built; when only transfer *starts* intervened
-    /// (the epoch taxonomy [`ServeQueue`] documents) it is patched in place
-    /// instead of rebuilt.
-    fn serve_non_exchange(&mut self, provider: PeerId, cached: &mut Option<ServeQueue>) -> bool {
+    fn serve_non_exchange(&mut self, provider: PeerId) -> bool {
         let timer = self.profile_timer();
-        let reusable = matches!(cached, Some(sq) if sq.generation == self.graph.generation()
-            && sq.world_epoch == self.world_epoch
-            && sq.transfer_end_epoch == self.transfer_end_epoch);
-        match cached.as_mut() {
-            Some(sq) if reusable && sq.transfer_epoch == self.transfer_epoch => {}
-            Some(sq) if reusable => self.patch_serve_queue(provider, sq),
-            _ => *cached = Some(self.build_serve_queue(provider)),
-        }
+        let (queue, objects) = self.build_serve_queue(provider);
         Self::add_elapsed(&self.serve_queue_nanos, timer);
-        let sq = cached.as_mut().expect("serve queue was just built");
-        if sq.queue.is_empty() {
+        if queue.is_empty() {
             return false;
         }
-        let Some(index) = self.scheduler.pick(provider, &sq.queue) else {
+        let Some(index) = self.scheduler.pick(provider, &queue) else {
             return false;
         };
-        let requester = sq
-            .queue
+        let requester = queue
             .get(index)
             .expect("pick returns an index into the queue it was given")
             .requester;
-        let object = *sq
-            .objects
+        let object = *objects
             .get(index)
             .expect("serve queue keeps objects parallel to queue");
-        // A successful serve bumps only `transfer_epoch`; the next loop
-        // iteration's stamp check patches the queue lazily — there is no
-        // next iteration to pay for when the serve failed or the loop ends.
         self.start_transfer(provider, requester, object, SessionKind::NonExchange, None)
             .is_some()
-    }
-
-    /// Brings a starts-only-stale [`ServeQueue`] back to current, dropping
-    /// exactly the entries a full rebuild would now exclude.
-    ///
-    /// Transfer starts never touch the request graph, want issue times,
-    /// storage, claims, sharing flags or the clock (the graph/world stamps
-    /// already matched, and the scheduling loop runs within one event), so
-    /// of [`build_serve_queue`](Self::build_serve_queue)'s per-entry
-    /// conditions only two can have changed — and both only towards
-    /// exclusion: the `(requester, object)` pair may now be served by this
-    /// provider, and the requester's download slots may have filled.
-    /// Filtering on those two reproduces the rebuild, at O(queue) with no
-    /// graph walk, no want lookups and no reciprocity scans: the first is a
-    /// scan of the provider's few current uploads
-    /// ([`serving`](Self::serving)), the second one slot-pool read.
-    fn patch_serve_queue(&self, provider: PeerId, sq: &mut ServeQueue) {
-        let serving = self.serving(provider);
-        let mut kept_queue = Vec::with_capacity(sq.queue.len());
-        let mut kept_objects = Vec::with_capacity(sq.objects.len());
-        let entries = std::mem::take(&mut sq.queue)
-            .into_iter()
-            .zip(std::mem::take(&mut sq.objects));
-        for (entry, object) in entries {
-            if serving.contains(&(entry.requester, object))
-                || !self.peer(entry.requester).download_slots.has_free()
-            {
-                continue;
-            }
-            kept_queue.push(entry);
-            kept_objects.push(object);
-        }
-        sq.queue = kept_queue;
-        sq.objects = kept_objects;
-        sq.transfer_epoch = self.transfer_epoch;
     }
 
     /// The `(downloader, object)` pairs `provider` is uploading right now:
@@ -477,10 +361,9 @@ impl Simulation {
             .collect()
     }
 
-    /// Assembles the eligible non-exchange queue at `provider` from scratch,
-    /// stamped with the epochs [`serve_non_exchange`](Self::serve_non_exchange)
-    /// checks before reusing it.
-    fn build_serve_queue(&self, provider: PeerId) -> ServeQueue {
+    /// Assembles the eligible non-exchange queue at `provider`: the queued
+    /// requests and, in parallel, the object each one asks for.
+    fn build_serve_queue(&self, provider: PeerId) -> (Vec<QueuedRequest<PeerId>>, Vec<ObjectId>) {
         let provider_state = self.peer(provider);
         let needs_reciprocal = self.scheduler.needs_reciprocal();
         // The reciprocation flag costs a storage scan per queued request;
@@ -520,9 +403,6 @@ impl Simulation {
                 && provider_wants
                     .iter()
                     .any(|object| requester_state.storage.contains(*object));
-            // The announced level reads `uploaded_bytes`, which only moves
-            // when a block completes, never inside this scheduling loop, so
-            // a reused or patched queue never holds a stale level.
             queue.push(
                 QueuedRequest::new(
                     requester,
@@ -533,13 +413,6 @@ impl Simulation {
             );
             objects.push(object);
         }
-        ServeQueue {
-            queue,
-            objects,
-            transfer_epoch: self.transfer_epoch,
-            transfer_end_epoch: self.transfer_end_epoch,
-            generation: self.graph.generation(),
-            world_epoch: self.world_epoch,
-        }
+        (queue, objects)
     }
 }

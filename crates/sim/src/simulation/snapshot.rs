@@ -25,15 +25,13 @@
 //!   of each live transfer (a transfer that overfills a pool is corrupt
 //!   input);
 //! * the maintenance wheel;
-//! * the search scratches and the search's holder marks, pure working
-//!   memory with a warm-equals-cold guarantee, so a resumed run starting
-//!   cold stays bit-identical;
-//! * the serve-queue epochs (`transfer_epoch`, `transfer_end_epoch`,
-//!   `world_epoch`), which restart at zero: they only stamp a serve queue,
-//!   and a serve queue never outlives one scheduling event.
+//! * the search scratch and the search's holder marks, pure working memory
+//!   with a warm-equals-cold guarantee, so a resumed run starting cold stays
+//!   bit-identical.
 //!
-//! The participation level a requester announces is not state at all: each
-//! serve-queue build reads it off the requester's peer state.
+//! The non-exchange serve queue is not state at all: every scheduling pass
+//! builds it afresh from the request graph, the transfers and the peers,
+//! including the participation level each requester announces.
 //!
 //! # Wire format
 //!
@@ -1001,8 +999,7 @@ impl Simulation {
         sim.graph = cur.section(TAG_GRAPH, Cursor::decode)?;
 
         // Transfers and rings; rebuild the reverse indexes and the slot
-        // occupancy they imply as we go.  (The serve-queue epochs restart at
-        // zero: a serve queue never outlives one scheduling event.)
+        // occupancy they imply as we go.
         let (transfers, rings) = cur.section(TAG_TRANSFERS, |sec| {
             (sim.next_transfer_id, sim.next_ring_id) = sec.decode()?;
             let transfers: Vec<(TransferId, ActiveTransfer)> = sec.decode()?;

@@ -82,7 +82,6 @@ impl Simulation {
         };
         let tid = self.next_transfer_id;
         self.next_transfer_id += 1;
-        self.transfer_epoch += 1;
         self.transfers.insert(
             tid,
             Box::new(ActiveTransfer {
@@ -331,7 +330,6 @@ impl Simulation {
             // enters storage: the downloader holds bytes it cannot decrypt,
             // let alone re-serve.
             self.peer_mut(downloader).storage.insert(object);
-            self.world_epoch += 1;
             self.index_holding_gained(downloader, object);
             self.ring_cache.invalidate_holding(downloader, object);
             // Storage only grows past capacity here: materialise a
@@ -365,12 +363,6 @@ impl Simulation {
         let Some(transfer) = self.transfers.remove(&tid) else {
             return;
         };
-        self.transfer_epoch += 1;
-        // Ends can *loosen* serve-queue eligibility (slots free up, pairs
-        // stop being served); the separate end epoch lets the scheduling
-        // loop tell starts-only drift — where a cached queue can be patched
-        // in place — from drift that demands a rebuild.
-        self.transfer_end_epoch += 1;
         self.peer_mut(transfer.uploader).upload_slots.release();
         self.peer_mut(transfer.downloader).download_slots.release();
         if let Some(tids) = self.uploads_by_peer.get_mut(&transfer.uploader) {

@@ -2,11 +2,12 @@
 //!
 //! `ReferenceCache` is the cache as it was before its reverse indexes became
 //! lazily unlinked: entries eagerly unlink from `BTreeSet` indexes on every
-//! removal.  It is copied verbatim, minus `apply_graph_deltas` (the
-//! simulator never called it) and the crate-private `set_stats`.  Random
-//! sequences of stores, lookups and every invalidation path drive it
-//! and the real [`RingCandidateCache`] side by side; after every operation
-//! their lookups, `len`, `iter_entries` and stats must agree.
+//! removal.  It is copied verbatim, minus its graph-drain method (a drain
+//! only composes the invalidation paths exercised here) and the
+//! crate-private `set_stats`.  Random sequences of stores, lookups and every
+//! invalidation path drive it and the real [`RingCandidateCache`] side by
+//! side; after every operation their lookups, `len`, `iter_entries` and
+//! stats must agree.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -99,7 +100,7 @@ impl ReferenceCache {
     /// `sharing` toggle).  Per-object provision changes — the peer gained or
     /// evicted one stored object — should go through the lazier
     /// [`invalidate_holding`](Self::invalidate_holding); graph-edge changes
-    /// through `apply_graph_deltas`.
+    /// through the graph drain.
     fn invalidate_peer(&mut self, peer: PeerId) {
         // No full-deps reverse index is kept; whole-peer kills are rare
         // (sharing never toggles mid-run), so a scan over the live entries is

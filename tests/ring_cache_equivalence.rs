@@ -101,7 +101,7 @@ proptest! {
             // Query every root after every delta, exactly like a scheduling
             // round: drain deltas, consult the cache, verify against a fresh
             // search, store on miss.
-            cache.apply_graph_deltas(&mut world.graph);
+            cache.drain_graph(&mut world.graph, usize::MAX, true);
             for root in 0..PEERS as u32 {
                 let root = PeerId::new(root);
                 let want = &wants[root.as_usize()];
@@ -122,7 +122,7 @@ proptest! {
         // A closing round with no delta: every root stored or confirmed an
         // entry in the last round, so every lookup must hit, and each hit
         // must still equal a fresh search.
-        cache.apply_graph_deltas(&mut world.graph);
+        cache.drain_graph(&mut world.graph, usize::MAX, true);
         for root in 0..PEERS as u32 {
             let root = PeerId::new(root);
             let want = &wants[root.as_usize()];
