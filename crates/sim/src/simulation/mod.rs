@@ -1017,6 +1017,120 @@ mod tests {
         assert!(config.validate().is_err());
     }
 
+    /// One live transfer: `(id, uploader, downloader, object, exchange)`.
+    type Live = (TransferId, PeerId, PeerId, ObjectId, bool);
+
+    /// The live transfers in ascending id order.
+    fn live(sim: &Simulation) -> Vec<Live> {
+        let mut live: Vec<Live> = (sim.transfers.iter())
+            .map(|(&tid, t)| {
+                (
+                    tid,
+                    t.uploader,
+                    t.downloader,
+                    t.object,
+                    t.kind.is_exchange(),
+                )
+            })
+            .collect();
+        live.sort_unstable();
+        live
+    }
+
+    /// Steps a `quick_test` run until `found` picks something out of its
+    /// live transfers.
+    fn step_until<T>(seed: u64, mut found: impl FnMut(&[Live]) -> Option<T>) -> (Simulation, T) {
+        let mut sim = Simulation::new(SimConfig::quick_test(), seed);
+        loop {
+            sim.step()
+                .expect("the wanted state occurs before the horizon");
+            if let Some(picked) = found(&live(&sim)) {
+                return (sim, picked);
+            }
+        }
+    }
+
+    #[test]
+    fn preempt_one_upload_ends_the_lowest_id_non_exchange_upload() {
+        // An uploader whose lowest-id upload is an exchange, followed by at
+        // least two non-exchange uploads.
+        let (mut sim, (uploader, victim)) = step_until(1, |live| {
+            live.iter().find_map(|&(first, up, ..)| {
+                let mut uploads = live.iter().filter(|l| l.1 == up);
+                let lowest = uploads.next()?;
+                let mut plain = uploads.filter(|l| !l.4).map(|l| l.0);
+                let victim = plain.next()?;
+                (lowest.0 == first && lowest.4 && plain.next().is_some()).then_some((up, victim))
+            })
+        });
+        let mut expected = live(&sim);
+        expected.retain(|l| l.0 != victim);
+        assert!(sim.preempt_one_upload(uploader));
+        assert_eq!(live(&sim), expected);
+    }
+
+    #[test]
+    fn preempt_duplicate_ends_only_the_non_exchange_transfer_on_its_edge() {
+        // A non-exchange transfer whose downloader gets the same object from
+        // another uploader, and whose uploader serves someone else too.
+        let (mut sim, (target, exchange)) = step_until(1, |live| {
+            let exchange = *live.iter().find(|l| l.4)?;
+            let target = *live.iter().find(|&&(tid, up, down, object, ex)| {
+                !ex && live
+                    .iter()
+                    .any(|l| l.0 != tid && l.2 == down && l.3 == object)
+                    && live.iter().any(|l| l.0 != tid && l.1 == up)
+            })?;
+            Some((target, exchange))
+        });
+        let (tid, uploader, downloader, object, _) = target;
+        let before = live(&sim);
+        // An exchange edge, and each edge off by one end or the object.
+        let other_object = before.iter().map(|l| l.3).find(|&o| o != object);
+        let other_object = other_object.expect("several objects are in flight");
+        let near_misses = [
+            (exchange.1, exchange.2, exchange.3),
+            (uploader, downloader, other_object),
+            (uploader, uploader, object),
+            (downloader, downloader, object),
+        ];
+        for (up, down, obj) in near_misses {
+            sim.preempt_duplicate(up, down, obj);
+            assert_eq!(live(&sim), before, "preempting {up:?}->{down:?} {obj:?}");
+        }
+        let mut expected = before;
+        expected.retain(|l| l.0 != tid);
+        sim.preempt_duplicate(uploader, downloader, object);
+        assert_eq!(live(&sim), expected);
+    }
+
+    #[test]
+    fn duplicate_exchange_test_sees_only_exchanges_from_the_same_uploader() {
+        // A downloader getting one object both inside an exchange and outside
+        // one, from two uploaders.
+        let (sim, ()) = step_until(1, |live| {
+            live.iter()
+                .any(|e| {
+                    e.4 && live
+                        .iter()
+                        .any(|n| !n.4 && n.1 != e.1 && n.2 == e.2 && n.3 == e.3)
+                })
+                .then_some(())
+        });
+        let live = live(&sim);
+        for &(_, _, downloader, object, _) in &live {
+            for uploader in sim.peers().iter().map(|p| p.id) {
+                let expected = (live.iter())
+                    .any(|l| l.1 == uploader && l.2 == downloader && l.3 == object && l.4);
+                assert_eq!(
+                    sim.serves_in_exchange(uploader, downloader, object),
+                    expected,
+                    "{uploader:?}->{downloader:?} {object:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn scheduler_choice_does_not_perturb_setup_rng_streams() {
         // The initial placement draws from the setup/per-peer streams only;

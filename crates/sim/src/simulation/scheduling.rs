@@ -205,17 +205,26 @@ impl Simulation {
         }
         // An identical transfer already part of an exchange means this edge is
         // already served at exchange priority; re-forming it would double-count.
-        let duplicate_exchange = self
-            .downloads_by_want
-            .get(&(edge.downloader, edge.object))
+        !self.serves_in_exchange(peer, edge.downloader, edge.object)
+    }
+
+    /// Whether an exchange transfer already serves `object` from `uploader`
+    /// to `downloader`.
+    pub(super) fn serves_in_exchange(
+        &self,
+        uploader: PeerId,
+        downloader: PeerId,
+        object: ObjectId,
+    ) -> bool {
+        self.downloads_by_want
+            .get(&(downloader, object))
             .is_some_and(|tids| {
                 tids.iter().any(|tid| {
                     self.transfers
                         .get(tid)
-                        .is_some_and(|t| t.uploader == peer && t.kind.is_exchange())
+                        .is_some_and(|t| t.uploader == uploader && t.kind.is_exchange())
                 })
-            });
-        !duplicate_exchange
+            })
     }
 
     /// Validates `ring` with a token pass and, if confirmed, activates it.
@@ -279,7 +288,12 @@ impl Simulation {
     }
 
     /// Ends a low-priority transfer on exactly this edge, if one is running.
-    fn preempt_duplicate(&mut self, uploader: PeerId, downloader: PeerId, object: ObjectId) {
+    pub(super) fn preempt_duplicate(
+        &mut self,
+        uploader: PeerId,
+        downloader: PeerId,
+        object: ObjectId,
+    ) {
         let duplicate = self
             .downloads_by_want
             .get(&(downloader, object))
@@ -300,7 +314,7 @@ impl Simulation {
     }
 
     /// Preempts one arbitrary non-exchange upload of `uploader`, freeing a slot.
-    fn preempt_one_upload(&mut self, uploader: PeerId) -> bool {
+    pub(super) fn preempt_one_upload(&mut self, uploader: PeerId) -> bool {
         let victim = self
             .uploads_by_peer
             .get(&uploader)
