@@ -6,9 +6,13 @@
 //! finalisation:
 //!
 //! * slot accounting — each peer's reserved upload/download slots equal its
-//!   live transfer count, the transfer indexes agree with the transfer
-//!   table, and no `(uploader, downloader, object)` edge is served by two
+//!   live transfer count, each live transfer's downloader still wants its
+//!   object, and no `(uploader, downloader, object)` edge is served by two
 //!   live transfers;
+//! * transfer indexes — each live transfer has exactly one record in its
+//!   uploader's and one in its downloader's list, every record's other end,
+//!   object and exchange flag equal the transfer's, every list is strictly
+//!   ascending by id, and no record names a dead transfer;
 //! * provision — every active transfer's uploader stores the object or is a
 //!   behavior that may advertise unstored objects (a relaying middleman);
 //! * rings — every active exchange ring's sessions form one cycle over
@@ -52,6 +56,7 @@ use crate::SimReport;
 
 use super::events::Event;
 use super::holder_marks::HolderMarks;
+use super::transfers::{ActiveTransfer, TransferLink};
 use super::Simulation;
 
 impl Simulation {
@@ -337,7 +342,9 @@ impl Simulation {
     }
 
     /// Slot reservations and the transfer indexes agree with the transfer
-    /// table, and at most one live transfer serves each
+    /// table, every live transfer's downloader still wants its object (so a
+    /// departure ends the same sessions whether it reads the wants or the
+    /// download index), and at most one live transfer serves each
     /// `(uploader, downloader, object)` edge: the serve queue skips pairs the
     /// provider already serves, and a ring preempts the low-priority
     /// transfer on its edge before starting its own.
@@ -354,41 +361,19 @@ impl Simulation {
                     t.uploader, t.object, t.downloader
                 ));
             }
-            let indexed_up = self
-                .uploads_by_peer
-                .get(&t.uploader)
-                .is_some_and(|tids| tids.contains(tid));
-            if !indexed_up {
-                return Err(format!("transfer {tid} missing from uploads_by_peer"));
-            }
-            let indexed_down = self
-                .downloads_by_want
-                .get(&(t.downloader, t.object))
-                .is_some_and(|tids| tids.contains(tid));
-            if !indexed_down {
-                return Err(format!("transfer {tid} missing from downloads_by_want"));
+            if !self.peer(t.downloader).wants.contains_key(&t.object) {
+                return Err(format!(
+                    "transfer {tid} delivers {:?} to {:?}, which no longer wants it",
+                    t.object, t.downloader
+                ));
             }
         }
-        for (peer, tids) in &self.uploads_by_peer {
-            for tid in tids {
-                if self.transfers.get(tid).map(|t| t.uploader) != Some(*peer) {
-                    return Err(format!("uploads_by_peer[{peer:?}] holds stale id {tid}"));
-                }
-            }
-        }
-        for ((peer, object), tids) in &self.downloads_by_want {
-            for tid in tids {
-                let live = self
-                    .transfers
-                    .get(tid)
-                    .is_some_and(|t| t.downloader == *peer && t.object == *object);
-                if !live {
-                    return Err(format!(
-                        "downloads_by_want[{peer:?},{object:?}] holds stale id {tid}"
-                    ));
-                }
-            }
-        }
+        audit_transfer_index("uploads", &self.uploads, self, |t| {
+            (t.uploader, t.downloader)
+        })?;
+        audit_transfer_index("downloads", &self.downloads, self, |t| {
+            (t.downloader, t.uploader)
+        })?;
         for peer in &self.peers {
             let up = uploads.get(&peer.id).copied().unwrap_or(0);
             if peer.upload_slots.in_use() != up {
@@ -579,11 +564,73 @@ pub fn check_report(report: &SimReport) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks one per-peer transfer index (`name` is `uploads` or `downloads`)
+/// against the transfer table.  `ends` maps a transfer to the peer whose
+/// list must hold it and the peer its record names as the other end.
+/// Every list is strictly ascending and each record names a live transfer
+/// of that list's peer with the transfer's other end, object and kind, so
+/// no transfer is recorded twice; the record count then equals the live
+/// transfer count exactly when each transfer is recorded once.
+fn audit_transfer_index(
+    name: &str,
+    index: &[Vec<TransferLink>],
+    sim: &Simulation,
+    ends: impl Fn(&ActiveTransfer) -> (PeerId, PeerId),
+) -> Result<(), String> {
+    let show = |l: &TransferLink| {
+        format!(
+            "(other end {:?}, {:?}, exchange {})",
+            l.peer,
+            l.object,
+            l.is_exchange()
+        )
+    };
+    let mut records = 0;
+    for (peer, links) in index.iter().enumerate() {
+        let peer = PeerId::new(peer as u32);
+        if let Some(pair) = links.windows(2).find(|p| p[0].id() >= p[1].id()) {
+            return Err(format!(
+                "{name}[{peer:?}] is not strictly ascending: transfer {} before {}",
+                pair[0].id(),
+                pair[1].id()
+            ));
+        }
+        for link in links {
+            let tid = link.id();
+            let Some(t) = sim.transfers.get(&tid) else {
+                return Err(format!("{name}[{peer:?}] names dead transfer {tid}"));
+            };
+            let (owner, other) = ends(t);
+            if owner != peer {
+                return Err(format!(
+                    "{name}[{peer:?}] holds transfer {tid} of {owner:?}"
+                ));
+            }
+            let expected = TransferLink::new(tid, other, t.object, t.kind.is_exchange());
+            if *link != expected {
+                return Err(format!(
+                    "{name}[{peer:?}] records transfer {tid} as {}, not {}",
+                    show(link),
+                    show(&expected)
+                ));
+            }
+        }
+        records += links.len();
+    }
+    if records != sim.transfers.len() {
+        return Err(format!(
+            "{name} records {records} transfers for {} live ones",
+            sim.transfers.len()
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use crate::{SessionKind, SimConfig};
 
-    use super::Simulation;
+    use super::{Simulation, TransferLink};
 
     #[test]
     fn a_duplicated_transfer_is_named_by_the_audit() {
@@ -612,6 +659,37 @@ mod tests {
         assert_eq!(
             err,
             format!("{uploader:?} serves {object:?} to {downloader:?} on two live transfers")
+        );
+    }
+
+    #[test]
+    fn a_corrupted_transfer_record_is_named_by_the_audit() {
+        let mut sim = Simulation::new(SimConfig::quick_test(), 1);
+        // Step to the first live exchange transfer.
+        let (tid, uploader, downloader, object) = loop {
+            sim.step()
+                .expect("an exchange transfer starts before the horizon");
+            let exchange = (sim.transfers.iter()).find(|(_, t)| t.kind.is_exchange());
+            if let Some((&tid, t)) = exchange {
+                break (tid, t.uploader, t.downloader, t.object);
+            }
+        };
+        sim.drain_graph_deltas();
+        sim.audit()
+            .expect("the run is consistent before the corruption");
+
+        let links = &mut sim.uploads[uploader.as_usize()];
+        let at = (links.iter().position(|l| l.id() == tid))
+            .expect("the uploader's list records the transfer");
+        links[at] = TransferLink::new(tid, downloader, object, false);
+        let err = sim.audit().expect_err("a record with the wrong kind");
+        assert_eq!(
+            err,
+            format!(
+                "uploads[{uploader:?}] records transfer {tid} as (other end {downloader:?}, \
+                 {object:?}, exchange false), not (other end {downloader:?}, {object:?}, \
+                 exchange true)"
+            )
         );
     }
 }

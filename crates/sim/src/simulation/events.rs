@@ -256,18 +256,12 @@ impl Simulation {
         }
         // Objects currently being uploaded by this peer are pinned, as the
         // paper postpones removal of objects used in an ongoing exchange.
-        let pinned: Vec<ObjectId> = self
-            .uploads_by_peer
-            .get(&peer)
-            .into_iter()
-            .flatten()
-            .filter_map(|tid| self.transfers.get(tid).map(|t| t.object))
-            .collect();
         let evicted = {
+            let pinned = &self.uploads[peer.as_usize()];
             let state = &mut self.peers[peer.as_usize()];
-            state
-                .storage
-                .evict_over_capacity(&mut self.rng_storage, |o| pinned.contains(&o))
+            (state.storage).evict_over_capacity(&mut self.rng_storage, |o| {
+                pinned.iter().any(|l| l.object == o)
+            })
         };
         // Requests directed at this peer for evicted objects can no longer be
         // served here; withdraw them so the request graph stays truthful, and

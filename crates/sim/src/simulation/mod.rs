@@ -42,7 +42,7 @@ use crate::{PeerState, SessionEnd, SimConfig, SimReport};
 use events::Event;
 use holder_marks::HolderMarks;
 use maintenance::MaintenanceSchedule;
-use transfers::{ActiveRing, ActiveTransfer};
+use transfers::{ActiveRing, ActiveTransfer, TransferLink};
 
 /// Identifier of an active transfer session within one run.
 pub(crate) type TransferId = u64;
@@ -247,8 +247,15 @@ pub struct Simulation {
     /// high-water mark of a 10k-peer run's memory.
     transfers: HashMap<TransferId, Box<ActiveTransfer>, FastState>,
     rings: HashMap<RingId, ActiveRing, FastState>,
-    uploads_by_peer: HashMap<PeerId, Vec<TransferId>, FastState>,
-    downloads_by_want: HashMap<(PeerId, ObjectId), Vec<TransferId>, FastState>,
+    /// The live transfers each peer uploads, indexed by peer id: one
+    /// [`TransferLink`] per transfer naming its downloader, object and kind,
+    /// in ascending id order.  Every scheduling, completion, departure and
+    /// eviction question about a peer's uploads reads this slice, never
+    /// [`transfers`](Self::transfers).  Not serialized: restore rebuilds it.
+    uploads: Vec<Vec<TransferLink>>,
+    /// The live transfers each peer downloads, indexed by peer id, like
+    /// [`uploads`](Self::uploads) but naming each transfer's uploader.
+    downloads: Vec<Vec<TransferLink>>,
     next_transfer_id: TransferId,
     next_ring_id: RingId,
     engine: Scheduler<Event>,
@@ -426,8 +433,8 @@ impl Simulation {
             graph: RequestGraph::new(),
             transfers: HashMap::default(),
             rings: HashMap::default(),
-            uploads_by_peer: HashMap::default(),
-            downloads_by_want: HashMap::default(),
+            uploads: vec![Vec::new(); num_peers],
+            downloads: vec![Vec::new(); num_peers],
             next_transfer_id: 0,
             next_ring_id: 0,
             engine,

@@ -184,20 +184,19 @@ impl Simulation {
         // the departing uploader, and every gate downstream reads it.
         self.peers[peer.as_usize()].online = false;
 
-        // End every session the peer is part of, at either end.
-        let mut open: Vec<TransferId> =
-            self.uploads_by_peer.get(&peer).cloned().unwrap_or_default();
-        let wanted = self.peer(peer).wanted_objects();
-        for object in &wanted {
-            if let Some(tids) = self.downloads_by_want.get(&(peer, *object)) {
-                open.extend(tids.iter().copied());
-            }
-        }
+        // End every session the peer is part of, at either end, in id
+        // order.  A peer never requests from itself, so the two lists are
+        // disjoint.
+        let index = peer.as_usize();
+        let mut open: Vec<TransferId> = (self.uploads[index].iter())
+            .chain(&self.downloads[index])
+            .map(|l| l.id())
+            .collect();
         open.sort_unstable();
-        open.dedup();
         for tid in open {
             self.end_transfer(tid, SessionEnd::PeerDeparted);
         }
+        let wanted = self.peer(peer).wanted_objects();
 
         // Withdraw the peer's outgoing requests (it no longer downloads) and
         // the requests directed at it (it no longer serves).  Both go through
@@ -208,9 +207,6 @@ impl Simulation {
         let incoming = self.graph.incoming(peer).to_vec();
         for (requester, object) in incoming {
             self.graph.remove_request(requester, peer, object);
-        }
-        for object in &wanted {
-            self.downloads_by_want.remove(&(peer, *object));
         }
         self.peers[peer.as_usize()].wants.clear();
 

@@ -13,6 +13,7 @@ use workload::{ObjectId, PeerId};
 use crate::{SessionEnd, SessionKind};
 
 use super::holder_marks::HolderMarks;
+use super::transfers::TransferLink;
 use super::Simulation;
 
 impl Simulation {
@@ -43,13 +44,7 @@ impl Simulation {
     }
 
     pub(super) fn has_preemptible_upload(&self, uploader: PeerId) -> bool {
-        self.uploads_by_peer.get(&uploader).is_some_and(|tids| {
-            tids.iter().any(|tid| {
-                self.transfers
-                    .get(tid)
-                    .is_some_and(|t| !t.kind.is_exchange())
-            })
-        })
+        self.serving(uploader).iter().any(|l| !l.is_exchange())
     }
 
     /// Attempts to discover and activate one exchange ring rooted at
@@ -216,15 +211,8 @@ impl Simulation {
         downloader: PeerId,
         object: ObjectId,
     ) -> bool {
-        self.downloads_by_want
-            .get(&(downloader, object))
-            .is_some_and(|tids| {
-                tids.iter().any(|tid| {
-                    self.transfers
-                        .get(tid)
-                        .is_some_and(|t| t.uploader == uploader && t.kind.is_exchange())
-                })
-            })
+        (self.serving(uploader).iter())
+            .any(|l| l.peer == downloader && l.object == object && l.is_exchange())
     }
 
     /// Validates `ring` with a token pass and, if confirmed, activates it.
@@ -294,17 +282,9 @@ impl Simulation {
         downloader: PeerId,
         object: ObjectId,
     ) {
-        let duplicate = self
-            .downloads_by_want
-            .get(&(downloader, object))
-            .into_iter()
-            .flatten()
-            .copied()
-            .find(|tid| {
-                self.transfers
-                    .get(tid)
-                    .is_some_and(|t| t.uploader == uploader && !t.kind.is_exchange())
-            });
+        let duplicate = (self.serving(uploader).iter())
+            .find(|l| l.peer == downloader && l.object == object && !l.is_exchange())
+            .map(|l| l.id());
         if let Some(tid) = duplicate {
             self.end_transfer(tid, SessionEnd::Preempted);
             if self.measuring() {
@@ -313,19 +293,12 @@ impl Simulation {
         }
     }
 
-    /// Preempts one arbitrary non-exchange upload of `uploader`, freeing a slot.
+    /// Preempts the oldest (lowest-id) non-exchange upload of `uploader`,
+    /// freeing a slot.
     pub(super) fn preempt_one_upload(&mut self, uploader: PeerId) -> bool {
-        let victim = self
-            .uploads_by_peer
-            .get(&uploader)
-            .into_iter()
-            .flatten()
-            .copied()
-            .find(|tid| {
-                self.transfers
-                    .get(tid)
-                    .is_some_and(|t| !t.kind.is_exchange())
-            });
+        let victim = (self.serving(uploader).iter())
+            .find(|l| !l.is_exchange())
+            .map(|l| l.id());
         if let Some(tid) = victim {
             self.end_transfer(tid, SessionEnd::Preempted);
             if self.measuring() {
@@ -363,20 +336,17 @@ impl Simulation {
             .is_some()
     }
 
-    /// The `(downloader, object)` pairs `provider` is uploading right now:
-    /// at most one per upload slot, so a serve queue tests each entry's
-    /// already-served condition against this short list instead of probing
-    /// the download index.
-    fn serving(&self, provider: PeerId) -> Vec<(PeerId, ObjectId)> {
-        let uploads = self.uploads_by_peer.get(&provider).into_iter().flatten();
-        uploads
-            .filter_map(|tid| self.transfers.get(tid))
-            .map(|t| (t.downloader, t.object))
-            .collect()
+    /// The transfers `provider` is uploading right now, in ascending id
+    /// order, each with its downloader, object and kind: at most one per
+    /// upload slot, read in place from the upload index.
+    pub(super) fn serving(&self, provider: PeerId) -> &[TransferLink] {
+        &self.uploads[provider.as_usize()]
     }
 
     /// Assembles the eligible non-exchange queue at `provider`: the queued
-    /// requests and, in parallel, the object each one asks for.
+    /// requests and, in parallel, the object each one asks for.  A request
+    /// the provider already serves is skipped by a scan of its
+    /// [`serving`](Self::serving) slice.
     fn build_serve_queue(&self, provider: PeerId) -> (Vec<QueuedRequest<PeerId>>, Vec<ObjectId>) {
         let provider_state = self.peer(provider);
         let needs_reciprocal = self.scheduler.needs_reciprocal();
@@ -388,13 +358,17 @@ impl Simulation {
             Vec::new()
         };
         // The provider already serving the pair is by far the most common
-        // reason an entry is ineligible, and the cheapest to test.
+        // reason an entry is ineligible, and the cheapest to test: its
+        // uploads are one short slice.
         let serving = self.serving(provider);
         let now = self.now();
         let mut queue: Vec<QueuedRequest<PeerId>> = Vec::new();
         let mut objects: Vec<ObjectId> = Vec::new();
         for &(requester, object) in self.graph.incoming(provider) {
-            if serving.contains(&(requester, object)) {
+            if serving
+                .iter()
+                .any(|l| l.peer == requester && l.object == object)
+            {
                 continue;
             }
             let requester_state = self.peer(requester);

@@ -20,7 +20,8 @@
 //! mutates.  State that is a pure function of serialized state is rebuilt
 //! rather than stored:
 //!
-//! * the holders index and the per-transfer reverse maps;
+//! * the holders index and the per-peer upload and download indexes of the
+//!   live transfers;
 //! * every peer's upload and download slot occupancy: one slot at each end
 //!   of each live transfer (a transfer that overfills a pool is corrupt
 //!   input);
@@ -91,7 +92,7 @@ use crate::{
 
 use super::events::Event;
 use super::ring_cache::RingCacheStats;
-use super::transfers::{ActiveRing, ActiveTransfer};
+use super::transfers::{ActiveRing, ActiveTransfer, TransferLink, EXCHANGE_BIT};
 use super::{holders_index, RingId, SimSetup, Simulation, TransferId};
 
 /// The 8-byte magic that opens every snapshot.
@@ -998,8 +999,8 @@ impl Simulation {
 
         sim.graph = cur.section(TAG_GRAPH, Cursor::decode)?;
 
-        // Transfers and rings; rebuild the reverse indexes and the slot
-        // occupancy they imply as we go.
+        // Transfers and rings; rebuild the per-peer transfer indexes and the
+        // slot occupancy they imply as we go.
         let (transfers, rings) = cur.section(TAG_TRANSFERS, |sec| {
             (sim.next_transfer_id, sim.next_ring_id) = sec.decode()?;
             let transfers: Vec<(TransferId, ActiveTransfer)> = sec.decode()?;
@@ -1009,13 +1010,17 @@ impl Simulation {
         let (next_transfer_id, next_ring_id) = (sim.next_transfer_id, sim.next_ring_id);
         let mut transfer_map =
             HashMap::with_capacity_and_hasher(transfers.len(), FastState::default());
-        let mut uploads_by_peer: HashMap<PeerId, Vec<TransferId>, FastState> = HashMap::default();
-        let mut downloads_by_want: HashMap<(PeerId, ObjectId), Vec<TransferId>, FastState> =
-            HashMap::default();
+        let mut uploads = vec![Vec::new(); num_peers];
+        let mut downloads = vec![Vec::new(); num_peers];
         for (tid, transfer) in transfers {
             if tid >= next_transfer_id || transfer.ring.is_some_and(|rid| rid >= next_ring_id) {
                 return Err(corrupt!(
                     "transfer {tid} or its ring is past its id counter"
+                ));
+            }
+            if tid >= EXCHANGE_BIT {
+                return Err(corrupt!(
+                    "transfer id {tid} does not fit a transfer index record"
                 ));
             }
             let (up, down) = (transfer.uploader, transfer.downloader);
@@ -1027,27 +1032,18 @@ impl Simulation {
                     "peer {down} has more downloads than download slots"
                 ));
             }
-            uploads_by_peer
-                .entry(transfer.uploader)
-                .or_default()
-                .push(tid);
-            downloads_by_want
-                .entry((transfer.downloader, transfer.object))
-                .or_default()
-                .push(tid);
+            let (object, exchange) = (transfer.object, transfer.kind.is_exchange());
+            uploads[up.as_usize()].push(TransferLink::new(tid, down, object, exchange));
+            downloads[down.as_usize()].push(TransferLink::new(tid, up, object, exchange));
             if transfer_map.insert(tid, Box::new(transfer)).is_some() {
                 return Err(corrupt!("duplicate transfer id {tid}"));
             }
         }
         // Serialized in ascending id order already; sort defensively so a
-        // permuted (corrupt) input cannot smuggle in nondeterminism.
-        // exchange-lint: allow(D001, reason = "visit order is irrelevant: each Vec is sorted independently")
-        for tids in uploads_by_peer.values_mut() {
-            tids.sort_unstable();
-        }
-        // exchange-lint: allow(D001, reason = "visit order is irrelevant: each Vec is sorted independently")
-        for tids in downloads_by_want.values_mut() {
-            tids.sort_unstable();
+        // permuted (corrupt) input still yields the ascending lists the live
+        // run keeps.
+        for links in uploads.iter_mut().chain(&mut downloads) {
+            links.sort_unstable_by_key(|l| l.id());
         }
         let mut ring_map = HashMap::with_capacity_and_hasher(rings.len(), FastState::default());
         for (rid, ring) in rings {
@@ -1062,8 +1058,8 @@ impl Simulation {
             }
         }
         sim.transfers = transfer_map;
-        sim.uploads_by_peer = uploads_by_peer;
-        sim.downloads_by_want = downloads_by_want;
+        sim.uploads = uploads;
+        sim.downloads = downloads;
         sim.rings = ring_map;
 
         cur.transfers = next_transfer_id;

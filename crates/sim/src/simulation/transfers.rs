@@ -38,6 +38,49 @@ pub(crate) struct ActiveRing {
     pub(crate) transfers: Vec<TransferId>,
 }
 
+/// The top bit of [`TransferLink::tagged_id`], set on an exchange transfer.
+pub(crate) const EXCHANGE_BIT: TransferId = 1 << 63;
+
+/// One live transfer as indexed at one of its ends: in
+/// [`Simulation::uploads`] the other end is the downloader, in
+/// [`Simulation::downloads`] the uploader.  The exchange flag rides in the
+/// id's top bit, so a record is 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TransferLink {
+    tagged_id: TransferId,
+    /// The peer at the other end.
+    pub(crate) peer: PeerId,
+    pub(crate) object: ObjectId,
+}
+
+impl TransferLink {
+    pub(crate) fn new(tid: TransferId, peer: PeerId, object: ObjectId, exchange: bool) -> Self {
+        assert!(tid < EXCHANGE_BIT, "transfer id {tid} overflows its record");
+        let flag = if exchange { EXCHANGE_BIT } else { 0 };
+        TransferLink {
+            tagged_id: tid | flag,
+            peer,
+            object,
+        }
+    }
+
+    pub(crate) fn id(self) -> TransferId {
+        self.tagged_id & !EXCHANGE_BIT
+    }
+
+    pub(crate) fn is_exchange(self) -> bool {
+        self.tagged_id & EXCHANGE_BIT != 0
+    }
+}
+
+/// Removes `tid`'s record from one peer's index list, keeping the rest in
+/// ascending id order.
+fn unlink(links: &mut Vec<TransferLink>, tid: TransferId) {
+    if let Some(at) = links.iter().position(|l| l.id() == tid) {
+        links.remove(at);
+    }
+}
+
 impl Simulation {
     /// Starts a transfer session, reserving one slot at each end.
     /// Returns `None` if either side has no capacity.
@@ -94,11 +137,12 @@ impl Simulation {
                 validation,
             }),
         );
-        self.uploads_by_peer.entry(uploader).or_default().push(tid);
-        self.downloads_by_want
-            .entry((downloader, object))
-            .or_default()
-            .push(tid);
+        // Ids rise, so pushing keeps each list in ascending id order.
+        let exchange = kind.is_exchange();
+        self.uploads[uploader.as_usize()]
+            .push(TransferLink::new(tid, downloader, object, exchange));
+        self.downloads[downloader.as_usize()]
+            .push(TransferLink::new(tid, uploader, object, exchange));
         if self.measuring() {
             self.report.record_waiting(kind, waiting_secs);
         }
@@ -338,15 +382,13 @@ impl Simulation {
         }
 
         // Terminate every session that was delivering this object.
-        let sessions: Vec<TransferId> = self
-            .downloads_by_want
-            .get(&(downloader, object))
-            .cloned()
-            .unwrap_or_default();
+        let sessions: Vec<TransferId> = (self.downloads[downloader.as_usize()].iter())
+            .filter(|l| l.object == object)
+            .map(|l| l.id())
+            .collect();
         for tid in sessions {
             self.end_transfer(tid, SessionEnd::DownloadComplete);
         }
-        self.downloads_by_want.remove(&(downloader, object));
 
         // Free request budget: ask for something new right away.  (Bypasses
         // the retry dedup deliberately — a completion must never wait on a
@@ -365,15 +407,8 @@ impl Simulation {
         };
         self.peer_mut(transfer.uploader).upload_slots.release();
         self.peer_mut(transfer.downloader).download_slots.release();
-        if let Some(tids) = self.uploads_by_peer.get_mut(&transfer.uploader) {
-            tids.retain(|t| *t != tid);
-        }
-        if let Some(tids) = self
-            .downloads_by_want
-            .get_mut(&(transfer.downloader, transfer.object))
-        {
-            tids.retain(|t| *t != tid);
-        }
+        unlink(&mut self.uploads[transfer.uploader.as_usize()], tid);
+        unlink(&mut self.downloads[transfer.downloader.as_usize()], tid);
         // Sessions that never moved a byte (typically preempted before their
         // first block completed) are not counted as sessions in the report;
         // they would otherwise swamp the per-session distributions.
