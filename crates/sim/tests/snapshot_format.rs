@@ -19,8 +19,9 @@
 //! magic, future format versions, a self-request edge, a cached search
 //! whose dependency lists are out of order, a pending event before the
 //! clock, scheduler history written by a scheduler other than the
-//! configured one, and transfers that overfill a peer's slot pool must
-//! return [`SnapshotError`]s, never panic, and every golden fixture must
+//! configured one, transfers that overfill a peer's slot pool, and a
+//! transfer id too large for the per-peer transfer index must return
+//! [`SnapshotError`]s, never panic, and every golden fixture must
 //! restore into a simulation that finishes with the exact same report as a
 //! fresh run.
 
@@ -213,6 +214,7 @@ const HEADER_LEN: usize = SNAPSHOT_MAGIC.len() + 4 + 8 + 8;
 
 /// Section tags of the layout that the tests below edit.
 const TAG_GRAPH: u8 = 4;
+const TAG_TRANSFERS: u8 = 5;
 const TAG_RING_CACHE: u8 = 9;
 
 fn read_u64(bytes: &[u8], at: usize) -> u64 {
@@ -339,6 +341,29 @@ fn transfers_overfilling_a_slot_pool_error_gracefully() {
         Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("upload slots"), "{msg}"),
         Err(err) => panic!("expected a slot-overflow Corrupt error, got {err}"),
         Ok(_) => panic!("two uploads at one peer must not restore into a one-slot pool"),
+    }
+}
+
+/// A transfer id below a corrupt id counter but too large for the per-peer
+/// transfer index (whose records keep the exchange flag in the id's top
+/// bit) is corrupt input, not a panic.
+#[test]
+fn transfer_id_too_large_for_the_index_errors_gracefully() {
+    let config = golden_config();
+    let mut bytes = golden_bytes();
+    // Transfers payload: the transfer and ring id counters, the transfer
+    // count, then the first transfer, which opens with its id.
+    let payload = section_len_offset(&bytes, TAG_TRANSFERS) + 8;
+    assert!(
+        read_u64(&bytes, payload + 16) > 0,
+        "the golden run has transfers"
+    );
+    bytes[payload..payload + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    bytes[payload + 24..payload + 32].copy_from_slice(&(1u64 << 63).to_le_bytes());
+    match Simulation::restore(&mut &bytes[..], &config) {
+        Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("does not fit"), "{msg}"),
+        Err(err) => panic!("expected a Corrupt error, got {err}"),
+        Ok(_) => panic!("a transfer id of 2^63 must not restore"),
     }
 }
 
