@@ -187,9 +187,8 @@ impl Simulation {
         // End every session the peer is part of, at either end, in id
         // order.  A peer never requests from itself, so the two lists are
         // disjoint.
-        let index = peer.as_usize();
-        let mut open: Vec<TransferId> = (self.uploads[index].iter())
-            .chain(&self.downloads[index])
+        let mut open: Vec<TransferId> = (self.uploads[peer.as_usize()].iter())
+            .chain(&self.downloads[peer.as_usize()])
             .map(|l| l.id())
             .collect();
         open.sort_unstable();
