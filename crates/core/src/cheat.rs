@@ -1,46 +1,19 @@
-//! Cheating models and countermeasures (Section III-B of the paper).
+//! The synchronous block-validation countermeasure of Section III-B.
 //!
 //! Exchange priority creates an incentive to *pretend* to exchange: serve
 //! junk, or act as a middleman between two peers that could trade directly.
-//! The paper proposes two countermeasures, both modelled here:
+//! The paper proposes two countermeasures:
 //!
 //! * **Synchronous block validation** ([`WindowedExchange`]) — exchange one
 //!   validated block at a time, optionally growing a window of in-flight
 //!   blocks as trust builds.  A cheater's maximum gain is bounded by the
 //!   window size, and the achievable exchange rate is limited by
 //!   `window × block_size / rtt`.
-//! * **A trusted mediator** ([`Mediator`]) — both directions of the exchange
-//!   are encrypted with keys known only to the sender and the mediator; the
-//!   mediator validates sample blocks and then releases the keys to the
-//!   peer named in the (encrypted) peer-of-origin header, so a freeriding
-//!   middleman relays bytes it can never decrypt.
-
-use std::collections::BTreeMap;
-
-use crate::Key;
-
-/// Upper bound on the bytes a cheater can obtain before being detected, when
-/// blocks are validated synchronously with a window of `window` blocks.
-#[must_use]
-pub fn max_cheater_gain_bytes(block_bytes: u64, window: u32) -> u64 {
-    block_bytes * u64::from(window.max(1))
-}
-
-/// The exchange rate (bytes/second) achievable when every block must be
-/// validated before the next one is sent, with `window` blocks in flight and
-/// a round-trip time of `rtt_secs`.
-///
-/// # Panics
-///
-/// Panics if `rtt_secs` is not positive and finite.
-#[must_use]
-pub fn validated_exchange_rate(block_bytes: u64, window: u32, rtt_secs: f64) -> f64 {
-    assert!(
-        rtt_secs.is_finite() && rtt_secs > 0.0,
-        "round-trip time must be positive, got {rtt_secs}"
-    );
-    block_bytes as f64 * f64::from(window.max(1)) / rtt_secs
-}
+//! * **A trusted mediator** — each side's decryption key is released only to
+//!   the peer the true sender named, so a relaying middleman holds
+//!   ciphertext it can never decrypt.  It has no type here: the simulator
+//!   models it as one predicate of its transfer path
+//!   (`sim::Protection::Mediated`, read by `ciphertext_downloader`).
 
 /// A synchronous, block-validated exchange with an adaptive window.
 ///
@@ -165,144 +138,21 @@ impl WindowedExchange {
         self.window = 1;
     }
 
-    /// The partner's maximum possible gain from cheating right now, in bytes.
-    #[must_use]
-    pub fn exposure_bytes(&self) -> u64 {
-        max_cheater_gain_bytes(self.block_bytes, self.window)
-    }
-
-    /// Achievable exchange rate (bytes/second) at the current window, capped
-    /// by the transfer slot's own rate.
+    /// Achievable exchange rate (bytes/second) at the current window: every
+    /// block is validated before the next is sent, so `window` blocks move
+    /// per round trip of `rtt_secs`, capped by the transfer slot's own rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rtt_secs` is not positive and finite.
     #[must_use]
     pub fn effective_rate(&self, rtt_secs: f64, slot_bytes_per_sec: f64) -> f64 {
-        validated_exchange_rate(self.block_bytes, self.window, rtt_secs).min(slot_bytes_per_sec)
+        assert!(
+            rtt_secs.is_finite() && rtt_secs > 0.0,
+            "round-trip time must be positive, got {rtt_secs}"
+        );
+        (self.block_bytes as f64 * f64::from(self.window) / rtt_secs).min(slot_bytes_per_sec)
     }
-}
-
-/// One encrypted block handed to the mediator's protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncryptedBlock<P> {
-    /// The peer that encrypted and sent the block.
-    pub origin: P,
-    /// The peer named in the encrypted control header as the intended
-    /// recipient of the decryption key.
-    pub intended_recipient: P,
-    /// Whether the block's content is valid (checksums match the real object).
-    pub valid: bool,
-}
-
-/// Outcome of a mediated exchange.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MediationOutcome<P: Key> {
-    /// Which peers receive a decryption key, and for whose data.
-    /// `key_released_to[p] = q` means peer `p` can now decrypt the blocks
-    /// originated by peer `q`.
-    pub keys_released_to: BTreeMap<P, P>,
-    /// Whether the mediator detected cheating on either side.
-    pub cheating_detected: bool,
-}
-
-impl<P: Key> MediationOutcome<P> {
-    /// Whether `peer` ends up able to decrypt anything.
-    #[must_use]
-    pub fn can_decrypt(&self, peer: &P) -> bool {
-        self.keys_released_to.contains_key(peer)
-    }
-}
-
-/// The trusted mediator of Section III-B.
-///
-/// Both directions of a (possibly relayed) exchange are encrypted with keys
-/// known only to the sending peer and the mediator.  When the transfer
-/// completes, the mediator validates a sample of blocks from each side and —
-/// only if both sides are clean — releases each side's key *to the peer named
-/// in the sender's encrypted control header*.  A middleman that merely
-/// relayed blocks is never named there, so it ends up with ciphertext only.
-///
-/// # Example
-///
-/// ```
-/// use exchange::cheat::{EncryptedBlock, Mediator};
-///
-/// // Peers 1 and 2 exchange directly; peer 9 relays but contributes nothing.
-/// let a_to_b = vec![EncryptedBlock { origin: 1u32, intended_recipient: 2, valid: true }];
-/// let b_to_a = vec![EncryptedBlock { origin: 2u32, intended_recipient: 1, valid: true }];
-/// let outcome = Mediator::new(2).mediate(&a_to_b, &b_to_a);
-/// assert!(outcome.can_decrypt(&1));
-/// assert!(outcome.can_decrypt(&2));
-/// assert!(!outcome.can_decrypt(&9));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mediator {
-    sample_size: usize,
-}
-
-impl Mediator {
-    /// Creates a mediator that validates up to `sample_size` blocks per side.
-    #[must_use]
-    pub fn new(sample_size: usize) -> Self {
-        Mediator {
-            sample_size: sample_size.max(1),
-        }
-    }
-
-    /// Runs the key-release protocol over the blocks of both directions.
-    ///
-    /// If any sampled block on either side is invalid, no keys are released
-    /// and cheating is flagged.
-    #[must_use]
-    pub fn mediate<P: Key>(
-        &self,
-        first_direction: &[EncryptedBlock<P>],
-        second_direction: &[EncryptedBlock<P>],
-    ) -> MediationOutcome<P> {
-        let sample_ok =
-            |blocks: &[EncryptedBlock<P>]| blocks.iter().take(self.sample_size).all(|b| b.valid);
-        if first_direction.is_empty()
-            || second_direction.is_empty()
-            || !sample_ok(first_direction)
-            || !sample_ok(second_direction)
-        {
-            return MediationOutcome {
-                keys_released_to: BTreeMap::new(),
-                cheating_detected: !first_direction.is_empty() && !second_direction.is_empty(),
-            };
-        }
-        let mut keys = BTreeMap::new();
-        // Each direction's key goes to the recipient named by the *sender*;
-        // the sender's identity is what the key decrypts.
-        for blocks in [first_direction, second_direction] {
-            let origin = blocks[0].origin;
-            let recipient = blocks[0].intended_recipient;
-            keys.insert(recipient, origin);
-        }
-        MediationOutcome {
-            keys_released_to: keys,
-            cheating_detected: false,
-        }
-    }
-}
-
-impl Default for Mediator {
-    fn default() -> Self {
-        Mediator::new(4)
-    }
-}
-
-/// The middleman attack of Section III-B, as a checkable scenario.
-///
-/// Peer `middleman` tells `left` that it owns what `left` wants, and `right`
-/// that it owns what `right` wants, then shuttles blocks between them to get
-/// high-priority service without contributing anything.  The function answers
-/// whether the attack succeeds, i.e. whether the middleman ends up with
-/// usable (decryptable) data, under a given protection scheme.
-#[must_use]
-pub fn middleman_attack_succeeds(mediated: bool) -> bool {
-    // Without the mediator the middleman receives plaintext blocks from both
-    // sides and profits.  With the mediator it only ever holds ciphertext: the
-    // keys are released to the peers named in the encrypted control headers,
-    // which the middleman cannot alter.
-    !mediated
 }
 
 #[cfg(test)]
@@ -310,39 +160,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cheater_gain_is_bounded_by_window() {
-        assert_eq!(max_cheater_gain_bytes(1_000, 1), 1_000);
-        assert_eq!(max_cheater_gain_bytes(1_000, 4), 4_000);
-        assert_eq!(
-            max_cheater_gain_bytes(1_000, 0),
-            1_000,
-            "window clamps to 1"
-        );
-    }
-
-    #[test]
-    fn validated_rate_follows_paper_formula() {
+    fn effective_rate_follows_paper_formula() {
         // block / rtt, scaled by the window.
-        assert_eq!(validated_exchange_rate(16_384, 1, 0.1), 163_840.0);
-        assert_eq!(validated_exchange_rate(16_384, 4, 0.1), 655_360.0);
+        let mut ex = WindowedExchange::new(16_384, 4);
+        assert_eq!(ex.effective_rate(0.1, f64::INFINITY), 163_840.0);
+        for _ in 0..3 {
+            ex.on_round_validated();
+        }
+        assert_eq!(ex.effective_rate(0.1, f64::INFINITY), 655_360.0);
     }
 
     #[test]
     #[should_panic(expected = "round-trip")]
     fn zero_rtt_panics() {
-        let _ = validated_exchange_rate(1_000, 1, 0.0);
+        let _ = WindowedExchange::new(1_000, 1).effective_rate(0.0, 1_250.0);
     }
 
     #[test]
     fn window_grows_and_resets() {
         let mut ex = WindowedExchange::new(1_000, 4);
         assert_eq!(ex.window(), 1);
-        assert_eq!(ex.exposure_bytes(), 1_000);
         for _ in 0..10 {
             ex.on_round_validated();
         }
         assert_eq!(ex.window(), 4, "window is capped");
-        assert_eq!(ex.exposure_bytes(), 4_000);
         assert_eq!(ex.validated_rounds(), 10);
         ex.on_invalid_block();
         assert_eq!(ex.window(), 1);
@@ -360,84 +201,5 @@ mod tests {
         // With a large RTT the validation dominates.
         let slow = WindowedExchange::new(1_000, 16);
         assert!(slow.effective_rate(10.0, 1_250.0) < 1_250.0);
-    }
-
-    #[test]
-    fn mediator_releases_keys_to_real_participants_only() {
-        let a_to_b = vec![EncryptedBlock {
-            origin: 1u32,
-            intended_recipient: 2,
-            valid: true,
-        }];
-        let b_to_a = vec![EncryptedBlock {
-            origin: 2u32,
-            intended_recipient: 1,
-            valid: true,
-        }];
-        let outcome = Mediator::new(1).mediate(&a_to_b, &b_to_a);
-        assert!(!outcome.cheating_detected);
-        assert_eq!(outcome.keys_released_to.get(&2), Some(&1));
-        assert_eq!(outcome.keys_released_to.get(&1), Some(&2));
-        assert!(!outcome.can_decrypt(&9));
-    }
-
-    #[test]
-    fn mediator_detects_junk_blocks() {
-        let a_to_b = vec![EncryptedBlock {
-            origin: 1u32,
-            intended_recipient: 2,
-            valid: false,
-        }];
-        let b_to_a = vec![EncryptedBlock {
-            origin: 2u32,
-            intended_recipient: 1,
-            valid: true,
-        }];
-        let outcome = Mediator::new(1).mediate(&a_to_b, &b_to_a);
-        assert!(outcome.cheating_detected);
-        assert!(outcome.keys_released_to.is_empty());
-        assert!(!outcome.can_decrypt(&1));
-        assert!(!outcome.can_decrypt(&2));
-    }
-
-    #[test]
-    fn mediator_middleman_gets_nothing() {
-        // Peers 1 and 2 are the true endpoints; peer 9 relays both directions.
-        // The control headers (written by the true senders) name 2 and 1.
-        let via_middleman_1 = vec![EncryptedBlock {
-            origin: 1u32,
-            intended_recipient: 2,
-            valid: true,
-        }];
-        let via_middleman_2 = vec![EncryptedBlock {
-            origin: 2u32,
-            intended_recipient: 1,
-            valid: true,
-        }];
-        let outcome = Mediator::default().mediate(&via_middleman_1, &via_middleman_2);
-        assert!(outcome.can_decrypt(&1));
-        assert!(outcome.can_decrypt(&2));
-        assert!(
-            !outcome.can_decrypt(&9),
-            "the relaying middleman never gets a key"
-        );
-    }
-
-    #[test]
-    fn empty_transfer_releases_nothing() {
-        let blocks = vec![EncryptedBlock {
-            origin: 1u32,
-            intended_recipient: 2,
-            valid: true,
-        }];
-        let outcome = Mediator::new(1).mediate(&blocks, &[]);
-        assert!(outcome.keys_released_to.is_empty());
-        assert!(!outcome.cheating_detected);
-    }
-
-    #[test]
-    fn middleman_attack_only_succeeds_without_mediation() {
-        assert!(middleman_attack_succeeds(false));
-        assert!(!middleman_attack_succeeds(true));
     }
 }

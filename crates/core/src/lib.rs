@@ -21,8 +21,9 @@
 //! * [`ExchangePolicy`] — the four disciplines evaluated in the paper
 //!   (no exchange, pairwise only, prefer-longer `N-2-way`, prefer-shorter
 //!   `2-N-way`).
-//! * [`cheat`] — models of the cheating/middleman attacks of Section III-B
-//!   and the block-validation / mediator countermeasures.
+//! * [`cheat`] — the synchronous block-validation countermeasure to the
+//!   cheating attacks of Section III-B (the mediator is a predicate of the
+//!   simulator's transfer path, `sim::Protection::Mediated`).
 //! * [`mixed`] — the non-ring, mixed object-and-capacity exchange of
 //!   Table I / Figure 3.
 //!

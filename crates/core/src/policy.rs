@@ -38,12 +38,6 @@ impl SearchPolicy {
         }
     }
 
-    /// Pairwise-only search.
-    #[must_use]
-    pub fn pairwise_only() -> Self {
-        SearchPolicy::new(2, RingPreference::ShorterFirst)
-    }
-
     /// The maximum number of peers in a ring.
     #[must_use]
     pub fn max_ring(&self) -> usize {
@@ -117,7 +111,7 @@ impl ExchangePolicy {
     pub fn search_policy(&self) -> Option<SearchPolicy> {
         match self {
             ExchangePolicy::NoExchange => None,
-            ExchangePolicy::Pairwise => Some(SearchPolicy::pairwise_only()),
+            ExchangePolicy::Pairwise => Some(SearchPolicy::new(2, RingPreference::ShorterFirst)),
             ExchangePolicy::PreferLonger { max_ring } => {
                 Some(SearchPolicy::new(*max_ring, RingPreference::LongerFirst))
             }
@@ -170,13 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_only_policy() {
-        let p = SearchPolicy::pairwise_only();
-        assert_eq!(p.max_ring(), 2);
-        assert_eq!(p.max_depth(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "smallest exchange ring")]
     fn ring_bound_below_two_panics() {
         let _ = SearchPolicy::new(1, RingPreference::ShorterFirst);
@@ -201,6 +188,8 @@ mod tests {
 
         let p = ExchangePolicy::Pairwise.search_policy().unwrap();
         assert_eq!(p.max_ring(), 2);
+        assert_eq!(p.max_depth(), 1);
+        assert_eq!(p.preference(), RingPreference::ShorterFirst);
 
         let p = ExchangePolicy::five_two_way().search_policy().unwrap();
         assert_eq!(p.max_ring(), 5);

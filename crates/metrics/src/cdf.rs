@@ -158,7 +158,7 @@ fn lcg(x: u64) -> u64 {
 /// use metrics::Cdf;
 ///
 /// let cdf = Cdf::from_samples([1.0, 2.0, 3.0, 4.0]);
-/// assert_eq!(cdf.fraction_at_or_below(2.0), 0.5);
+/// assert_eq!(cdf.percentile(0.0), 1.0);
 /// assert_eq!(cdf.percentile(1.0), 4.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -193,16 +193,6 @@ impl Cdf {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
-    }
-
-    /// Fraction of samples less than or equal to `x` (0.0 for an empty CDF).
-    #[must_use]
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let count = self.sorted.partition_point(|v| *v <= x);
-        count as f64 / self.sorted.len() as f64
     }
 
     /// The `p`-quantile (p in `[0, 1]`) using nearest-rank interpolation.
@@ -279,12 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn cdf_fraction_and_percentiles() {
+    fn cdf_percentiles() {
         let cdf = Cdf::from_samples((1..=10).map(f64::from));
         assert_eq!(cdf.len(), 10);
-        assert_eq!(cdf.fraction_at_or_below(0.0), 0.0);
-        assert_eq!(cdf.fraction_at_or_below(5.0), 0.5);
-        assert_eq!(cdf.fraction_at_or_below(10.0), 1.0);
         assert_eq!(cdf.percentile(0.0), 1.0);
         assert_eq!(cdf.percentile(1.0), 10.0);
         // Nearest-rank median of an even-sized sample lands on the upper of
@@ -308,7 +295,6 @@ mod tests {
     fn empty_cdf_behaviour() {
         let cdf = Cdf::from_samples(std::iter::empty());
         assert!(cdf.is_empty());
-        assert_eq!(cdf.fraction_at_or_below(1.0), 0.0);
         assert!(cdf.points(5).is_empty());
     }
 
@@ -330,20 +316,6 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            #[test]
-            fn fraction_is_monotone(xs in proptest::collection::vec(-1e4f64..1e4, 1..100)) {
-                let cdf = Cdf::from_samples(xs.iter().copied());
-                let mut probe: Vec<f64> = xs.clone();
-                probe.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                let mut last = 0.0;
-                for x in probe {
-                    let f = cdf.fraction_at_or_below(x);
-                    prop_assert!(f >= last - 1e-12);
-                    prop_assert!((0.0..=1.0).contains(&f));
-                    last = f;
-                }
-            }
-
             #[test]
             fn percentile_is_an_observed_sample(xs in proptest::collection::vec(-1e4f64..1e4, 1..100), p in 0.0f64..=1.0) {
                 let cdf = Cdf::from_samples(xs.iter().copied());

@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct OnlineStats {
@@ -97,16 +96,6 @@ impl OnlineStats {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Population variance (dividing by *n*); 0.0 when fewer than 2 samples.
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (dividing by *n − 1*); 0.0 when fewer than 2 samples.
     #[must_use]
     pub fn sample_variance(&self) -> f64 {
@@ -174,7 +163,7 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.population_variance(), 0.0);
+        assert_eq!(s.sample_variance(), 0.0);
     }
 
     #[test]
@@ -195,9 +184,9 @@ mod tests {
         xs.iter().for_each(|x| s.record(*x));
         let n = xs.len() as f64;
         let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
         assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.population_variance() - var).abs() < 1e-9);
+        assert!((s.sample_variance() - var).abs() < 1e-9);
         assert_eq!(s.min(), Some(-42.5));
         assert_eq!(s.max(), Some(100.0));
     }
@@ -252,7 +241,7 @@ mod tests {
                 xs.iter().for_each(|x| s.record(*x));
                 prop_assert!(s.mean() >= s.min().unwrap() - 1e-9);
                 prop_assert!(s.mean() <= s.max().unwrap() + 1e-9);
-                prop_assert!(s.population_variance() >= 0.0);
+                prop_assert!(s.sample_variance() >= 0.0);
             }
 
             #[test]

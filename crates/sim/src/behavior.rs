@@ -21,7 +21,9 @@
 //! [`Protection`] selects the Section III-B countermeasure wired into the
 //! transfer path: windowed synchronous block validation
 //! ([`exchange::cheat::WindowedExchange`]) or the trusted mediator
-//! ([`exchange::cheat::Mediator`]'s key-release scheme).
+//! ([`Protection::Mediated`], one predicate of the transfer path,
+//! `ciphertext_downloader`: keys are never released to a relaying
+//! middleman).
 
 use std::fmt;
 
@@ -361,10 +363,12 @@ pub enum Protection {
         /// Upper bound of the adaptive validation window, in blocks.
         max_window: u32,
     },
-    /// The trusted mediator ([`exchange::cheat::Mediator`]): transfers are
-    /// encrypted end-to-end and keys are released only to the peer the true
-    /// origin named, so junk is caught at the first sampled block and a
-    /// relaying middleman is left with ciphertext it can never decrypt.
+    /// The trusted mediator: transfers are encrypted end-to-end and keys are
+    /// released only to the peer the true origin named, so junk is caught at
+    /// the first sampled block and a relaying middleman is left with
+    /// ciphertext it can never decrypt.  The transfer path's
+    /// `ciphertext_downloader` predicate is the whole model: under this
+    /// protection, every byte a middleman downloads counts as ciphertext.
     Mediated,
 }
 

@@ -89,13 +89,6 @@ impl PeerInterests {
         &self.categories
     }
 
-    /// The (unnormalised) local preference weight of each category, aligned
-    /// with [`PeerInterests::categories`].
-    #[must_use]
-    pub fn local_preference(&self) -> &[f64] {
-        &self.local_preference
-    }
-
     /// Whether the peer is interested in `category`.
     #[must_use]
     pub fn is_interested_in(&self, category: CategoryId) -> bool {
@@ -139,7 +132,7 @@ mod tests {
                 "categories must be distinct"
             );
             assert_eq!(
-                interests.local_preference().len(),
+                interests.local_preference.len(),
                 interests.categories().len()
             );
         }

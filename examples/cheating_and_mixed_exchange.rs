@@ -1,15 +1,15 @@
-//! Section III-B end to end: the closed-form countermeasure models, the
-//! mixed object+capacity exchange of Table I / Figure 3, and — through the
+//! Section III-B end to end: the windowed-validation rate cap, the mixed
+//! object+capacity exchange of Table I / Figure 3, and — through the
 //! first-class behavior API — a full simulation sweep of the adversarial
-//! populations against each countermeasure.
+//! populations against each countermeasure.  The trusted mediator appears
+//! only in that sweep, as the simulator models it: under `mediated` the
+//! middleman's usable MB/peer is exactly 0.0.
 //!
 //! ```text
 //! cargo run --release --example cheating_and_mixed_exchange
 //! ```
 
-use p2p_exchange::exchange::cheat::{
-    max_cheater_gain_bytes, middleman_attack_succeeds, EncryptedBlock, Mediator, WindowedExchange,
-};
+use p2p_exchange::exchange::cheat::WindowedExchange;
 use p2p_exchange::exchange::mixed::{plan_mixed_exchange, pure_exchange_rates, PeerSpec};
 use p2p_exchange::exchange::ExchangePolicy;
 use p2p_exchange::metrics::Table;
@@ -17,61 +17,33 @@ use p2p_exchange::sim::experiment::cheating_scenario;
 use p2p_exchange::sim::{BehaviorKind, BehaviorMix, Protection, SchedulerKind, SimConfig};
 
 fn main() {
-    closed_form_countermeasures();
+    windowed_validation();
     mixed_exchange_plan();
     behavior_mix_sweep();
 }
 
-fn closed_form_countermeasures() {
-    println!("== Windowed block validation ==");
-    let block = 256 * 1024u64;
-    let mut exchange = WindowedExchange::new(block, 8);
+fn windowed_validation() {
+    println!("== Windowed block validation (256 KiB blocks, 200 ms RTT, 5000 kB/s slot) ==");
+    let mut exchange = WindowedExchange::new(256 * 1024, 8);
+    let rate_kb = |exchange: &WindowedExchange| exchange.effective_rate(0.2, 5.0e6) / 1000.0;
     println!(
-        "start: window={} blocks, cheater exposure={} KiB",
+        "start: window={} block, rate {:.0} kB/s",
         exchange.window(),
-        exchange.exposure_bytes() / 1024
+        rate_kb(&exchange)
     );
     for round in 1..=4 {
         exchange.on_round_validated();
         println!(
-            "after {round} validated rounds: window={} blocks, exposure={} KiB, rate at 200ms RTT = {:.0} kB/s (slot caps at 1.25 kB/s)",
+            "after {round} validated rounds: window={} blocks, rate {:.0} kB/s",
             exchange.window(),
-            exchange.exposure_bytes() / 1024,
-            exchange.effective_rate(0.2, 1_250.0) / 1000.0
+            rate_kb(&exchange)
         );
     }
     exchange.on_invalid_block();
     println!(
-        "after one junk block: window collapses to {}",
-        exchange.window()
-    );
-    println!(
-        "worst-case cheater gain with window 8: {} KiB\n",
-        max_cheater_gain_bytes(block, 8) / 1024
-    );
-
-    println!("== Trusted mediator vs the freeriding middleman ==");
-    let a_to_b = vec![EncryptedBlock {
-        origin: 1u32,
-        intended_recipient: 2,
-        valid: true,
-    }];
-    let b_to_a = vec![EncryptedBlock {
-        origin: 2u32,
-        intended_recipient: 1,
-        valid: true,
-    }];
-    let outcome = Mediator::default().mediate(&a_to_b, &b_to_a);
-    println!("peer 1 can decrypt: {}", outcome.can_decrypt(&1));
-    println!("peer 2 can decrypt: {}", outcome.can_decrypt(&2));
-    println!(
-        "relaying middleman (peer 9) can decrypt: {}",
-        outcome.can_decrypt(&9)
-    );
-    println!(
-        "middleman attack succeeds without mediation: {}, with mediation: {}\n",
-        middleman_attack_succeeds(false),
-        middleman_attack_succeeds(true)
+        "after one junk block: window collapses to {}, rate {:.0} kB/s\n",
+        exchange.window(),
+        rate_kb(&exchange)
     );
 }
 

@@ -76,7 +76,7 @@ fn exchange_discipline_beats_no_exchange_for_sharers() {
 }
 
 #[test]
-fn ring_size_bound_is_respected_and_pairwise_only_uses_two_way() {
+fn ring_size_bound_is_respected_and_pairwise_uses_only_two_way() {
     let pairwise = run(ExchangePolicy::Pairwise, 5);
     for kind in pairwise.observed_kinds() {
         if let SessionKind::Exchange { ring_size } = kind {

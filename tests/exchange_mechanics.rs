@@ -1,6 +1,7 @@
 //! Integration tests of the exchange mechanism itself across crates:
-//! ring search against the request graph, the token protocol, and the
-//! Section III-B countermeasures.
+//! ring search against the request graph and the token protocol.  The
+//! Section III-B countermeasures are tested end to end in
+//! `tests/behavior_mixes.rs` and `tests/paper_claims.rs`.
 
 use p2p_exchange::des::DetRng;
 use p2p_exchange::exchange::{
@@ -112,40 +113,4 @@ fn declined_member_blocks_activation_and_reports_position() {
         }
         p2p_exchange::exchange::TokenOutcome::Confirmed => panic!("peer 1 should have declined"),
     }
-}
-
-#[test]
-fn windowed_validation_and_mediator_compose() {
-    use p2p_exchange::exchange::cheat::{EncryptedBlock, Mediator, WindowedExchange};
-
-    // Two peers exchange with windowed validation; every round is clean, so
-    // the window opens up and the mediator releases keys to both.
-    let mut a_side = WindowedExchange::new(64 * 1024, 4);
-    let mut b_side = WindowedExchange::new(64 * 1024, 4);
-    for _ in 0..3 {
-        a_side.on_round_validated();
-        b_side.on_round_validated();
-    }
-    assert_eq!(a_side.window(), 4);
-    assert_eq!(b_side.window(), 4);
-
-    let a_blocks: Vec<EncryptedBlock<u32>> = (0..4)
-        .map(|_| EncryptedBlock {
-            origin: 1,
-            intended_recipient: 2,
-            valid: true,
-        })
-        .collect();
-    let b_blocks: Vec<EncryptedBlock<u32>> = (0..4)
-        .map(|_| EncryptedBlock {
-            origin: 2,
-            intended_recipient: 1,
-            valid: true,
-        })
-        .collect();
-    let outcome = Mediator::new(2).mediate(&a_blocks, &b_blocks);
-    assert!(outcome.can_decrypt(&1));
-    assert!(outcome.can_decrypt(&2));
-    assert!(!outcome.can_decrypt(&3));
-    assert!(!outcome.cheating_detected);
 }
