@@ -84,10 +84,12 @@ impl Simulation {
         for object in stored {
             self.index_holding_gained(peer, object);
         }
-        // No cached search can depend on an offline peer (it has no request
-        // edges, so no BFS reaches it), but the whole-peer invalidation keeps
-        // the cache provably exact rather than argued exact.
-        self.ring_cache.invalidate_peer(peer);
+        // The ring cache needs no invalidation: the departure dropped every
+        // entry naming the peer, and no search reaches an offline peer (it
+        // has no request edges).  The audit checks this between events: a
+        // departed peer in a cached trace fails `audit_population`, and one
+        // in a cached `deps` would differ from a fresh search.
+
         // The store may sit over capacity from before the departure.
         self.schedule_maintenance_if_over_capacity(peer);
         self.generate_queued[peer.as_usize()] += 1;

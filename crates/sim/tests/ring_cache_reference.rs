@@ -1,13 +1,14 @@
 //! Reference equivalence for the ring-candidate cache.
 //!
-//! `ReferenceCache` is the cache as it was before its reverse indexes became
-//! lazily unlinked: entries eagerly unlink from `BTreeSet` indexes on every
-//! removal.  It is copied verbatim, minus its graph-drain method (a drain
+//! `ReferenceCache` is the cache with its reverse indexes kept as
+//! `BTreeSet`s of roots, which a removal unlinks on the spot.  It is copied
+//! verbatim from an earlier version, minus its graph-drain method (a drain
 //! only composes the invalidation paths exercised here) and the
-//! crate-private `set_stats`.  Random sequences of stores, lookups and every
-//! invalidation path drive it and the real [`RingCandidateCache`] side by
-//! side; after every operation their lookups, `len`, `iter_entries` and
-//! stats must agree.
+//! crate-private `set_stats`.  The real [`RingCandidateCache`] keeps plain
+//! lists instead, with a root listed once per occurrence in a trace's
+//! `edge_deps` or wants.  Random sequences of stores, lookups and every
+//! invalidation path drive both side by side; after every operation their
+//! lookups, `len`, `iter_entries` and stats must agree.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -28,7 +29,7 @@ struct Entry {
     edge_deps: Vec<PeerId>,
 }
 
-/// The cache as it was with eagerly unlinked `BTreeSet` reverse indexes.
+/// The cache with `BTreeSet` reverse indexes.
 #[derive(Debug, Default)]
 struct ReferenceCache {
     entries: HashMap<PeerId, Entry>,
@@ -250,8 +251,8 @@ const OBJECTS: u32 = 6;
 /// SplitMix64 draws for the parameters of one operation.  Roots come from
 /// `ROOTS` peers; the other peers a trace depends on, and the objects, from
 /// a universe that is either as small (lists are revisited all the time) or
-/// so large that most links are stranded in lists no later operation
-/// touches, which only a sweep reclaims.
+/// so large that most lists are touched only by the removal that empties
+/// them.
 struct Rng {
     state: u64,
     universe: u32,
@@ -362,7 +363,7 @@ fn view(entry: CachedEntry<'_>) -> EntryView<'_> {
 
 proptest! {
     #[test]
-    fn lazily_unlinked_cache_equals_the_eager_reference(
+    fn cache_equals_the_btreeset_reference(
         ops in proptest::collection::vec((0u32..20, 0u64..u64::MAX), 1..300),
     ) {
         let mut cache = RingCandidateCache::new();
@@ -426,8 +427,8 @@ proptest! {
 
 #[test]
 fn long_runs_over_a_large_universe_match_the_reference() {
-    // Most links land in lists no later operation touches, so the lazy
-    // indexes fill up with stranded links and must be swept many times over.
+    // Most lists are emptied and freed by the removal that unlinks their
+    // only root, so stores and removals keep allocating and freeing lists.
     let mut cache = RingCandidateCache::new();
     let mut reference = ReferenceCache::new();
     let mut rng = Rng::new(11, 1_000_000);
