@@ -25,7 +25,12 @@
 //! The JSON also records `calibration_ops_per_s` — the host's rate on a
 //! fixed CPU-bound reference loop ([`bench_support::calibrate_ops_per_s`])
 //! — so the CI regression gate can compare calibrated event rates across
-//! runners of different speeds instead of absolute seconds.
+//! runners of different speeds instead of absolute seconds.  The loop runs
+//! before the first tier and again after every tier, and each tier records
+//! the readings around it as its `calibration_bracket` `[before, after]`
+//! (one tier's after is the next one's before): the gate divides by the
+//! bracket's mean, and refuses a run whose bracket shows the host's speed
+//! moving under it.
 //!
 //! `--object-mb <n>` (default 1) and `--duration <secs>` (default 1800)
 //! reshape the workload — the defaults reach the steady churn state, with
@@ -72,6 +77,9 @@ struct TierMeasurement {
     peers: usize,
     config: SimConfig,
     runs: Vec<RunMeasurement>,
+    /// The reference-loop rates measured just before and just after the
+    /// tier ran.
+    calibration_bracket: [f64; 2],
 }
 
 impl TierMeasurement {
@@ -145,12 +153,15 @@ fn measure_run(config: &SimConfig, setup: &SimSetup, seed: u64) -> RunMeasuremen
     }
 }
 
+/// Runs one tier after a calibration that read `calibration_before`, and
+/// calibrates again once it is done.
 fn run_tier(
     label: &'static str,
     peers: usize,
     population: bool,
     seeds: &[u64],
     options: TierOptions,
+    calibration_before: f64,
 ) -> TierMeasurement {
     let mut config = tier_config(peers, options);
     if population {
@@ -181,11 +192,14 @@ fn run_tier(
             run
         })
         .collect();
+    let calibration_after = bench_support::calibrate_ops_per_s();
+    eprintln!("calibration after tier {label}: {calibration_after:.0} reference ops/s");
     TierMeasurement {
         label,
         peers,
         config,
         runs,
+        calibration_bracket: [calibration_before, calibration_after],
     }
 }
 
@@ -308,12 +322,14 @@ fn to_json(tiers: &[TierMeasurement], seeds: usize, calibration: f64) -> String 
         let _ = write!(
             out,
             "{{\"tier\":\"{}\",\"peers\":{},\"sim_seconds\":{},\"object_mb\":{},\
-             \"wall_s\":{:.3},\"runs\":[",
+             \"wall_s\":{:.3},\"calibration_bracket\":[{:.0},{:.0}],\"runs\":[",
             tier.label,
             tier.peers,
             tier.config.sim_duration_s,
             tier.config.workload.object_size_bytes / (1024 * 1024),
             tier.wall().as_secs_f64(),
+            tier.calibration_bracket[0],
+            tier.calibration_bracket[1],
         );
         for (r, run) in tier.runs.iter().enumerate() {
             if r > 0 {
@@ -430,18 +446,21 @@ fn main() {
         return;
     }
 
-    // Measure the machine yardstick before the tiers run: the host is idle
-    // and thermally unexcited here, matching how the reference loop behaves
-    // on a fresh CI runner.
-    let calibration = bench_support::calibrate_ops_per_s();
-    eprintln!("calibration: {:.0} reference ops/s", calibration);
-
+    // Measure the machine yardstick before the first tier and after every
+    // tier, so each tier is bracketed by the host's speed while it ran.
+    let first_calibration = bench_support::calibrate_ops_per_s();
+    eprintln!("calibration: {first_calibration:.0} reference ops/s");
+    let mut calibration = first_calibration;
     let tiers: Vec<TierMeasurement> = selected
         .into_iter()
-        .map(|(label, peers, population)| run_tier(label, peers, population, &seed_list, options))
+        .map(|(label, peers, population)| {
+            let tier = run_tier(label, peers, population, &seed_list, options, calibration);
+            calibration = tier.calibration_bracket[1];
+            tier
+        })
         .collect();
 
-    let json = to_json(&tiers, seed_list.len(), calibration);
+    let json = to_json(&tiers, seed_list.len(), first_calibration);
     match out {
         Some(path) => {
             std::fs::write(&path, &json).unwrap_or_else(|e| {

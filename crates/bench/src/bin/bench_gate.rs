@@ -23,6 +23,15 @@
 //! calibration or event counts cannot be compared: the gate exits 2 and
 //! names it.
 //!
+//! **Calibration brackets.**  The scale bench calibrates before and after
+//! every tier and records the two readings as the tier's
+//! `calibration_bracket`; the gate divides by the bracket's mean (a file
+//! written before brackets falls back to its top-level
+//! `calibration_ops_per_s`).  A bracket whose readings spread wider than
+//! [`MAX_CALIBRATION_SPREAD`] means the host's speed moved while the tier
+//! ran, so no calibrated rate of it can be trusted: the gate exits 2
+//! ("host too noisy to judge") and never passes such a run.
+//!
 //! Phase values are averaged across each file's runs, so a 1-seed smoke is
 //! comparable against a 2-seed baseline.  Phases below `--min-phase-s` in
 //! *both* files are skipped (micro-phases are noise-dominated), and only
@@ -256,13 +265,60 @@ impl<'a> Parser<'a> {
 
 // ---- gate logic ------------------------------------------------------------
 
+/// The widest spread, `(max − min) / mean`, a tier's calibration bracket may
+/// show before the gate refuses the run.  Back-to-back idle calibrations on
+/// a 2-core shared host spread at most 7.3% within a batch of 24–30.
+const MAX_CALIBRATION_SPREAD: f64 = 0.10;
+
+/// The mean of one tier's calibration bracket, or an error naming the
+/// bracket when its readings spread wider than [`MAX_CALIBRATION_SPREAD`]
+/// (or when it holds no positive reading).
+fn bracket_mean(readings: &[f64]) -> Result<f64, String> {
+    if readings.is_empty() || readings.iter().any(|r| !(*r > 0.0 && r.is_finite())) {
+        return Err(format!(
+            "calibration bracket {readings:?} is not all positive"
+        ));
+    }
+    let mean = readings.iter().sum::<f64>() / readings.len() as f64;
+    let low = readings.iter().copied().fold(f64::INFINITY, f64::min);
+    let high = readings.iter().copied().fold(0.0, f64::max);
+    let spread = (high - low) / mean;
+    if spread > MAX_CALIBRATION_SPREAD {
+        return Err(format!(
+            "host too noisy to judge: calibration bracket {readings:?} spreads {:.1}% \
+             (bound {:.1}%)",
+            spread * 100.0,
+            MAX_CALIBRATION_SPREAD * 100.0
+        ));
+    }
+    Ok(mean)
+}
+
+/// The calibration one tier's rates are divided by: its bracket's mean, or
+/// the file's top-level `calibration_ops_per_s` when the tier has no
+/// bracket.
+fn tier_calibration(root: &Json, tier: &Json) -> Result<f64, String> {
+    let Some(bracket) = tier.get("calibration_bracket") else {
+        return root
+            .get("calibration_ops_per_s")
+            .and_then(Json::as_f64)
+            .filter(|c| *c > 0.0)
+            .ok_or_else(|| "no positive 'calibration_ops_per_s'".to_string());
+    };
+    let readings: Option<Vec<f64>> = bracket
+        .as_array()
+        .map(|readings| readings.iter().map(Json::as_f64).collect())
+        .unwrap_or_default();
+    bracket_mean(&readings.ok_or("'calibration_bracket' is not an array of numbers")?)
+}
+
 /// One side (baseline or current) of the comparison: per-phase mean
-/// seconds, the mean event count, and the file's machine calibration.
+/// seconds, the mean event count, and the tier's machine calibration.
 struct Side {
     phases: BTreeMap<String, f64>,
     /// Mean `phases.events` across runs.
     events: f64,
-    /// Top-level `calibration_ops_per_s`.
+    /// The tier's calibration ([`tier_calibration`]).
     calibration: f64,
 }
 
@@ -314,11 +370,7 @@ fn phase_means(root: &Json, tier: &str) -> Result<Side, String> {
     if events_n == 0 {
         return Err(format!("tier '{tier}' records no event counts"));
     }
-    let calibration = root
-        .get("calibration_ops_per_s")
-        .and_then(Json::as_f64)
-        .filter(|c| *c > 0.0)
-        .ok_or("no positive 'calibration_ops_per_s'")?;
+    let calibration = tier_calibration(root, tier_obj)?;
     Ok(Side {
         phases: sums
             .into_iter()
@@ -587,4 +639,23 @@ fn main() -> ExitCode {
         tolerance * 100.0
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::bracket_mean;
+
+    #[test]
+    fn a_steady_bracket_yields_its_mean() {
+        assert_eq!(bracket_mean(&[4.0e8, 4.2e8]), Ok(4.1e8));
+        assert_eq!(bracket_mean(&[4.0e8, 4.0e8]), Ok(4.0e8));
+    }
+
+    #[test]
+    fn a_bracket_wider_than_the_bound_is_refused() {
+        let err = bracket_mean(&[4.0e8, 3.0e8]).expect_err("a 28.6% spread");
+        assert!(err.starts_with("host too noisy to judge"), "{err}");
+        assert!(bracket_mean(&[]).is_err());
+        assert!(bracket_mean(&[4.0e8, 0.0]).is_err());
+    }
 }

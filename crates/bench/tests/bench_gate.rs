@@ -19,6 +19,14 @@ fn bench_json(calibration: Option<f64>, scheduling_s: f64) -> String {
     )
 }
 
+/// `json` with a `calibration_bracket` on its tier.
+fn with_bracket(json: &str, before: f64, after: f64) -> String {
+    json.replace(
+        "\"wall_s\":2.1,",
+        &format!("\"wall_s\":2.1,\"calibration_bracket\":[{before},{after}],"),
+    )
+}
+
 /// Writes `contents` to a file named `name` in this test's scratch directory.
 fn write(name: &str, contents: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bench_gate");
@@ -89,4 +97,29 @@ fn truncated_or_malformed_json_is_refused() {
         let current = write(name, &contents);
         assert_eq!(gate(&baseline, &current), 2, "{name}");
     }
+}
+
+#[test]
+fn the_gate_divides_by_the_tier_bracket_mean() {
+    // Twice as slow on a host whose bracket reads half the baseline's
+    // speed: the calibrated rates are equal, although the stale top-level
+    // calibration alone would fail the phase.
+    let baseline = write("bracket_base.json", &bench_json(Some(1e9), 1.5));
+    let current = write(
+        "bracket_slow_host.json",
+        &with_bracket(&bench_json(Some(1e9), 3.0), 4.9e8, 5.1e8),
+    );
+    assert_eq!(gate(&baseline, &current), 0);
+}
+
+#[test]
+fn a_noisy_calibration_bracket_is_refused() {
+    let baseline = write("noisy_base.json", &bench_json(Some(1e9), 1.5));
+    let noisy = write(
+        "noisy.json",
+        &with_bracket(&bench_json(Some(1e9), 1.5), 1e9, 7e8),
+    );
+    assert_eq!(gate(&baseline, &noisy), 2);
+    assert_eq!(gate(&noisy, &baseline), 2);
+    assert_eq!(gate(&noisy, &noisy), 2);
 }

@@ -79,10 +79,10 @@ impl TransferSession {
     }
 
     /// Size of the next block given that the downloader still needs
-    /// `remaining_bytes`: a full block, or less for the final partial block.
+    /// `remaining`: a full block, or less for the final partial block.
     #[must_use]
-    pub fn next_block_bytes(&self, remaining_bytes: u64) -> u64 {
-        self.block_bytes.min(remaining_bytes).max(1)
+    pub fn next_block_bytes(&self, remaining: u64) -> u64 {
+        self.block_bytes.min(remaining).max(1)
     }
 
     /// Time needed to move a block of `bytes` at this session's rate.

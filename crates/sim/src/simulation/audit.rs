@@ -13,6 +13,8 @@
 //!   uploader's and one in its downloader's list, every record's other end,
 //!   object and exchange flag equal the transfer's, every list is strictly
 //!   ascending by id, and no record names a dead transfer;
+//! * block events — each live transfer has exactly one pending
+//!   `BlockComplete` event;
 //! * provision — every active transfer's uploader stores the object or is a
 //!   behavior that may advertise unstored objects (a relaying middleman);
 //! * rings — every active exchange ring's sessions form one cycle over
@@ -57,7 +59,7 @@ use crate::SimReport;
 use super::events::Event;
 use super::holder_marks::HolderMarks;
 use super::transfers::{ActiveTransfer, TransferLink};
-use super::Simulation;
+use super::{Simulation, TransferId};
 
 impl Simulation {
     /// Runs the simulation to its horizon, checking every invariant after
@@ -159,6 +161,7 @@ impl Simulation {
     /// Returns a description of the first violated invariant.
     pub fn audit(&self) -> Result<(), String> {
         self.audit_slots_and_indexes()?;
+        self.audit_block_events()?;
         self.audit_transfer_provision()?;
         self.audit_rings()?;
         self.audit_byte_conservation()?;
@@ -390,6 +393,28 @@ impl Simulation {
                     peer.id,
                     peer.download_slots.in_use()
                 ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every live transfer has exactly one pending `BlockComplete`: with none
+    /// it would stall holding both its slots, with two it would count its
+    /// blocks twice.  A pending event of an ended transfer is harmless: it
+    /// does nothing when it fires, and ids are never reused.
+    fn audit_block_events(&self) -> Result<(), String> {
+        let mut pending: BTreeMap<TransferId, usize> = BTreeMap::new();
+        for (_, _, event) in self.engine.queue().sorted_entries() {
+            if let Event::BlockComplete(tid) = event {
+                *pending.entry(tid).or_default() += 1;
+            }
+        }
+        let mut live: Vec<TransferId> = self.transfers.keys().copied().collect();
+        live.sort_unstable();
+        for tid in live {
+            let events = pending.get(&tid).copied().unwrap_or(0);
+            if events != 1 {
+                return Err(format!("transfer {tid} has {events} pending block events"));
             }
         }
         Ok(())
@@ -630,7 +655,7 @@ fn audit_transfer_index(
 mod tests {
     use crate::{SessionKind, SimConfig};
 
-    use super::{Simulation, TransferLink};
+    use super::{Event, Simulation, TransferLink};
 
     #[test]
     fn a_duplicated_transfer_is_named_by_the_audit() {
@@ -691,5 +716,24 @@ mod tests {
                  exchange true)"
             )
         );
+    }
+
+    #[test]
+    fn a_second_block_event_is_named_by_the_audit() {
+        let mut sim = Simulation::new(SimConfig::quick_test(), 1);
+        // Step to the first live transfer.
+        let tid = loop {
+            sim.step().expect("a transfer starts before the horizon");
+            if let Some(&tid) = sim.transfers.keys().min() {
+                break tid;
+            }
+        };
+        sim.drain_graph_deltas();
+        sim.audit()
+            .expect("the run is consistent before the extra event");
+
+        sim.engine.schedule_now(Event::BlockComplete(tid));
+        let err = sim.audit().expect_err("a second pending block event");
+        assert_eq!(err, format!("transfer {tid} has 2 pending block events"));
     }
 }

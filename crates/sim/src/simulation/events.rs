@@ -99,12 +99,12 @@ impl Simulation {
             // the next one's start, one clock read per boundary.
             let timer = self.profile_timer();
             let candidate = self.next_request_for(peer);
-            let timer = Self::add_elapsed(&self.request_draw_nanos, timer);
+            let timer = self.add_elapsed(|p| &mut p.request_draw, timer);
             let Some(object) = candidate else { break };
             let providers = self.lookup_providers(peer, object);
-            let timer = Self::add_elapsed(&self.provider_lookup_nanos, timer);
+            let timer = self.add_elapsed(|p| &mut p.provider_lookup, timer);
             self.register_request(peer, object, providers);
-            Self::add_elapsed(&self.request_register_nanos, timer);
+            self.add_elapsed(|p| &mut p.request_register, timer);
         }
         // Retry on demand: wants for which no provider was found, or spare
         // budget freed by abandoned lookups, get another chance — but a peer

@@ -27,7 +27,6 @@ pub use ring_cache::{CachedEntry, RingCacheStats, RingCandidateCache};
 pub(crate) use snapshot::{record_codec, Cursor, Decode, Encode};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
-use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
@@ -309,11 +308,11 @@ pub struct Simulation {
     /// Retries only arm when this is zero, so the on-demand retry chain
     /// stays singular even across a completion's immediate regeneration.
     generate_queued: Vec<u32>,
-    /// Set by [`run_profiled`](Self::run_profiled): fresh ring searches and
-    /// the scheduling and request-generation sub-phases time themselves
-    /// into their `*_nanos` counters (see
-    /// [`profile_timer`](Self::profile_timer)).
-    profile_searches: bool,
+    /// The wall-clock breakdown of a [`run_profiled`](Self::run_profiled)
+    /// run, `None` otherwise: the event phases, and the fresh ring searches
+    /// and scheduling and request-generation sub-phases that time
+    /// themselves into it (see [`profile_timer`](Self::profile_timer)).
+    profile: Option<PhaseProfile>,
     /// Test-only fault injection for the time-travel audit tests: when the
     /// engine's delivered-event count reaches this value,
     /// [`audit::run_audited`](Self::run_audited) corrupts one accounting
@@ -326,24 +325,6 @@ pub struct Simulation {
     /// `AUDIT_CHECKPOINT_PATH` or a temp-dir default.
     #[cfg(feature = "audit")]
     audit_dump_path: Option<std::path::PathBuf>,
-    /// Nanoseconds spent in fresh ring searches (profiled runs only).
-    ring_search_nanos: Cell<u64>,
-    /// Number of fresh ring searches run (profiled runs only).
-    ring_searches: Cell<u64>,
-    /// Nanoseconds spent building serve queues (profiled runs only).
-    serve_queue_nanos: Cell<u64>,
-    /// Nanoseconds spent in ring-cache drains, lookups and stores (profiled
-    /// runs only).
-    cache_upkeep_nanos: Cell<u64>,
-    /// Nanoseconds spent circulating ring tokens (profiled runs only).
-    token_pass_nanos: Cell<u64>,
-    /// Nanoseconds spent drawing request objects (profiled runs only).
-    request_draw_nanos: Cell<u64>,
-    /// Nanoseconds spent looking up and sampling providers (profiled runs
-    /// only).
-    provider_lookup_nanos: Cell<u64>,
-    /// Nanoseconds spent registering requests (profiled runs only).
-    request_register_nanos: Cell<u64>,
 }
 
 impl Simulation {
@@ -449,19 +430,11 @@ impl Simulation {
             maintenance: MaintenanceSchedule::new(config_maintenance_interval),
             maintenance_pending: vec![false; num_peers],
             generate_queued: vec![0; num_peers],
-            profile_searches: false,
+            profile: None,
             #[cfg(feature = "audit")]
             audit_fault_at: None,
             #[cfg(feature = "audit")]
             audit_dump_path: None,
-            ring_search_nanos: Cell::new(0),
-            ring_searches: Cell::new(0),
-            serve_queue_nanos: Cell::new(0),
-            cache_upkeep_nanos: Cell::new(0),
-            token_pass_nanos: Cell::new(0),
-            request_draw_nanos: Cell::new(0),
-            provider_lookup_nanos: Cell::new(0),
-            request_register_nanos: Cell::new(0),
         }
     }
 
@@ -584,27 +557,20 @@ impl Simulation {
     /// the report.  The report is identical to an unprofiled run.
     #[must_use]
     pub fn run_profiled(mut self) -> (SimReport, PhaseProfile) {
-        self.profile_searches = true;
-        let mut profile = PhaseProfile::default();
+        self.profile = Some(PhaseProfile::default());
         // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
         let loop_start = Instant::now();
         while let Some(event) = self.engine.next() {
-            profile.events += 1;
-            let phase = profile.phase_of(&event);
             // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
             let start = Instant::now();
             self.dispatch(event);
-            *phase += start.elapsed();
+            let elapsed = start.elapsed();
+            let profile = self.profile.as_mut().expect("set for the whole run");
+            profile.events += 1;
+            *profile.phase_of(&event) += elapsed;
         }
+        let mut profile = self.profile.take().expect("set for the whole run");
         profile.event_loop = loop_start.elapsed();
-        profile.ring_search = Duration::from_nanos(self.ring_search_nanos.get());
-        profile.ring_searches = self.ring_searches.get();
-        profile.serve_queue = Duration::from_nanos(self.serve_queue_nanos.get());
-        profile.cache_upkeep = Duration::from_nanos(self.cache_upkeep_nanos.get());
-        profile.token_pass = Duration::from_nanos(self.token_pass_nanos.get());
-        profile.request_draw = Duration::from_nanos(self.request_draw_nanos.get());
-        profile.provider_lookup = Duration::from_nanos(self.provider_lookup_nanos.get());
-        profile.request_register = Duration::from_nanos(self.request_register_nanos.get());
         (self.finalize(), profile)
     }
 
@@ -612,17 +578,23 @@ impl Simulation {
     /// unprofiled runs never read the clock.
     fn profile_timer(&self) -> Option<Instant> {
         // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
-        self.profile_searches.then(Instant::now)
+        self.profile.is_some().then(Instant::now)
     }
 
-    /// Adds the time since `timer` started to `nanos` and returns the
-    /// instant it stopped, so back-to-back sub-phases can chain one clock
-    /// read each (a no-op returning `None` for an unprofiled run).
-    fn add_elapsed(nanos: &Cell<u64>, timer: Option<Instant>) -> Option<Instant> {
+    /// Adds the time since `timer` started to the profile's `phase` and
+    /// returns the instant it stopped, so back-to-back sub-phases can chain
+    /// one clock read each (a no-op returning `None` for an unprofiled run).
+    fn add_elapsed(
+        &mut self,
+        phase: fn(&mut PhaseProfile) -> &mut Duration,
+        timer: Option<Instant>,
+    ) -> Option<Instant> {
         let start = timer?;
         // exchange-lint: allow(D002, reason = "profiling only: feeds PhaseProfile, never simulation state")
         let now = Instant::now();
-        nanos.set(nanos.get() + now.duration_since(start).as_nanos() as u64);
+        if let Some(profile) = &mut self.profile {
+            *phase(profile) += now.duration_since(start);
+        }
         Some(now)
     }
 

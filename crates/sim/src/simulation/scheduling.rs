@@ -66,7 +66,7 @@ impl Simulation {
             let timer = self.profile_timer();
             self.drain_graph_deltas();
             let cached = (self.ring_cache.lookup(provider, &wants)).map(<[_]>::to_vec);
-            Self::add_elapsed(&self.cache_upkeep_nanos, timer);
+            self.add_elapsed(|p| &mut p.cache_upkeep, timer);
             if let Some(candidates) = cached {
                 candidates
             } else {
@@ -74,7 +74,7 @@ impl Simulation {
                 let timer = self.profile_timer();
                 let candidates = trace.rings.clone();
                 self.ring_cache.store(provider, wants, trace);
-                Self::add_elapsed(&self.cache_upkeep_nanos, timer);
+                self.add_elapsed(|p| &mut p.cache_upkeep, timer);
                 candidates
             }
         } else {
@@ -154,9 +154,9 @@ impl Simulation {
             |peer, object| self.search_claims(&self.marks, *peer, *object),
         );
         self.scratch = scratch;
-        if timer.is_some() {
-            Self::add_elapsed(&self.ring_search_nanos, timer);
-            self.ring_searches.set(self.ring_searches.get() + 1);
+        self.add_elapsed(|p| &mut p.ring_search, timer);
+        if let Some(profile) = &mut self.profile {
+            profile.ring_searches += 1;
         }
         trace
     }
@@ -220,7 +220,7 @@ impl Simulation {
         let token = RingToken::new(initiator);
         let timer = self.profile_timer();
         let outcome = token.circulate(ring, |peer, edge| self.can_confirm_ring_member(*peer, edge));
-        Self::add_elapsed(&self.token_pass_nanos, timer);
+        self.add_elapsed(|p| &mut p.token_pass, timer);
         if let TokenOutcome::Declined { .. } = outcome {
             if self.measuring() {
                 self.report.record_token_decline();
@@ -318,7 +318,7 @@ impl Simulation {
     fn serve_non_exchange(&mut self, provider: PeerId) -> bool {
         let timer = self.profile_timer();
         let (queue, objects) = self.build_serve_queue(provider);
-        Self::add_elapsed(&self.serve_queue_nanos, timer);
+        self.add_elapsed(|p| &mut p.serve_queue, timer);
         if queue.is_empty() {
             return false;
         }

@@ -10,15 +10,15 @@
 use des::SimDuration;
 use exchange::cheat::WindowedExchange;
 use netsim::TransferSession;
-use workload::{ObjectId, PeerId};
+use workload::{Catalog, ObjectId, PeerId};
 
-use crate::{BehaviorKind, Protection, SessionEnd, SessionKind};
+use crate::{BehaviorKind, PeerState, Protection, SessionEnd, SessionKind};
 
 use super::events::Event;
 use super::{RingId, Simulation, TransferId};
 
 /// One in-flight transfer session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ActiveTransfer {
     pub(crate) uploader: PeerId,
     pub(crate) downloader: PeerId,
@@ -81,6 +81,21 @@ fn unlink(links: &mut Vec<TransferLink>, tid: TransferId) {
     }
 }
 
+/// The size of `t`'s next block.  A valid stream sends what the
+/// downloader's want still lacks; a junk stream paces itself against a full
+/// (fake) object copy, whatever real data the want already collected.  It
+/// takes the two tables rather than the simulation, so it can run while
+/// `transfers` is borrowed.
+fn block_bytes(peers: &[PeerState], catalog: &Catalog, t: &ActiveTransfer) -> u64 {
+    let size = catalog.size_bytes(t.object);
+    let done = if peers[t.uploader.as_usize()].behavior.block_validity() {
+        (peers[t.downloader.as_usize()].wants.get(&t.object)).map_or(0, |w| w.received_bytes)
+    } else {
+        t.session.bytes_transferred()
+    };
+    t.session.next_block_bytes(size.saturating_sub(done).max(1))
+}
+
 impl Simulation {
     /// Starts a transfer session, reserving one slot at each end.
     /// Returns `None` if either side has no capacity.
@@ -116,27 +131,24 @@ impl Simulation {
         // to the pre-class code).
         let rate =
             self.config.link.slot_bytes_per_sec() * self.peer(uploader).capacity.rate_multiplier();
-        let session = TransferSession::new(rate, self.config.block_bytes, now);
         let validation = match self.config.protection {
             Protection::Windowed { max_window } if kind.is_exchange() => {
                 Some(WindowedExchange::new(self.config.block_bytes, max_window))
             }
             _ => None,
         };
+        let transfer = ActiveTransfer {
+            uploader,
+            downloader,
+            object,
+            kind,
+            ring,
+            session: TransferSession::new(rate, self.config.block_bytes, now),
+            validation,
+        };
         let tid = self.next_transfer_id;
         self.next_transfer_id += 1;
-        self.transfers.insert(
-            tid,
-            Box::new(ActiveTransfer {
-                uploader,
-                downloader,
-                object,
-                kind,
-                ring,
-                session,
-                validation,
-            }),
-        );
+        self.transfers.insert(tid, Box::new(transfer));
         // Ids rise, so pushing keeps each list in ascending id order.
         let exchange = kind.is_exchange();
         self.uploads[uploader.as_usize()]
@@ -146,88 +158,74 @@ impl Simulation {
         if self.measuring() {
             self.report.record_waiting(kind, waiting_secs);
         }
-
-        let remaining = if self.peer(uploader).behavior.block_validity() {
-            self.remaining_bytes(downloader, object)
-        } else {
-            // A junk stream paces itself against a full (fake) object copy,
-            // independent of how much real data the want already collected.
-            self.catalog.size_bytes(object).max(1)
-        };
-        let block = session.next_block_bytes(remaining);
-        let duration = match validation {
-            Some(v) => Self::validated_block_duration(&v, block, self.config.rtt_s, rate),
-            None => session.block_duration(block),
-        };
-        self.engine.schedule_in(duration, Event::BlockComplete(tid));
+        self.schedule_block(tid, &transfer);
         Some(tid)
     }
 
-    /// How long `bytes` take under windowed validation: the slot rate capped
-    /// at `window × block / rtt` (the paper's synchronous-validation cost).
-    fn validated_block_duration(
-        validation: &WindowedExchange,
-        bytes: u64,
-        rtt_secs: f64,
-        slot_bytes_per_sec: f64,
-    ) -> SimDuration {
-        let rate = validation.effective_rate(rtt_secs, slot_bytes_per_sec);
-        SimDuration::from_secs_f64(bytes as f64 / rate)
-    }
-
-    /// The duration of the next `bytes` of `transfer`, honouring any active
-    /// validation window.
-    fn block_duration_of(&self, transfer: &ActiveTransfer, bytes: u64) -> SimDuration {
-        match &transfer.validation {
-            Some(v) => Self::validated_block_duration(
-                v,
-                bytes,
-                self.config.rtt_s,
-                transfer.session.rate_bytes_per_sec(),
-            ),
-            None => transfer.session.block_duration(bytes),
-        }
-    }
-
-    pub(super) fn remaining_bytes(&self, downloader: PeerId, object: ObjectId) -> u64 {
-        let size = self.catalog.size_bytes(object);
-        let received = self
-            .peer(downloader)
-            .wants
-            .get(&object)
-            .map_or(0, |w| w.received_bytes);
-        size.saturating_sub(received).max(1)
+    /// Schedules the completion of `t`'s next block: [`block_bytes`] at the
+    /// session's rate, capped under windowed validation at
+    /// `window × block / rtt` (the paper's synchronous-validation cost).
+    fn schedule_block(&mut self, tid: TransferId, t: &ActiveTransfer) {
+        let bytes = block_bytes(&self.peers, &self.catalog, t);
+        let duration = match &t.validation {
+            Some(v) => {
+                let rate = v.effective_rate(self.config.rtt_s, t.session.rate_bytes_per_sec());
+                SimDuration::from_secs_f64(bytes as f64 / rate)
+            }
+            None => t.session.block_duration(bytes),
+        };
+        self.engine.schedule_in(duration, Event::BlockComplete(tid));
     }
 
     pub(super) fn handle_block_complete(&mut self, tid: TransferId) {
-        let Some(transfer) = self.transfers.get(&tid).map(|t| ActiveTransfer::clone(t)) else {
+        // Read phase, on the one lookup: size the block from the record as
+        // it stood, record it, and let a valid block grow the window.
+        let Some(t) = self.transfers.get_mut(&tid) else {
             return; // the session ended before this block event fired
         };
-        let size = self.catalog.size_bytes(transfer.object);
-        let junk = !self.peer(transfer.uploader).behavior.block_validity();
-        let block = if junk {
-            // Junk streams track their own progress towards a fake full copy.
-            let streamed = transfer.session.bytes_transferred();
-            transfer
-                .session
-                .next_block_bytes(size.saturating_sub(streamed).max(1))
-        } else {
-            let remaining = self.remaining_bytes(transfer.downloader, transfer.object);
-            transfer.session.next_block_bytes(remaining).min(remaining)
-        };
-
-        // Account the block.  Junk and relayed bytes count like any others —
-        // that is exactly how the cheats farm credit and priority.
-        if let Some(t) = self.transfers.get_mut(&tid) {
-            t.session.record_block(block);
+        let block = block_bytes(&self.peers, &self.catalog, t);
+        t.session.record_block(block);
+        let junk = !self.peers[t.uploader.as_usize()].behavior.block_validity();
+        if !junk {
+            if let Some(v) = &mut t.validation {
+                v.on_round_validated();
+            }
         }
-        self.peer_mut(transfer.downloader).downloaded_bytes += block;
-        self.peer_mut(transfer.uploader).uploaded_bytes += block;
+        let t = **t;
+
+        // Write phase.  Junk and relayed bytes count like any others — that
+        // is exactly how the cheats farm credit and priority.
+        self.peer_mut(t.downloader).downloaded_bytes += block;
+        self.peer_mut(t.uploader).uploaded_bytes += block;
         self.scheduler
-            .record_transfer(transfer.uploader, transfer.downloader, block);
+            .record_transfer(t.uploader, t.downloader, block);
+        let size = self.catalog.size_bytes(t.object);
 
         if junk {
-            self.handle_junk_block(tid, &transfer, block, size);
+            // Junk never advances the want.  Unprotected, the victim only
+            // discovers the garbage after assembling (and checksumming) a
+            // full object's worth of bytes.  Synchronous validation checks
+            // every exchange block before the next is sent; the mediator
+            // samples blocks before releasing keys.  Either way the first
+            // junk block of an exchange is caught; non-exchange junk still
+            // takes a full object to spot.
+            self.peer_mut(t.downloader).junk_bytes += block;
+            let full_object = t.session.bytes_transferred() >= size;
+            let detected = match self.config.protection {
+                Protection::None => full_object,
+                Protection::Windowed { .. } | Protection::Mediated => {
+                    t.kind.is_exchange() || full_object
+                }
+            };
+            if detected {
+                if self.measuring() {
+                    self.report
+                        .record_cheat_detection(self.peer(t.uploader).behavior);
+                }
+                self.end_transfer(tid, SessionEnd::CheatDetected);
+            } else {
+                self.schedule_block(tid, &t);
+            }
             return;
         }
 
@@ -235,104 +233,28 @@ impl Simulation {
         // the stream, but the decryption key is only ever released to the
         // peer the true origin named — never the middleman — so everything
         // it downloads stays ciphertext.
-        let ciphertext = self.ciphertext_downloader(transfer.downloader);
-        if ciphertext {
-            self.peer_mut(transfer.downloader).ciphertext_bytes += block;
+        if self.ciphertext_downloader(t.downloader) {
+            self.peer_mut(t.downloader).ciphertext_bytes += block;
         }
-        if let Some(t) = self.transfers.get_mut(&tid) {
-            if let Some(v) = &mut t.validation {
-                v.on_round_validated();
+        let complete = match self.peer_mut(t.downloader).wants.get_mut(&t.object) {
+            Some(w) => {
+                w.received_bytes = (w.received_bytes + block).min(size);
+                w.received_bytes >= size
             }
-        }
-
-        let complete = {
-            let want = self
-                .peer_mut(transfer.downloader)
-                .wants
-                .get_mut(&transfer.object);
-            match want {
-                Some(w) => {
-                    w.received_bytes = (w.received_bytes + block).min(size);
-                    w.received_bytes >= size
-                }
-                None => false,
-            }
+            None => false,
         };
-
         if complete {
-            self.complete_download(transfer.downloader, transfer.object);
+            self.complete_download(t.downloader, t.object);
             return;
         }
         // The uploader may no longer claim the object (an honest holder
         // evicted it mid-transfer, or a middleman's last backing request was
         // withdrawn).
-        if !self.claims(transfer.uploader, transfer.object) {
+        if !self.claims(t.uploader, t.object) {
             self.end_transfer(tid, SessionEnd::SourceLostObject);
             return;
         }
-        let remaining = self.remaining_bytes(transfer.downloader, transfer.object);
-        let duration = {
-            let t = self
-                .transfers
-                .get(&tid)
-                .expect("transfer is still registered");
-            let next_block = t.session.next_block_bytes(remaining);
-            self.block_duration_of(t, next_block)
-        };
-        self.engine.schedule_in(duration, Event::BlockComplete(tid));
-    }
-
-    /// One junk block arrived: decide whether the active countermeasure (or
-    /// the victim's end-of-object checksum) catches the cheat now, and keep
-    /// the garbage stream going otherwise.  Junk never advances the want.
-    fn handle_junk_block(
-        &mut self,
-        tid: TransferId,
-        transfer: &ActiveTransfer,
-        block: u64,
-        size: u64,
-    ) {
-        self.peer_mut(transfer.downloader).junk_bytes += block;
-        let streamed = self
-            .transfers
-            .get(&tid)
-            .map_or(block, |t| t.session.bytes_transferred());
-        let detected = match self.config.protection {
-            // Unprotected, the victim only discovers the garbage after
-            // assembling (and checksumming) a full object's worth of bytes.
-            Protection::None => streamed >= size,
-            // Synchronous validation checks every exchange block before the
-            // next is sent; the mediator samples blocks before releasing
-            // keys.  Either way the first junk block of an exchange is
-            // caught.  Non-exchange junk still takes a full object to spot.
-            Protection::Windowed { .. } | Protection::Mediated => {
-                transfer.kind.is_exchange() || streamed >= size
-            }
-        };
-        if detected {
-            if let Some(t) = self.transfers.get_mut(&tid) {
-                if let Some(v) = &mut t.validation {
-                    v.on_invalid_block();
-                }
-            }
-            if self.measuring() {
-                self.report
-                    .record_cheat_detection(self.peer(transfer.uploader).behavior);
-            }
-            self.end_transfer(tid, SessionEnd::CheatDetected);
-            return;
-        }
-        let duration = {
-            let t = self
-                .transfers
-                .get(&tid)
-                .expect("transfer is still registered");
-            let next_block = t
-                .session
-                .next_block_bytes(size.saturating_sub(streamed).max(1));
-            self.block_duration_of(t, next_block)
-        };
-        self.engine.schedule_in(duration, Event::BlockComplete(tid));
+        self.schedule_block(tid, &t);
     }
 
     /// Whether everything `downloader` receives stays undecryptable under
